@@ -9,6 +9,7 @@ documents.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from datetime import datetime
@@ -18,60 +19,98 @@ from pathlib import Path
 from .values import format_timestamp
 
 
-def _emit(obj, out: list[str], indent: str, level: int) -> None:
-    pad = indent * level
-    inner = indent * (level + 1)
+# The C string encoder json.dumps(s, ensure_ascii=False) ends in, bound once:
+# json.dumps builds a new JSONEncoder per call when ensure_ascii is False.
+_encode_str = json.encoder.encode_basestring
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(indent: int, level: int) -> tuple[str, str, str]:
+    """(first lead, separator lead, closing pad) of a container at one depth."""
+    inner = "\n" + " " * (indent * (level + 1))
+    return inner, "," + inner, "\n" + " " * (indent * level)
+
+
+def _leaf(obj) -> str | None:
+    """Text of a non-container value, or None for a dict, list or tuple.
+
+    The general path: exact str, int, None, bool and finite Decimal children
+    never get here, the container loops write those inline.
+    """
     if obj is None:
-        out.append("null")
+        return "null"
     elif obj is True:
-        out.append("true")
+        return "true"
     elif obj is False:
-        out.append("false")
+        return "false"
     elif isinstance(obj, int):
-        out.append(str(obj))
+        return str(obj)
     elif isinstance(obj, Decimal):
         if not obj.is_finite():
             raise ValueError(f"non-finite decimal {obj} cannot be serialized")
-        out.append(str(obj))
+        return str(obj)
     elif isinstance(obj, float):
         # floats are never produced by the pipeline; refuse silently lossy output
         raise TypeError("float values are not allowed in canonical documents")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        return json.dumps(obj, ensure_ascii=False)
     elif isinstance(obj, datetime):
-        out.append(json.dumps(format_timestamp(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
+        return json.dumps(format_timestamp(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        return None
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit(obj, out: list[str], indent: int, level: int) -> None:
+    """Append a dict, list or tuple; scalar members are written inline."""
+    keyed = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if keyed else "[]")
+        return
+    append = out.append
+    lead, sep, close = _layout(indent, level)
+    append("{" if keyed else "[")
+    for item in (obj.items() if keyed else obj):
+        if keyed:
+            key, value = item
             if not isinstance(key, str):
                 raise TypeError(f"non-string key {key!r}")
-            out.append(inner)
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(": ")
+            head = lead + _encode_str(key) + ": "
+        else:
+            value = item
+            head = lead
+        lead = sep
+        t = type(value)
+        if t is str:
+            append(head + _encode_str(value))
+        elif t is int:
+            append(head + str(value))
+        elif value is None:
+            append(head + "null")
+        elif t is bool:
+            append(head + ("true" if value else "false"))
+        elif t is Decimal and value.is_finite():
+            append(head + str(value))
+        elif t is dict or t is list or t is tuple:
+            append(head)
             _emit(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _emit(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        else:
+            text = _leaf(value)
+            if text is None:
+                append(head)
+                _emit(value, out, indent, level + 1)
+            else:
+                append(head + text)
+    append(close + ("}" if keyed else "]"))
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize to canonical JSON text (trailing newline included)."""
+    text = _leaf(obj)
+    if text is not None:
+        return text + "\n"
     out: list[str] = []
-    _emit(obj, out, " " * indent, 0)
+    _emit(obj, out, indent, 0)
     out.append("\n")
     return "".join(out)
 

@@ -228,6 +228,13 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # Argument wiring
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dq",
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chars", help="comma-separated characteristic filter")
     p.add_argument("--props", help="comma-separated property filter")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
                    help="parallel rule evaluation degree")
     p.set_defaults(fn=cmd_evaluate)
 

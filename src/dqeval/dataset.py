@@ -144,9 +144,6 @@ class Entity:
         except KeyError:
             raise UnknownColumn(f"{self.name} has no column {name!r}") from None
 
-    def row(self, ordinal: int) -> "RowView":
-        return RowView(self, ordinal)
-
     def key_values(self, ordinal: int) -> dict[str, object]:
         return {c: self._columns[c][ordinal] for c in self.schema.key}
 
@@ -329,14 +326,7 @@ def _encode_field(value, datatype: str) -> str:
 
 def write_entity(entity: Entity, path: Path) -> None:
     """Write the canonical snapshot form (the one load_entity round-trips)."""
-    specs = entity.schema.columns
-    cols = [entity.column(c.name) for c in specs]
-    lines = [",".join(c.name for c in specs)]
-    for i in range(entity.n_rows):
-        lines.append(",".join(_encode_field(col[i], spec.datatype)
-                              for col, spec in zip(cols, specs)))
-    lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    Path(path).write_text(serialize_entity(entity), encoding="utf-8")
 
 
 def serialize_entity(entity: Entity) -> str:
@@ -358,9 +348,6 @@ class Repository:
     catalog: SchemaCatalog
     entities: dict[str, Entity]
     fingerprint: str
-
-    def entity(self, name: str) -> Entity:
-        return self.entities[name]
 
 
 def load_snapshot(directory: Path, catalog: SchemaCatalog) -> Repository:

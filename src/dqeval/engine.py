@@ -98,7 +98,7 @@ def _make_ref(entity: Entity, ordinal: int | None) -> RecordRef:
 # values are only materialized in the coordinating process, which keeps
 # worker results small and avoids touching key columns in forked children.
 
-def _cap_raw(rule: Rule, a: int, b: int, raw: list[tuple[str, int | None]],
+def _cap_raw(a: int, b: int, raw: list[tuple[str, int | None]],
              cap: int) -> tuple[int, int, list, int]:
     raw.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
     total = len(raw)
@@ -325,7 +325,7 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
     try:
         if isinstance(k, FormatClass):
             a, b, raw = _eval_format_class(rule, entity, rs, repo)
-            return _cap_raw(rule, a, b, raw, cap)
+            return _cap_raw(a, b, raw, cap)
         if isinstance(k, Syntax):
             a, b, rows = _eval_syntax(rule, entity, rs)
         elif isinstance(k, Range):
@@ -352,7 +352,7 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
             raise EvalError(f"unknown kind {k!r}", rule.id)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    return _cap_raw(rule, a, b, [(entity.name, i) for i in rows], cap)
+    return _cap_raw(a, b, [(entity.name, i) for i in rows], cap)
 
 
 def eval_rule(rule: Rule, repo: Repository, rs: RuleSet,

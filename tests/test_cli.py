@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, make_ruleset, rule
-from dqeval.cli import main
+from dqeval.cli import build_parser, main
 
 RULES_DOC = make_ruleset([
     rule("r1", "person", ["id"], "EXAC_SINT", "syntax",
@@ -270,3 +271,22 @@ def test_evaluate_with_config_overrides(workspace):
     # 75% and 80% both clear the lowered level-5 bar
     assert all(p["level"] == 5 for p in report["properties"])
     assert report["metadata"]["config"]["aggregation"] == "macro"
+
+
+_EVALUATE_ARGS = ["evaluate", "--rules", "r.json", "--schema", "s.json",
+                  "--data", "snap", "--out", "out"]
+
+
+def test_jobs_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 3
+    assert build_parser().parse_args(_EVALUATE_ARGS + ["--jobs", "1"]).jobs == 1
+
+
+def test_jobs_default_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 1
