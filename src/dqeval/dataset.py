@@ -363,17 +363,3 @@ def load_snapshot(directory: Path, catalog: SchemaCatalog) -> Repository:
         entities[schema.name] = load_entity(path, schema)
     return Repository(catalog, entities, canonical.snapshot_fingerprint(directory))
 
-
-def index_column(entity: Entity, column: str) -> dict:
-    """Exact multimap over non-null values of one column: value → ordinal set."""
-    values = entity.column(column)
-    index: dict = {}
-    for i, v in enumerate(values):
-        if v is None:
-            continue
-        bucket = index.get(v)
-        if bucket is None:
-            index[v] = {i}
-        else:
-            bucket.add(i)
-    return index

@@ -7,17 +7,26 @@ the check, and `failing` references every applicable non-passing item in
 (entity, ordinal) order. B = 0 means the rule is not applicable and the
 ratio is undefined. Results are independent of evaluation order, so rules
 may be evaluated in parallel; the repository is immutable throughout.
+
+The seven per-value kinds (syntax, range, domain, not_null, no_default,
+foreign_key, format_class) cost one check per distinct value of the column
+plus one membership sweep over its rows, so a repetitive column is cheap
+whatever its length. The check sees every distinct value of the column,
+including values found only in rows a `where` filter excludes.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 
 from .dataset import Entity, Repository, RowView
 from .errors import EvalError, UnknownColumn
@@ -115,7 +124,7 @@ def _materialize(rule: Rule, repo: Repository, counts, elapsed: float) -> RuleMe
 
 
 # --------------------------------------------------------------------------
-# Per-kind checks
+# Per-value kinds: one check per rule, run once per distinct value
 
 def _coerced(value, datatype: str, rule: Rule):
     try:
@@ -124,36 +133,22 @@ def _coerced(value, datatype: str, rule: Rule):
         raise EvalError(str(exc), rule.id) from None
 
 
-def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, passes):
-    """Count one column's applicable cells through a per-value check."""
-    col = entity.column(column)
-    rows = _applicable_rows(rule, entity, rs, (column,))
-    a = 0
-    failing: list[int] = []
-    if isinstance(rows, range):  # fast path: every row applicable
-        for i, v in enumerate(col):
-            if passes(v):
-                a += 1
-            else:
-                failing.append(i)
-        return a, entity.n_rows, failing
-    for i in rows:
-        if passes(col[i]):
-            a += 1
-        else:
-            failing.append(i)
-    return a, len(rows), failing
+def _referenced_values(rule: Rule, repo: Repository,
+                       reference: tuple[str, str]) -> set:
+    ref_entity, ref_column = reference
+    target = repo.entities.get(ref_entity)
+    if target is None:
+        raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
+    return set(target.column(ref_column)) - {None}
 
 
-def _eval_syntax(rule: Rule, entity: Entity, rs: RuleSet):
+def _pattern_check(rule: Rule, entity: Entity, repo: Repository):
     match = re.compile(rule.kind.pattern).fullmatch
-    return _scan_column(rule, entity, rs, rule.columns[0],
-                        lambda v: v is not None and match(v) is not None)
+    return lambda v: v is not None and match(v) is not None
 
 
-def _eval_range(rule: Rule, entity: Entity, rs: RuleSet):
-    column = rule.columns[0]
-    dtype = entity.schema.column(column).datatype
+def _range_check(rule: Rule, entity: Entity, repo: Repository):
+    dtype = entity.schema.column(rule.columns[0]).datatype
     k = rule.kind
     lo = _coerced(k.min, dtype, rule) if k.min is not None else None
     hi = _coerced(k.max, dtype, rule) if k.max is not None else None
@@ -167,48 +162,97 @@ def _eval_range(rule: Rule, entity: Entity, rs: RuleSet):
             return False
         return True
 
-    return _scan_column(rule, entity, rs, column, passes)
+    return passes
 
 
-def _eval_domain(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    column = rule.columns[0]
+def _domain_check(rule: Rule, entity: Entity, repo: Repository):
     k = rule.kind
     if k.reference is not None:
-        ref_entity, ref_column = k.reference
-        target = repo.entities.get(ref_entity)
-        if target is None:
-            raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
-        allowed = set(target.column(ref_column)) - {None}
+        allowed = _referenced_values(rule, repo, k.reference)
     else:
-        dtype = entity.schema.column(column).datatype
+        dtype = entity.schema.column(rule.columns[0]).datatype
         allowed = {_coerced(v, dtype, rule) for v in k.allowed}
-    return _scan_column(rule, entity, rs, column,
-                        lambda v: v is not None and v in allowed)
+    return lambda v: v is not None and v in allowed
 
 
-def _eval_not_null(rule: Rule, entity: Entity, rs: RuleSet):
-    return _scan_column(rule, entity, rs, rule.columns[0],
-                        lambda v: v is not None)
+def _not_null_check(rule: Rule, entity: Entity, repo: Repository):
+    return lambda v: v is not None
 
 
-def _eval_no_default(rule: Rule, entity: Entity, rs: RuleSet):
+def _no_default_check(rule: Rule, entity: Entity, repo: Repository):
     dtype = entity.schema.column(rule.columns[0]).datatype
     placeholders = {_coerced(v, dtype, rule) for v in rule.kind.placeholders}
-    return _scan_column(rule, entity, rs, rule.columns[0],
-                        lambda v: v is not None and v not in placeholders)
+    return lambda v: v is not None and v not in placeholders
 
 
-def _eval_foreign_key(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    ref_entity, ref_column = rule.kind.referenced
-    target = repo.entities.get(ref_entity)
-    if target is None:
-        raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
-    index = set(target.column(ref_column)) - {None}
-    return _scan_column(rule, entity, rs, rule.columns[0],
-                        lambda v: v is not None and v in index)
+def _foreign_key_check(rule: Rule, entity: Entity, repo: Repository):
+    index = _referenced_values(rule, repo, rule.kind.referenced)
+    return lambda v: v is not None and v in index
 
 
-def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet):
+_VALUE_CHECKS = {
+    Syntax: _pattern_check, FormatClass: _pattern_check, Range: _range_check,
+    Domain: _domain_check, NotNull: _not_null_check,
+    NoDefault: _no_default_check, ForeignKey: _foreign_key_check,
+}
+
+
+def value_check(rule: Rule, entity: Entity,
+                repo: Repository) -> Callable[[object], bool]:
+    """The pass/fail test of one per-value rule on `entity`, a pure function of
+    the value: literals coerced, regex compiled, reference set built once."""
+    return _VALUE_CHECKS[type(rule.kind)](rule, entity, repo)
+
+
+def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
+    """Count one column's applicable cells, checking each distinct value once."""
+    col = entity.column(column)
+    rows = _applicable_rows(rule, entity, rs, (column,))
+    bad = {v for v in set(col) if not check(v)}
+    if not bad:
+        failing = []
+    elif isinstance(rows, range):  # every row applicable: sweep at C speed
+        failing = list(compress(range(len(col)), map(bad.__contains__, col)))
+    else:
+        failing = [i for i in rows if col[i] in bad]
+    return len(rows) - len(failing), len(rows), failing
+
+
+def _raw(entity: Entity, rows) -> list[tuple[str, int | None]]:
+    return [(entity.name, i) for i in rows]
+
+
+def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
+    """syntax, range, domain, not_null, no_default, foreign_key: one column."""
+    a, b, rows = _scan_column(rule, entity, rs, rule.columns[0],
+                              value_check(rule, entity, repo))
+    return a, b, _raw(entity, rows)
+
+
+def _eval_format_class(rule: Rule, entity: Entity, rs: RuleSet,
+                       repo: Repository):
+    check = value_check(rule, entity, repo)
+    targets = [(entity, c) for c in rule.columns]
+    for ent_name, col in rule.kind.extra_targets:
+        target = repo.entities.get(ent_name)
+        if target is None:
+            raise EvalError(f"target entity {ent_name!r} not loaded", rule.id)
+        targets.append((target, col))
+    a = 0
+    b = 0
+    raw: list[tuple[str, int | None]] = []
+    for target, column in targets:
+        ta, tb, rows = _scan_column(rule, target, rs, column, check)
+        a += ta
+        b += tb
+        raw.extend(_raw(target, rows))
+    return a, b, raw
+
+
+# --------------------------------------------------------------------------
+# Row and entity kinds
+
+def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     key_cols = rule.kind.key
     rows = _applicable_rows(rule, entity, rs, key_cols)
     cols = [entity.column(c) for c in key_cols]
@@ -226,10 +270,10 @@ def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet):
             a += 1
         else:
             failing.append(i)
-    return a, len(row_list), failing
+    return a, len(row_list), _raw(entity, failing)
 
 
-def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet):
+def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     expr = rule.kind.expr
     subject = tuple(sorted(columns_referenced(expr)))
     rows = _applicable_rows(rule, entity, rs, subject)
@@ -241,10 +285,10 @@ def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet):
             a += 1
         else:
             failing.append(i)
-    return a, len(rows), failing
+    return a, len(rows), _raw(entity, failing)
 
 
-def _eval_freshness(rule: Rule, entity: Entity, rs: RuleSet):
+def _eval_freshness(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     k = rule.kind
     col = entity.column(k.timestamp_column)
     rows = _applicable_rows(rule, entity, rs, (k.timestamp_column,))
@@ -262,43 +306,22 @@ def _eval_freshness(rule: Rule, entity: Entity, rs: RuleSet):
             a += 1
         else:
             failing.append(i)
-    return a, len(row_list), failing
-
-
-def _eval_format_class(rule: Rule, entity: Entity, rs: RuleSet,
-                       repo: Repository) -> tuple[int, int, list]:
-    match = re.compile(rule.kind.pattern).fullmatch
-    targets = [(entity, c) for c in rule.columns]
-    for ent_name, col in rule.kind.extra_targets:
-        target = repo.entities.get(ent_name)
-        if target is None:
-            raise EvalError(f"target entity {ent_name!r} not loaded", rule.id)
-        targets.append((target, col))
-    a = 0
-    b = 0
-    raw: list[tuple[str, int | None]] = []
-    for target, column in targets:
-        ta, tb, rows = _scan_column(rule, target, rs, column,
-                                    lambda v: v is not None and match(v) is not None)
-        a += ta
-        b += tb
-        raw.extend((target.name, i) for i in rows)
-    return a, b, raw
+    return a, len(row_list), _raw(entity, failing)
 
 
 def _days_to_timedelta(days: Decimal) -> timedelta:
     return timedelta(microseconds=int(days * 86_400_000_000))
 
 
-def _eval_min_count(rule: Rule, entity: Entity):
+def _eval_min_count(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     if entity.n_rows == 0:
         return 0, 0, []
     if entity.n_rows >= rule.kind.threshold:
         return 1, 1, []
-    return 0, 1, [None]
+    return 0, 1, [(entity.name, None)]
 
 
-def _eval_frequency(rule: Rule, entity: Entity):
+def _eval_frequency(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     if entity.n_rows == 0:
         return 0, 0, []
     stamps = sorted(v for v in entity.column(rule.kind.timestamp_column)
@@ -310,7 +333,18 @@ def _eval_frequency(rule: Rule, entity: Entity):
             max_gap = gap
     if max_gap <= _days_to_timedelta(rule.kind.max_gap_days):
         return 1, 1, []
-    return 0, 1, [None]
+    return 0, 1, [(entity.name, None)]
+
+
+# Every kind's evaluator: (rule, entity, ruleset, repository) ->
+# (A, B, failing (entity name, ordinal) pairs).
+_EVALUATORS = {
+    Syntax: _eval_values, Range: _eval_values, Domain: _eval_values,
+    NotNull: _eval_values, NoDefault: _eval_values, ForeignKey: _eval_values,
+    FormatClass: _eval_format_class, Unique: _eval_unique,
+    Predicate: _eval_predicate, Freshness: _eval_freshness,
+    MinCount: _eval_min_count, Frequency: _eval_frequency,
+}
 
 
 # --------------------------------------------------------------------------
@@ -321,38 +355,11 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
     entity = repo.entities.get(rule.entity)
     if entity is None:
         raise EvalError(f"entity {rule.entity!r} not loaded", rule.id)
-    k = rule.kind
     try:
-        if isinstance(k, FormatClass):
-            a, b, raw = _eval_format_class(rule, entity, rs, repo)
-            return _cap_raw(a, b, raw, cap)
-        if isinstance(k, Syntax):
-            a, b, rows = _eval_syntax(rule, entity, rs)
-        elif isinstance(k, Range):
-            a, b, rows = _eval_range(rule, entity, rs)
-        elif isinstance(k, Domain):
-            a, b, rows = _eval_domain(rule, entity, rs, repo)
-        elif isinstance(k, NotNull):
-            a, b, rows = _eval_not_null(rule, entity, rs)
-        elif isinstance(k, NoDefault):
-            a, b, rows = _eval_no_default(rule, entity, rs)
-        elif isinstance(k, ForeignKey):
-            a, b, rows = _eval_foreign_key(rule, entity, rs, repo)
-        elif isinstance(k, Unique):
-            a, b, rows = _eval_unique(rule, entity, rs)
-        elif isinstance(k, Predicate):
-            a, b, rows = _eval_predicate(rule, entity, rs)
-        elif isinstance(k, Freshness):
-            a, b, rows = _eval_freshness(rule, entity, rs)
-        elif isinstance(k, MinCount):
-            a, b, rows = _eval_min_count(rule, entity)
-        elif isinstance(k, Frequency):
-            a, b, rows = _eval_frequency(rule, entity)
-        else:  # pragma: no cover
-            raise EvalError(f"unknown kind {k!r}", rule.id)
+        a, b, raw = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    return _cap_raw(a, b, [(entity.name, i) for i in rows], cap)
+    return _cap_raw(a, b, raw, cap)
 
 
 def eval_rule(rule: Rule, repo: Repository, rs: RuleSet,
@@ -368,11 +375,53 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet,
 _WORKER_STATE: tuple[RuleSet, Repository, int] | None = None
 
 
-def _eval_index(index: int):
+def _eval_batch(indices: range) -> list[tuple[int, tuple, float]]:
     rs, repo, cap = _WORKER_STATE
-    started = time.perf_counter()
-    counts = _eval_counts(rs.rules[index], repo, rs, cap)
-    return index, counts, time.perf_counter() - started
+    out = []
+    for index in indices:
+        started = time.perf_counter()
+        counts = _eval_counts(rs.rules[index], repo, rs, cap)
+        out.append((index, counts, time.perf_counter() - started))
+    return out
+
+
+def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
+                   cap: int) -> dict[int, RuleMeasure]:
+    """Rule index → measure, from batches of consecutive rules run in forked
+    workers; each batch's record refs are materialized here as it arrives."""
+    # imported here: concurrent.futures.process adds ~20 ms to every start-up
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+    rules = rs.rules
+    size = max(1, len(rules) // (4 * workers))
+    measured: dict[int, RuleMeasure] = {}
+    global _WORKER_STATE
+    _WORKER_STATE = (rs, repo, cap)
+    gc.freeze()  # the collector would otherwise dirty the shared pages
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_eval_batch, range(i, min(i + size, len(rules))))
+                       for i in range(0, len(rules), size)]
+            try:
+                for future in as_completed(futures):
+                    for index, counts, elapsed in future.result():
+                        measured[index] = _materialize(rules[index], repo,
+                                                       counts, elapsed)
+            except BrokenProcessPool:
+                unfinished = [r.id for i, r in enumerate(rules) if i not in measured]
+                shown = ", ".join(unfinished[:10])
+                if len(unfinished) > 10:
+                    shown += f" and {len(unfinished) - 10} more"
+                raise EvalError("a worker process died while evaluating "
+                                f"rules {shown}") from None
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        gc.unfreeze()
+        _WORKER_STATE = None
+    return measured
 
 
 def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1,
@@ -381,27 +430,14 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1,
 
     jobs > 1 forks workers that share the loaded repository copy-on-write;
     workers ship back counts and failing ordinals only, and the coordinator
-    materializes record refs in document order, so the output is identical
-    to a sequential run byte for byte.
+    materializes record refs, so the output is identical to a sequential run
+    byte for byte. A worker that dies raises EvalError naming the rules not
+    yet evaluated. Without fork, evaluation is sequential.
     """
-    if jobs > 1 and len(rs.rules) > 1:
-        global _WORKER_STATE
-        _WORKER_STATE = (rs, repo, cap)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(jobs, len(rs.rules))) as pool:
-                results = list(pool.imap_unordered(
-                    _eval_index, range(len(rs.rules)), chunksize=1))
-        except ValueError:  # platform without fork: fall back to sequential
-            results = [(i, _eval_counts(r, repo, rs, cap), 0.0)
-                       for i, r in enumerate(rs.rules)]
-        finally:
-            _WORKER_STATE = None
-        by_index = {index: (counts, elapsed) for index, counts, elapsed in results}
-        measures = {}
-        for i, rule in enumerate(rs.rules):
-            counts, elapsed = by_index[i]
-            measures[rule.id] = _materialize(rule, repo, counts, elapsed)
+    workers = min(jobs, len(rs.rules))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        measured = _eval_parallel(rs, repo, workers, cap)
+        measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
     else:
         measures = {r.id: eval_rule(r, repo, rs, cap) for r in rs.rules}
     return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint)

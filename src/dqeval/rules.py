@@ -729,10 +729,3 @@ def rules_by_property(rs: RuleSet) -> dict[Property, list[Rule]]:
         out.setdefault(rule.property, []).append(rule)
     return out
 
-
-def rule_counts_by_characteristic(rs: RuleSet) -> dict[Characteristic, int]:
-    counts: dict[Characteristic, int] = {}
-    for rule in rs.rules:
-        c = rule.characteristic
-        counts[c] = counts.get(c, 0) + 1
-    return counts

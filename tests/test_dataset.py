@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import PERSON_SCHEMA
-from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, index_column,
-                            load_catalog, load_entity, load_snapshot,
+from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, load_catalog, load_entity, load_snapshot,
                             serialize_catalog, serialize_entity, write_entity)
-from dqeval.errors import LoadError, ParseError, UnknownColumn
+from dqeval.errors import LoadError, ParseError
 
 
 def _schema(*cols: tuple, key=()) -> EntitySchema:
@@ -160,34 +159,6 @@ def test_snapshot_requires_every_entity(tmp_path: Path, person_catalog):
 
 
 # --------------------------------------------------------------------------
-# index
-
-def test_index_multimap():
-    schema = _schema(("c", "text", True))
-    entity = Entity(schema, {"c": ["A", "B", "A"]})
-    assert index_column(entity, "c") == {"A": {0, 2}, "B": {1}}
-
-
-def test_index_all_null_is_empty():
-    schema = _schema(("c", "text", True))
-    entity = Entity(schema, {"c": [None, None]})
-    assert index_column(entity, "c") == {}
-
-
-def test_index_unique_column_all_singletons():
-    schema = _schema(("c", "text"))
-    entity = Entity(schema, {"c": ["x", "y", "z"]})
-    assert all(len(s) == 1 for s in index_column(entity, "c").values())
-
-
-def test_index_unknown_column():
-    schema = _schema(("c", "text"))
-    entity = Entity(schema, {"c": []})
-    with pytest.raises(UnknownColumn):
-        index_column(entity, "nope")
-
-
-# --------------------------------------------------------------------------
 # round-trip properties
 
 _text_cells = st.one_of(st.none(), st.text(
@@ -227,13 +198,3 @@ def test_single_nullable_column_null_rows_roundtrip(tmp_path: Path):
     path = tmp_path / "t.csv"
     write_entity(entity, path)
     assert load_entity(path, schema) == entity
-
-
-@given(st.lists(st.one_of(st.none(), st.text(max_size=6)), max_size=40))
-def test_index_agrees_with_linear_scan(values):
-    schema = _schema(("c", "text", True))
-    entity = Entity(schema, {"c": list(values)})
-    index = index_column(entity, "c")
-    for probe in set(v for v in values if v is not None):
-        assert index[probe] == {i for i, v in enumerate(values) if v == probe}
-    assert None not in index

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
+import time
+from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ruleset, rule
-from dqeval.dataset import Entity, Repository, load_snapshot
+from dqeval import engine
+from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
+                            SchemaCatalog, load_snapshot)
 from dqeval.engine import RecordRef, eval_all, eval_rule
 from dqeval.errors import EvalError
-from dqeval.rules import parse_ruleset
+from dqeval.rules import KIND_NAMES, KIND_PROPERTIES, parse_ruleset
+from engine_reference import reference_counts
 from oracle import naive_measure
 
 
@@ -330,3 +339,156 @@ def test_repair_increases_a_by_one(person_snapshot, table3_ruleset):
     after = eval_rule(syntax_rule, repo, table3_ruleset)
     assert after.a == before.a + 1
     assert after.b == before.b
+
+
+# --------------------------------------------------------------------------
+# dispatch table and the distinct-value path against the per-row reference
+
+def test_every_kind_has_a_dispatch_entry():
+    assert sorted(kind.name for kind in engine._EVALUATORS) == sorted(KIND_NAMES)
+    assert len(engine._EVALUATORS) == len(KIND_NAMES)
+
+
+PER_VALUE_KINDS = ("syntax", "range", "domain", "not_null", "no_default",
+                   "foreign_key", "format_class")
+
+_UTC = timezone.utc
+_PLUS2 = timezone(timedelta(hours=2))
+# equal values as distinct objects: Decimals at different scales, one
+# instant at two offsets
+_TEXTS = ["a", "aa", "ab", "1", "12", "", "N/A", None]
+_DECIMALS = [Decimal("1.0"), Decimal("1.00"), Decimal("1"), Decimal("2.5"),
+             Decimal("2.50"), Decimal("-0"), Decimal("0.00"), Decimal("99.99"),
+             None]
+_INTS = [0, 1, 2, 3, 17, None]
+_STAMPS = [datetime(2024, 5, 1, tzinfo=_UTC),
+           datetime(2024, 5, 1, 2, tzinfo=_PLUS2),
+           datetime(2024, 5, 1, tzinfo=_UTC),
+           datetime(2024, 3, 1, 6, 30, tzinfo=_UTC), None]
+_COLUMNS = (("t", "text"), ("d", "decimal"), ("i", "integer"),
+            ("b", "boolean"), ("at", "timestamp"))
+_ROW = st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_DECIMALS),
+                 st.sampled_from(_INTS), st.sampled_from([True, False, None]),
+                 st.sampled_from(_STAMPS))
+_WHERES = st.sampled_from([None, "i >= 2", "b = true", "d > 1", "t = 'a'",
+                           "at < ts'2024-04-01T00:00:00Z'"])
+
+
+def _entity(name: str, rows: list[tuple]) -> Entity:
+    schema = EntitySchema(name, tuple(ColumnSchema(c, dtype, True)
+                                      for c, dtype in _COLUMNS))
+    return Entity(schema, {c: [row[j] for row in rows]
+                           for j, (c, _) in enumerate(_COLUMNS)})
+
+
+@st.composite
+def _per_value_rule(draw, kind: str) -> dict:
+    params: dict = {}
+    column = draw(st.sampled_from([c for c, _ in _COLUMNS]))
+    if kind in ("syntax", "format_class"):
+        column = "t"
+        pattern = draw(st.sampled_from(["^a+$", "^[0-9]+$", "^$", "^.*$"]))
+        if kind == "syntax":
+            params["pattern"] = pattern
+        else:
+            params["class"] = "c"
+            if draw(st.booleans()):
+                params["extra_targets"] = [["r", "t"]]
+    elif kind == "range":
+        column = draw(st.sampled_from(["d", "i", "at"]))
+        pool = {"d": [0, 1, 1.0, 2.5, 17, 99.99], "i": [0, 1, 2, 17],
+                "at": ["2024-03-01T06:30:00Z", "2024-05-01T00:00:00Z",
+                       "2024-05-01T02:00:00+02:00"]}[column]
+        lo, hi = sorted(draw(st.lists(st.sampled_from(pool), min_size=2,
+                                      max_size=2)),
+                        key=lambda v: str(v) if column == "at" else Decimal(str(v)))
+        keep = draw(st.sampled_from(["min", "max", "both"]))
+        if keep != "max":
+            params["min"] = lo
+        if keep != "min":
+            params["max"] = hi
+        params.update(min_inclusive=draw(st.booleans()),
+                      max_inclusive=draw(st.booleans()))
+    elif kind == "domain":
+        column = draw(st.sampled_from(["t", "d"]))
+        if draw(st.booleans()):
+            params["reference"] = f"r.{column}"
+        elif column == "t":
+            params["allowed"] = draw(st.lists(st.sampled_from(_TEXTS[:-1]),
+                                              min_size=1, max_size=4))
+        else:
+            params["allowed"] = draw(st.lists(st.sampled_from([1, 2.5, 0, 99.99]), min_size=1,
+                                              max_size=3))
+    elif kind == "no_default":
+        column = draw(st.sampled_from(["t", "i"]))
+        pool = ["N/A", "", "a"] if column == "t" else [0, 17]
+        params["placeholders"] = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                               max_size=2))
+    elif kind == "foreign_key":
+        column = draw(st.sampled_from(["t", "d", "i", "at"]))
+        params["referenced"] = f"r.{column}"
+    return rule("x", "m", [column], KIND_PROPERTIES[kind][0].name, kind, params,
+                skip_null=kind not in ("not_null", "no_default") and draw(st.booleans()),
+                where=draw(_WHERES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PER_VALUE_KINDS), data=st.data(),
+       main=st.lists(_ROW, max_size=30), ref=st.lists(_ROW, max_size=10),
+       cap=st.sampled_from([0, 1, 3, 10**6]))
+def test_distinct_value_path_matches_per_row_reference(kind, data, main, ref, cap):
+    body = data.draw(_per_value_rule(kind))
+    if body["where"] is None:
+        del body["where"]
+    rs = parse_ruleset(make_ruleset(
+        [body], format_classes={"c": data.draw(st.sampled_from(["^a+$", "^[0-9]*$"]))}))
+    entities = {"m": _entity("m", main), "r": _entity("r", ref)}
+    repo = Repository(SchemaCatalog(tuple(e.schema for e in entities.values())),
+                      entities, "fp")
+    r = rs.rules[0]
+    expected = engine._cap_raw(*reference_counts(r, repo, rs), cap)
+    assert engine._eval_counts(r, repo, rs, cap) == expected
+
+
+# --------------------------------------------------------------------------
+# parallel failure modes
+
+def _die(*args):
+    os._exit(1)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("eval_all did not return within 10 s")
+
+
+def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
+                                       monkeypatch):
+    monkeypatch.setattr(engine, "_eval_counts", _die)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    started = time.monotonic()
+    try:
+        with pytest.raises(EvalError, match="worker process died .*r1"):
+            eval_all(table3_ruleset, person_snapshot, jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 10
+
+
+def test_worker_eval_error_propagates(person_snapshot):
+    rs = parse_ruleset(make_ruleset([
+        rule("ok", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
+        rule("bad", "person", ["id"], "EXAC_SEMAN", "domain",
+             {"reference": "ghost.id"})]))
+    with pytest.raises(EvalError, match="ghost"):
+        eval_all(rs, person_snapshot, jobs=2)
+
+
+def test_parallel_batches_equal_sequential(person_snapshot):
+    # more rules than 4 x workers, so each task carries several rules
+    rs = parse_ruleset(make_ruleset(
+        [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax",
+              {"pattern": "^[0-9]{8}[A-Z]$" if i % 2 else "^1.*$"})
+         for i in range(20)]))
+    assert eval_all(rs, person_snapshot, jobs=2) == eval_all(rs, person_snapshot)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import make_ruleset, rule
 from dqeval.errors import ParseError
 from dqeval.rules import (KIND_PROPERTIES, parse_ruleset, rules_by_property,
-                          rule_counts_by_characteristic, serialize_ruleset,
-                          validate_ruleset)
+                          serialize_ruleset, validate_ruleset)
 from dqeval.taxonomy import Characteristic, Property
 
 
@@ -185,7 +185,7 @@ def test_characteristic_rule_counts_match_published_split():
     # 63 Currentness rules, 375 total
     from dqeval.scenarios import build_scenario
     rs = build_scenario("travel-v1").ruleset
-    counts = rule_counts_by_characteristic(rs)
+    counts = Counter(r.characteristic for r in rs.rules)
     assert counts == {
         Characteristic.ACCURACY: 89,
         Characteristic.COMPLETENESS: 78,
