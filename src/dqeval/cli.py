@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, scenarios, synthkit
 from .dataset import load_catalog, load_snapshot
-from .engine import eval_all
+from .engine import eval_all, usable_cpus
 from .errors import (DqError, EvalError, FingerprintMismatch, LoadError,
                      NothingEvaluated, ParseError, ScopeMismatch, SynthError)
 from .reporting import (build_improvement, build_report, compare,
@@ -228,13 +227,6 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # Argument wiring
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dq",
@@ -258,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chars", help="comma-separated characteristic filter")
     p.add_argument("--props", help="comma-separated property filter")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+    p.add_argument("--jobs", type=int, default=usable_cpus(),
                    help="parallel rule evaluation degree")
     p.set_defaults(fn=cmd_evaluate)
 

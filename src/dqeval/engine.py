@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import re
 import time
 from collections.abc import Callable
@@ -385,6 +386,21 @@ def _eval_batch(indices: range) -> list[tuple[int, tuple, float]]:
     return out
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _place_worker(cpus: frozenset, slots) -> None:
+    """Start this worker on the CPU its slot names, then let the scheduler move
+    it: a forked worker starts on its parent's CPU, and the kernel may leave
+    two of them sharing one CPU for a second while another CPU idles."""
+    os.sched_setaffinity(0, {slots.get()})
+    os.sched_setaffinity(0, cpus)
+
+
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
                    cap: int) -> dict[int, RuleMeasure]:
     """Rule index → measure, from batches of consecutive rules run in forked
@@ -395,12 +411,19 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
     rules = rs.rules
     size = max(1, len(rules) // (4 * workers))
     measured: dict[int, RuleMeasure] = {}
+    ctx = multiprocessing.get_context("fork")
+    placement = {}
+    if hasattr(os, "sched_setaffinity"):
+        cpus = frozenset(os.sched_getaffinity(0))
+        slots = ctx.SimpleQueue()
+        for k in range(workers):
+            slots.put(sorted(cpus)[k % len(cpus)])
+        placement = {"initializer": _place_worker, "initargs": (cpus, slots)}
     global _WORKER_STATE
     _WORKER_STATE = (rs, repo, cap)
     gc.freeze()  # the collector would otherwise dirty the shared pages
     try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=ctx, **placement) as pool:
             futures = [pool.submit(_eval_batch, range(i, min(i + size, len(rules))))
                        for i in range(0, len(rules), size)]
             try:
@@ -428,13 +451,14 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1,
              cap: int = DEFAULT_FAILING_CAP) -> MeasureSet:
     """Evaluate every rule; the result does not depend on schedule or jobs.
 
-    jobs > 1 forks workers that share the loaded repository copy-on-write;
+    jobs > 1 forks workers that share the loaded repository copy-on-write,
+    at most one per usable CPU (more only queue for the same CPUs);
     workers ship back counts and failing ordinals only, and the coordinator
     materializes record refs, so the output is identical to a sequential run
     byte for byte. A worker that dies raises EvalError naming the rules not
     yet evaluated. Without fork, evaluation is sequential.
     """
-    workers = min(jobs, len(rs.rules))
+    workers = min(jobs, len(rs.rules), usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         measured = _eval_parallel(rs, repo, workers, cap)
         measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}

@@ -228,6 +228,13 @@ def test_eval_error_for_missing_entity(person_snapshot):
         eval_rule(rs.rules[0], person_snapshot, rs)
 
 
+def test_eval_error_for_missing_column(person_snapshot):
+    rs = parse_ruleset(make_ruleset([
+        rule("r", "person", ["ghost"], "EXAC_SINT", "syntax", {"pattern": "x"})]))
+    with pytest.raises(EvalError, match="rule r: person has no column 'ghost'"):
+        eval_rule(rs.rules[0], person_snapshot, rs)
+
+
 # --------------------------------------------------------------------------
 # eval_all
 
@@ -463,6 +470,7 @@ def _timed_out(signum, frame):
 
 def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
                                        monkeypatch):
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "_eval_counts", _die)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, 10)
@@ -476,7 +484,8 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
     assert time.monotonic() - started < 10
 
 
-def test_worker_eval_error_propagates(person_snapshot):
+def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     rs = parse_ruleset(make_ruleset([
         rule("ok", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
         rule("bad", "person", ["id"], "EXAC_SEMAN", "domain",
@@ -485,10 +494,22 @@ def test_worker_eval_error_propagates(person_snapshot):
         eval_all(rs, person_snapshot, jobs=2)
 
 
-def test_parallel_batches_equal_sequential(person_snapshot):
+def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
     # more rules than 4 x workers, so each task carries several rules
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     rs = parse_ruleset(make_ruleset(
         [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax",
               {"pattern": "^[0-9]{8}[A-Z]$" if i % 2 else "^1.*$"})
          for i in range(20)]))
     assert eval_all(rs, person_snapshot, jobs=2) == eval_all(rs, person_snapshot)
+
+
+def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
+                                       monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("workers forked although one CPU is usable")
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(engine, "_eval_parallel", no_fork)
+    assert eval_all(table3_ruleset, person_snapshot, jobs=4) == \
+        eval_all(table3_ruleset, person_snapshot)
