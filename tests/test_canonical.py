@@ -69,6 +69,11 @@ _BAD = [1.5, float("nan"), Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),
 _BAD_KEYS = [1, None, True, Decimal("1"), ("a",), b"k"]
 
 
+def _bad_id(value):
+    # repr(object()) holds a memory address, which differs from run to run
+    return "object()" if type(value) is object else repr(value)
+
+
 def _outcome(dumps, doc):
     try:
         return "ok", dumps(doc)
@@ -76,7 +81,7 @@ def _outcome(dumps, doc):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("bad", _BAD, ids=repr)
+@pytest.mark.parametrize("bad", _BAD, ids=_bad_id)
 def test_refusals_match_reference(bad):
     for doc in (bad, [bad], ("ok", bad), {"k": bad}, {"a": {"b": [1, bad]}}):
         ours = _outcome(canonical.dumps, doc)
