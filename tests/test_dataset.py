@@ -80,6 +80,29 @@ def test_header_only_file_gives_zero_rows(tmp_path: Path):
     assert load_entity(path, schema).n_rows == 0
 
 
+@pytest.mark.parametrize("text, ids, ns", [
+    ("id,n\r\nx,1\r\ny,\r\n", ["x", "y"], [1, None]),
+    ("id,n\r\n", [], []),
+    ("id,n\nx,1\ny,2", ["x", "y"], [1, 2]),
+    ("id,n\r\nx,1\r\ny,2", ["x", "y"], [1, 2]),
+    ("id,n", [], []),
+    ('id,n\n"a\r\nb",3\r\n', ["a\nb"], [3]),  # read in universal-newline mode
+])
+def test_line_endings_and_final_newline(tmp_path: Path, text, ids, ns):
+    schema = _schema(("id", "text"), ("n", "integer", True))
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    entity = load_entity(path, schema)
+    assert (entity.column("id"), entity.column("n")) == (ids, ns)
+
+
+def test_only_the_final_newline_is_dropped(tmp_path: Path):
+    schema = _schema(("id", "text", True),)
+    path = tmp_path / "t.csv"
+    path.write_text("id\n\nx\n\n")
+    assert load_entity(path, schema).column("id") == [None, "x", None]
+
+
 def test_unparseable_integer_names_row_and_column(tmp_path: Path):
     schema = _schema(("n", "integer"))
     path = tmp_path / "t.csv"

@@ -6,10 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import rules_reference
 from conftest import make_ruleset, rule
 from dqeval.errors import ParseError
 from dqeval.rules import (KIND_PROPERTIES, parse_ruleset, rules_by_property,
                           serialize_ruleset, validate_ruleset)
+from dqeval.scenarios import build_scenario, scenario_names
 from dqeval.taxonomy import Characteristic, Property
 
 
@@ -255,3 +257,233 @@ def test_rules_by_property_is_a_partition(document):
     assert len(flattened) == len(rs.rules)
     for prop, bucket in by_prop.items():
         assert all(r.property is prop for r in bucket)
+
+
+# --------------------------------------------------------------------------
+# exact parse errors: message and context
+
+_ARITY = {"syntax": "one", "range": "one", "domain": "one", "not_null": "one",
+          "no_default": "one", "foreign_key": "one", "unique": "none",
+          "min_count": "none", "predicate": "none", "freshness": "none",
+          "frequency": "none", "format_class": "some"}
+
+_ALLOWED_PROPERTIES = {
+    "syntax": "EXAC_SINT, CONS_FORM",
+    "range": "RAN_EXAC",
+    "domain": "EXAC_SEMAN, CRED_VAL_DAT",
+    "not_null": "COMP_REG, COMP_VAL_ESP",
+    "no_default": "COMP_VAL_ESP",
+    "unique": "FAL_COMP_FICH, RIES_INCO",
+    "min_count": "COMP_FICH",
+    "foreign_key": "INT_REF",
+    "format_class": "CONS_FORM",
+    "predicate": "CONS_SEMAN, CRED_VAL_DAT, CRED_FUEN, RIES_INCO, EXAC_SEMAN",
+    "freshness": "CONV_ACT",
+    "frequency": "FREC_ACT",
+}
+
+
+def _parse_error(kind: str, columns: list, params: dict, prop: str | None = None,
+                 **extra) -> ParseError:
+    prop = prop or KIND_PROPERTIES[kind][0].value
+    with pytest.raises(ParseError) as exc:
+        parse_ruleset(make_ruleset(
+            [rule("r", "alpha", columns, prop, kind, params, **extra)],
+            format_classes={"fc": "^[A-Z]+$"}))
+    return exc.value
+
+
+def test_unknown_kind_lists_every_kind():
+    err = _parse_error("bogus", ["a"], {}, "EXAC_SINT")
+    assert err.message == (
+        "unknown rule kind 'bogus'; expected one of syntax, range, domain, "
+        "not_null, no_default, unique, min_count, foreign_key, format_class, "
+        "predicate, freshness, frequency")
+    assert err.context == "rules[0] (id 'r').kind"
+
+
+@pytest.mark.parametrize("kind", sorted(_ARITY))
+def test_stray_param_names_kind(kind):
+    _, columns, params = _KIND_BUILDERS[kind](1)
+    err = _parse_error(kind, columns, {**params, "bogus": 1})
+    assert err.message == f"unknown params for kind {kind!r}: bogus"
+    assert err.context == "rules[0] (id 'r').params"
+
+
+@pytest.mark.parametrize("kind, params, stray", [
+    ("format_class", {"class": "fc", "pattern": "^x$"}, "pattern"),
+    ("freshness", {"timestamp_column": "t", "max_age_days": 3}, "max_age_days"),
+    ("frequency", {"timestamp_column": "t", "max_gap_days": 3}, "max_gap_days"),
+    ("range", {"min": 1, "zeta": 0, "alpha": 0}, "alpha, zeta"),
+    ("not_null", {"pattern": "x"}, "pattern"),
+])
+def test_field_names_are_not_params(kind, params, stray):
+    columns = _KIND_BUILDERS[kind](1)[1]
+    err = _parse_error(kind, columns, params)
+    assert err.message == f"unknown params for kind {kind!r}: {stray}"
+    assert err.context == "rules[0] (id 'r').params"
+
+
+@pytest.mark.parametrize("kind", sorted(_ARITY))
+def test_arity_errors(kind):
+    _, columns, params = _KIND_BUILDERS[kind](1)
+    arity = _ARITY[kind]
+    cases = {"one": [[], ["a", "b"]], "none": [["a"]], "some": [[]]}[arity]
+    expected = {
+        "one": f"kind {kind!r} requires exactly one column",
+        "none": f"kind {kind!r} takes no columns (targets come from params)",
+        "some": f"{kind} requires at least one column",
+    }[arity]
+    for wrong in cases:
+        err = _parse_error(kind, wrong, params)
+        assert err.message == expected
+        assert err.context == "rules[0] (id 'r').columns"
+
+
+@pytest.mark.parametrize("kind", sorted(_ARITY))
+def test_wrong_property_lists_allowed(kind):
+    _, columns, params = _KIND_BUILDERS[kind](1)
+    allowed = _ALLOWED_PROPERTIES[kind]
+    prop = "COMP_FICH" if kind != "min_count" else "COMP_REG"
+    err = _parse_error(kind, columns, params, prop)
+    assert err.message == (f"kind {kind!r} cannot be categorized under property "
+                           f"{prop}; allowed: {allowed}")
+    assert err.context == "rules[0] (id 'r').property"
+    assert ", ".join(p.value for p in KIND_PROPERTIES[kind]) == allowed
+
+
+@pytest.mark.parametrize("where, params, label", [
+    ("age >", None, "where"),
+    (None, {"expr": "a >"}, "params.expr"),
+    (None, {"timestamp_column": "t", "max_age": 1, "condition": "a >"},
+     "params.condition"),
+])
+def test_expression_errors_keep_position_and_context(where, params, label):
+    kind = "syntax" if params is None else (
+        "predicate" if "expr" in params else "freshness")
+    columns = ["a"] if kind == "syntax" else []
+    extra = {"where": where} if where else {}
+    err = _parse_error(kind, columns, params or {"pattern": "a"}, **extra)
+    assert err.context == f"rules[0] (id 'r').{label}"
+    text = where or "a >"
+    assert (err.line, err.column) == (None, len(text) + 1)
+    assert err.message == f"unexpected end of expression in expression {text!r}"
+
+
+# --------------------------------------------------------------------------
+# exact validation diagnostics
+
+_UNUSED_FC = "WARNING -: format class 'fc' is defined but never used"
+
+
+@pytest.mark.parametrize("body, expected", [
+    (rule("r", "person", ["id"], "EXAC_SEMAN", "domain", {"reference": "nobody.id"}),
+     ["ERROR r: entity 'nobody' does not exist", _UNUSED_FC]),
+    (rule("r", "person", ["id"], "EXAC_SEMAN", "domain", {"reference": "warning.nope"}),
+     ["ERROR r: column warning.nope does not exist", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "EXAC_SEMAN", "domain", {"reference": "warning.wid"}),
+     ["ERROR r: domain reference warning.wid has type text, not comparable with "
+      "integer", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "INT_REF", "foreign_key", {"referenced": "nobody.id"}),
+     ["ERROR r: entity 'nobody' does not exist", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "INT_REF", "foreign_key", {"referenced": "warning.x"}),
+     ["ERROR r: column warning.x does not exist", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "INT_REF", "foreign_key", {"referenced": "warning.wid"}),
+     ["ERROR r: foreign key targets text column, not comparable with integer",
+      _UNUSED_FC]),
+    (rule("r", "person", ["balance"], "INT_REF", "foreign_key",
+          {"referenced": "person.age"}),
+     [_UNUSED_FC]),
+    (rule("r", "person", ["age"], "RAN_EXAC", "range", {"min": "x", "max": "y"}),
+     ["ERROR r: range min: literal 'x' does not fit datatype integer",
+      "ERROR r: range max: literal 'y' does not fit datatype integer", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "RAN_EXAC", "range", {"max": True}),
+     ["ERROR r: range max: boolean literal True is not an integer", _UNUSED_FC]),
+    (rule("r", "person", ["active"], "RAN_EXAC", "range", {"min": 1}),
+     ["ERROR r: range rules cannot target boolean columns", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "EXAC_SEMAN", "domain",
+          {"allowed": [1, "x", True, None]}),
+     ["ERROR r: domain literal: literal 'x' does not fit datatype integer",
+      "ERROR r: domain literal: boolean literal True is not an integer", _UNUSED_FC]),
+    (rule("r", "person", ["age"], "COMP_VAL_ESP", "no_default",
+          {"placeholders": ["N/A", 0, "n"]}),
+     ["ERROR r: placeholder: literal 'N/A' does not fit datatype integer",
+      "ERROR r: placeholder: literal 'n' does not fit datatype integer", _UNUSED_FC]),
+    (rule("r", "person", ["id"], "CONS_FORM", "format_class",
+          {"class": "fc", "extra_targets": [["nobody", "x"], ["warning", "nope"],
+                                            ["person", "age"], ["warning", "type"]]},
+          where="age > 1"),
+     ["ERROR r: entity 'nobody' does not exist",
+      "ERROR r: column warning.nope does not exist",
+      "ERROR r: where (target warning): unknown column 'age'",
+      "ERROR r: pattern rules require text columns; person.age is integer",
+      "ERROR r: where (target warning): unknown column 'age'"]),
+])
+def test_validation_diagnostics_exact(person_catalog, body, expected):
+    rs = parse_ruleset(make_ruleset([body], format_classes={"fc": "^[A-Z]+$"}))
+    assert [str(d) for d in validate_ruleset(rs, person_catalog)] == expected
+
+
+# --------------------------------------------------------------------------
+# serialization equals the reference serializer
+
+_VARIANTS = [
+    ("syntax", ["col_a"], lambda i: {"pattern": "^[0-9]{4}$"}),
+    ("range", ["col_n"], lambda i: {"min": i, "max": i + 10,
+                                    "min_inclusive": i % 2 == 0}),
+    ("range", ["col_n"], lambda i: {"max": i, "max_inclusive": False}),
+    ("range", ["col_d"], lambda i: {"min": 1.5}),
+    ("range", ["col_t"], lambda i: {"min": "2024-01-01T00:00:00Z"}),
+    ("domain", ["col_a"], lambda i: {"allowed": ["x", None, i, True, 2.5]}),
+    ("domain", ["col_a"], lambda i: {"reference": "parent.code"}),
+    ("not_null", ["col_a"], lambda i: {}),
+    ("no_default", ["col_a"], lambda i: {"placeholders": ["N/A", "", i]}),
+    ("unique", [], lambda i: {"key": ["col_a"]}),
+    ("unique", [], lambda i: {"key": ["col_a", "col_n"]}),
+    ("min_count", [], lambda i: {"threshold": i}),
+    ("foreign_key", ["col_a"], lambda i: {"referenced": "parent.code"}),
+    ("format_class", ["col_a"], lambda i: {"class": "fc"}),
+    ("format_class", ["col_a"], lambda i: {"class": "fc", "extra_targets": []}),
+    ("format_class", ["col_a", "col_b"],
+     lambda i: {"class": "fc", "extra_targets": [["other", "t"], ["x", "y"]]}),
+    ("predicate", [], lambda i: {"expr": f"col_n > {i} and len(col_a) < 9"}),
+    ("freshness", [], lambda i: {"timestamp_column": "col_t", "max_age": "36h"}),
+    ("freshness", [], lambda i: {"timestamp_column": "col_t", "max_age": i,
+                                 "condition": "col_n > 0 or col_a = 'x'"}),
+    ("freshness", [], lambda i: {"timestamp_column": "col_t", "max_age": 2.5,
+                                 "condition": None}),
+    ("frequency", [], lambda i: {"timestamp_column": "col_t", "max_gap": "90m"}),
+    ("frequency", [], lambda i: {"timestamp_column": "col_t", "max_gap": 7}),
+]
+
+
+@st.composite
+def varied_rulesets(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 12))):
+        kind, columns, params = draw(st.sampled_from(_VARIANTS))
+        body = rule(f"r{i}", draw(st.sampled_from(["alpha", "beta"])), columns,
+                    draw(st.sampled_from(KIND_PROPERTIES[kind])).value, kind,
+                    params(i))
+        if draw(st.booleans()) and kind not in ("not_null", "no_default"):
+            body["skip_null"] = True
+        if draw(st.booleans()):
+            body["where"] = "col_n >= 0"
+        rules.append(body)
+    return parse_ruleset(make_ruleset(rules, format_classes={"fc": "^[A-Z]+$"}))
+
+
+@given(varied_rulesets())
+def test_serialize_matches_reference(rs):
+    assert serialize_ruleset(rs) == rules_reference.serialize_ruleset(rs)
+    assert parse_ruleset(serialize_ruleset(rs)) == rs
+
+
+def test_every_variant_kind_covered():
+    assert {kind for kind, _, _ in _VARIANTS} == set(KIND_PROPERTIES)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_rulesets_serialize_like_reference(name):
+    rs = build_scenario(name).ruleset
+    assert serialize_ruleset(rs) == rules_reference.serialize_ruleset(rs)
