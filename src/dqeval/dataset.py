@@ -144,9 +144,6 @@ class Entity:
         except KeyError:
             raise UnknownColumn(f"{self.name} has no column {name!r}") from None
 
-    def key_values(self, ordinal: int) -> dict[str, object]:
-        return {c: self._columns[c][ordinal] for c in self.schema.key}
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Entity) and self.schema == other.schema
                 and self._columns == other._columns)
@@ -176,10 +173,14 @@ def _records(text: str):
 
     RFC 4180: a record is complete iff it contains an even number of quote
     characters, so odd cumulative parity means the newline was inside quotes.
+    A final newline ends the last record; an interior empty line is a record.
     """
+    lines = text.split("\n")
+    if len(lines) > 1 and lines[-1] == "":
+        lines.pop()
     buf: list[str] = []
     parity = 0
-    for line in text.split("\n"):
+    for line in lines:
         parity += line.count('"')
         buf.append(line)
         if parity % 2 == 0:
@@ -230,13 +231,7 @@ def _split_record(record: str) -> list[tuple[str, bool]]:
             i = k + 1
 
 
-_EOF = object()
 _DEDUP_CAP = 65536
-
-
-def _with_sentinel(it):
-    yield from it
-    yield _EOF
 
 
 def load_entity(path: Path, schema: EntitySchema) -> Entity:
@@ -268,13 +263,7 @@ def load_entity(path: Path, schema: EntitySchema) -> Entity:
     caches: list[dict | None] = [{} for _ in specs]
     n_cols = len(specs)
     ordinal = 0
-    # one-record lookahead so only the trailing empty record (final newline)
-    # is dropped; an interior empty line is a data row
-    pending: str | None = None
-    for record in _with_sentinel(records):
-        record, pending = pending, record
-        if record is None or (record == "" and pending is _EOF):
-            continue
+    for record in records:
         fields = _split_record(record)
         if len(fields) != n_cols:
             raise LoadError(f"expected {n_cols} fields, found {len(fields)}", row=ordinal)

@@ -101,7 +101,7 @@ def _make_ref(entity: Entity, ordinal: int | None) -> RecordRef:
     if ordinal is None:
         return RecordRef(entity.name, None)
     return RecordRef(entity.name, ordinal,
-                     tuple(entity.key_values(ordinal).items()))
+                     tuple((c, entity.column(c)[ordinal]) for c in entity.schema.key))
 
 
 # Raw failing items are (entity name, ordinal) pairs; record refs with key

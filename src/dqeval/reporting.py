@@ -37,13 +37,6 @@ def _render_value(value: Fraction | None) -> Decimal | None:
         _FOUR_PLACES, rounding=ROUND_HALF_EVEN)
 
 
-def _render_ratio(m: RuleMeasure) -> Decimal | None:
-    if m.b == 0:
-        return None
-    return (Decimal(m.a) / Decimal(m.b)).quantize(_FOUR_PLACES,
-                                                  rounding=ROUND_HALF_EVEN)
-
-
 # --------------------------------------------------------------------------
 # Report document model
 
@@ -55,7 +48,7 @@ class ReportMetadata:
     snapshot_fingerprint: str
     reference_time: datetime
     tool_version: str
-    config: tuple  # canonicalized config echo, as nested tuples
+    config: dict  # the ScoringConfig.to_json() echo
 
 
 @dataclass(frozen=True)
@@ -196,13 +189,13 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
         m = ms.measures[rule.id]
         measures.append(MeasureSummary(
             rule.id, rule.entity, rule.property, rule.kind_name,
-            m.a, m.b, _render_ratio(m), m.failing_total,
+            m.a, m.b, _render_value(m.ratio), m.failing_total,
             _selector(rule, rule.entity, repo)))
 
     return EvaluationReport(
         metadata=ReportMetadata(
             rs.name, rs.version, ms.ruleset_fingerprint, ms.snapshot_fingerprint,
-            rs.reference_time, tool_version, _freeze(config.to_json())),
+            rs.reference_time, tool_version, config.to_json()),
         entity_rows=tuple((name, repo.entities[name].n_rows)
                           for name in sorted(repo.entities)),
         rule_counts=tuple((c, rule_counts[c]) for c in Characteristic),
@@ -215,23 +208,6 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
             for r in result.characteristic_results),
         eligible=result.verdict.eligible,
         reasons=result.verdict.reasons)
-
-
-def _freeze(obj):
-    if isinstance(obj, dict):
-        return tuple((k, _freeze(v)) for k, v in obj.items())
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
-
-
-def _thaw(obj):
-    if isinstance(obj, tuple) and all(isinstance(e, tuple) and len(e) == 2
-                                      and isinstance(e[0], str) for e in obj):
-        return {k: _thaw(v) for k, v in obj}
-    if isinstance(obj, tuple):
-        return [_thaw(v) for v in obj]
-    return obj
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +223,7 @@ def serialize_report(report: EvaluationReport) -> str:
             "snapshot_fingerprint": md.snapshot_fingerprint,
             "reference_time": format_timestamp(md.reference_time),
             "tool_version": md.tool_version,
-            "config": _thaw(md.config),
+            "config": md.config,
         },
         "scope": {
             "entity_count": len(report.entity_rows),
@@ -310,7 +286,7 @@ def parse_report(text: str) -> EvaluationReport:
         metadata = ReportMetadata(
             md["ruleset_name"], md["ruleset_version"], md["ruleset_fingerprint"],
             md["snapshot_fingerprint"], parse_timestamp(md["reference_time"]),
-            md["tool_version"], _freeze(md["config"]))
+            md["tool_version"], md["config"])
         scope = data["scope"]
         measures = tuple(MeasureSummary(
             m["rule_id"], m["entity"], parse_property(m["property"]), m["kind"],
@@ -514,12 +490,6 @@ class ComparisonReport:
     verdict_first: bool
     verdict_second: bool
     regression: bool
-
-    def characteristic_delta(self, c: Characteristic) -> CharacteristicDelta | None:
-        for d in self.characteristics:
-            if d.characteristic is c:
-                return d
-        return None
 
 
 def compare(first: EvaluationReport, second: EvaluationReport) -> ComparisonReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from decimal import Decimal
 
@@ -26,11 +26,20 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # --------------------------------------------------------------------------
 # Rule kinds
+#
+# Each kind class is the one definition of its kind: `name` is its document
+# name, `properties` the properties it may be categorized under, and `arity`
+# what `columns` must hold ("one" column, "none", or "some": at least one).
+# Its fields are its params, named alike unless the field's metadata gives
+# another "param" name (None: not a param); "ref" marks an "entity.column"
+# reference.
 
 @dataclass(frozen=True)
 class Syntax:
     pattern: str
     name = "syntax"
+    properties = (Property.EXAC_SINT, Property.CONS_FORM)
+    arity = "one"
 
 
 @dataclass(frozen=True)
@@ -40,102 +49,109 @@ class Range:
     min_inclusive: bool = True
     max_inclusive: bool = True
     name = "range"
+    properties = (Property.RAN_EXAC,)
+    arity = "one"
 
 
 @dataclass(frozen=True)
 class Domain:
     allowed: tuple = ()
-    reference: tuple[str, str] | None = None  # (entity, column)
+    reference: tuple[str, str] | None = field(default=None, metadata={"ref": True})
     name = "domain"
+    properties = (Property.EXAC_SEMAN, Property.CRED_VAL_DAT)
+    arity = "one"
 
 
 @dataclass(frozen=True)
 class NotNull:
     name = "not_null"
+    properties = (Property.COMP_REG, Property.COMP_VAL_ESP)
+    arity = "one"
 
 
 @dataclass(frozen=True)
 class NoDefault:
     placeholders: tuple = ()
     name = "no_default"
+    properties = (Property.COMP_VAL_ESP,)
+    arity = "one"
 
 
 @dataclass(frozen=True)
 class Unique:
     key: tuple[str, ...] = ()
     name = "unique"
+    properties = (Property.FAL_COMP_FICH, Property.RIES_INCO)
+    arity = "none"
 
 
 @dataclass(frozen=True)
 class MinCount:
     threshold: int = 0
     name = "min_count"
+    properties = (Property.COMP_FICH,)
+    arity = "none"
 
 
 @dataclass(frozen=True)
 class ForeignKey:
-    referenced: tuple[str, str] = ("", "")
+    referenced: tuple[str, str] = field(default=("", ""), metadata={"ref": True})
     name = "foreign_key"
+    properties = (Property.INT_REF,)
+    arity = "one"
 
 
 @dataclass(frozen=True)
 class FormatClass:
-    class_name: str = ""
-    pattern: str = ""
+    class_name: str = field(default="", metadata={"param": "class"})
+    # resolved from the ruleset's format_classes, not written in the document
+    pattern: str = field(default="", metadata={"param": None})
     extra_targets: tuple[tuple[str, str], ...] = ()
     name = "format_class"
+    properties = (Property.CONS_FORM,)
+    arity = "some"
 
 
 @dataclass(frozen=True)
 class Predicate:
     expr: Expr = None
     name = "predicate"
+    properties = (Property.CONS_SEMAN, Property.CRED_VAL_DAT, Property.CRED_FUEN,
+                  Property.RIES_INCO, Property.EXAC_SEMAN)
+    arity = "none"
 
 
 @dataclass(frozen=True)
 class Freshness:
     timestamp_column: str = ""
-    max_age_days: Decimal = Decimal(0)
+    max_age_days: Decimal = field(default=Decimal(0), metadata={"param": "max_age"})
     condition: Expr | None = None
     name = "freshness"
+    properties = (Property.CONV_ACT,)
+    arity = "none"
 
 
 @dataclass(frozen=True)
 class Frequency:
     timestamp_column: str = ""
-    max_gap_days: Decimal = Decimal(0)
+    max_gap_days: Decimal = field(default=Decimal(0), metadata={"param": "max_gap"})
     name = "frequency"
+    properties = (Property.FREC_ACT,)
+    arity = "none"
 
 
-RuleKind = (Syntax | Range | Domain | NotNull | NoDefault | Unique | MinCount
-            | ForeignKey | FormatClass | Predicate | Freshness | Frequency)
-
-KIND_NAMES = ("syntax", "range", "domain", "not_null", "no_default", "unique",
-              "min_count", "foreign_key", "format_class", "predicate",
-              "freshness", "frequency")
-
-# Which properties each kind may be categorized under.
+KINDS: dict[str, type] = {k.name: k for k in (
+    Syntax, Range, Domain, NotNull, NoDefault, Unique, MinCount, ForeignKey,
+    FormatClass, Predicate, Freshness, Frequency)}
+KIND_NAMES = tuple(KINDS)
 KIND_PROPERTIES: dict[str, tuple[Property, ...]] = {
-    "syntax": (Property.EXAC_SINT, Property.CONS_FORM),
-    "range": (Property.RAN_EXAC,),
-    "domain": (Property.EXAC_SEMAN, Property.CRED_VAL_DAT),
-    "not_null": (Property.COMP_REG, Property.COMP_VAL_ESP),
-    "no_default": (Property.COMP_VAL_ESP,),
-    "unique": (Property.FAL_COMP_FICH, Property.RIES_INCO),
-    "min_count": (Property.COMP_FICH,),
-    "foreign_key": (Property.INT_REF,),
-    "format_class": (Property.CONS_FORM,),
-    "predicate": (Property.CONS_SEMAN, Property.CRED_VAL_DAT, Property.CRED_FUEN,
-                  Property.RIES_INCO, Property.EXAC_SEMAN),
-    "freshness": (Property.CONV_ACT,),
-    "frequency": (Property.FREC_ACT,),
-}
+    name: k.properties for name, k in KINDS.items()}
 
-# Kinds that check exactly one column named in `columns`.
-SINGLE_COLUMN_KINDS = ("syntax", "range", "domain", "not_null", "no_default",
-                       "foreign_key")
-# Kinds whose targets come from params, not `columns`.
-NO_COLUMN_KINDS = ("unique", "min_count", "predicate", "freshness", "frequency")
+# Per kind: (field, param name, is an "entity.column" reference), field order.
+_PARAMS: dict[type, tuple[tuple[str, str, bool], ...]] = {
+    k: tuple((f.name, f.metadata.get("param", f.name), f.metadata.get("ref", False))
+             for f in fields(k) if f.metadata.get("param", f.name) is not None)
+    for k in KINDS.values()}
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,7 @@ class Rule:
     entity: str
     columns: tuple[str, ...]
     property: Property
-    kind: RuleKind
+    kind: object  # an instance of a KINDS class
     where: Expr | None = None
     skip_null: bool = False
     description: str = ""
@@ -165,9 +181,6 @@ class RuleSet:
     reference_time: datetime
     rules: tuple[Rule, ...]
     format_classes: tuple[tuple[str, str], ...] = ()
-
-    def format_class_map(self) -> dict[str, str]:
-        return dict(self.format_classes)
 
     def rule(self, rule_id: str) -> Rule:
         for r in self.rules:
@@ -255,18 +268,28 @@ def _cmp_bounds(lo, hi) -> bool | None:
     return None
 
 
+def _expr(text: str, context: str) -> Expr:
+    """Parse expression text, reporting errors under the document path `context`."""
+    try:
+        return parse_expr(text)
+    except ParseError as exc:
+        raise ParseError(exc.message, line=exc.line, column=exc.column,
+                         context=context) from None
+
+
 def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
-                context: str) -> RuleKind:
+                context: str):
+    kind = KINDS.get(kind_name)
+    if kind is None:
+        raise ParseError(f"unknown rule kind {kind_name!r}; expected one of "
+                         + ", ".join(KIND_NAMES), context=f"{context}.kind")
     ctx = f"{context}.params"
+    extra = set(params) - {param for _, param, _ in _PARAMS[kind]}
+    if extra:
+        raise ParseError(f"unknown params for kind {kind_name!r}: "
+                         + ", ".join(sorted(extra)), context=ctx)
 
-    def only(*allowed: str) -> None:
-        extra = set(params) - set(allowed)
-        if extra:
-            raise ParseError(f"unknown params for kind {kind_name!r}: "
-                             + ", ".join(sorted(extra)), context=ctx)
-
-    if kind_name == "syntax":
-        only("pattern")
+    if kind is Syntax:
         pattern = _want(params, "pattern", str, ctx)
         try:
             validate_pattern(pattern)
@@ -274,8 +297,7 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
             raise ParseError(str(exc), context=f"{ctx}.pattern") from None
         return Syntax(pattern)
 
-    if kind_name == "range":
-        only("min", "max", "min_inclusive", "max_inclusive")
+    if kind is Range:
         lo = _literal(params.get("min"), f"{ctx}.min")
         hi = _literal(params.get("max"), f"{ctx}.max")
         if lo is None and hi is None:
@@ -290,8 +312,7 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
                      _want(params, "min_inclusive", bool, ctx, True),
                      _want(params, "max_inclusive", bool, ctx, True))
 
-    if kind_name == "domain":
-        only("allowed", "reference")
+    if kind is Domain:
         has_allowed = "allowed" in params
         has_reference = "reference" in params
         if has_allowed == has_reference:
@@ -304,19 +325,16 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
             return Domain(allowed=tuple(_literal(v, f"{ctx}.allowed") for v in allowed))
         return Domain(reference=_entity_column(params["reference"], f"{ctx}.reference"))
 
-    if kind_name == "not_null":
-        only()
+    if kind is NotNull:
         return NotNull()
 
-    if kind_name == "no_default":
-        only("placeholders")
+    if kind is NoDefault:
         placeholders = _want(params, "placeholders", list, ctx)
         if not placeholders:
             raise ParseError("no_default placeholders must be non-empty", context=ctx)
         return NoDefault(tuple(_literal(v, f"{ctx}.placeholders") for v in placeholders))
 
-    if kind_name == "unique":
-        only("key")
+    if kind is Unique:
         key = _want(params, "key", list, ctx)
         if not key:
             raise ParseError("unique key list must be non-empty", context=ctx)
@@ -325,21 +343,18 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
             raise ParseError("unique key list has duplicate column names", context=ctx)
         return Unique(tuple(names))
 
-    if kind_name == "min_count":
-        only("threshold")
+    if kind is MinCount:
         threshold = _want(params, "threshold", int, ctx)
         if isinstance(threshold, bool) or threshold < 0:
             raise ParseError("min_count threshold must be a non-negative integer",
                              context=ctx)
         return MinCount(threshold)
 
-    if kind_name == "foreign_key":
-        only("referenced")
+    if kind is ForeignKey:
         return ForeignKey(_entity_column(_want(params, "referenced", str, ctx),
                                          f"{ctx}.referenced"))
 
-    if kind_name == "format_class":
-        only("class", "extra_targets")
+    if kind is FormatClass:
         class_name = _want(params, "class", str, ctx)
         if class_name not in format_classes:
             raise ParseError(f"undefined format class {class_name!r}",
@@ -357,40 +372,25 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
                             _name(t[1], "column", f"{ctx}.extra_targets[{i}]")))
         return FormatClass(class_name, format_classes[class_name], tuple(targets))
 
-    if kind_name == "predicate":
-        only("expr")
-        text = _want(params, "expr", str, ctx)
-        try:
-            return Predicate(parse_expr(text))
-        except ParseError as exc:
-            raise ParseError(exc.message, line=exc.line, column=exc.column,
-                             context=f"{ctx}.expr") from None
+    if kind is Predicate:
+        return Predicate(_expr(_want(params, "expr", str, ctx), f"{ctx}.expr"))
 
-    if kind_name == "freshness":
-        only("timestamp_column", "max_age", "condition")
+    if kind is Freshness:
         column = _name(_want(params, "timestamp_column", str, ctx),
                        "timestamp_column", f"{ctx}.timestamp_column")
         max_age = parse_duration_days(_want(params, "max_age", (int, Decimal, str), ctx),
                                       f"{ctx}.max_age")
         condition = None
         if params.get("condition") is not None:
-            try:
-                condition = parse_expr(_want(params, "condition", str, ctx))
-            except ParseError as exc:
-                raise ParseError(exc.message, line=exc.line, column=exc.column,
-                                 context=f"{ctx}.condition") from None
+            condition = _expr(_want(params, "condition", str, ctx), f"{ctx}.condition")
         return Freshness(column, max_age, condition)
 
-    if kind_name == "frequency":
-        only("timestamp_column", "max_gap")
-        column = _name(_want(params, "timestamp_column", str, ctx),
-                       "timestamp_column", f"{ctx}.timestamp_column")
-        max_gap = parse_duration_days(_want(params, "max_gap", (int, Decimal, str), ctx),
-                                      f"{ctx}.max_gap")
-        return Frequency(column, max_gap)
-
-    raise ParseError(f"unknown rule kind {kind_name!r}; expected one of "
-                     + ", ".join(KIND_NAMES), context=f"{context}.kind")
+    # Frequency
+    column = _name(_want(params, "timestamp_column", str, ctx),
+                   "timestamp_column", f"{ctx}.timestamp_column")
+    max_gap = parse_duration_days(_want(params, "max_gap", (int, Decimal, str), ctx),
+                                  f"{ctx}.max_gap")
+    return Frequency(column, max_gap)
 
 
 def _entity_column(value, context: str) -> tuple[str, str]:
@@ -399,6 +399,14 @@ def _entity_column(value, context: str) -> tuple[str, str]:
         if _NAME_RE.match(entity) and _NAME_RE.match(column):
             return entity, column
     raise ParseError(f"expected 'entity.column', got {value!r}", context=context)
+
+
+# What `columns` must hold for each arity, and the error when it does not.
+_ARITY = {
+    "one": (lambda n: n == 1, "kind {!r} requires exactly one column"),
+    "none": (lambda n: n == 0, "kind {!r} takes no columns (targets come from params)"),
+    "some": (lambda n: n > 0, "{} requires at least one column"),
+}
 
 
 def _parse_rule(obj, index: int, format_classes: dict[str, str]) -> Rule:
@@ -420,28 +428,18 @@ def _parse_rule(obj, index: int, format_classes: dict[str, str]) -> Rule:
     params = _want(obj, "params", dict, context, {})
     kind = _parse_kind(kind_name, params, format_classes, context)
 
-    if prop not in KIND_PROPERTIES[kind_name]:
+    if prop not in kind.properties:
         raise ParseError(
             f"kind {kind_name!r} cannot be categorized under property {prop.value}; "
-            "allowed: " + ", ".join(p.value for p in KIND_PROPERTIES[kind_name]),
+            "allowed: " + ", ".join(p.value for p in kind.properties),
             context=f"{context}.property")
-    if kind_name in SINGLE_COLUMN_KINDS and len(columns) != 1:
-        raise ParseError(f"kind {kind_name!r} requires exactly one column",
-                         context=f"{context}.columns")
-    if kind_name in NO_COLUMN_KINDS and columns:
-        raise ParseError(f"kind {kind_name!r} takes no columns "
-                         "(targets come from params)", context=f"{context}.columns")
-    if kind_name == "format_class" and not columns:
-        raise ParseError("format_class requires at least one column",
-                         context=f"{context}.columns")
+    fits, message = _ARITY[kind.arity]
+    if not fits(len(columns)):
+        raise ParseError(message.format(kind_name), context=f"{context}.columns")
 
     where = None
     if obj.get("where") is not None:
-        try:
-            where = parse_expr(_want(obj, "where", str, context))
-        except ParseError as exc:
-            raise ParseError(exc.message, line=exc.line, column=exc.column,
-                             context=f"{context}.where") from None
+        where = _expr(_want(obj, "where", str, context), f"{context}.where")
 
     skip_null = _want(obj, "skip_null", bool, context, False)
     if skip_null and kind_name in ("not_null", "no_default"):
@@ -503,48 +501,19 @@ def parse_ruleset(document: str) -> RuleSet:
 # Serialization (canonical; parse(serialize(rs)) == rs)
 
 def _kind_to_json(rule: Rule) -> tuple[str, dict]:
+    """The kind's name and every param that is set (None and () are left out)."""
     k = rule.kind
-    if isinstance(k, Syntax):
-        return "syntax", {"pattern": k.pattern}
-    if isinstance(k, Range):
-        params: dict = {}
-        if k.min is not None:
-            params["min"] = k.min
-        if k.max is not None:
-            params["max"] = k.max
-        params["min_inclusive"] = k.min_inclusive
-        params["max_inclusive"] = k.max_inclusive
-        return "range", params
-    if isinstance(k, Domain):
-        if k.reference is not None:
-            return "domain", {"reference": f"{k.reference[0]}.{k.reference[1]}"}
-        return "domain", {"allowed": list(k.allowed)}
-    if isinstance(k, NotNull):
-        return "not_null", {}
-    if isinstance(k, NoDefault):
-        return "no_default", {"placeholders": list(k.placeholders)}
-    if isinstance(k, Unique):
-        return "unique", {"key": list(k.key)}
-    if isinstance(k, MinCount):
-        return "min_count", {"threshold": k.threshold}
-    if isinstance(k, ForeignKey):
-        return "foreign_key", {"referenced": f"{k.referenced[0]}.{k.referenced[1]}"}
-    if isinstance(k, FormatClass):
-        params = {"class": k.class_name}
-        if k.extra_targets:
-            params["extra_targets"] = [list(t) for t in k.extra_targets]
-        return "format_class", params
-    if isinstance(k, Predicate):
-        return "predicate", {"expr": unparse(k.expr)}
-    if isinstance(k, Freshness):
-        params = {"timestamp_column": k.timestamp_column, "max_age": k.max_age_days}
-        if k.condition is not None:
-            params["condition"] = unparse(k.condition)
-        return "freshness", params
-    if isinstance(k, Frequency):
-        return "frequency", {"timestamp_column": k.timestamp_column,
-                             "max_gap": k.max_gap_days}
-    raise TypeError(f"unknown kind {k!r}")
+    params = {}
+    for attr, param, is_ref in _PARAMS[type(k)]:
+        value = getattr(k, attr)
+        if value is None or value == ():
+            continue
+        if isinstance(value, Expr):
+            value = unparse(value)
+        elif is_ref:
+            value = ".".join(value)
+        params[param] = value
+    return k.name, params
 
 
 def serialize_ruleset(rs: RuleSet) -> str:
@@ -591,6 +560,23 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
     def error(rule_id: str, message: str) -> None:
         out.append(Diagnostic("ERROR", rule_id, message))
 
+    def target_column(rule_id: str, ent_name: str, col: str):
+        """The ColumnSchema of `ent_name.col`, or None once its absence is reported."""
+        target = catalog.get(ent_name)
+        if target is None:
+            error(rule_id, f"entity {ent_name!r} does not exist")
+            return None
+        if target.column(col) is None:
+            error(rule_id, f"column {ent_name}.{col} does not exist")
+        return target.column(col)
+
+    def check_literals(rule_id: str, dtype: str, labelled) -> None:
+        for label, value in labelled:
+            try:
+                coerce_literal(value, dtype)
+            except ValueError as exc:
+                error(rule_id, f"{label}: {exc}")
+
     for rule in rs.rules:
         entity = catalog.get(rule.entity)
         if entity is None:
@@ -608,6 +594,7 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
             _check_boolean_expr(rule, rule.where, col_types, "where", error)
 
         k = rule.kind
+        dtype = col_types[rule.columns[0]] if rule.columns else None
         if isinstance(k, (Syntax, FormatClass)):
             for c in rule.columns:
                 if col_types[c] != "text":
@@ -616,72 +603,41 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
             if isinstance(k, FormatClass):
                 used_classes.add(k.class_name)
                 for ent_name, col in k.extra_targets:
-                    target = catalog.get(ent_name)
-                    if target is None:
-                        error(rule.id, f"entity {ent_name!r} does not exist")
-                        continue
-                    if target.column(col) is None:
-                        error(rule.id, f"column {ent_name}.{col} does not exist")
-                    elif target.column(col).datatype != "text":
+                    column = target_column(rule.id, ent_name, col)
+                    if column is not None and column.datatype != "text":
                         error(rule.id, f"pattern rules require text columns; "
-                                       f"{ent_name}.{col} is {target.column(col).datatype}")
-                    if rule.where is not None:
+                                       f"{ent_name}.{col} is {column.datatype}")
+                    target = catalog.get(ent_name)
+                    if target is not None and rule.where is not None:
                         # where runs against every target entity's rows
                         _check_boolean_expr(rule, rule.where,
                                             {c.name: c.datatype for c in target.columns},
                                             f"where (target {ent_name})", error)
         elif isinstance(k, Range):
-            dtype = col_types[rule.columns[0]]
             if dtype == "boolean":
                 error(rule.id, "range rules cannot target boolean columns")
             else:
-                for bound, label in ((k.min, "min"), (k.max, "max")):
-                    if bound is None:
-                        continue
-                    try:
-                        coerce_literal(bound, dtype)
-                    except ValueError as exc:
-                        error(rule.id, f"range {label}: {exc}")
+                check_literals(rule.id, dtype,
+                               (("range min", k.min), ("range max", k.max)))
         elif isinstance(k, Domain):
-            dtype = col_types[rule.columns[0]]
             if k.reference is not None:
-                ent_name, col = k.reference
-                target = catalog.get(ent_name)
-                if target is None:
-                    error(rule.id, f"entity {ent_name!r} does not exist")
-                elif target.column(col) is None:
-                    error(rule.id, f"column {ent_name}.{col} does not exist")
-                elif not _types_comparable(dtype, target.column(col).datatype):
-                    error(rule.id, f"domain reference {ent_name}.{col} has type "
-                                   f"{target.column(col).datatype}, not comparable with {dtype}")
+                column = target_column(rule.id, *k.reference)
+                if column is not None and not _types_comparable(dtype, column.datatype):
+                    error(rule.id, f"domain reference {'.'.join(k.reference)} has "
+                                   f"type {column.datatype}, not comparable with {dtype}")
             else:
-                for v in k.allowed:
-                    try:
-                        coerce_literal(v, dtype)
-                    except ValueError as exc:
-                        error(rule.id, f"domain literal: {exc}")
+                check_literals(rule.id, dtype, (("domain literal", v) for v in k.allowed))
         elif isinstance(k, NoDefault):
-            dtype = col_types[rule.columns[0]]
-            for v in k.placeholders:
-                try:
-                    coerce_literal(v, dtype)
-                except ValueError as exc:
-                    error(rule.id, f"placeholder: {exc}")
+            check_literals(rule.id, dtype, (("placeholder", v) for v in k.placeholders))
         elif isinstance(k, Unique):
             for c in k.key:
                 if c not in col_types:
                     error(rule.id, f"column {rule.entity}.{c} does not exist")
         elif isinstance(k, ForeignKey):
-            ent_name, col = k.referenced
-            target = catalog.get(ent_name)
-            if target is None:
-                error(rule.id, f"entity {ent_name!r} does not exist")
-            elif target.column(col) is None:
-                error(rule.id, f"column {ent_name}.{col} does not exist")
-            elif not _types_comparable(col_types[rule.columns[0]],
-                                       target.column(col).datatype):
-                error(rule.id, f"foreign key targets {target.column(col).datatype} "
-                               f"column, not comparable with {col_types[rule.columns[0]]}")
+            column = target_column(rule.id, *k.referenced)
+            if column is not None and not _types_comparable(dtype, column.datatype):
+                error(rule.id, f"foreign key targets {column.datatype} column, "
+                               f"not comparable with {dtype}")
         elif isinstance(k, (Freshness, Frequency)):
             col = k.timestamp_column
             if col not in col_types:

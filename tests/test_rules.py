@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +11,8 @@ from hypothesis import given, strategies as st
 import rules_reference
 from conftest import make_ruleset, rule
 from dqeval.errors import ParseError
-from dqeval.rules import (KIND_PROPERTIES, parse_ruleset, rules_by_property,
-                          serialize_ruleset, validate_ruleset)
+from dqeval.rules import (_PARAMS, KIND_PROPERTIES, KINDS, parse_ruleset,
+                          rules_by_property, serialize_ruleset, validate_ruleset)
 from dqeval.scenarios import build_scenario, scenario_names
 from dqeval.taxonomy import Characteristic, Property
 
@@ -487,3 +489,19 @@ def test_every_variant_kind_covered():
 def test_scenario_rulesets_serialize_like_reference(name):
     rs = build_scenario(name).ruleset
     assert serialize_ruleset(rs) == rules_reference.serialize_ruleset(rs)
+
+
+def test_docs_kind_table_matches_kinds():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "file-formats.md"
+            ).read_text(encoding="utf-8")
+    table = text.split("### Kind parameters\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    arity = {"one": "exactly one", "none": "none", "some": "at least one"}
+    assert [row[0] for row in rows] == [f"`{name}`" for name in KINDS]
+    for (_, props, columns, params), kind in zip(rows, KINDS.values()):
+        assert props == ", ".join(p.value for p in kind.properties)
+        assert columns == arity[kind.arity]
+        # the backticked names outside parenthesized explanations, in order
+        documented = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", params))
+        assert documented == [param for _, param, _ in _PARAMS[kind]]
