@@ -174,6 +174,7 @@ def _records(text: str):
     RFC 4180: a record is complete iff it contains an even number of quote
     characters, so odd cumulative parity means the newline was inside quotes.
     A final newline ends the last record; an interior empty line is a record.
+    Records end in "\n" or "\r\n"; a bare "\r" separates nothing.
     """
     lines = text.split("\n")
     if len(lines) > 1 and lines[-1] == "":
@@ -238,7 +239,8 @@ def load_entity(path: Path, schema: EntitySchema) -> Entity:
     """Load one snapshot file, coercing every cell to its declared datatype."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # no newline translation: a "\r" inside quotes is part of the value
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:

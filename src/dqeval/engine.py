@@ -1,18 +1,19 @@
 """Rule evaluation: base measures A, B, the ratio X = A/B, failing records.
 
 For every rule, B counts the applicable items (rows passing `where`, minus
-null subjects when skip_null; entity-level kinds have B = 1; format_class
-sums rows over all its targets), A counts the applicable items that pass
-the check, and `failing` references every applicable non-passing item in
-(entity, ordinal) order. B = 0 means the rule is not applicable and the
-ratio is undefined. Results are independent of evaluation order, so rules
-may be evaluated in parallel; the repository is immutable throughout.
+null subjects when skip_null, minus rows failing a freshness `condition`;
+entity-level kinds have B = 1; format_class sums rows over all its targets),
+`failing` references every applicable item failing the check in (entity,
+ordinal) order, and A = B - len(failing) for every kind. B = 0 means the
+rule is not applicable and the ratio is undefined. Results are independent
+of evaluation order, so rules may be evaluated in parallel; the repository
+is immutable throughout.
 
-The seven per-value kinds (syntax, range, domain, not_null, no_default,
-foreign_key, format_class) cost one check per distinct value of the column
-plus one membership sweep over its rows, so a repetitive column is cheap
-whatever its length. The check sees every distinct value of the column,
-including values found only in rows a `where` filter excludes.
+The eight per-value kinds (syntax, range, domain, not_null, no_default,
+foreign_key, format_class, freshness) cost one check per distinct value of
+the column plus one membership sweep over its rows, so a repetitive column
+is cheap whatever its length. The check sees every distinct value of the
+column, including values found only in rows a filter excludes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import multiprocessing
 import os
 import re
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -80,20 +82,25 @@ class MeasureSet:
 # --------------------------------------------------------------------------
 # Applicability
 
+def _truths(expr, entity: Entity, rs: RuleSet, rows) -> list[bool]:
+    """Whether the row expression is true on each of `rows`, in order: the one
+    place the engine evaluates `where`, freshness `condition` and predicate."""
+    ref = rs.reference_time
+    return [evaluate(expr, RowView(entity, i), ref) is True for i in rows]
+
+
 def _applicable_rows(rule: Rule, entity: Entity, rs: RuleSet,
                      subject_columns: tuple[str, ...]) -> list[int] | range:
-    """Ordinals passing `where` (and non-null subjects when skip_null)."""
-    n = entity.n_rows
-    rows: list[int] | range
-    if rule.where is None:
-        rows = range(n)
-    else:
-        ref = rs.reference_time
-        rows = [i for i in range(n)
-                if evaluate(rule.where, RowView(entity, i), ref) is True]
+    """Ordinals passing `where`, then non-null subjects when skip_null, then a
+    freshness `condition`."""
+    rows: list[int] | range = range(entity.n_rows)
+    if rule.where is not None:
+        rows = list(compress(rows, _truths(rule.where, entity, rs, rows)))
     if rule.skip_null and subject_columns:
         cols = [entity.column(c) for c in subject_columns]
         rows = [i for i in rows if all(col[i] is not None for col in cols)]
+    if isinstance(rule.kind, Freshness) and rule.kind.condition is not None:
+        rows = list(compress(rows, _truths(rule.kind.condition, entity, rs, rows)))
     return rows
 
 
@@ -143,12 +150,12 @@ def _referenced_values(rule: Rule, repo: Repository,
     return set(target.column(ref_column)) - {None}
 
 
-def _pattern_check(rule: Rule, entity: Entity, repo: Repository):
+def _pattern_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     match = re.compile(rule.kind.pattern).fullmatch
     return lambda v: v is not None and match(v) is not None
 
 
-def _range_check(rule: Rule, entity: Entity, repo: Repository):
+def _range_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     dtype = entity.schema.column(rule.columns[0]).datatype
     k = rule.kind
     lo = _coerced(k.min, dtype, rule) if k.min is not None else None
@@ -166,7 +173,7 @@ def _range_check(rule: Rule, entity: Entity, repo: Repository):
     return passes
 
 
-def _domain_check(rule: Rule, entity: Entity, repo: Repository):
+def _domain_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     k = rule.kind
     if k.reference is not None:
         allowed = _referenced_values(rule, repo, k.reference)
@@ -176,37 +183,48 @@ def _domain_check(rule: Rule, entity: Entity, repo: Repository):
     return lambda v: v is not None and v in allowed
 
 
-def _not_null_check(rule: Rule, entity: Entity, repo: Repository):
+def _not_null_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     return lambda v: v is not None
 
 
-def _no_default_check(rule: Rule, entity: Entity, repo: Repository):
+def _no_default_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     dtype = entity.schema.column(rule.columns[0]).datatype
     placeholders = {_coerced(v, dtype, rule) for v in rule.kind.placeholders}
     return lambda v: v is not None and v not in placeholders
 
 
-def _foreign_key_check(rule: Rule, entity: Entity, repo: Repository):
+def _foreign_key_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     index = _referenced_values(rule, repo, rule.kind.referenced)
     return lambda v: v is not None and v in index
+
+
+def _freshness_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
+    cutoff = rs.reference_time - _days_to_timedelta(rule.kind.max_age_days)
+    return lambda v: v is not None and v >= cutoff
+
+
+def _days_to_timedelta(days: Decimal) -> timedelta:
+    return timedelta(microseconds=int(days * 86_400_000_000))
 
 
 _VALUE_CHECKS = {
     Syntax: _pattern_check, FormatClass: _pattern_check, Range: _range_check,
     Domain: _domain_check, NotNull: _not_null_check,
     NoDefault: _no_default_check, ForeignKey: _foreign_key_check,
+    Freshness: _freshness_check,
 }
 
 
-def value_check(rule: Rule, entity: Entity,
+def value_check(rule: Rule, entity: Entity, rs: RuleSet,
                 repo: Repository) -> Callable[[object], bool]:
     """The pass/fail test of one per-value rule on `entity`, a pure function of
-    the value: literals coerced, regex compiled, reference set built once."""
-    return _VALUE_CHECKS[type(rule.kind)](rule, entity, repo)
+    the value: literals coerced, regex compiled, reference set and freshness
+    cutoff built once."""
+    return _VALUE_CHECKS[type(rule.kind)](rule, entity, rs, repo)
 
 
 def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
-    """Count one column's applicable cells, checking each distinct value once."""
+    """B and failing ordinals of one column, checking each distinct value once."""
     col = entity.column(column)
     rows = _applicable_rows(rule, entity, rs, (column,))
     bad = {v for v in set(col) if not check(v)}
@@ -216,38 +234,28 @@ def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
         failing = list(compress(range(len(col)), map(bad.__contains__, col)))
     else:
         failing = [i for i in rows if col[i] in bad]
-    return len(rows) - len(failing), len(rows), failing
-
-
-def _raw(entity: Entity, rows) -> list[tuple[str, int | None]]:
-    return [(entity.name, i) for i in rows]
+    return len(rows), failing
 
 
 def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    """syntax, range, domain, not_null, no_default, foreign_key: one column."""
-    a, b, rows = _scan_column(rule, entity, rs, rule.columns[0],
-                              value_check(rule, entity, repo))
-    return a, b, _raw(entity, rows)
-
-
-def _eval_format_class(rule: Rule, entity: Entity, rs: RuleSet,
-                       repo: Repository):
-    check = value_check(rule, entity, repo)
-    targets = [(entity, c) for c in rule.columns]
-    for ent_name, col in rule.kind.extra_targets:
+    """The per-value kinds over their (entity, column) targets: the rule's
+    columns, format_class's extra targets, freshness's timestamp column."""
+    check = value_check(rule, entity, rs, repo)
+    k = rule.kind
+    columns = (k.timestamp_column,) if isinstance(k, Freshness) else rule.columns
+    targets = [(entity, c) for c in columns]
+    for ent_name, col in getattr(k, "extra_targets", ()):
         target = repo.entities.get(ent_name)
         if target is None:
             raise EvalError(f"target entity {ent_name!r} not loaded", rule.id)
         targets.append((target, col))
-    a = 0
     b = 0
     raw: list[tuple[str, int | None]] = []
     for target, column in targets:
-        ta, tb, rows = _scan_column(rule, target, rs, column, check)
-        a += ta
+        tb, rows = _scan_column(rule, target, rs, column, check)
         b += tb
-        raw.extend(_raw(target, rows))
-    return a, b, raw
+        raw.extend((target.name, i) for i in rows)
+    return b, raw
 
 
 # --------------------------------------------------------------------------
@@ -257,94 +265,47 @@ def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     key_cols = rule.kind.key
     rows = _applicable_rows(rule, entity, rs, key_cols)
     cols = [entity.column(c) for c in key_cols]
-    counts: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    row_list = list(rows)
-    for i in row_list:
-        key = tuple(col[i] for col in cols)
-        keys.append(key)
-        counts[key] = counts.get(key, 0) + 1
-    a = 0
-    failing: list[int] = []
-    for i, key in zip(row_list, keys):
-        if counts[key] == 1:
-            a += 1
-        else:
-            failing.append(i)
-    return a, len(row_list), _raw(entity, failing)
+    keys = [tuple(col[i] for col in cols) for i in rows]
+    counts = Counter(keys)
+    return len(rows), [(entity.name, i) for i, key in zip(rows, keys)
+                       if counts[key] > 1]
 
 
 def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     expr = rule.kind.expr
-    subject = tuple(sorted(columns_referenced(expr)))
-    rows = _applicable_rows(rule, entity, rs, subject)
-    ref = rs.reference_time
-    a = 0
-    failing: list[int] = []
-    for i in rows:
-        if evaluate(expr, RowView(entity, i), ref) is True:
-            a += 1
-        else:
-            failing.append(i)
-    return a, len(rows), _raw(entity, failing)
+    rows = _applicable_rows(rule, entity, rs, tuple(sorted(columns_referenced(expr))))
+    truths = _truths(expr, entity, rs, rows)
+    return len(rows), [(entity.name, i) for i, ok in zip(rows, truths) if not ok]
 
 
-def _eval_freshness(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    k = rule.kind
-    col = entity.column(k.timestamp_column)
-    rows = _applicable_rows(rule, entity, rs, (k.timestamp_column,))
-    if k.condition is not None:
-        ref = rs.reference_time
-        rows = [i for i in rows
-                if evaluate(k.condition, RowView(entity, i), ref) is True]
-    cutoff = rs.reference_time - _days_to_timedelta(k.max_age_days)
-    a = 0
-    failing: list[int] = []
-    row_list = list(rows)
-    for i in row_list:
-        v = col[i]
-        if v is not None and v >= cutoff:
-            a += 1
-        else:
-            failing.append(i)
-    return a, len(row_list), _raw(entity, failing)
-
-
-def _days_to_timedelta(days: Decimal) -> timedelta:
-    return timedelta(microseconds=int(days * 86_400_000_000))
+def _entity_level(entity: Entity, passes: Callable[[], bool]):
+    """B = 0 for an empty entity, else B = 1, the entity failing unless passes()."""
+    if entity.n_rows == 0:
+        return 0, []
+    return 1, [] if passes() else [(entity.name, None)]
 
 
 def _eval_min_count(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    if entity.n_rows == 0:
-        return 0, 0, []
-    if entity.n_rows >= rule.kind.threshold:
-        return 1, 1, []
-    return 0, 1, [(entity.name, None)]
+    return _entity_level(entity, lambda: entity.n_rows >= rule.kind.threshold)
 
 
 def _eval_frequency(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    if entity.n_rows == 0:
-        return 0, 0, []
-    stamps = sorted(v for v in entity.column(rule.kind.timestamp_column)
-                    if v is not None)
-    max_gap = timedelta(0)
-    for prev, nxt in zip(stamps, stamps[1:]):
-        gap = nxt - prev
-        if gap > max_gap:
-            max_gap = gap
-    if max_gap <= _days_to_timedelta(rule.kind.max_gap_days):
-        return 1, 1, []
-    return 0, 1, [(entity.name, None)]
+    def passes() -> bool:
+        stamps = sorted(v for v in entity.column(rule.kind.timestamp_column)
+                        if v is not None)
+        max_gap = max((nxt - prev for prev, nxt in zip(stamps, stamps[1:])),
+                      default=timedelta(0))
+        return max_gap <= _days_to_timedelta(rule.kind.max_gap_days)
+
+    return _entity_level(entity, passes)
 
 
 # Every kind's evaluator: (rule, entity, ruleset, repository) ->
-# (A, B, failing (entity name, ordinal) pairs).
+# (B, failing (entity name, ordinal) pairs); A = B - len(failing).
 _EVALUATORS = {
-    Syntax: _eval_values, Range: _eval_values, Domain: _eval_values,
-    NotNull: _eval_values, NoDefault: _eval_values, ForeignKey: _eval_values,
-    FormatClass: _eval_format_class, Unique: _eval_unique,
-    Predicate: _eval_predicate, Freshness: _eval_freshness,
-    MinCount: _eval_min_count, Frequency: _eval_frequency,
+    **dict.fromkeys(_VALUE_CHECKS, _eval_values), Unique: _eval_unique,
+    Predicate: _eval_predicate, MinCount: _eval_min_count,
+    Frequency: _eval_frequency,
 }
 
 
@@ -357,10 +318,10 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
     if entity is None:
         raise EvalError(f"entity {rule.entity!r} not loaded", rule.id)
     try:
-        a, b, raw = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
+        b, raw = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    return _cap_raw(a, b, raw, cap)
+    return _cap_raw(b - len(raw), b, raw, cap)
 
 
 def eval_rule(rule: Rule, repo: Repository, rs: RuleSet,

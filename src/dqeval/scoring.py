@@ -65,9 +65,6 @@ class Profile:
     """How many evaluated properties of one characteristic sit at each level."""
     counts: tuple[int, int, int, int, int]  # levels 1..5
 
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class ProfilingTable:
@@ -117,10 +114,6 @@ class PropertyScore:
     sum_b: int
     rule_count: int
 
-    @property
-    def evaluated(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class CharacteristicResult:
@@ -129,10 +122,6 @@ class CharacteristicResult:
     level: int | None  # None = no evaluated properties
     strengths: tuple[Property, ...]
     weaknesses: tuple[Property, ...]
-
-    @property
-    def evaluated(self) -> bool:
-        return self.level is not None
 
 
 @dataclass(frozen=True)

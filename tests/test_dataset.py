@@ -86,7 +86,7 @@ def test_header_only_file_gives_zero_rows(tmp_path: Path):
     ("id,n\nx,1\ny,2", ["x", "y"], [1, 2]),
     ("id,n\r\nx,1\r\ny,2", ["x", "y"], [1, 2]),
     ("id,n", [], []),
-    ('id,n\n"a\r\nb",3\r\n', ["a\nb"], [3]),  # read in universal-newline mode
+    ('id,n\n"a\r\nb",3\r\n', ["a\r\nb"], [3]),  # "\r" in quotes is kept
 ])
 def test_line_endings_and_final_newline(tmp_path: Path, text, ids, ns):
     schema = _schema(("id", "text"), ("n", "integer", True))
@@ -94,6 +94,24 @@ def test_line_endings_and_final_newline(tmp_path: Path, text, ids, ns):
     path.write_bytes(text.encode("utf-8"))
     entity = load_entity(path, schema)
     assert (entity.column("id"), entity.column("n")) == (ids, ns)
+
+
+@pytest.mark.parametrize("value", ["a\rb", "a\r\nb", "a\nb", "\r", "a\r",
+                                   "\ra", "\r\n\r"])
+def test_carriage_returns_in_text_roundtrip(tmp_path: Path, value):
+    schema = _schema(("t", "text"), ("n", "integer", True))
+    entity = Entity(schema, {"t": [value, "x"], "n": [1, None]})
+    path = tmp_path / "t.csv"
+    write_entity(entity, path)
+    assert load_entity(path, schema) == entity
+
+
+def test_bare_carriage_return_is_not_a_record_separator(tmp_path: Path):
+    schema = _schema(("id", "text"), ("n", "integer", True))
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"id,n\rx,1\ry,2\r")
+    with pytest.raises(LoadError, match="header"):
+        load_entity(path, schema)
 
 
 def test_only_the_final_newline_is_dropped(tmp_path: Path):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_ruleset, rule
 from dqeval import engine
@@ -18,7 +18,7 @@ from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import RecordRef, eval_all, eval_rule
 from dqeval.errors import EvalError
-from dqeval.rules import KIND_NAMES, KIND_PROPERTIES, parse_ruleset
+from dqeval.rules import KIND_NAMES, KIND_PROPERTIES, KINDS, parse_ruleset
 from engine_reference import reference_counts
 from oracle import naive_measure
 
@@ -356,9 +356,6 @@ def test_every_kind_has_a_dispatch_entry():
     assert len(engine._EVALUATORS) == len(KIND_NAMES)
 
 
-PER_VALUE_KINDS = ("syntax", "range", "domain", "not_null", "no_default",
-                   "foreign_key", "format_class")
-
 _UTC = timezone.utc
 _PLUS2 = timezone(timedelta(hours=2))
 # equal values as distinct objects: Decimals at different scales, one
@@ -368,10 +365,10 @@ _DECIMALS = [Decimal("1.0"), Decimal("1.00"), Decimal("1"), Decimal("2.5"),
              Decimal("2.50"), Decimal("-0"), Decimal("0.00"), Decimal("99.99"),
              None]
 _INTS = [0, 1, 2, 3, 17, None]
-_STAMPS = [datetime(2024, 5, 1, tzinfo=_UTC),
-           datetime(2024, 5, 1, 2, tzinfo=_PLUS2),
-           datetime(2024, 5, 1, tzinfo=_UTC),
-           datetime(2024, 3, 1, 6, 30, tzinfo=_UTC), None]
+_MAY1 = datetime(2024, 5, 1, tzinfo=_UTC)
+_MAY1_PLUS2 = datetime(2024, 5, 1, 2, tzinfo=_PLUS2)
+_MAR1 = datetime(2024, 3, 1, 6, 30, tzinfo=_UTC)
+_STAMPS = [_MAY1, _MAY1_PLUS2, datetime(2024, 5, 1, tzinfo=_UTC), _MAR1, None]
 _COLUMNS = (("t", "text"), ("d", "decimal"), ("i", "integer"),
             ("b", "boolean"), ("at", "timestamp"))
 _ROW = st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_DECIMALS),
@@ -379,6 +376,14 @@ _ROW = st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_DECIMALS),
                  st.sampled_from(_STAMPS))
 _WHERES = st.sampled_from([None, "i >= 2", "b = true", "d > 1", "t = 'a'",
                            "at < ts'2024-04-01T00:00:00Z'"])
+# Row expressions for predicate and freshness condition: null operands,
+# division and modulo by zero, three-valued logic, functions.
+_ROW_EXPRS = ["i >= 2", "d / i > 1", "i % 2 = 0", "t = 'a' or i > 1",
+              "not (b = true)", "len(t) >= 1 and d >= 1.0",
+              "age_days(at) > 40", "in_set(t, 'a', 'aa')"]
+# reference_time 2024-06-01T00:00:00Z: "31d" and "132090m" put the freshness
+# cutoff exactly on the stamps 2024-05-01T00:00Z and 2024-03-01T06:30Z
+_AGES = ["31d", "132090m", "1d", 45, 0]
 
 
 def _entity(name: str, rows: list[tuple]) -> Entity:
@@ -389,7 +394,7 @@ def _entity(name: str, rows: list[tuple]) -> Entity:
 
 
 @st.composite
-def _per_value_rule(draw, kind: str) -> dict:
+def _any_rule(draw, kind: str) -> dict:
     params: dict = {}
     column = draw(st.sampled_from([c for c, _ in _COLUMNS]))
     if kind in ("syntax", "format_class"):
@@ -434,21 +439,85 @@ def _per_value_rule(draw, kind: str) -> dict:
     elif kind == "foreign_key":
         column = draw(st.sampled_from(["t", "d", "i", "at"]))
         params["referenced"] = f"r.{column}"
-    return rule("x", "m", [column], KIND_PROPERTIES[kind][0].name, kind, params,
+    elif kind == "unique":
+        params["key"] = draw(st.lists(st.sampled_from([c for c, _ in _COLUMNS]),
+                                      min_size=1, max_size=2, unique=True))
+    elif kind == "predicate":
+        params["expr"] = draw(st.sampled_from(_ROW_EXPRS))
+    elif kind == "freshness":
+        params.update(timestamp_column="at", max_age=draw(st.sampled_from(_AGES)))
+        condition = draw(st.sampled_from([None] + _ROW_EXPRS))
+        if condition is not None:
+            params["condition"] = condition
+    elif kind == "min_count":
+        params["threshold"] = draw(st.sampled_from([0, 1, 3, 31]))
+    elif kind == "frequency":
+        params.update(timestamp_column="at",
+                      max_gap=draw(st.sampled_from(["0d", "1d", "60d", 100])))
+    extra = {}
+    where = draw(_WHERES)
+    if where is not None:
+        extra["where"] = where
+    columns = [] if KINDS[kind].arity == "none" else [column]
+    return rule("x", "m", columns, KIND_PROPERTIES[kind][0].name, kind, params,
                 skip_null=kind not in ("not_null", "no_default") and draw(st.booleans()),
-                where=draw(_WHERES))
+                **extra)
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(PER_VALUE_KINDS), data=st.data(),
+def _row(t=None, d=None, i=None, b=None, at=None) -> tuple:
+    return t, d, i, b, at
+
+
+# Pinned cases run on every test run, ahead of the random ones.
+@example(rule("x", "m", [], "CONV_ACT", "freshness",
+              {"timestamp_column": "at", "max_age": "31d"}),
+         "^a+$", [_row(at=_MAY1), _row(at=_MAY1_PLUS2), _row(at=_MAR1), _row()],
+         [], 10**6)
+@example(rule("x", "m", [], "CONV_ACT", "freshness",
+              {"timestamp_column": "at", "max_age": "132090m",
+               "condition": "i >= 2"}, where="b = true", skip_null=True),
+         "^a+$", [_row(i=2, b=True, at=_MAR1), _row(i=3, b=True, at=None),
+                  _row(i=None, b=True, at=_MAR1), _row(i=3, b=False, at=_MAY1),
+                  _row(i=17, b=True, at=datetime(2024, 3, 1, 6, 29, tzinfo=_UTC)),
+                  _row(i=0, b=True, at=_MAR1)],
+         [], 3)
+@example(rule("x", "m", [], "CONV_ACT", "freshness",
+              {"timestamp_column": "at", "max_age": "31d",
+               "condition": "t = 'a'"}),
+         "^a+$", [_row(t="a", at=None), _row(t=None, at=_MAY1),
+                  _row(t="a", at=_MAY1_PLUS2), _row(t="aa", at=_MAR1)],
+         [], 10**6)
+@example(rule("x", "m", [], "RIES_INCO", "unique", {"key": ["t"]}),
+         "^a+$", [_row(t="a"), _row(t="aa"), _row(t="a"), _row(t=None),
+                  _row(t="ab"), _row(t="a"), _row(t=None), _row(t="aa")],
+         [], 10**6)
+@example(rule("x", "m", [], "RIES_INCO", "unique", {"key": ["d", "at"]},
+              skip_null=True),
+         "^a+$", [_row(d=Decimal("1.0"), at=_MAY1), _row(d=Decimal("1.00"), at=_MAY1_PLUS2),
+                  _row(d=Decimal("1"), at=_MAY1), _row(d=None, at=_MAY1),
+                  _row(d=Decimal("2.5"), at=None), _row(d=Decimal("2.50"), at=_MAR1),
+                  _row(d=Decimal("2.5"), at=_MAR1), _row(d=Decimal("1.0"), at=_MAR1)],
+         [], 2)
+@example(rule("x", "m", [], "CONS_SEMAN", "predicate", {"expr": "d / i > 1"}),
+         "^a+$", [_row(d=Decimal("2.5"), i=0), _row(d=None, i=1), _row(d=Decimal("2.5"), i=None),
+                  _row(d=Decimal("2.5"), i=2), _row(d=Decimal("2.5"), i=1)],
+         [], 10**6)
+@example(rule("x", "m", [], "CONS_SEMAN", "predicate", {"expr": "i % 2 = 0"},
+              skip_null=True),
+         "^a+$", [_row(i=0), _row(i=None), _row(i=2), _row(i=3)], [], 10**6)
+@example(rule("x", "m", [], "COMP_FICH", "min_count", {"threshold": 0}),
+         "^a+$", [], [], 10**6)
+@example(rule("x", "m", [], "FREC_ACT", "frequency",
+              {"timestamp_column": "at", "max_gap": "0d"}),
+         "^a+$", [], [], 10**6)
+@settings(max_examples=105, deadline=None)
+@given(body=st.sampled_from(KIND_NAMES).flatmap(_any_rule),
+       pattern=st.sampled_from(["^a+$", "^[0-9]*$"]),
        main=st.lists(_ROW, max_size=30), ref=st.lists(_ROW, max_size=10),
        cap=st.sampled_from([0, 1, 3, 10**6]))
-def test_distinct_value_path_matches_per_row_reference(kind, data, main, ref, cap):
-    body = data.draw(_per_value_rule(kind))
-    if body["where"] is None:
-        del body["where"]
-    rs = parse_ruleset(make_ruleset(
-        [body], format_classes={"c": data.draw(st.sampled_from(["^a+$", "^[0-9]*$"]))}))
+def test_distinct_value_path_matches_per_row_reference(body, pattern, main, ref, cap):
+    """Every kind's (A, B, failing) matches the per-row reference."""
+    rs = parse_ruleset(make_ruleset([body], format_classes={"c": pattern}))
     entities = {"m": _entity("m", main), "r": _entity("r", ref)}
     repo = Repository(SchemaCatalog(tuple(e.schema for e in entities.values())),
                       entities, "fp")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from dqeval.scoring import default_config, score_all
 from dqeval.synthkit import expected_vs_actual, generate
 from dqeval.taxonomy import Characteristic
 from dqeval import __version__
+from dqeval.cli import main
 
 
 def _evaluate(name: str, tmp_path: Path):
@@ -98,3 +100,49 @@ def test_travel_comparison_quotes_transitions(tmp_path: Path):
     assert by_char[Characteristic.ACCURACY].level_delta == 4  # 1 -> 5
     assert by_char[Characteristic.COMPLETENESS].level_delta == 2  # 2 -> 4
     assert delta.verdict_first is False and delta.verdict_second is True
+
+
+# --------------------------------------------------------------------------
+# Pinned outputs of the whole pipeline
+
+# SHA-256 over report.json, measures.json, index.json and every manifest of
+# each scenario (see _pipeline_digest). The report records the tool version,
+# so bumping dqeval.__version__ changes every digest.
+_PIPELINE_DIGESTS = {
+    "travel-v1": "dfe8332cee9adaeb523b585efd385781a711a986ec9d3a20f6c73b852c1c2790",
+    "travel-v2": "516a69076f9733edae74480b2205094f8f540596c5b8127b1b9542ac3b328b98",
+    "registry-v1": "a56c871eae1cd3d8bbf6ccfb0c1228632cd609665d698465f4ae2f4f69af3f4d",
+    "registry-v2": "e67bbd247e6e21bd9bcbf2c3b19689efa5d824be7a9a34b168913e945d9cfd3d",
+    "school-v1": "e25cee1baff379246a8893fba553d00925aa503977ce186fd1db7f81591ea278",
+    "school-v2": "47467b92b6f50f3f93f552003209650388e2466bb85478cabcf2a219f15d707b",
+}
+
+
+def _pipeline_digest(out: Path) -> str:
+    """One SHA-256 over the evaluate and improve outputs under `out`, each
+    file fed with its path relative to `out`."""
+    digest = hashlib.sha256()
+    names = ["evaluate/report.json", "evaluate/measures.json"] + sorted(
+        f"improve/{p.name}" for p in (out / "improve").iterdir())
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_pipeline_outputs_pinned(name: str, tmp_path: Path):
+    """synth, evaluate at --jobs 1 and 2, then improve, write the recorded
+    bytes; a tool_version bump changes the digests."""
+    assert main(["synth", "--scenario", name, "--out", str(tmp_path / "s")]) == 0
+    digests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["evaluate", "--rules", str(tmp_path / "s" / "rules.json"),
+                     "--schema", str(tmp_path / "s" / "schema.json"),
+                     "--data", str(tmp_path / "s" / "snapshot"),
+                     "--out", str(out / "evaluate"), "--jobs", jobs]) == 0
+        assert main(["improve", "--report", str(out / "evaluate" / "report.json"),
+                     "--measures", str(out / "evaluate" / "measures.json"),
+                     "--out", str(out / "improve")]) == 0
+        digests.append(_pipeline_digest(out))
+    assert digests == [_PIPELINE_DIGESTS[name]] * 2
