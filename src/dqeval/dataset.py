@@ -11,7 +11,10 @@ and are never mutated after load, so concurrent readers need no locks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 
 from . import canonical
@@ -305,14 +308,36 @@ def load_entity(path: Path, schema: EntitySchema) -> Entity:
 # --------------------------------------------------------------------------
 # Snapshot writing (canonical form)
 
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
+
+# Types whose equal values always encode alike, so that a column holding only
+# one of them (and nulls) can be encoded once per distinct value. Not Decimal:
+# Decimal("1.0") == Decimal("1.00") encode differently. Not a mix of types:
+# 1 == True encode differently in an integer column.
+_ENCODE_ONCE_TYPES = frozenset({str, int, bool, datetime})
+
+
 def _encode_field(value, datatype: str) -> str:
     if value is None:
         return ""
     text = format_cell(value, datatype)
     if datatype == "text":
-        if text == "" or text == _NULL_TOKEN or any(ch in text for ch in ',"\n\r'):
+        if text == "" or text == _NULL_TOKEN or _NEEDS_QUOTES.search(text):
             return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _column_fields(values: list, datatype: str):
+    """An iterator over the fields of one column, each distinct value encoded
+    once. Lazy, so that the writer holds no encoded copy of the columns."""
+    types = set(map(type, values))
+    types.discard(type(None))
+    if len(types) == 1 and types <= _ENCODE_ONCE_TYPES:
+        distinct = set(values)
+        if len(distinct) < len(values):  # all distinct (serial keys): no memo
+            encoded = {v: _encode_field(v, datatype) for v in distinct}
+            return map(encoded.__getitem__, values)
+    return map(_encode_field, values, repeat(datatype))
 
 
 def write_entity(entity: Entity, path: Path) -> None:
@@ -322,13 +347,9 @@ def write_entity(entity: Entity, path: Path) -> None:
 
 def serialize_entity(entity: Entity) -> str:
     specs = entity.schema.columns
-    cols = [entity.column(c.name) for c in specs]
-    lines = [",".join(c.name for c in specs)]
-    for i in range(entity.n_rows):
-        lines.append(",".join(_encode_field(col[i], spec.datatype)
-                              for col, spec in zip(cols, specs)))
-    lines.append("")
-    return "\n".join(lines)
+    cols = [_column_fields(entity.column(c.name), c.datatype) for c in specs]
+    return "\n".join([",".join(c.name for c in specs),
+                      *map(",".join, zip(*cols)), ""])
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import timedelta
-from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 
@@ -36,7 +35,8 @@ from .errors import EvalError, UnknownColumn
 from .expr import columns_referenced, evaluate
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
-                    RuleSet, Syntax, Unique, ruleset_fingerprint)
+                    RuleSet, Syntax, Unique, days_to_timedelta,
+                    ruleset_fingerprint)
 from .values import coerce_literal
 
 DEFAULT_FAILING_CAP = 100_000
@@ -199,12 +199,8 @@ def _foreign_key_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository
 
 
 def _freshness_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    cutoff = rs.reference_time - _days_to_timedelta(rule.kind.max_age_days)
+    cutoff = rs.reference_time - days_to_timedelta(rule.kind.max_age_days)
     return lambda v: v is not None and v >= cutoff
-
-
-def _days_to_timedelta(days: Decimal) -> timedelta:
-    return timedelta(microseconds=int(days * 86_400_000_000))
 
 
 _VALUE_CHECKS = {
@@ -295,7 +291,7 @@ def _eval_frequency(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
                         if v is not None)
         max_gap = max((nxt - prev for prev, nxt in zip(stamps, stamps[1:])),
                       default=timedelta(0))
-        return max_gap <= _days_to_timedelta(rule.kind.max_gap_days)
+        return max_gap <= days_to_timedelta(rule.kind.max_gap_days)
 
     return _entity_level(entity, passes)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, fields
-from datetime import datetime
+from datetime import datetime, timedelta
 from decimal import Decimal
 
 from . import canonical
@@ -236,22 +236,37 @@ def _name(value, what: str, context: str) -> str:
     return value
 
 
+# a duration must convert to a timedelta, whose range is +-999,999,999 days
+_MAX_DURATION_DAYS = timedelta.max.days
+
+
 def parse_duration_days(value, context: str) -> Decimal:
     """Durations are JSON numbers (days) or strings like '30d', '12h', '90m', '45s'."""
     if isinstance(value, bool):
         raise ParseError("duration must be a number of days or a suffixed string",
                          context=context)
+    days = None
     if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, str):
+        days = Decimal(value)
+    elif isinstance(value, Decimal):
+        days = value
+    elif isinstance(value, str):
         m = re.fullmatch(r"([0-9]+(?:\.[0-9]+)?)([dhms])", value)
         if m:
             amount = Decimal(m.group(1))
             per_day = {"d": 1, "h": 24, "m": 1440, "s": 86400}[m.group(2)]
-            return amount / per_day
-    raise ParseError(f"invalid duration {value!r}", context=context)
+            days = amount / per_day
+    if days is None:
+        raise ParseError(f"invalid duration {value!r}", context=context)
+    if abs(days) > _MAX_DURATION_DAYS:
+        raise ParseError(f"duration {value!r} is out of range (at most "
+                         f"{_MAX_DURATION_DAYS} days)", context=context)
+    return days
+
+
+def days_to_timedelta(days: Decimal) -> timedelta:
+    """A parsed duration as a timedelta, exact to the microsecond."""
+    return timedelta(microseconds=int(days * 86_400_000_000))
 
 
 def _cmp_bounds(lo, hi) -> bool | None:
@@ -645,9 +660,15 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
             elif col_types[col] != "timestamp":
                 error(rule.id, f"{rule.entity}.{col} is {col_types[col]}, "
                                "expected timestamp")
-            if isinstance(k, Freshness) and k.condition is not None \
-                    and col in col_types:
-                _check_boolean_expr(rule, k.condition, col_types, "condition", error)
+            if isinstance(k, Freshness):
+                if k.condition is not None and col in col_types:
+                    _check_boolean_expr(rule, k.condition, col_types, "condition",
+                                        error)
+                try:
+                    rs.reference_time - days_to_timedelta(k.max_age_days)
+                except OverflowError:
+                    error(rule.id, f"max_age of {k.max_age_days} days puts the "
+                                   "freshness cutoff outside the datetime range")
         elif isinstance(k, Predicate):
             _check_boolean_expr(rule, k.expr, col_types, "predicate", error)
 

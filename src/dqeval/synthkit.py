@@ -15,8 +15,9 @@ cannot honor exactly rather than producing an unsound oracle:
   first group member's key); a unique plan needs round(r·n) != 1;
 - min_count takes no plan (its outcome follows from the row count).
 
-Every planned rule is re-verified value-by-value after the writes, with
-local checks independent of the evaluation engine.
+Every planned rule is re-verified after the writes, with local checks
+independent of the evaluation engine: a per-value check runs once per
+distinct value of a column, a predicate once per row.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import compress, count
 from pathlib import Path
 
 from . import canonical
@@ -37,7 +39,8 @@ from .errors import ConflictingPlan, ParseError, SynthError
 from .expr import columns_referenced, evaluate
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
-                    RuleSet, Syntax, Unique, parse_duration_days)
+                    RuleSet, Syntax, Unique, days_to_timedelta,
+                    parse_duration_days)
 from .values import coerce_literal
 
 GENERATOR_KINDS = ("serial", "choice", "int_uniform", "decimal_uniform",
@@ -108,6 +111,14 @@ class Discrepancy:
 
 def round_half_up(rate: Decimal, n: int) -> int:
     return int((rate * n).quantize(Decimal(1), rounding=ROUND_HALF_UP))
+
+
+def _freshness_cutoff(rule: Rule, rs: RuleSet) -> datetime:
+    try:
+        return rs.reference_time - days_to_timedelta(rule.kind.max_age_days)
+    except OverflowError:
+        raise SynthError(f"rule {rule.id!r}: max_age of {rule.kind.max_age_days} days "
+                         "puts the freshness cutoff outside the datetime range") from None
 
 
 def _sub_rng(seed: int, tag: str) -> random.Random:
@@ -197,6 +208,10 @@ def _freeze_param(v):
 
 def _generate_column(gen: ColumnGen, datatype: str, n: int,
                      rng: random.Random, context: str) -> list:
+    # choice(pool) draws what pool[randrange(len(pool))] draws, and
+    # choice(range(a, b + 1)) what randint(a, b) draws: one value below the
+    # length each, so the stream is the same with fewer calls per cell.
+    choice = rng.choice
     kind = gen.kind
     if kind == "serial":
         if datatype == "integer":
@@ -215,12 +230,13 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
         if not isinstance(pool, tuple) or not pool:
             raise SynthError(f"{context}: choice needs a non-empty values pool")
         coerced = [_coerce(v, datatype, context) for v in pool]
-        values = [coerced[rng.randrange(len(coerced))] for _ in range(n)]
+        values = [choice(coerced) for _ in range(n)]
     elif kind == "int_uniform":
         lo, hi = gen.param("min"), gen.param("max")
         if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
             raise SynthError(f"{context}: int_uniform needs integer min <= max")
-        values = [rng.randint(lo, hi) for _ in range(n)]
+        draws = range(lo, hi + 1)
+        values = [choice(draws) for _ in range(n)]
     elif kind == "decimal_uniform":
         places = gen.param("places", 2)
         lo = _coerce(gen.param("min"), "decimal", context)
@@ -229,19 +245,25 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
             raise SynthError(f"{context}: decimal_uniform needs min <= max")
         units = int(((hi - lo) * (10 ** places)).to_integral_value())
         quantum = Decimal(1).scaleb(-places)
-        values = [lo + rng.randint(0, units) * quantum for _ in range(n)]
+        draws = range(units + 1)
+        values = [lo + choice(draws) * quantum for _ in range(n)]
     elif kind == "timestamp_uniform":
         start = _coerce(gen.param("start"), "timestamp", context)
         end = _coerce(gen.param("end"), "timestamp", context)
         if start > end:
             raise SynthError(f"{context}: timestamp_uniform needs start <= end")
         span = int((end - start).total_seconds())
-        values = [start + timedelta(seconds=rng.randint(0, span)) for _ in range(n)]
+        draws = range(span + 1)
+        values = [start + timedelta(seconds=choice(draws)) for _ in range(n)]
     elif kind == "timestamp_spaced":
         start = _coerce(gen.param("start"), "timestamp", context)
         step = parse_duration_days(gen.param("step"), context)
-        delta = timedelta(microseconds=int(step * 86_400_000_000))
-        values = [start + i * delta for i in range(n)]
+        delta = days_to_timedelta(step)
+        try:
+            values = [start + i * delta for i in range(n)]
+        except OverflowError:
+            raise SynthError(f"{context}: {n} timestamps {step} days apart leave "
+                             "the datetime range") from None
     elif kind == "const":
         value = _coerce(gen.param("value"), datatype, context)
         values = [value] * n
@@ -368,14 +390,10 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
     k = rule.kind
     if isinstance(k, NotNull):
         return None
-
-    def column_type() -> str:
-        return schema.column(rule.columns[0]).datatype
-
     if isinstance(k, NoDefault):
-        return coerce_literal(k.placeholders[0], column_type())
+        return coerce_literal(k.placeholders[0], _column_type(rule, schema))
     if isinstance(k, Range):
-        dtype = column_type()
+        dtype = _column_type(rule, schema)
         if k.max is not None:
             hi = coerce_literal(k.max, dtype)
             if not k.max_inclusive:
@@ -386,7 +404,7 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
             return lo
         return lo - (timedelta(days=1) if dtype == "timestamp" else 1)
     if isinstance(k, Domain) and k.reference is None:
-        dtype = column_type()
+        dtype = _column_type(rule, schema)
         allowed = {coerce_literal(v, dtype) for v in k.allowed}
         if dtype == "text":
             return f"__violates_{rule.id}"
@@ -401,7 +419,7 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
         raise SynthError(f"rule {rule.id!r}: cannot derive a violating value; "
                          "give the plan an explicit 'violating' pool")
     if isinstance(k, (Domain, ForeignKey)):  # reference-based membership
-        dtype = column_type()
+        dtype = _column_type(rule, schema)
         if dtype == "text":
             return f"__missing_{rule.id}"
         if dtype in ("integer", "decimal") and parent_values:
@@ -409,9 +427,12 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
         raise SynthError(f"rule {rule.id!r}: cannot derive a violating value; "
                          "give the plan an explicit 'violating' pool")
     if isinstance(k, Freshness):
-        cutoff = rs.reference_time - timedelta(
-            microseconds=int(k.max_age_days * 86_400_000_000))
-        return cutoff - timedelta(days=1)
+        cutoff = _freshness_cutoff(rule, rs)
+        try:
+            return cutoff - timedelta(days=1)
+        except OverflowError:
+            raise SynthError(f"rule {rule.id!r}: no timestamp a day before the "
+                             "freshness cutoff fits the datetime range") from None
     if isinstance(k, (Syntax, FormatClass, Predicate)):
         raise SynthError(f"rule {rule.id!r}: {k.name} plans need an explicit "
                          "'violating' pool")
@@ -420,50 +441,119 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
 
 # --------------------------------------------------------------------------
 # Local compliance checks (independent of the engine)
+#
+# One entry per per-value kind binds a rule's check once: literals coerced,
+# sets built, the pattern compiled, the freshness cutoff computed. The bound
+# check runs once per distinct value of a column; it depends only on value
+# equality, so equal values share its outcome.
 
-def _value_passes(rule: Rule, value, schema, rs: RuleSet,
-                  parent_values: set | None) -> bool:
+def _column_type(rule: Rule, schema) -> str:
+    return schema.column(rule.columns[0]).datatype
+
+
+def _pattern_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
+    fullmatch = re.compile(rule.kind.pattern).fullmatch
+    return lambda v: v is not None and fullmatch(v) is not None
+
+
+def _not_null_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
+    return lambda v: v is not None
+
+
+def _no_default_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
+    dtype = _column_type(rule, schema)
+    placeholders = {coerce_literal(p, dtype) for p in rule.kind.placeholders}
+    return lambda v: v is not None and v not in placeholders
+
+
+def _range_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
     k = rule.kind
-    if isinstance(k, (Syntax, FormatClass)):
-        return value is not None and re.fullmatch(k.pattern, value) is not None
-    if isinstance(k, NotNull):
-        return value is not None
-    if isinstance(k, NoDefault):
-        dtype = schema.column(rule.columns[0]).datatype
-        return value is not None and value not in {coerce_literal(p, dtype)
-                                                   for p in k.placeholders}
-    if isinstance(k, Range):
-        if value is None:
+    dtype = _column_type(rule, schema)
+    lo = coerce_literal(k.min, dtype)  # None stays None: no bound
+    hi = coerce_literal(k.max, dtype)
+
+    def passes(v) -> bool:
+        if v is None:
             return False
-        dtype = schema.column(rule.columns[0]).datatype
-        if k.min is not None:
-            lo = coerce_literal(k.min, dtype)
-            if value < lo if k.min_inclusive else value <= lo:
-                return False
-        if k.max is not None:
-            hi = coerce_literal(k.max, dtype)
-            if value > hi if k.max_inclusive else value >= hi:
-                return False
+        if lo is not None and (v < lo if k.min_inclusive else v <= lo):
+            return False
+        if hi is not None and (v > hi if k.max_inclusive else v >= hi):
+            return False
         return True
-    if isinstance(k, Domain):
-        if value is None:
-            return False
-        if k.reference is not None:
-            return value in (parent_values or set())
-        dtype = schema.column(rule.columns[0]).datatype
-        return value in {coerce_literal(v, dtype) for v in k.allowed}
-    if isinstance(k, ForeignKey):
-        return value is not None and value in (parent_values or set())
-    if isinstance(k, Freshness):
-        if value is None:
-            return False
-        cutoff = rs.reference_time - timedelta(
-            microseconds=int(k.max_age_days * 86_400_000_000))
-        return value >= cutoff
-    raise SynthError(f"no per-value check for kind {k.name}")  # pragma: no cover
+    return passes
 
 
-_VALUE_CHECKED = (Syntax, Range, Domain, NotNull, NoDefault, ForeignKey, Freshness)
+def _domain_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
+    k = rule.kind
+    if isinstance(k, Domain) and k.reference is None:
+        dtype = _column_type(rule, schema)
+        allowed = {coerce_literal(v, dtype) for v in k.allowed}
+    else:  # reference-based membership: domain reference or foreign key
+        allowed = parent_values or set()
+    return lambda v: v is not None and v in allowed
+
+
+def _freshness_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
+    cutoff = _freshness_cutoff(rule, rs)
+    return lambda v: v is not None and v >= cutoff
+
+
+_CHECKS = {
+    Syntax: _pattern_check, FormatClass: _pattern_check, Range: _range_check,
+    Domain: _domain_check, NotNull: _not_null_check,
+    NoDefault: _no_default_check, ForeignKey: _domain_check,
+    Freshness: _freshness_check,
+}
+
+
+def _failing_rows(passes, col: list) -> list[int]:
+    """Rows whose value fails `passes`, calling it once per distinct value."""
+    bad = {v for v in set(col) if not passes(v)}
+    if not bad:
+        return []
+    return list(compress(count(), map(bad.__contains__, col)))
+
+
+def _first_mismatch(failing: list[int], chosen: set[int]) -> int | None:
+    """The first row that fails without being chosen, or is chosen and passes."""
+    wrong = chosen.symmetric_difference(failing)
+    return min(wrong) if wrong else None
+
+
+def _verify_column(rule: Rule, col: list, chosen: set[int], schema, rs: RuleSet,
+                   parent_values: set | None) -> None:
+    """Raise unless exactly the `chosen` rows of `col` fail the rule's check."""
+    passes = _CHECKS[type(rule.kind)](rule, schema, rs, parent_values)
+    i = _first_mismatch(_failing_rows(passes, col), chosen)
+    if i is None:
+        return
+    if i in chosen:
+        raise SynthError(f"rule {rule.id!r}: planned violating value "
+                         f"{col[i]!r} passes the check")
+    raise SynthError(f"rule {rule.id!r}: baseline value {col[i]!r} "
+                     f"at row {i} fails the check")
+
+
+def _verify_format_class(rule: Rule, tables, targets: list[tuple[str, str]],
+                         chosen_slots: list[tuple[str, str, int]], schema,
+                         rs: RuleSet) -> None:
+    """Raise unless exactly the chosen (entity, column, row) slots fail the
+    pattern. The first offending slot is reported: target by target, then
+    row by row."""
+    chosen_rows: dict[tuple[str, str], set[int]] = {t: set() for t in targets}
+    for ent, cname, i in chosen_slots:
+        chosen_rows[ent, cname].add(i)
+    passes = _CHECKS[type(rule.kind)](rule, schema, rs, None)
+    for ent, cname in targets:
+        chosen = chosen_rows[ent, cname]
+        i = _first_mismatch(_failing_rows(passes, tables[ent][cname]), chosen)
+        if i is None:
+            continue
+        if i in chosen:
+            raise SynthError(f"rule {rule.id!r}: violating value still matches "
+                             "the format pattern")
+        raise SynthError(f"rule {rule.id!r}: baseline cell "
+                         f"{ent}.{cname}[{i}] fails the format pattern")
 
 
 # --------------------------------------------------------------------------
@@ -548,13 +638,17 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
         if n == 0:
             return 0, 0
         col = columns[k.timestamp_column]
-        max_gap = timedelta(microseconds=int(k.max_gap_days * 86_400_000_000))
         violate = plan is not None and round_half_up(plan.rate, 1) == 1
-        if violate:
-            split = max(n // 2, 1)
-            shift = max_gap + timedelta(days=1)
-            for i in range(split, n):
-                col[i] = col[i] + shift
+        try:
+            max_gap = days_to_timedelta(k.max_gap_days)
+            if violate:
+                split = max(n // 2, 1)
+                shift = max_gap + timedelta(days=1)
+                for i in range(split, n):
+                    col[i] = col[i] + shift
+        except OverflowError:
+            raise SynthError(f"rule {rule.id!r}: a gap wider than max_gap "
+                             f"{k.max_gap_days} days leaves the datetime range") from None
         stamps = sorted(v for v in col if v is not None)
         gaps = [b - a for a, b in zip(stamps, stamps[1:])]
         widest = max(gaps, default=timedelta(0))
@@ -641,18 +735,10 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
             chosen_slots = [slots[i] for i in sorted(rng.sample(range(b), v))]
             for j, (ent, cname, i) in enumerate(chosen_slots):
                 tables[ent][cname][i] = pool[j % len(pool)]
-        chosen_set = set(chosen_slots)
-        for ent, cname, i in slots:
-            ok = _value_passes(rule, tables[ent][cname][i], schema, rs, None)
-            if (ent, cname, i) in chosen_set and ok:
-                raise SynthError(f"rule {rule.id!r}: violating value still matches "
-                                 "the format pattern")
-            if (ent, cname, i) not in chosen_set and not ok:
-                raise SynthError(f"rule {rule.id!r}: baseline cell "
-                                 f"{ent}.{cname}[{i}] fails the format pattern")
+        _verify_format_class(rule, tables, targets, chosen_slots, schema, rs)
         return b - v, b
 
-    if isinstance(k, _VALUE_CHECKED):
+    if type(k) in _CHECKS:
         column = rule.columns[0] if rule.columns else k.timestamp_column \
             if isinstance(k, Freshness) else None
         col = columns[column]
@@ -669,14 +755,7 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
                          for p in pool)
             for j, i in enumerate(sorted(chosen)):
                 col[i] = pool[j % len(pool)]
-        for i in range(n):
-            ok = _value_passes(rule, col[i], schema, rs, parents)
-            if i in chosen and ok:
-                raise SynthError(f"rule {rule.id!r}: planned violating value "
-                                 f"{col[i]!r} passes the check")
-            if i not in chosen and not ok:
-                raise SynthError(f"rule {rule.id!r}: baseline value {col[i]!r} "
-                                 f"at row {i} fails the check")
+        _verify_column(rule, col, chosen, schema, rs, parents)
         return n - v, n
 
     raise SynthError(f"rule {rule.id!r}: unsupported kind {k.name}")  # pragma: no cover

@@ -23,25 +23,25 @@ class Characteristic(enum.Enum):
 
 class Property(enum.Enum):
     # Accuracy
-    EXAC_SINT = "EXAC_SINT"
-    EXAC_SEMAN = "EXAC_SEMAN"
-    RAN_EXAC = "RAN_EXAC"
+    EXAC_SINT = "EXAC_SINT"  # Syntactic Accuracy
+    EXAC_SEMAN = "EXAC_SEMAN"  # Semantic Accuracy
+    RAN_EXAC = "RAN_EXAC"  # Accuracy Range
     # Completeness
-    COMP_FICH = "COMP_FICH"
-    COMP_REG = "COMP_REG"
-    COMP_VAL_ESP = "COMP_VAL_ESP"
-    FAL_COMP_FICH = "FAL_COMP_FICH"
+    COMP_FICH = "COMP_FICH"  # File Completeness
+    COMP_REG = "COMP_REG"  # Record Completeness
+    COMP_VAL_ESP = "COMP_VAL_ESP"  # Value Completeness
+    FAL_COMP_FICH = "FAL_COMP_FICH"  # False File Completeness
     # Consistency
-    CONS_FORM = "CONS_FORM"
-    CONS_SEMAN = "CONS_SEMAN"
-    INT_REF = "INT_REF"
-    RIES_INCO = "RIES_INCO"
+    CONS_FORM = "CONS_FORM"  # Format Consistency
+    CONS_SEMAN = "CONS_SEMAN"  # Semantic Consistency
+    INT_REF = "INT_REF"  # Referential Integrity
+    RIES_INCO = "RIES_INCO"  # Inconsistency Risk
     # Credibility
-    CRED_FUEN = "CRED_FUEN"
-    CRED_VAL_DAT = "CRED_VAL_DAT"
+    CRED_FUEN = "CRED_FUEN"  # Source Credibility
+    CRED_VAL_DAT = "CRED_VAL_DAT"  # Data Values Credibility
     # Currentness
-    CONV_ACT = "CONV_ACT"
-    FREC_ACT = "FREC_ACT"
+    CONV_ACT = "CONV_ACT"  # Timeliness of Update
+    FREC_ACT = "FREC_ACT"  # Update Frequency
 
     def __str__(self) -> str:
         return self.value
@@ -49,10 +49,6 @@ class Property(enum.Enum):
     @property
     def characteristic(self) -> Characteristic:
         return PROPERTY_CHARACTERISTIC[self]
-
-    @property
-    def display_name(self) -> str:
-        return PROPERTY_NAMES[self]
 
 
 PROPERTY_CHARACTERISTIC: dict[Property, Characteristic] = {
@@ -71,24 +67,6 @@ PROPERTY_CHARACTERISTIC: dict[Property, Characteristic] = {
     Property.CRED_VAL_DAT: Characteristic.CREDIBILITY,
     Property.CONV_ACT: Characteristic.CURRENTNESS,
     Property.FREC_ACT: Characteristic.CURRENTNESS,
-}
-
-PROPERTY_NAMES: dict[Property, str] = {
-    Property.EXAC_SINT: "Syntactic Accuracy",
-    Property.EXAC_SEMAN: "Semantic Accuracy",
-    Property.RAN_EXAC: "Accuracy Range",
-    Property.COMP_FICH: "File Completeness",
-    Property.COMP_REG: "Record Completeness",
-    Property.COMP_VAL_ESP: "Value Completeness",
-    Property.FAL_COMP_FICH: "False File Completeness",
-    Property.CONS_FORM: "Format Consistency",
-    Property.CONS_SEMAN: "Semantic Consistency",
-    Property.INT_REF: "Referential Integrity",
-    Property.RIES_INCO: "Inconsistency Risk",
-    Property.CRED_FUEN: "Source Credibility",
-    Property.CRED_VAL_DAT: "Data Values Credibility",
-    Property.CONV_ACT: "Timeliness of Update",
-    Property.FREC_ACT: "Update Frequency",
 }
 
 

@@ -7,6 +7,7 @@ timing budgets are upper bounds, not targets.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -453,9 +454,18 @@ def _host_cpu_scaling() -> float:
     return 2 * solo / duo
 
 
+# SHA-256 over the fixture's files (name, NUL, bytes, NUL, in name order)
+_PERF_FIXTURE_DIGEST = \
+    "5cc1bca45f9b355f325b9d9901faf17bc00684a0ea3695d830cb0293b2816ee0"
+
+
 def test_criterion_8_performance_and_speedup(tmp_path: Path):
     started = time.perf_counter()
     catalog, rs = _perf_fixture(tmp_path)
+    digest = hashlib.sha256()
+    for name in ("big.csv", "expected_measures.json"):
+        digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes() + b"\0")
+    assert digest.hexdigest() == _PERF_FIXTURE_DIGEST
     repo = load_snapshot(tmp_path, catalog)
     config = default_config()
 

@@ -290,3 +290,80 @@ def test_jobs_default_without_affinity_uses_cpu_count(monkeypatch):
     assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 1
+
+
+# --------------------------------------------------------------------------
+# durations that leave the datetime range: exit 3 with a diagnostic
+
+@pytest.mark.parametrize("kind, prop, param, value, message", [
+    ("freshness", "CONV_ACT", "max_age", "99999999999d",
+     "error: duration '99999999999d' is out of range (at most 999999999 days) "
+     "(rules[0] (id 'f').params.max_age)"),
+    ("frequency", "FREC_ACT", "max_gap", 99999999999,
+     "error: duration 99999999999 is out of range (at most 999999999 days) "
+     "(rules[0] (id 'f').params.max_gap)"),
+    ("freshness", "CONV_ACT", "max_age", "800000d",
+     "ERROR f: max_age of 800000 days puts the freshness cutoff outside the "
+     "datetime range"),
+], ids=["max_age", "max_gap", "cutoff"])
+def test_evaluate_duration_out_of_range_exits_3(workspace, capsys, kind, prop,
+                                                param, value, message):
+    (workspace / "rules.json").write_text(make_ruleset([
+        rule("f", "person", [], prop, kind,
+             {"timestamp_column": "updated", param: value})]))
+    assert _evaluate(workspace, "--jobs", "1") == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_validate_reports_freshness_cutoff_out_of_range(workspace, capsys):
+    (workspace / "rules.json").write_text(make_ruleset([
+        rule("f", "person", [], "CONV_ACT", "freshness",
+             {"timestamp_column": "updated", "max_age": 800000})]))
+    assert main(["validate", "--rules", str(workspace / "rules.json"),
+                 "--schema", str(workspace / "schema.json")]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "ERROR f: max_age of 800000 days puts the freshness cutoff outside the "
+        "datetime range")
+
+
+_STAMPS_SCHEMA = {"entities": [{"name": "item", "columns": [
+    {"name": "at", "datatype": "timestamp", "nullable": False}]}]}
+
+
+@pytest.mark.parametrize("step, kind, params, plan, reference_time, message", [
+    ("99999999999d", None, {}, None, "2024-06-01T00:00:00Z",
+     "error: duration '99999999999d' is out of range (at most 999999999 days) "
+     "(item.at)"),
+    ("1000000d", None, {}, None, "2024-06-01T00:00:00Z",
+     "error: item.at: 10 timestamps 1000000 days apart leave the datetime range"),
+    ("1d", "freshness", {"max_age": "800000d"}, None, "2024-06-01T00:00:00Z",
+     "error: rule 'f': max_age of 800000 days puts the freshness cutoff "
+     "outside the datetime range"),
+    ("1d", "freshness", {"max_age": 0}, 0.5, "0001-01-01T12:00:00Z",
+     "error: rule 'f': no timestamp a day before the freshness cutoff fits "
+     "the datetime range"),
+    ("1d", "frequency", {"max_gap": 999999999}, 1, "2024-06-01T00:00:00Z",
+     "error: rule 'f': a gap wider than max_gap 999999999 days leaves the "
+     "datetime range"),
+], ids=["step", "spaced", "freshness-cutoff", "freshness-violating", "frequency"])
+def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, params,
+                                             plan, reference_time, message):
+    if kind is None:
+        body = rule("n", "item", ["at"], "COMP_REG", "not_null")
+    else:
+        body = rule("f", "item", [], "CONV_ACT" if kind == "freshness" else "FREC_ACT",
+                    kind, dict(params, timestamp_column="at"))
+    (tmp_path / "rules.json").write_text(make_ruleset(
+        [body], reference_time=reference_time))
+    (tmp_path / "schema.json").write_text(json.dumps(_STAMPS_SCHEMA))
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "seed": 1,
+        "entities": {"item": {"rows": 10, "columns": {"at": {
+            "generator": "timestamp_spaced", "start": "2001-01-01T00:00:00Z",
+            "step": step}}}},
+        "violations": [] if plan is None else [{"rule": "f", "rate": plan}]}))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--schema", str(tmp_path / "schema.json"),
+                 "--rules", str(tmp_path / "rules.json"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == message + "\n"

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dataset_reference
 from conftest import PERSON_SCHEMA
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, load_catalog, load_entity, load_snapshot,
                             serialize_catalog, serialize_entity, write_entity)
@@ -239,3 +240,53 @@ def test_single_nullable_column_null_rows_roundtrip(tmp_path: Path):
     path = tmp_path / "t.csv"
     write_entity(entity, path)
     assert load_entity(path, schema) == entity
+
+
+# --------------------------------------------------------------------------
+# the column-at-a-time writer against the cell-by-cell reference
+
+_PLUS0530 = timezone(timedelta(hours=5, minutes=30))
+_INSTANT = datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+# per datatype, a few values that repeat (so the per-value memo is used),
+# including ones equal but built differently, plus arbitrary ones
+_WRITER_CELLS = {
+    "text": st.sampled_from(["", "\\N", "a,b", 'say "hi"', "x\ny", "a\rb",
+                             "a\r\nb", "N", "plain"])
+    | st.text(alphabet='ab,"\n\r\\N é', max_size=6),
+    "integer": st.integers(-2, 2) | st.integers(),
+    "decimal": st.sampled_from([Decimal("1"), Decimal("1.0"), Decimal("1.00"),
+                                Decimal("-0"), Decimal("0.000"), Decimal("1E+2")])
+    | st.integers(-10**6, 10**6).map(lambda n: Decimal(n) / 100),
+    "boolean": st.booleans(),
+    "timestamp": st.sampled_from([_INSTANT, _INSTANT.astimezone(_PLUS0530),
+                                  _INSTANT.replace(microsecond=5)])
+    | st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2100, 1, 1),
+                   timezones=st.sampled_from([timezone.utc, _PLUS0530])),
+}
+
+
+@st.composite
+def _writer_entities(draw) -> Entity:
+    n = draw(st.integers(0, 12))
+    cols = {dtype: draw(st.lists(st.none() | cells, min_size=n, max_size=n))
+            for dtype, cells in _WRITER_CELLS.items()}
+    # all-distinct columns, as serial keys are
+    cols["key"] = [f"K{i:03d}" for i in range(n)]
+    cols["serial"] = list(range(n))
+    schema = _schema(*((dtype, dtype, True) for dtype in _WRITER_CELLS),
+                     ("key", "text"), ("serial", "integer"))
+    return Entity(schema, cols)
+
+
+@given(_writer_entities())
+def test_serialize_entity_matches_cell_by_cell_reference(entity):
+    assert serialize_entity(entity) == dataset_reference.serialize_entity(entity)
+
+
+@pytest.mark.parametrize("datatype, values", [
+    ("integer", [1, True, 1, True, 0, False, 0]),  # equal, encoded apart
+    ("decimal", [Decimal("1.0"), 1, Decimal("1.00"), 1, Decimal("1.0")]),
+])
+def test_mixed_types_in_one_column_match_reference(datatype, values):
+    entity = Entity(_schema(("c", datatype)), {"c": values})
+    assert serialize_entity(entity) == dataset_reference.serialize_entity(entity)

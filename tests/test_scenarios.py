@@ -146,3 +146,35 @@ def test_pipeline_outputs_pinned(name: str, tmp_path: Path):
                      "--out", str(out / "improve")]) == 0
         digests.append(_pipeline_digest(out))
     assert digests == [_PIPELINE_DIGESTS[name]] * 2
+
+
+# SHA-256 over every file `dq synth --scenario` writes: schema.json,
+# rules.json, each snapshot CSV and expected_measures.json (see _tree_digest).
+# Synth is a pure function of the scenario, so these never change unless the
+# scenario, the generators or the file formats do.
+_SYNTH_DIGESTS = {
+    "travel-v1": "5bae43299cfa58e564c61fd5389d9f501c9c0a4697400467ed4885db3b16ddab",
+    "travel-v2": "94d072d8ccba2896a4db1f63afbd98b88b70f75d79c8fef1914d2718dc904390",
+    "registry-v1": "772fdfc3c66367a05b150b6715c0a1fbb04dfb2b47d7261309d3f329a241c303",
+    "registry-v2": "d725f5fcc3fd339c420645a314b0a43659139a2bf772a16bd0fa1657aa9af18b",
+    "school-v1": "29181dd0a11bbff60302e3b92c17e07a0a7a8ad802db3ad9c223b9502b4c6f21",
+    "school-v2": "038d18ae1c01ad8f461b5e30e48cd18281cab541ebdf6cca2f2911eba24010ca",
+}
+
+
+def _tree_digest(root: Path) -> str:
+    """One SHA-256 over every file under `root`, in path order, each file
+    fed with its path relative to `root`."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = path.relative_to(root).as_posix()
+        digest.update(name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_synth_outputs_pinned(name: str, tmp_path: Path):
+    assert main(["synth", "--scenario", name, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["rules.json", "schema.json", "snapshot"]
+    assert _tree_digest(tmp_path) == _SYNTH_DIGESTS[name]

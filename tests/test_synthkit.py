@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import synthkit_reference as reference
 from conftest import make_ruleset, rule
-from dqeval.dataset import load_catalog, load_snapshot
+from dqeval import synthkit
+from dqeval.dataset import (ColumnSchema, EntitySchema, SchemaCatalog,
+                            load_catalog, load_snapshot)
 from dqeval.engine import eval_all
 from dqeval.errors import ConflictingPlan, SynthError
+from dqeval.rules import KIND_PROPERTIES, FormatClass, parse_ruleset
 from dqeval.synthkit import (ColumnGen, EntityPlan, SynthSpec, ViolationPlan,
                              expected_vs_actual, generate, parse_expected,
                              parse_synthspec, round_half_up, serialize_expected)
@@ -222,3 +228,187 @@ def test_nullable_generator_on_rule_column_rejected():
     ), ())
     with pytest.raises(SynthError, match="null_rate"):
         generate(spec, catalog, rs, None)
+
+
+# --------------------------------------------------------------------------
+# per-distinct-value verification against the per-cell reference
+
+_UTC = timezone.utc
+_PLUS2 = timezone(timedelta(hours=2))
+# equal values as distinct objects: Decimals at different scales, one
+# instant at two offsets
+_VALUES = {
+    "t": ["a", "aa", "ab", "1", "12", "", "N/A", None],
+    "d": [Decimal("1.0"), Decimal("1.00"), Decimal("1"), Decimal("2.5"),
+          Decimal("-0"), Decimal("0.00"), Decimal("99.99"), None],
+    "i": [0, 1, 2, 3, 17, None],
+    "b": [True, False, None],
+    "at": [datetime(2024, 5, 1, tzinfo=_UTC), datetime(2024, 5, 1, 2, tzinfo=_PLUS2),
+           datetime(2024, 3, 1, 6, 30, tzinfo=_UTC),
+           datetime(2024, 3, 1, 6, 29, tzinfo=_UTC), None],
+}
+_TYPES = {"t": "text", "d": "decimal", "i": "integer", "b": "boolean",
+          "at": "timestamp"}
+_CATALOG = SchemaCatalog(tuple(
+    EntitySchema(name, tuple(ColumnSchema(c, dtype, True) for c, dtype in _TYPES.items()))
+    for name in ("m", "r")))
+# unanchored patterns too: the check is a full match
+_PATTERNS = ["a+", "^a+$", "[0-9]", "[0-9]+", "a|aa", "^$", ".*"]
+_PER_VALUE_KINDS = ["syntax", "format_class", "range", "domain", "not_null",
+                    "no_default", "foreign_key", "freshness"]
+
+
+@st.composite
+def _per_value_rule(draw, kind: str) -> tuple[dict, str]:
+    """A rule document of one per-value kind over entity m, and its column."""
+    params: dict = {}
+    column = draw(st.sampled_from(sorted(_TYPES)))
+    if kind in ("syntax", "format_class"):
+        column = "t"
+        if kind == "syntax":
+            params["pattern"] = draw(st.sampled_from(_PATTERNS))
+        else:
+            params["class"] = "c"
+            params["extra_targets"] = draw(st.sampled_from(
+                [[], [["r", "t"]], [["r", "t"], ["m", "t"]]]))
+    elif kind == "range":
+        column = draw(st.sampled_from(["d", "i", "at"]))
+        pool = {"d": [0, 1, 1.0, 2.5, 17, 99.99], "i": [0, 1, 2, 17],
+                "at": ["2024-03-01T06:30:00Z", "2024-05-01T00:00:00Z",
+                       "2024-05-01T02:00:00+02:00"]}[column]
+        lo, hi = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2)),
+                        key=lambda v: str(v) if column == "at" else Decimal(str(v)))
+        keep = draw(st.sampled_from(["min", "max", "both"]))
+        if keep != "max":
+            params["min"] = lo
+        if keep != "min":
+            params["max"] = hi
+        params.update(min_inclusive=draw(st.booleans()),
+                      max_inclusive=draw(st.booleans()))
+    elif kind == "domain":
+        column = draw(st.sampled_from(["t", "d", "b"]))
+        if draw(st.booleans()):
+            params["reference"] = f"r.{column}"
+        else:
+            pool = {"t": _VALUES["t"][:-1], "d": [1, 2.5, 0, 99.99],
+                    "b": [True, False]}[column]
+            params["allowed"] = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                              max_size=3))
+    elif kind == "no_default":
+        column = draw(st.sampled_from(["t", "i"]))
+        pool = ["N/A", "", "a"] if column == "t" else [0, 17]
+        params["placeholders"] = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                               max_size=2))
+    elif kind == "foreign_key":
+        params["referenced"] = f"r.{column}"
+    elif kind == "freshness":
+        # reference_time 2024-06-01T00:00:00Z: "31d" and "132090m" put the
+        # cutoff exactly on the stamps 2024-05-01T00:00Z and 2024-03-01T06:30Z
+        column = "at"
+        params.update(timestamp_column="at",
+                      max_age=draw(st.sampled_from(["31d", "132090m", "1d", 45, 0])))
+    columns = [] if kind == "freshness" else [column]
+    return rule("x", "m", columns, KIND_PROPERTIES[kind][0].name, kind, params), column
+
+
+def _outcome(verify, *args) -> str | None:
+    try:
+        verify(*args)
+    except SynthError as exc:
+        return str(exc)
+    return None
+
+
+def _flipped(failing: set, n: int, flips: list[int]) -> set[int]:
+    """The failing rows with a few rows toggled: chosen rows that pass, or
+    baseline rows that fail."""
+    return failing.symmetric_difference(i % n for i in flips) if n else set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_PER_VALUE_KINDS).flatmap(_per_value_rule),
+       pattern=st.sampled_from(_PATTERNS), data=st.data())
+def test_bound_checks_match_per_cell_reference(case, pattern, data):
+    """The per-distinct checks reject the reference's rows, and verification
+    raises the reference's SynthError for the same first offending row."""
+    body, column = case
+    rs = parse_ruleset(make_ruleset([body], format_classes={"c": pattern}))
+    r = rs.rules[0]
+    schema = _CATALOG.get("m")
+    cells = st.lists(st.sampled_from(_VALUES[column]), max_size=30)
+    col = data.draw(cells)
+    parents = data.draw(st.none() | st.sets(st.sampled_from(_VALUES[column][:-1])))
+    flips = data.draw(st.lists(st.integers(0, 10**6), max_size=2))
+
+    if isinstance(r.kind, FormatClass):
+        tables = {"m": {"t": col}, "r": {"t": data.draw(cells)}}
+        targets = [("m", "t")] + list(r.kind.extra_targets)
+        slots = [(e, c, i) for e, c in targets for i in range(len(tables[e][c]))]
+        failing = {s for s in slots
+                   if not reference.value_passes(r, tables[s[0]][s[1]][s[2]],
+                                                 schema, rs, None)}
+        chosen = sorted(failing.symmetric_difference(slots[i % len(slots)] for i in flips)
+                        if slots else set())
+        assert _outcome(synthkit._verify_format_class, r, tables, targets, chosen,
+                        schema, rs) == \
+            _outcome(reference.verify_format_class, r, tables, slots, chosen,
+                     schema, rs)
+        return
+
+    failing = [i for i, v in enumerate(col)
+               if not reference.value_passes(r, v, schema, rs, parents)]
+    passes = synthkit._CHECKS[type(r.kind)](r, schema, rs, parents)
+    assert synthkit._failing_rows(passes, col) == failing
+    chosen = _flipped(set(failing), len(col), flips)
+    assert _outcome(synthkit._verify_column, r, col, chosen, schema, rs, parents) == \
+        _outcome(reference.verify_column, r, col, chosen, schema, rs, parents)
+
+
+def test_every_per_value_kind_has_a_bound_check():
+    assert sorted(kind.name for kind in synthkit._CHECKS) == sorted(_PER_VALUE_KINDS)
+
+
+# the two messages a planned rule's verification can raise, pinned exactly
+@pytest.mark.parametrize("col, chosen, message", [
+    (["C00001", "C00002", "C00003"], {1},
+     "rule 'syn': planned violating value 'C00002' passes the check"),
+    (["C00001", "*", "C0003", "*"], {1, 3},
+     "rule 'syn': baseline value 'C0003' at row 2 fails the check"),
+    (["*", "C00002", "x", "C00004"], {0},
+     "rule 'syn': baseline value 'x' at row 2 fails the check"),
+    (["C00001", "*", "C00003"], {1}, None),
+])
+def test_verification_messages(col, chosen, message):
+    rs = parse_ruleset(RULES)
+    schema = load_catalog(json.dumps(SCHEMA)).get("item")
+    r = rs.rule("syn")
+    for verify in (synthkit._verify_column, reference.verify_column):
+        assert _outcome(verify, r, col, chosen, schema, rs, None) == message
+
+
+@pytest.mark.parametrize("m_col, r_col, chosen, message", [
+    (["C1", "x", "C3"], ["y", "C2"], [],
+     "rule 'fc': baseline cell m.t[1] fails the format pattern"),
+    (["C1", "x", "C3"], ["y", "C2"], [("m", "t", 1), ("r", "t", 1)],
+     "rule 'fc': baseline cell r.t[0] fails the format pattern"),
+    (["C1", "x", "C3"], ["C2", "C2"], [("r", "t", 1)],
+     "rule 'fc': baseline cell m.t[1] fails the format pattern"),
+    (["C1", "C3"], ["y", "C2"], [("r", "t", 0), ("r", "t", 1)],
+     "rule 'fc': violating value still matches the format pattern"),
+    (["C1", "x"], ["y"], [("m", "t", 1), ("r", "t", 0)], None),
+])
+def test_format_class_verification_messages(m_col, r_col, chosen, message):
+    """Slots run target by target, then row by row."""
+    rs = parse_ruleset(make_ruleset(
+        [rule("fc", "m", ["t"], "CONS_FORM", "format_class",
+              {"class": "c", "extra_targets": [["r", "t"]]})],
+        format_classes={"c": "^C[0-9]+$"}))
+    r = rs.rules[0]
+    tables = {"m": {"t": m_col}, "r": {"t": r_col}}
+    targets = [("m", "t"), ("r", "t")]
+    slots = [(e, c, i) for e, c in targets for i in range(len(tables[e][c]))]
+    schema = _CATALOG.get("m")
+    assert _outcome(synthkit._verify_format_class, r, tables, targets, chosen,
+                    schema, rs) == message
+    assert _outcome(reference.verify_format_class, r, tables, slots, chosen,
+                    schema, rs) == message
