@@ -32,7 +32,7 @@ from itertools import compress
 
 from .dataset import Entity, Repository, RowView
 from .errors import EvalError, UnknownColumn
-from .expr import columns_referenced, evaluate
+from .expr import evaluate
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,
@@ -141,15 +141,6 @@ def _coerced(value, datatype: str, rule: Rule):
         raise EvalError(str(exc), rule.id) from None
 
 
-def _referenced_values(rule: Rule, repo: Repository,
-                       reference: tuple[str, str]) -> set:
-    ref_entity, ref_column = reference
-    target = repo.entities.get(ref_entity)
-    if target is None:
-        raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
-    return set(target.column(ref_column)) - {None}
-
-
 def _pattern_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     match = re.compile(rule.kind.pattern).fullmatch
     return lambda v: v is not None and match(v) is not None
@@ -174,12 +165,17 @@ def _range_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
 
 
 def _domain_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    k = rule.kind
-    if k.reference is not None:
-        allowed = _referenced_values(rule, repo, k.reference)
+    """Membership in a domain's allowed literals or in the values of the
+    column a domain reference or foreign key names."""
+    if rule.reference is not None:
+        ref_entity, ref_column = rule.reference
+        target = repo.entities.get(ref_entity)
+        if target is None:
+            raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
+        allowed = set(target.column(ref_column)) - {None}
     else:
         dtype = entity.schema.column(rule.columns[0]).datatype
-        allowed = {_coerced(v, dtype, rule) for v in k.allowed}
+        allowed = {_coerced(v, dtype, rule) for v in rule.kind.allowed}
     return lambda v: v is not None and v in allowed
 
 
@@ -193,11 +189,6 @@ def _no_default_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository)
     return lambda v: v is not None and v not in placeholders
 
 
-def _foreign_key_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    index = _referenced_values(rule, repo, rule.kind.referenced)
-    return lambda v: v is not None and v in index
-
-
 def _freshness_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     cutoff = rs.reference_time - days_to_timedelta(rule.kind.max_age_days)
     return lambda v: v is not None and v >= cutoff
@@ -206,7 +197,7 @@ def _freshness_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
 _VALUE_CHECKS = {
     Syntax: _pattern_check, FormatClass: _pattern_check, Range: _range_check,
     Domain: _domain_check, NotNull: _not_null_check,
-    NoDefault: _no_default_check, ForeignKey: _foreign_key_check,
+    NoDefault: _no_default_check, ForeignKey: _domain_check,
     Freshness: _freshness_check,
 }
 
@@ -234,20 +225,14 @@ def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
 
 
 def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    """The per-value kinds over their (entity, column) targets: the rule's
-    columns, format_class's extra targets, freshness's timestamp column."""
+    """The per-value kinds over the rule's (entity, column) targets."""
     check = value_check(rule, entity, rs, repo)
-    k = rule.kind
-    columns = (k.timestamp_column,) if isinstance(k, Freshness) else rule.columns
-    targets = [(entity, c) for c in columns]
-    for ent_name, col in getattr(k, "extra_targets", ()):
+    b = 0
+    raw: list[tuple[str, int | None]] = []
+    for ent_name, column in rule.targets:
         target = repo.entities.get(ent_name)
         if target is None:
             raise EvalError(f"target entity {ent_name!r} not loaded", rule.id)
-        targets.append((target, col))
-    b = 0
-    raw: list[tuple[str, int | None]] = []
-    for target, column in targets:
         tb, rows = _scan_column(rule, target, rs, column, check)
         b += tb
         raw.extend((target.name, i) for i in rows)
@@ -258,7 +243,7 @@ def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
 # Row and entity kinds
 
 def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    key_cols = rule.kind.key
+    key_cols = tuple(c for _, c in rule.targets)
     rows = _applicable_rows(rule, entity, rs, key_cols)
     cols = [entity.column(c) for c in key_cols]
     keys = [tuple(col[i] for col in cols) for i in rows]
@@ -268,9 +253,8 @@ def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
 
 
 def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
-    expr = rule.kind.expr
-    rows = _applicable_rows(rule, entity, rs, tuple(sorted(columns_referenced(expr))))
-    truths = _truths(expr, entity, rs, rows)
+    rows = _applicable_rows(rule, entity, rs, tuple(c for _, c in rule.targets))
+    truths = _truths(rule.kind.expr, entity, rs, rows)
     return len(rows), [(entity.name, i) for i, ok in zip(rows, truths) if not ok]
 
 
@@ -287,8 +271,8 @@ def _eval_min_count(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
 
 def _eval_frequency(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     def passes() -> bool:
-        stamps = sorted(v for v in entity.column(rule.kind.timestamp_column)
-                        if v is not None)
+        [(_, column)] = rule.targets
+        stamps = sorted(v for v in entity.column(column) if v is not None)
         max_gap = max((nxt - prev for prev, nxt in zip(stamps, stamps[1:])),
                       default=timedelta(0))
         return max_gap <= days_to_timedelta(rule.kind.max_gap_days)

@@ -114,11 +114,11 @@ def _literal_text(value, datatype: str) -> str:
     return unparse(Literal(lit))
 
 
-def _selector(rule: Rule, entity_name: str, repo: Repository) -> str | None:
-    """Expression selecting the violating rows of `rule` within one entity,
+def _selector(rule: Rule, repo: Repository) -> str | None:
+    """Expression selecting the violating rows of `rule` within its entity,
     or None when the kind cannot be expressed row-locally."""
     k = rule.kind
-    schema = repo.catalog.get(entity_name)
+    schema = repo.catalog.get(rule.entity)
 
     def dtype(column: str) -> str:
         return schema.column(column).datatype
@@ -127,13 +127,9 @@ def _selector(rule: Rule, entity_name: str, repo: Repository) -> str | None:
     if isinstance(k, Syntax):
         body = f"not regex_match({rule.columns[0]}, {_literal_text(k.pattern, 'text')})"
     elif isinstance(k, FormatClass):
-        if entity_name == rule.entity:
-            columns = list(rule.columns)
-        else:
-            columns = [c for e, c in k.extra_targets if e == entity_name]
-        checks = [f"not regex_match({c}, {_literal_text(k.pattern, 'text')})"
-                  for c in columns]
-        body = " or ".join(checks) if checks else None
+        own = dict.fromkeys(c for e, c in rule.targets if e == rule.entity)
+        body = " or ".join(f"not regex_match({c}, {_literal_text(k.pattern, 'text')})"
+                           for c in own)
     elif isinstance(k, Range):
         col = rule.columns[0]
         parts = []
@@ -144,7 +140,7 @@ def _selector(rule: Rule, entity_name: str, repo: Repository) -> str | None:
             op = "<=" if k.max_inclusive else "<"
             parts.append(f"{col} {op} {_literal_text(k.max, dtype(col))}")
         body = f"not ({' and '.join(parts)})"
-    elif isinstance(k, Domain) and k.reference is None:
+    elif isinstance(k, Domain) and rule.reference is None:
         col = rule.columns[0]
         members = ", ".join(_literal_text(v, dtype(col)) for v in k.allowed)
         body = f"not in_set({col}, {members})"
@@ -155,7 +151,8 @@ def _selector(rule: Rule, entity_name: str, repo: Repository) -> str | None:
     elif isinstance(k, Predicate):
         body = f"not ({unparse(k.expr)})"
     elif isinstance(k, Freshness):
-        age = f"age_days({k.timestamp_column}) > {_decimal_text(k.max_age_days)}"
+        [(_, column)] = rule.targets
+        age = f"age_days({column}) > {_decimal_text(k.max_age_days)}"
         if k.condition is not None:
             body = f"({unparse(k.condition)}) and {age}"
         else:
@@ -190,7 +187,7 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
         measures.append(MeasureSummary(
             rule.id, rule.entity, rule.property, rule.kind_name,
             m.a, m.b, _render_value(m.ratio), m.failing_total,
-            _selector(rule, rule.entity, repo)))
+            _selector(rule, repo)))
 
     return EvaluationReport(
         metadata=ReportMetadata(
@@ -382,7 +379,8 @@ def build_improvement(report: EvaluationReport,
     """Manifests for every rule with failures, grouped by (entity, property).
 
     format_class failures may span entities; each ref lands in its own
-    entity's manifest.
+    entity's manifest, and the rule's selector, which reads the columns of
+    the rule's entity, is given only in that entity's manifest.
     """
     if (report.metadata.ruleset_fingerprint != ms.ruleset_fingerprint
             or report.metadata.snapshot_fingerprint != ms.snapshot_fingerprint):
@@ -398,8 +396,9 @@ def build_improvement(report: EvaluationReport,
         for ref in measure.failing:
             by_entity.setdefault(ref.entity, []).append(ref)
         for entity, refs in by_entity.items():
+            selector = summary.selector if entity == summary.entity else None
             groups.setdefault((entity, summary.property), []).append(ManifestRule(
-                summary.rule_id, summary.kind, summary.selector,
+                summary.rule_id, summary.kind, selector,
                 measure.failing_total, tuple(refs)))
 
     return [ImprovementManifest(entity, prop, tuple(rules))

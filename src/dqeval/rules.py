@@ -16,8 +16,8 @@ from decimal import Decimal
 
 from . import canonical
 from .errors import ParseError
-from .expr import (Expr, ExprTypeError, parse_expr, typecheck, unparse,
-                   validate_pattern)
+from .expr import (Expr, ExprTypeError, columns_referenced, parse_expr,
+                   typecheck, unparse, validate_pattern)
 from .taxonomy import Characteristic, Property, parse_property
 from .values import coerce_literal, format_timestamp, parse_timestamp
 
@@ -173,6 +173,32 @@ class Rule:
     def kind_name(self) -> str:
         return self.kind.name
 
+    @property
+    def targets(self) -> tuple[tuple[str, str], ...]:
+        """The (entity, column) cells the rule tests, in scan order: the unique
+        key, the predicate's columns sorted, the timestamp column, or else the
+        rule's columns followed by format_class's extra targets."""
+        k = self.kind
+        if isinstance(k, Unique):
+            columns = k.key
+        elif isinstance(k, Predicate):
+            columns = sorted(columns_referenced(k.expr))
+        elif isinstance(k, (Freshness, Frequency)):
+            columns = (k.timestamp_column,)
+        else:
+            extra = k.extra_targets if isinstance(k, FormatClass) else ()
+            return tuple((self.entity, c) for c in self.columns) + extra
+        return tuple((self.entity, c) for c in columns)
+
+    @property
+    def reference(self) -> tuple[str, str] | None:
+        """The (entity, column) whose values a membership check reads: a domain's
+        `reference` or a foreign key's `referenced`; None for other rules."""
+        k = self.kind
+        if isinstance(k, ForeignKey):
+            return k.referenced
+        return k.reference if isinstance(k, Domain) else None
+
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -241,7 +267,8 @@ _MAX_DURATION_DAYS = timedelta.max.days
 
 
 def parse_duration_days(value, context: str) -> Decimal:
-    """Durations are JSON numbers (days) or strings like '30d', '12h', '90m', '45s'."""
+    """Durations are non-negative JSON numbers (days) or strings like '30d',
+    '12h', '90m', '45s'."""
     if isinstance(value, bool):
         raise ParseError("duration must be a number of days or a suffixed string",
                          context=context)
@@ -258,7 +285,9 @@ def parse_duration_days(value, context: str) -> Decimal:
             days = amount / per_day
     if days is None:
         raise ParseError(f"invalid duration {value!r}", context=context)
-    if abs(days) > _MAX_DURATION_DAYS:
+    if days < 0:
+        raise ParseError(f"duration {value!r} is negative", context=context)
+    if days > _MAX_DURATION_DAYS:
         raise ParseError(f"duration {value!r} is out of range (at most "
                          f"{_MAX_DURATION_DAYS} days)", context=context)
     return days

@@ -289,36 +289,18 @@ def _coerce(value, datatype: str, context: str):
 
 def _columns_read(rule: Rule) -> set[tuple[str, str]]:
     """Every (entity, column) whose cells influence this rule's outcome."""
-    out = {(rule.entity, c) for c in rule.columns}
-    k = rule.kind
-    if isinstance(k, Unique):
-        out |= {(rule.entity, c) for c in k.key}
-    elif isinstance(k, FormatClass):
-        out |= set(k.extra_targets)
-    elif isinstance(k, Predicate):
-        out |= {(rule.entity, c) for c in columns_referenced(k.expr)}
-    elif isinstance(k, (Freshness, Frequency)):
-        out.add((rule.entity, k.timestamp_column))
-    elif isinstance(k, Domain) and k.reference is not None:
-        out.add(k.reference)
-    elif isinstance(k, ForeignKey):
-        out.add(k.referenced)
+    out = set(rule.targets)
+    if rule.reference is not None:
+        out.add(rule.reference)
     if rule.where is not None:
         out |= {(rule.entity, c) for c in columns_referenced(rule.where)}
     return out
 
 
 def _columns_written(rule: Rule, plan: ViolationPlan) -> set[tuple[str, str]]:
-    k = rule.kind
-    if isinstance(k, Unique):
-        return {(rule.entity, c) for c in k.key}
-    if isinstance(k, FormatClass):
-        return {(rule.entity, c) for c in rule.columns} | set(k.extra_targets)
-    if isinstance(k, Predicate):
+    if isinstance(rule.kind, Predicate):
         return {(rule.entity, str(c)) for c, _ in plan.violating}
-    if isinstance(k, (Freshness, Frequency)):
-        return {(rule.entity, k.timestamp_column)}
-    return {(rule.entity, c) for c in rule.columns}
+    return set(rule.targets)
 
 
 def _check_spec(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet) -> None:
@@ -331,14 +313,6 @@ def _check_spec(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet) -> None:
         if plan.rule_id in seen_plans:
             raise ConflictingPlan(f"two plans target rule {plan.rule_id!r}")
         seen_plans.add(plan.rule_id)
-
-    for rule in rs.rules:
-        if rule.where is not None:
-            raise SynthError(f"rule {rule.id!r} has a where filter; synthetic "
-                             "oracles require unconditional rules")
-        if isinstance(rule.kind, Freshness) and rule.kind.condition is not None:
-            raise SynthError(f"rule {rule.id!r} has a freshness condition; "
-                             "synthetic oracles require unconditional rules")
 
     for schema in catalog.entities:
         plan = spec.entity(schema.name)
@@ -380,6 +354,16 @@ def _check_spec(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet) -> None:
                     f"plan for rule {plan.rule_id!r} writes {cell[0]}.{cell[1]}, "
                     f"which rules {sorted(readers)} also read")
 
+    # checked last, so that a plan writing a column that a `where` filter
+    # reads is reported as a conflict
+    for rule in rs.rules:
+        if rule.where is not None:
+            raise SynthError(f"rule {rule.id!r} has a where filter; synthetic "
+                             "oracles require unconditional rules")
+        if isinstance(rule.kind, Freshness) and rule.kind.condition is not None:
+            raise SynthError(f"rule {rule.id!r} has a freshness condition; "
+                             "synthetic oracles require unconditional rules")
+
 
 # --------------------------------------------------------------------------
 # Violating values
@@ -394,16 +378,13 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
         return coerce_literal(k.placeholders[0], _column_type(rule, schema))
     if isinstance(k, Range):
         dtype = _column_type(rule, schema)
+        step = timedelta(days=1) if dtype == "timestamp" else 1
         if k.max is not None:
             hi = coerce_literal(k.max, dtype)
-            if not k.max_inclusive:
-                return hi
-            return hi + (timedelta(days=1) if dtype == "timestamp" else 1)
+            return _stepped(rule, hi, step) if k.max_inclusive else hi
         lo = coerce_literal(k.min, dtype)
-        if not k.min_inclusive:
-            return lo
-        return lo - (timedelta(days=1) if dtype == "timestamp" else 1)
-    if isinstance(k, Domain) and k.reference is None:
+        return _stepped(rule, lo, -step) if k.min_inclusive else lo
+    if isinstance(k, Domain) and rule.reference is None:
         dtype = _column_type(rule, schema)
         allowed = {coerce_literal(v, dtype) for v in k.allowed}
         if dtype == "text":
@@ -411,14 +392,14 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
         if dtype in ("integer", "decimal"):
             return max(allowed) + 1
         if dtype == "timestamp":
-            return max(allowed) + timedelta(seconds=1)
+            return _stepped(rule, max(allowed), timedelta(seconds=1))
         if dtype == "boolean":
             leftover = {True, False} - allowed
             if leftover:
                 return leftover.pop()
         raise SynthError(f"rule {rule.id!r}: cannot derive a violating value; "
                          "give the plan an explicit 'violating' pool")
-    if isinstance(k, (Domain, ForeignKey)):  # reference-based membership
+    if rule.reference is not None:  # reference-based membership
         dtype = _column_type(rule, schema)
         if dtype == "text":
             return f"__missing_{rule.id}"
@@ -437,6 +418,16 @@ def _derive_violating(rule: Rule, plan: ViolationPlan, schema, rs: RuleSet,
         raise SynthError(f"rule {rule.id!r}: {k.name} plans need an explicit "
                          "'violating' pool")
     raise SynthError(f"rule {rule.id!r}: no violating value for kind {k.name}")
+
+
+def _stepped(rule: Rule, value, step):
+    """value + step, or SynthError where a timestamp leaves the datetime range."""
+    try:
+        return value + step
+    except OverflowError:
+        raise SynthError(f"rule {rule.id!r}: cannot derive a violating value inside "
+                         "the datetime range; give the plan an explicit "
+                         "'violating' pool") from None
 
 
 # --------------------------------------------------------------------------
@@ -484,10 +475,9 @@ def _range_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
 
 
 def _domain_check(rule: Rule, schema, rs: RuleSet, parent_values: set | None):
-    k = rule.kind
-    if isinstance(k, Domain) and k.reference is None:
+    if rule.reference is None:
         dtype = _column_type(rule, schema)
-        allowed = {coerce_literal(v, dtype) for v in k.allowed}
+        allowed = {coerce_literal(v, dtype) for v in rule.kind.allowed}
     else:  # reference-based membership: domain reference or foreign key
         allowed = parent_values or set()
     return lambda v: v is not None and v in allowed
@@ -559,12 +549,6 @@ def _verify_format_class(rule: Rule, tables, targets: list[tuple[str, str]],
 # --------------------------------------------------------------------------
 # Generation
 
-@dataclass(frozen=True)
-class SynthResult:
-    repository_columns: dict[str, dict[str, list]]
-    expected: ExpectedMeasures
-
-
 def generate(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet,
              out_dir: Path | None = None) -> ExpectedMeasures:
     """Build the snapshot and its exact expected measures.
@@ -572,20 +556,21 @@ def generate(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet,
     Writes `<entity>.csv` files plus expected_measures.json into out_dir
     when given; a pure function of (spec, catalog, ruleset) either way.
     """
-    result = _generate_tables(spec, catalog, rs)
+    tables, expected = _generate_tables(spec, catalog, rs)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for schema in catalog.entities:
-            entity = Entity(schema, result.repository_columns[schema.name])
-            write_entity(entity, out_dir / f"{schema.name}.csv")
+            write_entity(Entity(schema, tables[schema.name]),
+                         out_dir / f"{schema.name}.csv")
         (out_dir / "expected_measures.json").write_text(
-            serialize_expected(result.expected), encoding="utf-8")
-    return result.expected
+            serialize_expected(expected), encoding="utf-8")
+    return expected
 
 
 def _generate_tables(spec: SynthSpec, catalog: SchemaCatalog,
-                     rs: RuleSet) -> SynthResult:
+                     rs: RuleSet) -> tuple[dict, ExpectedMeasures]:
+    """Generated columns (entity → column → values) and expected measures."""
     _check_spec(spec, catalog, rs)
 
     tables: dict[str, dict[str, list]] = {}
@@ -606,20 +591,7 @@ def _generate_tables(spec: SynthSpec, catalog: SchemaCatalog,
     for rule in rs.rules:
         expected[rule.id] = _apply_rule(rule, plans.get(rule.id), spec, catalog,
                                         rs, tables)
-    return SynthResult(tables, ExpectedMeasures(
-        tuple((r.id, *expected[r.id]) for r in rs.rules)))
-
-
-def _parent_values(rule: Rule, tables) -> set | None:
-    k = rule.kind
-    ref = None
-    if isinstance(k, Domain) and k.reference is not None:
-        ref = k.reference
-    elif isinstance(k, ForeignKey):
-        ref = k.referenced
-    if ref is None:
-        return None
-    return set(tables[ref[0]][ref[1]]) - {None}
+    return tables, ExpectedMeasures(tuple((r.id, *expected[r.id]) for r in rs.rules))
 
 
 def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
@@ -637,7 +609,8 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
     if isinstance(k, Frequency):
         if n == 0:
             return 0, 0
-        col = columns[k.timestamp_column]
+        [(_, column)] = rule.targets
+        col = columns[column]
         violate = plan is not None and round_half_up(plan.rate, 1) == 1
         try:
             max_gap = days_to_timedelta(k.max_gap_days)
@@ -664,6 +637,7 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
         return 0, 0
 
     if isinstance(k, Unique):
+        key = [c for _, c in rule.targets]
         v = round_half_up(plan.rate, n) if plan else 0
         if v == 1:
             raise SynthError(f"rule {rule.id!r}: a single row cannot violate "
@@ -677,12 +651,12 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
             for group in groups:
                 first = group[0]
                 for member in group[1:]:
-                    for c in k.key:
+                    for c in key:
                         columns[c][member] = columns[c][first]
         counts: dict[tuple, int] = {}
         for i in range(n):
-            key = tuple(columns[c][i] for c in k.key)
-            counts[key] = counts.get(key, 0) + 1
+            values = tuple(columns[c][i] for c in key)
+            counts[values] = counts.get(values, 0) + 1
         actual_violations = sum(c for c in counts.values() if c > 1)
         if actual_violations != v:
             raise SynthError(f"rule {rule.id!r}: baseline keys are not unique; "
@@ -697,9 +671,11 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
                 _derive_violating(rule, plan, schema, rs, None)  # raises
             overrides = {str(c): val for c, val in plan.violating}
             for cname, value in overrides.items():
-                dtype = schema.column(cname).datatype
-                coerced = None if value is None else coerce_literal(value, dtype)
-                overrides[cname] = coerced
+                column = schema.column(cname)
+                if column is None:
+                    raise SynthError(f"rule {rule.id!r}: violating column "
+                                     f"{rule.entity}.{cname} is not in the catalog")
+                overrides[cname] = _coerce(value, column.datatype, f"rule {rule.id!r}")
             rng = _sub_rng(spec.seed, f"plan|{rule.id}")
             chosen = set(rng.sample(range(n), v))
             for cname, value in overrides.items():
@@ -719,9 +695,8 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
         return n - v, n
 
     if isinstance(k, FormatClass):
-        targets = [(rule.entity, c) for c in rule.columns] + list(k.extra_targets)
         slots: list[tuple[str, str, int]] = []
-        for ent, cname in targets:
+        for ent, cname in rule.targets:
             rows = spec.entity(ent).rows
             slots.extend((ent, cname, i) for i in range(rows))
         b = len(slots)
@@ -735,14 +710,16 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
             chosen_slots = [slots[i] for i in sorted(rng.sample(range(b), v))]
             for j, (ent, cname, i) in enumerate(chosen_slots):
                 tables[ent][cname][i] = pool[j % len(pool)]
-        _verify_format_class(rule, tables, targets, chosen_slots, schema, rs)
+        _verify_format_class(rule, tables, rule.targets, chosen_slots, schema, rs)
         return b - v, b
 
     if type(k) in _CHECKS:
-        column = rule.columns[0] if rule.columns else k.timestamp_column \
-            if isinstance(k, Freshness) else None
+        [(_, column)] = rule.targets
         col = columns[column]
-        parents = _parent_values(rule, tables)
+        parents = None  # the referenced column's values, for membership kinds
+        if rule.reference is not None:
+            ref_entity, ref_column = rule.reference
+            parents = set(tables[ref_entity][ref_column]) - {None}
         v = round_half_up(plan.rate, n) if plan else 0
         chosen = set()
         if v:
@@ -751,8 +728,7 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
             pool = plan.violating or (_derive_violating(rule, plan, schema, rs,
                                                         parents),)
             dtype = schema.column(column).datatype
-            pool = tuple(None if p is None else coerce_literal(p, dtype)
-                         for p in pool)
+            pool = tuple(_coerce(p, dtype, f"rule {rule.id!r}") for p in pool)
             for j, i in enumerate(sorted(chosen)):
                 col[i] = pool[j % len(pool)]
         _verify_column(rule, col, chosen, schema, rs, parents)

@@ -305,7 +305,11 @@ def test_jobs_default_without_affinity_uses_cpu_count(monkeypatch):
     ("freshness", "CONV_ACT", "max_age", "800000d",
      "ERROR f: max_age of 800000 days puts the freshness cutoff outside the "
      "datetime range"),
-], ids=["max_age", "max_gap", "cutoff"])
+    ("freshness", "CONV_ACT", "max_age", -5,
+     "error: duration -5 is negative (rules[0] (id 'f').params.max_age)"),
+    ("frequency", "FREC_ACT", "max_gap", -1,
+     "error: duration -1 is negative (rules[0] (id 'f').params.max_gap)"),
+], ids=["max_age", "max_gap", "cutoff", "max_age-negative", "max_gap-negative"])
 def test_evaluate_duration_out_of_range_exits_3(workspace, capsys, kind, prop,
                                                 param, value, message):
     (workspace / "rules.json").write_text(make_ruleset([
@@ -326,6 +330,9 @@ def test_validate_reports_freshness_cutoff_out_of_range(workspace, capsys):
         "datetime range")
 
 
+_NO_DERIVED_VALUE = ("error: rule 'f': cannot derive a violating value inside the "
+                     "datetime range; give the plan an explicit 'violating' pool")
+
 _STAMPS_SCHEMA = {"entities": [{"name": "item", "columns": [
     {"name": "at", "datatype": "timestamp", "nullable": False}]}]}
 
@@ -345,11 +352,23 @@ _STAMPS_SCHEMA = {"entities": [{"name": "item", "columns": [
     ("1d", "frequency", {"max_gap": 999999999}, 1, "2024-06-01T00:00:00Z",
      "error: rule 'f': a gap wider than max_gap 999999999 days leaves the "
      "datetime range"),
-], ids=["step", "spaced", "freshness-cutoff", "freshness-violating", "frequency"])
+    (-1, None, {}, None, "2024-06-01T00:00:00Z",
+     "error: duration -1 is negative (item.at)"),
+    ("1d", "range", {"max": "9999-12-31T12:00:00Z"}, 0.5, "2024-06-01T00:00:00Z",
+     _NO_DERIVED_VALUE),
+    ("1d", "range", {"min": "0001-01-01T12:00:00Z"}, 0.5, "2024-06-01T00:00:00Z",
+     _NO_DERIVED_VALUE),
+    ("1d", "domain", {"allowed": ["9999-12-31T23:59:59Z"]}, 0.5,
+     "2024-06-01T00:00:00Z", _NO_DERIVED_VALUE),
+], ids=["step", "spaced", "freshness-cutoff", "freshness-violating", "frequency",
+        "step-negative", "range-max", "range-min", "domain"])
 def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, params,
                                              plan, reference_time, message):
     if kind is None:
         body = rule("n", "item", ["at"], "COMP_REG", "not_null")
+    elif kind in ("range", "domain"):
+        body = rule("f", "item", ["at"], "RAN_EXAC" if kind == "range"
+                    else "EXAC_SEMAN", kind, params)
     else:
         body = rule("f", "item", [], "CONV_ACT" if kind == "freshness" else "FREC_ACT",
                     kind, dict(params, timestamp_column="at"))
@@ -362,6 +381,33 @@ def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, param
             "generator": "timestamp_spaced", "start": "2001-01-01T00:00:00Z",
             "step": step}}}},
         "violations": [] if plan is None else [{"rule": "f", "rate": plan}]}))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--schema", str(tmp_path / "schema.json"),
+                 "--rules", str(tmp_path / "rules.json"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("body, violating, message", [
+    (rule("r", "item", ["n"], "RAN_EXAC", "range", {"min": 0, "max": 9}), ["abc"],
+     "error: rule 'r': literal 'abc' does not fit datatype integer"),
+    (rule("p", "item", [], "CONS_SEMAN", "predicate", {"expr": "n >= 0"}),
+     {"zzz": 1},
+     "error: rule 'p': violating column item.zzz is not in the catalog"),
+    (rule("p", "item", [], "CONS_SEMAN", "predicate", {"expr": "n >= 0"}),
+     {"n": "abc"},
+     "error: rule 'p': literal 'abc' does not fit datatype integer"),
+], ids=["range-pool", "predicate-column", "predicate-value"])
+def test_synth_bad_plan_exits_3(tmp_path, capsys, body, violating, message):
+    (tmp_path / "rules.json").write_text(make_ruleset([body]))
+    (tmp_path / "schema.json").write_text(json.dumps({"entities": [
+        {"name": "item", "columns": [
+            {"name": "n", "datatype": "integer", "nullable": False}]}]}))
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "seed": 1,
+        "entities": {"item": {"rows": 10, "columns": {"n": {
+            "generator": "int_uniform", "min": 0, "max": 9}}}},
+        "violations": [{"rule": body["id"], "rate": 0.5, "violating": violating}]}))
     assert main(["synth", "--spec", str(tmp_path / "spec.json"),
                  "--schema", str(tmp_path / "schema.json"),
                  "--rules", str(tmp_path / "rules.json"),

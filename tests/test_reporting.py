@@ -9,8 +9,10 @@ import pytest
 
 from conftest import make_ruleset, rule
 from dqeval import __version__
+from dqeval.dataset import RowView
 from dqeval.engine import eval_all
 from dqeval.errors import FingerprintMismatch, ScopeMismatch
+from dqeval.expr import evaluate, parse_expr
 from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, render_text,
                               serialize_comparison, serialize_measures,
@@ -133,6 +135,42 @@ def test_two_entities_same_property_two_manifests(person_snapshot):
     manifests = build_improvement(report, ms)
     assert [(m.entity, m.property.value) for m in manifests] == [
         ("person", "EXAC_SINT"), ("warning", "EXAC_SINT")]
+
+
+def _selected_rows(selector: str, entity, rs) -> set[int]:
+    expr = parse_expr(selector)
+    return {i for i in range(entity.n_rows)
+            if evaluate(expr, RowView(entity, i), rs.reference_time) is True}
+
+
+@pytest.mark.parametrize("extra, selectors", [
+    ([["person", "ipaddress"]],
+     {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$') or "
+                "not regex_match(ipaddress, '^[0-9]{8}[A-Z]$')"}),
+    ([["person", "id"], ["person", "ipaddress"], ["person", "id"]],
+     {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$') or "
+                "not regex_match(ipaddress, '^[0-9]{8}[A-Z]$')"}),
+    ([["warning", "wid"]],
+     {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$')", "warning": None}),
+], ids=["own-entity", "repeated", "other-entity"])
+def test_format_class_manifest_selectors(person_snapshot, extra, selectors):
+    """A format_class selector tests every target column of the rule's entity
+    once and selects exactly the rows that entity's manifest lists; the
+    manifests of other entities carry no selector."""
+    rs = parse_ruleset(make_ruleset(
+        [rule("fc", "person", ["id"], "CONS_FORM", "format_class",
+              {"class": "ids", "extra_targets": extra})],
+        format_classes={"ids": "^[0-9]{8}[A-Z]$"}))
+    ms = eval_all(rs, person_snapshot)
+    report = build_report(rs, person_snapshot, ms, score_all(ms, rs),
+                          default_config(), __version__)
+    manifests = build_improvement(report, ms)
+    assert {m.entity: m.rules[0].selector for m in manifests} == selectors
+    for m in manifests:
+        if m.rules[0].selector is not None:
+            entity = person_snapshot.entities[m.entity]
+            assert _selected_rows(m.rules[0].selector, entity, rs) == \
+                {ref.row for ref in m.rules[0].records}
 
 
 def test_fingerprint_mismatch_rejected(table3_report):

@@ -505,3 +505,50 @@ def test_docs_kind_table_matches_kinds():
         # the backticked names outside parenthesized explanations, in order
         documented = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", params))
         assert documented == [param for _, param, _ in _PARAMS[kind]]
+
+
+# --------------------------------------------------------------------------
+# the cells a rule tests and the column a membership check reads
+
+_TARGET_CASES = [
+    ("syntax", ["a"], {"pattern": "^x$"}, [("alpha", "a")], None),
+    ("range", ["n"], {"min": 0}, [("alpha", "n")], None),
+    ("domain", ["a"], {"allowed": ["x"]}, [("alpha", "a")], None),
+    ("domain", ["a"], {"reference": "beta.code"}, [("alpha", "a")],
+     ("beta", "code")),
+    ("not_null", ["a"], {}, [("alpha", "a")], None),
+    ("no_default", ["a"], {"placeholders": ["N/A"]}, [("alpha", "a")], None),
+    ("unique", [], {"key": ["z", "a", "m"]},
+     [("alpha", "z"), ("alpha", "a"), ("alpha", "m")], None),
+    ("min_count", [], {"threshold": 3}, [], None),
+    ("foreign_key", ["a"], {"referenced": "beta.code"}, [("alpha", "a")],
+     ("beta", "code")),
+    ("format_class", ["b", "a"],
+     {"class": "fc", "extra_targets": [["beta", "t"], ["alpha", "c"]]},
+     [("alpha", "b"), ("alpha", "a"), ("beta", "t"), ("alpha", "c")], None),
+    ("predicate", [], {"expr": "z > 0 and len(a) < 9 or m = z"},
+     [("alpha", "a"), ("alpha", "m"), ("alpha", "z")], None),
+    ("freshness", [], {"timestamp_column": "t", "max_age": 1, "condition": "n > 0"},
+     [("alpha", "t")], None),
+    ("frequency", [], {"timestamp_column": "t", "max_gap": 1}, [("alpha", "t")],
+     None),
+]
+
+
+@pytest.mark.parametrize("kind, columns, params, targets, reference", _TARGET_CASES,
+                         ids=[c[0] + ("-reference" if c[4] and c[0] == "domain" else "")
+                              for c in _TARGET_CASES])
+def test_rule_targets_and_reference(kind, columns, params, targets, reference):
+    """Targets keep the key's order, sort the predicate's columns, leave out
+    `where` and freshness `condition`, and follow format_class's own columns
+    with its extra targets."""
+    rs = parse_ruleset(make_ruleset(
+        [rule("r", "alpha", columns, KIND_PROPERTIES[kind][0].value, kind, params,
+              where="w > 0")],
+        format_classes={"fc": "^[A-Z]+$"}))
+    assert rs.rules[0].targets == tuple(targets)
+    assert rs.rules[0].reference == reference
+
+
+def test_rule_target_cases_cover_every_kind():
+    assert {case[0] for case in _TARGET_CASES} == set(KINDS)

@@ -111,16 +111,54 @@ def test_conflicting_plans_rejected():
         generate(spec, catalog, rs, None)
 
 
-def test_plan_writing_column_read_elsewhere_rejected():
-    catalog = load_catalog(json.dumps(SCHEMA))
-    from dqeval.rules import parse_ruleset
-    rs = parse_ruleset(make_ruleset([
-        rule("a", "item", ["code"], "EXAC_SINT", "syntax", {"pattern": "^C[0-9]{5}$"}),
-        rule("b", "item", [], "FAL_COMP_FICH", "unique", {"key": ["code"]}),
-    ]))
-    spec = _spec(violations=[ViolationPlan("a", Decimal("0.1"), ("*",))])
-    with pytest.raises(ConflictingPlan):
+_READERS_SCHEMA = {"entities": [
+    {"name": "item", "columns": [
+        {"name": "code", "datatype": "text", "nullable": False},
+        {"name": "qty", "datatype": "integer", "nullable": False},
+        {"name": "at", "datatype": "timestamp", "nullable": False}]},
+    {"name": "other", "columns": [
+        {"name": "t", "datatype": "text", "nullable": False}]},
+]}
+
+
+@pytest.mark.parametrize("written, reader", [
+    ("code", rule("b", "item", [], "FAL_COMP_FICH", "unique",
+                  {"key": ["qty", "code"]})),
+    ("qty", rule("b", "item", [], "CONS_SEMAN", "predicate",
+                 {"expr": "qty >= 0 or len(code) > 1"})),
+    ("at", rule("b", "item", [], "CONV_ACT", "freshness",
+                {"timestamp_column": "at", "max_age": 30})),
+    ("at", rule("b", "item", [], "FREC_ACT", "frequency",
+                {"timestamp_column": "at", "max_gap": 30})),
+    ("t", rule("b", "item", ["code"], "CONS_FORM", "format_class",
+               {"class": "c", "extra_targets": [["other", "t"]]})),
+    ("t", rule("b", "item", ["code"], "EXAC_SEMAN", "domain",
+               {"reference": "other.t"})),
+    ("t", rule("b", "item", ["code"], "INT_REF", "foreign_key",
+               {"referenced": "other.t"})),
+    ("qty", rule("b", "item", ["code"], "EXAC_SINT", "syntax",
+                 {"pattern": "^C[0-9]{5}$"}, where="qty > 0")),
+], ids=["unique-key", "predicate", "freshness", "frequency",
+        "format-class-extra-target", "domain-reference", "foreign-key", "where"])
+def test_plan_writing_column_read_elsewhere_rejected(written, reader):
+    catalog = load_catalog(json.dumps(_READERS_SCHEMA))
+    entity = "other" if written == "t" else "item"
+    rs = parse_ruleset(make_ruleset(
+        [rule("a", entity, [written], "COMP_REG", "not_null"), reader],
+        format_classes={"c": "^[A-Z]+$"}))
+    text = ColumnGen("const", (("value", "C"),))
+    spec = SynthSpec(1, (
+        ("item", EntityPlan(10, (
+            ("code", ColumnGen("serial", (("format", "C{n:05d}"),))),
+            ("qty", ColumnGen("const", (("value", 1),))),
+            ("at", ColumnGen("timestamp_spaced", (("start", "2024-01-01T00:00:00Z"),
+                                                  ("step", "1d"))))))),
+        ("other", EntityPlan(10, (("t", text),))),
+    ), (ViolationPlan("a", Decimal("0.1")),))
+    with pytest.raises(ConflictingPlan) as exc:
         generate(spec, catalog, rs, None)
+    assert str(exc.value) == (f"plan for rule 'a' writes {entity}.{written}, "
+                              "which rules ['b'] also read")
 
 
 def test_where_rules_rejected():
