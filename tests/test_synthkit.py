@@ -146,14 +146,13 @@ def test_plan_writing_column_read_elsewhere_rejected(written, reader):
     rs = parse_ruleset(make_ruleset(
         [rule("a", entity, [written], "COMP_REG", "not_null"), reader],
         format_classes={"c": "^[A-Z]+$"}))
-    text = ColumnGen("const", (("value", "C"),))
     spec = SynthSpec(1, (
         ("item", EntityPlan(10, (
             ("code", ColumnGen("serial", (("format", "C{n:05d}"),))),
             ("qty", ColumnGen("const", (("value", 1),))),
             ("at", ColumnGen("timestamp_spaced", (("start", "2024-01-01T00:00:00Z"),
                                                   ("step", "1d"))))))),
-        ("other", EntityPlan(10, (("t", text),))),
+        ("other", EntityPlan(10, (("t", ColumnGen("const", (("value", "C"),))),))),
     ), (ViolationPlan("a", Decimal("0.1")),))
     with pytest.raises(ConflictingPlan) as exc:
         generate(spec, catalog, rs, None)
