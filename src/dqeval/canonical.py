@@ -16,6 +16,7 @@ from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
 
+from .errors import ParseError
 from .values import format_timestamp
 
 
@@ -118,6 +119,16 @@ def dumps(obj, indent: int = 2) -> str:
 def loads(text: str):
     """Parse JSON keeping decimals exact (floats become Decimal)."""
     return json.loads(text, parse_float=Decimal)
+
+
+def load_document(text: str):
+    """`loads` for input documents: malformed JSON is a ParseError naming its
+    line and column."""
+    try:
+        return loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
+                         column=exc.colno) from None
 
 
 def sha256_text(text: str) -> str:

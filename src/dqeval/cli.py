@@ -17,8 +17,9 @@ from pathlib import Path
 from . import __version__, scenarios, synthkit
 from .dataset import load_catalog, load_snapshot
 from .engine import eval_all, usable_cpus
-from .errors import (DqError, EvalError, FingerprintMismatch, LoadError,
-                     NothingEvaluated, ParseError, ScopeMismatch, SynthError)
+from .errors import (DqError, EvalError, FingerprintMismatch, InvalidRuleset,
+                     LoadError, NothingEvaluated, ParseError, ScopeMismatch,
+                     SynthError)
 from .reporting import (build_improvement, build_report, compare,
                         parse_measures, parse_report, render_text,
                         serialize_comparison, serialize_measures,
@@ -218,6 +219,9 @@ def cmd_synth(args) -> int:
         rs = parse_ruleset(_read(args.rules, "rules file"))
         catalog = load_catalog(_read(args.schema, "schema file"))
         synthkit.generate(spec, catalog, rs, out)
+    except InvalidRuleset as exc:  # the ERROR lines, as evaluate prints them
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except (ParseError, SynthError) as exc:
         raise _CliError(str(exc), EXIT_VALIDATION) from None
     print(f"wrote snapshot and expected_measures.json to {out}")

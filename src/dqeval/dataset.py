@@ -10,7 +10,6 @@ and are never mutated after load, so concurrent readers need no locks.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -60,11 +59,7 @@ class SchemaCatalog:
 
 def load_catalog(document: str) -> SchemaCatalog:
     """Parse a schema catalog JSON document."""
-    try:
-        data = canonical.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
-                         column=exc.colno) from None
+    data = canonical.load_document(document)
     if not isinstance(data, dict) or not isinstance(data.get("entities"), list):
         raise ParseError("schema catalog must be an object with an 'entities' array")
 

@@ -92,3 +92,8 @@ class SynthError(DqError):
 
 class ConflictingPlan(SynthError):
     """Two violation plans demand contradictory values for one cell."""
+
+
+class InvalidRuleset(SynthError):
+    """The ruleset fails validation against the catalog; the message is its
+    ERROR diagnostics, one per line, as `dq validate` prints them."""

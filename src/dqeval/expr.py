@@ -402,7 +402,8 @@ def unparse(e: Expr) -> str:
 _NUMERIC = ("integer", "decimal")
 
 
-def _comparable(a: str, b: str) -> bool:
+def comparable(a: str, b: str) -> bool:
+    """Equal datatypes, or both numeric, compare."""
     if a == b:
         return True
     return a in _NUMERIC and b in _NUMERIC
@@ -426,7 +427,7 @@ def typecheck(e: Expr, columns: dict[str, str]) -> str:
         rt = typecheck(e.right, columns)
         if "null" in (lt, rt):
             return "boolean"  # comparison with null is legal and yields null
-        if not _comparable(lt, rt):
+        if not comparable(lt, rt):
             raise ExprTypeError(f"cannot compare {lt} {e.op} {rt}")
         if e.op not in ("=", "!=") and lt == "boolean":
             raise ExprTypeError("booleans have no ordering")
@@ -502,7 +503,7 @@ def _typecheck_call(e: Call, columns: dict[str, str]) -> str:
         for i in range(1, len(e.args)):
             if kinds[i] == "null" or first == "null":
                 continue
-            if not _comparable(first, kinds[i]):
+            if not comparable(first, kinds[i]):
                 raise ExprTypeError(
                     f"in_set member {i + 1} has type {kinds[i]}, incompatible with {first}")
         return "boolean"

@@ -8,7 +8,6 @@ docs/file-formats.md.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -16,8 +15,8 @@ from decimal import Decimal
 
 from . import canonical
 from .errors import ParseError
-from .expr import (Expr, ExprTypeError, columns_referenced, parse_expr,
-                   typecheck, unparse, validate_pattern)
+from .expr import (Expr, ExprTypeError, columns_referenced, comparable,
+                   parse_expr, typecheck, unparse, validate_pattern)
 from .taxonomy import Characteristic, Property, parse_property
 from .values import coerce_literal, format_timestamp, parse_timestamp
 
@@ -496,11 +495,7 @@ def _parse_rule(obj, index: int, format_classes: dict[str, str]) -> Rule:
 
 def parse_ruleset(document: str) -> RuleSet:
     """Parse a rules document; total — either a valid RuleSet or ParseError."""
-    try:
-        data = canonical.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
-                         column=exc.colno) from None
+    data = canonical.load_document(document)
     if not isinstance(data, dict):
         raise ParseError("ruleset document must be a JSON object")
 
@@ -666,7 +661,7 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
         elif isinstance(k, Domain):
             if k.reference is not None:
                 column = target_column(rule.id, *k.reference)
-                if column is not None and not _types_comparable(dtype, column.datatype):
+                if column is not None and not comparable(dtype, column.datatype):
                     error(rule.id, f"domain reference {'.'.join(k.reference)} has "
                                    f"type {column.datatype}, not comparable with {dtype}")
             else:
@@ -679,7 +674,7 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
                     error(rule.id, f"column {rule.entity}.{c} does not exist")
         elif isinstance(k, ForeignKey):
             column = target_column(rule.id, *k.referenced)
-            if column is not None and not _types_comparable(dtype, column.datatype):
+            if column is not None and not comparable(dtype, column.datatype):
                 error(rule.id, f"foreign key targets {column.datatype} column, "
                                f"not comparable with {dtype}")
         elif isinstance(k, (Freshness, Frequency)):
@@ -717,12 +712,6 @@ def _check_boolean_expr(rule: Rule, e: Expr, col_types: dict[str, str],
         return
     if result != "boolean":
         error(rule.id, f"{label} must be boolean, got {result}")
-
-
-def _types_comparable(a: str, b: str) -> bool:
-    if a == b:
-        return True
-    return {a, b} <= {"integer", "decimal"}
 
 
 # --------------------------------------------------------------------------

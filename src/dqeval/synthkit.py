@@ -4,8 +4,10 @@ A synth spec fixes a seed, per-entity row counts, per-column generators that
 produce rule-compliant baselines, and per-rule violation plans. For a plan
 with rate r over n applicable items, exactly round(r·n) items (half-up) are
 rewritten to violate the rule and the rest stay compliant, so the expected
-(A, B) of every rule is known by construction. Generation refuses specs it
-cannot honor exactly rather than producing an unsound oracle:
+(A, B) of every rule is known by construction. The ruleset is validated
+against the catalog first (InvalidRuleset on any error). Generation then
+refuses specs it cannot honor exactly rather than producing an unsound
+oracle:
 
 - rules in the ruleset may not carry `where`/`condition` filters (B must be
   a construction-time constant);
@@ -15,15 +17,15 @@ cannot honor exactly rather than producing an unsound oracle:
   first group member's key); a unique plan needs round(r·n) != 1;
 - min_count takes no plan (its outcome follows from the row count).
 
-Every planned rule is re-verified after the writes, with local checks
-independent of the evaluation engine: a per-value check runs once per
-distinct value of a column, a predicate once per row.
+Every per-value rule plants its violations in (entity, column, row) slots
+across all its targets and is re-verified after the writes, with local
+checks independent of the evaluation engine: a per-value check runs once
+per distinct value of a column, a predicate once per row.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -33,14 +35,14 @@ from itertools import compress, count
 from pathlib import Path
 
 from . import canonical
-from .dataset import Entity, SchemaCatalog, write_entity
+from .dataset import Entity, RowView, SchemaCatalog, write_entity
 from .engine import MeasureSet
-from .errors import ConflictingPlan, ParseError, SynthError
+from .errors import ConflictingPlan, InvalidRuleset, ParseError, SynthError
 from .expr import columns_referenced, evaluate
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,
-                    parse_duration_days)
+                    parse_duration_days, validate_ruleset)
 from .values import coerce_literal
 
 GENERATOR_KINDS = ("serial", "choice", "int_uniform", "decimal_uniform",
@@ -114,11 +116,7 @@ def round_half_up(rate: Decimal, n: int) -> int:
 
 
 def _freshness_cutoff(rule: Rule, rs: RuleSet) -> datetime:
-    try:
-        return rs.reference_time - days_to_timedelta(rule.kind.max_age_days)
-    except OverflowError:
-        raise SynthError(f"rule {rule.id!r}: max_age of {rule.kind.max_age_days} days "
-                         "puts the freshness cutoff outside the datetime range") from None
+    return rs.reference_time - days_to_timedelta(rule.kind.max_age_days)
 
 
 def _sub_rng(seed: int, tag: str) -> random.Random:
@@ -130,11 +128,7 @@ def _sub_rng(seed: int, tag: str) -> random.Random:
 # Spec parsing
 
 def parse_synthspec(document: str) -> SynthSpec:
-    try:
-        data = canonical.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
-                         column=exc.colno) from None
+    data = canonical.load_document(document)
     if not isinstance(data, dict):
         raise ParseError("synth spec must be a JSON object")
     seed = data.get("seed")
@@ -504,46 +498,24 @@ def _failing_rows(passes, col: list) -> list[int]:
     return list(compress(count(), map(bad.__contains__, col)))
 
 
-def _first_mismatch(failing: list[int], chosen: set[int]) -> int | None:
-    """The first row that fails without being chosen, or is chosen and passes."""
-    wrong = chosen.symmetric_difference(failing)
-    return min(wrong) if wrong else None
-
-
-def _verify_column(rule: Rule, col: list, chosen: set[int], schema, rs: RuleSet,
-                   parent_values: set | None) -> None:
-    """Raise unless exactly the `chosen` rows of `col` fail the rule's check."""
-    passes = _CHECKS[type(rule.kind)](rule, schema, rs, parent_values)
-    i = _first_mismatch(_failing_rows(passes, col), chosen)
-    if i is None:
-        return
-    if i in chosen:
-        raise SynthError(f"rule {rule.id!r}: planned violating value "
-                         f"{col[i]!r} passes the check")
-    raise SynthError(f"rule {rule.id!r}: baseline value {col[i]!r} "
-                     f"at row {i} fails the check")
-
-
-def _verify_format_class(rule: Rule, tables, targets: list[tuple[str, str]],
-                         chosen_slots: list[tuple[str, str, int]], schema,
-                         rs: RuleSet) -> None:
+def _verify(rule: Rule, tables, chosen: list[tuple[str, str, int]], schema,
+            rs: RuleSet, parent_values: set | None) -> None:
     """Raise unless exactly the chosen (entity, column, row) slots fail the
-    pattern. The first offending slot is reported: target by target, then
-    row by row."""
-    chosen_rows: dict[tuple[str, str], set[int]] = {t: set() for t in targets}
-    for ent, cname, i in chosen_slots:
-        chosen_rows[ent, cname].add(i)
-    passes = _CHECKS[type(rule.kind)](rule, schema, rs, None)
-    for ent, cname in targets:
-        chosen = chosen_rows[ent, cname]
-        i = _first_mismatch(_failing_rows(passes, tables[ent][cname]), chosen)
-        if i is None:
+    rule's check. The first offending slot is reported: target by target,
+    then row by row."""
+    passes = _CHECKS[type(rule.kind)](rule, schema, rs, parent_values)
+    for ent, cname in rule.targets:
+        col = tables[ent][cname]
+        planned = {i for e, c, i in chosen if (e, c) == (ent, cname)}
+        wrong = planned.symmetric_difference(_failing_rows(passes, col))
+        if not wrong:
             continue
-        if i in chosen:
-            raise SynthError(f"rule {rule.id!r}: violating value still matches "
-                             "the format pattern")
-        raise SynthError(f"rule {rule.id!r}: baseline cell "
-                         f"{ent}.{cname}[{i}] fails the format pattern")
+        i = min(wrong)
+        if i in planned:
+            raise SynthError(f"rule {rule.id!r}: planned violating value {col[i]!r} "
+                             f"at {ent}.{cname}[{i}] passes the check")
+        raise SynthError(f"rule {rule.id!r}: baseline value {col[i]!r} "
+                         f"at {ent}.{cname}[{i}] fails the check")
 
 
 # --------------------------------------------------------------------------
@@ -554,8 +526,12 @@ def generate(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet,
     """Build the snapshot and its exact expected measures.
 
     Writes `<entity>.csv` files plus expected_measures.json into out_dir
-    when given; a pure function of (spec, catalog, ruleset) either way.
+    when given; a pure function of (spec, catalog, ruleset) either way. A
+    ruleset with validation errors raises InvalidRuleset before anything runs.
     """
+    errors = [d for d in validate_ruleset(rs, catalog) if d.level == "ERROR"]
+    if errors:
+        raise InvalidRuleset("\n".join(map(str, errors)))
     tables, expected = _generate_tables(spec, catalog, rs)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -633,9 +609,6 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
                              "max gap; use a timestamp_spaced generator")
         return (0 if violate else 1), 1
 
-    if n == 0:
-        return 0, 0
-
     if isinstance(k, Unique):
         key = [c for _, c in rule.targets]
         v = round_half_up(plan.rate, n) if plan else 0
@@ -682,10 +655,9 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
                 col = columns[cname]
                 for i in chosen:
                     col[i] = value
-        row = _DictRow(columns)
+        entity = Entity(schema, columns)
         for i in range(n):
-            row.ordinal = i
-            ok = evaluate(k.expr, row, rs.reference_time) is True
+            ok = evaluate(k.expr, RowView(entity, i), rs.reference_time) is True
             if i in chosen and ok:
                 raise SynthError(f"rule {rule.id!r}: the violating overrides still "
                                  "satisfy the predicate")
@@ -694,60 +666,34 @@ def _apply_rule(rule: Rule, plan: ViolationPlan | None, spec: SynthSpec,
                                  "satisfy the predicate")
         return n - v, n
 
-    if isinstance(k, FormatClass):
-        slots: list[tuple[str, str, int]] = []
-        for ent, cname in rule.targets:
-            rows = spec.entity(ent).rows
-            slots.extend((ent, cname, i) for i in range(rows))
-        b = len(slots)
-        v = round_half_up(plan.rate, b) if plan else 0
-        chosen_slots: list[tuple[str, str, int]] = []
-        if v:
-            if not plan.violating:
-                _derive_violating(rule, plan, schema, rs, None)  # raises
-            pool = tuple(_coerce(p, "text", f"rule {rule.id}") for p in plan.violating)
-            rng = _sub_rng(spec.seed, f"plan|{rule.id}")
-            chosen_slots = [slots[i] for i in sorted(rng.sample(range(b), v))]
-            for j, (ent, cname, i) in enumerate(chosen_slots):
-                tables[ent][cname][i] = pool[j % len(pool)]
-        _verify_format_class(rule, tables, rule.targets, chosen_slots, schema, rs)
-        return b - v, b
-
     if type(k) in _CHECKS:
-        [(_, column)] = rule.targets
-        col = columns[column]
         parents = None  # the referenced column's values, for membership kinds
         if rule.reference is not None:
             ref_entity, ref_column = rule.reference
             parents = set(tables[ref_entity][ref_column]) - {None}
-        v = round_half_up(plan.rate, n) if plan else 0
-        chosen = set()
+        sizes = [len(tables[ent][cname]) for ent, cname in rule.targets]
+        b = sum(sizes)
+        v = round_half_up(plan.rate, b) if plan else 0
+        chosen: list[tuple[str, str, int]] = []  # (entity, column, row) slots
         if v:
             rng = _sub_rng(spec.seed, f"plan|{rule.id}")
-            chosen = set(rng.sample(range(n), v))
+            picked = sorted(rng.sample(range(b), v))
+            # slot s is row s - start of the target whose rows start at `start`
+            start = 0
+            for (ent, cname), size in zip(rule.targets, sizes):
+                chosen += [(ent, cname, s - start) for s in picked
+                           if start <= s < start + size]
+                start += size
             pool = plan.violating or (_derive_violating(rule, plan, schema, rs,
                                                         parents),)
-            dtype = schema.column(column).datatype
+            dtype = schema.column(rule.targets[0][1]).datatype
             pool = tuple(_coerce(p, dtype, f"rule {rule.id!r}") for p in pool)
-            for j, i in enumerate(sorted(chosen)):
-                col[i] = pool[j % len(pool)]
-        _verify_column(rule, col, chosen, schema, rs, parents)
-        return n - v, n
+            for j, (ent, cname, i) in enumerate(chosen):
+                tables[ent][cname][i] = pool[j % len(pool)]
+        _verify(rule, tables, chosen, schema, rs, parents)
+        return b - v, b
 
     raise SynthError(f"rule {rule.id!r}: unsupported kind {k.name}")  # pragma: no cover
-
-
-class _DictRow:
-    """Row view over column lists, reused across ordinals during verification."""
-
-    __slots__ = ("_columns", "ordinal")
-
-    def __init__(self, columns: dict[str, list]):
-        self._columns = columns
-        self.ordinal = 0
-
-    def __getitem__(self, name: str):
-        return self._columns[name][self.ordinal]
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Reference synth verification: the per-cell forms dqeval.synthkit replaced.
 
-`value_passes` and the two loops below are kept verbatim (the loops lifted
-out of `_apply_rule` into functions) as the specification of synth's
-post-write check. The tests check that synthkit's bound checks accept and
-reject the same values, and that its per-distinct-value verification raises
-the same SynthError, with the same message and row, as these loops.
+`value_passes` is kept verbatim, and the slot loop below (lifted out of
+`_apply_rule` into a function) as the specification of synth's post-write
+check. The tests check that synthkit's bound checks accept and reject the
+same values, and that its per-distinct-value verification raises the same
+SynthError, with the same message and cell, as this loop.
 """
 
 from __future__ import annotations
@@ -60,30 +60,18 @@ def value_passes(rule: Rule, value, schema, rs: RuleSet,
     raise SynthError(f"no per-value check for kind {k.name}")  # pragma: no cover
 
 
-def verify_column(rule: Rule, col: list, chosen: set[int], schema, rs: RuleSet,
-                  parents: set | None) -> None:
-    """The per-value kinds' loop: `chosen` rows must fail, all others pass."""
-    n = len(col)
-    for i in range(n):
-        ok = value_passes(rule, col[i], schema, rs, parents)
-        if i in chosen and ok:
-            raise SynthError(f"rule {rule.id!r}: planned violating value "
-                             f"{col[i]!r} passes the check")
-        if i not in chosen and not ok:
-            raise SynthError(f"rule {rule.id!r}: baseline value {col[i]!r} "
-                             f"at row {i} fails the check")
-
-
-def verify_format_class(rule: Rule, tables, slots: list[tuple[str, str, int]],
-                        chosen_slots: list[tuple[str, str, int]], schema,
-                        rs: RuleSet) -> None:
-    """format_class's loop over every (entity, column, row) slot."""
+def verify(rule: Rule, tables, slots: list[tuple[str, str, int]],
+           chosen_slots: list[tuple[str, str, int]], schema, rs: RuleSet,
+           parents: set | None) -> None:
+    """The loop over every (entity, column, row) slot: chosen slots must fail,
+    all others pass."""
     chosen_set = set(chosen_slots)
     for ent, cname, i in slots:
-        ok = value_passes(rule, tables[ent][cname][i], schema, rs, None)
+        value = tables[ent][cname][i]
+        ok = value_passes(rule, value, schema, rs, parents)
         if (ent, cname, i) in chosen_set and ok:
-            raise SynthError(f"rule {rule.id!r}: violating value still matches "
-                             "the format pattern")
+            raise SynthError(f"rule {rule.id!r}: planned violating value {value!r} "
+                             f"at {ent}.{cname}[{i}] passes the check")
         if (ent, cname, i) not in chosen_set and not ok:
-            raise SynthError(f"rule {rule.id!r}: baseline cell "
-                             f"{ent}.{cname}[{i}] fails the format pattern")
+            raise SynthError(f"rule {rule.id!r}: baseline value {value!r} "
+                             f"at {ent}.{cname}[{i}] fails the check")

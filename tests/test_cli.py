@@ -344,8 +344,8 @@ _STAMPS_SCHEMA = {"entities": [{"name": "item", "columns": [
     ("1000000d", None, {}, None, "2024-06-01T00:00:00Z",
      "error: item.at: 10 timestamps 1000000 days apart leave the datetime range"),
     ("1d", "freshness", {"max_age": "800000d"}, None, "2024-06-01T00:00:00Z",
-     "error: rule 'f': max_age of 800000 days puts the freshness cutoff "
-     "outside the datetime range"),
+     "ERROR f: max_age of 800000 days puts the freshness cutoff outside the "
+     "datetime range"),
     ("1d", "freshness", {"max_age": 0}, 0.5, "0001-01-01T12:00:00Z",
      "error: rule 'f': no timestamp a day before the freshness cutoff fits "
      "the datetime range"),
@@ -388,6 +388,41 @@ def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, param
     assert capsys.readouterr().err == message + "\n"
 
 
+_INT_SCHEMA = {"entities": [{"name": "item", "columns": [
+    {"name": "n", "datatype": "integer", "nullable": False}]}]}
+
+
+@pytest.mark.parametrize("body, errors", [
+    (rule("r", "item", ["n"], "RAN_EXAC", "range", {"max": "abc"}),
+     ["ERROR r: range max: literal 'abc' does not fit datatype integer"]),
+    (rule("r", "item", ["zzz"], "COMP_REG", "not_null"),
+     ["ERROR r: column item.zzz does not exist"]),
+    (rule("r", "item", ["n"], "EXAC_SINT", "syntax", {"pattern": "^[0-9]+$"}),
+     ["ERROR r: pattern rules require text columns; item.n is integer"]),
+    (rule("r", "item", [], "FAL_COMP_FICH", "unique", {"key": ["n", "zzz"]}),
+     ["ERROR r: column item.zzz does not exist"]),
+    (rule("r", "ghost", ["n"], "COMP_REG", "not_null"),
+     ["ERROR r: entity 'ghost' does not exist"]),
+], ids=["range-literal", "missing-column", "syntax-on-integer", "unique-key",
+        "unknown-entity"])
+def test_synth_invalid_ruleset_exits_3(tmp_path, capsys, body, errors):
+    """synth validates first and prints the ERROR lines `dq validate` prints."""
+    (tmp_path / "rules.json").write_text(make_ruleset([body]))
+    (tmp_path / "schema.json").write_text(json.dumps(_INT_SCHEMA))
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "seed": 1,
+        "entities": {"item": {"rows": 10, "columns": {"n": {
+            "generator": "int_uniform", "min": 0, "max": 9}}}}}))
+    files = ["--schema", str(tmp_path / "schema.json"),
+             "--rules", str(tmp_path / "rules.json")]
+    assert main(["validate", *files]) == 3
+    assert capsys.readouterr().out.splitlines()[:-1] == errors
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), *files,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "".join(line + "\n" for line in errors)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body, violating, message", [
     (rule("r", "item", ["n"], "RAN_EXAC", "range", {"min": 0, "max": 9}), ["abc"],
      "error: rule 'r': literal 'abc' does not fit datatype integer"),
@@ -400,9 +435,7 @@ def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, param
 ], ids=["range-pool", "predicate-column", "predicate-value"])
 def test_synth_bad_plan_exits_3(tmp_path, capsys, body, violating, message):
     (tmp_path / "rules.json").write_text(make_ruleset([body]))
-    (tmp_path / "schema.json").write_text(json.dumps({"entities": [
-        {"name": "item", "columns": [
-            {"name": "n", "datatype": "integer", "nullable": False}]}]}))
+    (tmp_path / "schema.json").write_text(json.dumps(_INT_SCHEMA))
     (tmp_path / "spec.json").write_text(json.dumps({
         "seed": 1,
         "entities": {"item": {"rows": 10, "columns": {"n": {

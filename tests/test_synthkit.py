@@ -15,7 +15,7 @@ from dqeval.dataset import (ColumnSchema, EntitySchema, SchemaCatalog,
                             load_catalog, load_snapshot)
 from dqeval.engine import eval_all
 from dqeval.errors import ConflictingPlan, SynthError
-from dqeval.rules import KIND_PROPERTIES, FormatClass, parse_ruleset
+from dqeval.rules import KIND_PROPERTIES, parse_ruleset
 from dqeval.synthkit import (ColumnGen, EntityPlan, SynthSpec, ViolationPlan,
                              expected_vs_actual, generate, parse_expected,
                              parse_synthspec, round_half_up, serialize_expected)
@@ -65,6 +65,23 @@ def test_quarter_rate_gives_exact_counts(tmp_path: Path):
     repo = load_snapshot(tmp_path, catalog)
     ms = eval_all(rs, repo)
     assert expected_vs_actual(expected, ms) == []
+
+
+def test_format_class_counts_every_target_when_own_entity_is_empty(tmp_path: Path):
+    """B counts the rows of every target, so violations planted in an extra
+    target are expected even when the rule's own entity has no rows."""
+    catalog = SchemaCatalog(tuple(
+        EntitySchema(name, (ColumnSchema("t", "text", False),)) for name in ("m", "r")))
+    rs = parse_ruleset(make_ruleset(
+        [rule("fc", "m", ["t"], "CONS_FORM", "format_class",
+              {"class": "c", "extra_targets": [["r", "t"]]})],
+        format_classes={"c": "^C[0-9]+$"}))
+    column = (("t", ColumnGen("serial", (("format", "C{n}"),))),)
+    spec = SynthSpec(1, (("m", EntityPlan(0, column)), ("r", EntityPlan(4, column))),
+                     (ViolationPlan("fc", Decimal("0.5"), ("bad",)),))
+    expected = generate(spec, catalog, rs, tmp_path)
+    assert expected.get("fc") == (2, 4)
+    assert expected_vs_actual(expected, eval_all(rs, load_snapshot(tmp_path, catalog))) == []
 
 
 def test_rate_zero_is_fully_compliant(tmp_path: Path):
@@ -356,96 +373,79 @@ def _outcome(verify, *args) -> str | None:
     return None
 
 
-def _flipped(failing: set, n: int, flips: list[int]) -> set[int]:
-    """The failing rows with a few rows toggled: chosen rows that pass, or
-    baseline rows that fail."""
-    return failing.symmetric_difference(i % n for i in flips) if n else set()
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_PER_VALUE_KINDS).flatmap(_per_value_rule),
        pattern=st.sampled_from(_PATTERNS), data=st.data())
 def test_bound_checks_match_per_cell_reference(case, pattern, data):
     """The per-distinct checks reject the reference's rows, and verification
-    raises the reference's SynthError for the same first offending row."""
+    raises the reference's SynthError for the same first offending slot."""
     body, column = case
     rs = parse_ruleset(make_ruleset([body], format_classes={"c": pattern}))
     r = rs.rules[0]
     schema = _CATALOG.get("m")
     cells = st.lists(st.sampled_from(_VALUES[column]), max_size=30)
-    col = data.draw(cells)
+    tables = {"m": {column: data.draw(cells)}, "r": {column: data.draw(cells)}}
     parents = data.draw(st.none() | st.sets(st.sampled_from(_VALUES[column][:-1])))
     flips = data.draw(st.lists(st.integers(0, 10**6), max_size=2))
 
-    if isinstance(r.kind, FormatClass):
-        tables = {"m": {"t": col}, "r": {"t": data.draw(cells)}}
-        targets = [("m", "t")] + list(r.kind.extra_targets)
-        slots = [(e, c, i) for e, c in targets for i in range(len(tables[e][c]))]
-        failing = {s for s in slots
-                   if not reference.value_passes(r, tables[s[0]][s[1]][s[2]],
-                                                 schema, rs, None)}
-        chosen = sorted(failing.symmetric_difference(slots[i % len(slots)] for i in flips)
-                        if slots else set())
-        assert _outcome(synthkit._verify_format_class, r, tables, targets, chosen,
-                        schema, rs) == \
-            _outcome(reference.verify_format_class, r, tables, slots, chosen,
-                     schema, rs)
-        return
-
-    failing = [i for i, v in enumerate(col)
-               if not reference.value_passes(r, v, schema, rs, parents)]
+    col = tables["m"][column]
     passes = synthkit._CHECKS[type(r.kind)](r, schema, rs, parents)
-    assert synthkit._failing_rows(passes, col) == failing
-    chosen = _flipped(set(failing), len(col), flips)
-    assert _outcome(synthkit._verify_column, r, col, chosen, schema, rs, parents) == \
-        _outcome(reference.verify_column, r, col, chosen, schema, rs, parents)
+    assert synthkit._failing_rows(passes, col) == [
+        i for i, v in enumerate(col)
+        if not reference.value_passes(r, v, schema, rs, parents)]
+    slots = [(e, c, i) for e, c in r.targets for i in range(len(tables[e][c]))]
+    failing = {s for s in slots
+               if not reference.value_passes(r, tables[s[0]][s[1]][s[2]],
+                                             schema, rs, parents)}
+    chosen = sorted(failing.symmetric_difference(slots[i % len(slots)] for i in flips)
+                    if slots else set())
+    assert _outcome(synthkit._verify, r, tables, chosen, schema, rs, parents) == \
+        _outcome(reference.verify, r, tables, slots, chosen, schema, rs, parents)
 
 
 def test_every_per_value_kind_has_a_bound_check():
     assert sorted(kind.name for kind in synthkit._CHECKS) == sorted(_PER_VALUE_KINDS)
 
 
-# the two messages a planned rule's verification can raise, pinned exactly
-@pytest.mark.parametrize("col, chosen, message", [
-    (["C00001", "C00002", "C00003"], {1},
-     "rule 'syn': planned violating value 'C00002' passes the check"),
-    (["C00001", "*", "C0003", "*"], {1, 3},
-     "rule 'syn': baseline value 'C0003' at row 2 fails the check"),
-    (["*", "C00002", "x", "C00004"], {0},
-     "rule 'syn': baseline value 'x' at row 2 fails the check"),
-    (["C00001", "*", "C00003"], {1}, None),
-])
-def test_verification_messages(col, chosen, message):
-    rs = parse_ruleset(RULES)
-    schema = load_catalog(json.dumps(SCHEMA)).get("item")
-    r = rs.rule("syn")
-    for verify in (synthkit._verify_column, reference.verify_column):
-        assert _outcome(verify, r, col, chosen, schema, rs, None) == message
+_PINNED = parse_ruleset(make_ruleset([
+    rule("syn", "item", ["code"], "EXAC_SINT", "syntax", {"pattern": "^C[0-9]{5}$"}),
+    rule("fc", "m", ["t"], "CONS_FORM", "format_class",
+         {"class": "c", "extra_targets": [["r", "t"]]}),
+], format_classes={"c": "^C[0-9]+$"}))
+_PINNED_SCHEMAS = {"item": load_catalog(json.dumps(SCHEMA)).get("item"),
+                   "m": _CATALOG.get("m")}
 
 
-@pytest.mark.parametrize("m_col, r_col, chosen, message", [
-    (["C1", "x", "C3"], ["y", "C2"], [],
-     "rule 'fc': baseline cell m.t[1] fails the format pattern"),
-    (["C1", "x", "C3"], ["y", "C2"], [("m", "t", 1), ("r", "t", 1)],
-     "rule 'fc': baseline cell r.t[0] fails the format pattern"),
-    (["C1", "x", "C3"], ["C2", "C2"], [("r", "t", 1)],
-     "rule 'fc': baseline cell m.t[1] fails the format pattern"),
-    (["C1", "C3"], ["y", "C2"], [("r", "t", 0), ("r", "t", 1)],
-     "rule 'fc': violating value still matches the format pattern"),
-    (["C1", "x"], ["y"], [("m", "t", 1), ("r", "t", 0)], None),
-])
-def test_format_class_verification_messages(m_col, r_col, chosen, message):
-    """Slots run target by target, then row by row."""
-    rs = parse_ruleset(make_ruleset(
-        [rule("fc", "m", ["t"], "CONS_FORM", "format_class",
-              {"class": "c", "extra_targets": [["r", "t"]]})],
-        format_classes={"c": "^C[0-9]+$"}))
-    r = rs.rules[0]
-    tables = {"m": {"t": m_col}, "r": {"t": r_col}}
-    targets = [("m", "t"), ("r", "t")]
-    slots = [(e, c, i) for e, c in targets for i in range(len(tables[e][c]))]
-    schema = _CATALOG.get("m")
-    assert _outcome(synthkit._verify_format_class, r, tables, targets, chosen,
-                    schema, rs) == message
-    assert _outcome(reference.verify_format_class, r, tables, slots, chosen,
-                    schema, rs) == message
+# the two messages a planned rule's verification can raise, pinned exactly;
+# slots run target by target, then row by row
+@pytest.mark.parametrize("rule_id, tables, chosen, message", [
+    ("syn", {"item": {"code": ["C00001", "C00002", "C00003"]}}, [("item", "code", 1)],
+     "rule 'syn': planned violating value 'C00002' at item.code[1] passes the check"),
+    ("syn", {"item": {"code": ["C00001", "*", "C0003", "*"]}},
+     [("item", "code", 1), ("item", "code", 3)],
+     "rule 'syn': baseline value 'C0003' at item.code[2] fails the check"),
+    ("syn", {"item": {"code": ["*", "C00002", "x", "C00004"]}}, [("item", "code", 0)],
+     "rule 'syn': baseline value 'x' at item.code[2] fails the check"),
+    ("syn", {"item": {"code": ["C00001", "*", "C00003"]}}, [("item", "code", 1)], None),
+    ("fc", {"m": {"t": ["C1", "x", "C3"]}, "r": {"t": ["y", "C2"]}}, [],
+     "rule 'fc': baseline value 'x' at m.t[1] fails the check"),
+    ("fc", {"m": {"t": ["C1", "x", "C3"]}, "r": {"t": ["y", "C2"]}},
+     [("m", "t", 1), ("r", "t", 1)],
+     "rule 'fc': baseline value 'y' at r.t[0] fails the check"),
+    ("fc", {"m": {"t": ["C1", "x", "C3"]}, "r": {"t": ["C2", "C2"]}}, [("r", "t", 1)],
+     "rule 'fc': baseline value 'x' at m.t[1] fails the check"),
+    ("fc", {"m": {"t": ["C1", "C3"]}, "r": {"t": ["y", "C2"]}},
+     [("r", "t", 0), ("r", "t", 1)],
+     "rule 'fc': planned violating value 'C2' at r.t[1] passes the check"),
+    ("fc", {"m": {"t": ["C1", "x"]}, "r": {"t": ["y"]}}, [("m", "t", 1), ("r", "t", 0)],
+     None),
+], ids=["planned-passes", "baseline-fails", "first-baseline-fails", "ok",
+        "two-targets-own-baseline-fails", "two-targets-extra-baseline-fails",
+        "two-targets-own-before-extra", "two-targets-planned-passes", "two-targets-ok"])
+def test_verification_messages(rule_id, tables, chosen, message):
+    r = _PINNED.rule(rule_id)
+    schema = _PINNED_SCHEMAS[r.entity]
+    slots = [(e, c, i) for e, c in r.targets for i in range(len(tables[e][c]))]
+    assert _outcome(synthkit._verify, r, tables, chosen, schema, _PINNED, None) == message
+    assert _outcome(reference.verify, r, tables, slots, chosen, schema, _PINNED,
+                    None) == message
