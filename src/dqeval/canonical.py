@@ -26,10 +26,10 @@ _encode_str = json.encoder.encode_basestring
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(indent: int, level: int) -> tuple[str, str, str]:
+def _layout(level: int) -> tuple[str, str, str]:
     """(first lead, separator lead, closing pad) of a container at one depth."""
-    inner = "\n" + " " * (indent * (level + 1))
-    return inner, "," + inner, "\n" + " " * (indent * level)
+    inner = "\n" + "  " * (level + 1)
+    return inner, "," + inner, "\n" + "  " * level
 
 
 def _leaf(obj) -> str | None:
@@ -62,14 +62,14 @@ def _leaf(obj) -> str | None:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
+def _emit(obj, out: list[str], level: int) -> None:
     """Append a dict, list or tuple; scalar members are written inline."""
     keyed = isinstance(obj, dict)
     if not obj:
         out.append("{}" if keyed else "[]")
         return
     append = out.append
-    lead, sep, close = _layout(indent, level)
+    lead, sep, close = _layout(level)
     append("{" if keyed else "[")
     for item in (obj.items() if keyed else obj):
         if keyed:
@@ -94,24 +94,24 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             append(head + str(value))
         elif t is dict or t is list or t is tuple:
             append(head)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
         else:
             text = _leaf(value)
             if text is None:
                 append(head)
-                _emit(value, out, indent, level + 1)
+                _emit(value, out, level + 1)
             else:
                 append(head + text)
     append(close + ("}" if keyed else "]"))
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to canonical JSON text (trailing newline included)."""
+def dumps(obj) -> str:
+    """Serialize to canonical JSON text, two-space indented (trailing newline included)."""
     text = _leaf(obj)
     if text is not None:
         return text + "\n"
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 

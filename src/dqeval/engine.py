@@ -115,12 +115,12 @@ def _make_ref(entity: Entity, ordinal: int | None) -> RecordRef:
 # values are only materialized in the coordinating process, which keeps
 # worker results small and avoids touching key columns in forked children.
 
-def _cap_raw(a: int, b: int, raw: list[tuple[str, int | None]],
-             cap: int) -> tuple[int, int, list, int]:
+def _cap_raw(a: int, b: int,
+             raw: list[tuple[str, int | None]]) -> tuple[int, int, list, int]:
     raw.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
     total = len(raw)
-    if total > cap:
-        raw = raw[:cap]
+    if total > DEFAULT_FAILING_CAP:
+        raw = raw[:DEFAULT_FAILING_CAP]
     return a, b, raw, total
 
 
@@ -292,8 +292,7 @@ _EVALUATORS = {
 # --------------------------------------------------------------------------
 # Entry points
 
-def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
-                 cap: int) -> tuple[int, int, list, int]:
+def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet) -> tuple[int, int, list, int]:
     entity = repo.entities.get(rule.entity)
     if entity is None:
         raise EvalError(f"entity {rule.entity!r} not loaded", rule.id)
@@ -301,28 +300,27 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet,
         b, raw = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    return _cap_raw(b - len(raw), b, raw, cap)
+    return _cap_raw(b - len(raw), b, raw)
 
 
-def eval_rule(rule: Rule, repo: Repository, rs: RuleSet,
-              cap: int = DEFAULT_FAILING_CAP) -> RuleMeasure:
+def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
     """Evaluate one validated rule. EvalError signals a pipeline bug only."""
     started = time.perf_counter()
-    counts = _eval_counts(rule, repo, rs, cap)
+    counts = _eval_counts(rule, repo, rs)
     return _materialize(rule, repo, counts, time.perf_counter() - started)
 
 
 # Worker state for fork-based parallel evaluation; set in the parent right
 # before the pool is created so children inherit it copy-on-write.
-_WORKER_STATE: tuple[RuleSet, Repository, int] | None = None
+_WORKER_STATE: tuple[RuleSet, Repository] | None = None
 
 
 def _eval_batch(indices: range) -> list[tuple[int, tuple, float]]:
-    rs, repo, cap = _WORKER_STATE
+    rs, repo = _WORKER_STATE
     out = []
     for index in indices:
         started = time.perf_counter()
-        counts = _eval_counts(rs.rules[index], repo, rs, cap)
+        counts = _eval_counts(rs.rules[index], repo, rs)
         out.append((index, counts, time.perf_counter() - started))
     return out
 
@@ -342,8 +340,7 @@ def _place_worker(cpus: frozenset, slots) -> None:
     os.sched_setaffinity(0, cpus)
 
 
-def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
-                   cap: int) -> dict[int, RuleMeasure]:
+def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, RuleMeasure]:
     """Rule index → measure, from batches of consecutive rules run in forked
     workers; each batch's record refs are materialized here as it arrives."""
     # imported here: concurrent.futures.process adds ~20 ms to every start-up
@@ -361,7 +358,7 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
             slots.put(sorted(cpus)[k % len(cpus)])
         placement = {"initializer": _place_worker, "initargs": (cpus, slots)}
     global _WORKER_STATE
-    _WORKER_STATE = (rs, repo, cap)
+    _WORKER_STATE = (rs, repo)
     gc.freeze()  # the collector would otherwise dirty the shared pages
     try:
         with ProcessPoolExecutor(workers, mp_context=ctx, **placement) as pool:
@@ -388,8 +385,7 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
     return measured
 
 
-def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1,
-             cap: int = DEFAULT_FAILING_CAP) -> MeasureSet:
+def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     """Evaluate every rule; the result does not depend on schedule or jobs.
 
     jobs > 1 forks workers that share the loaded repository copy-on-write,
@@ -401,8 +397,8 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1,
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        measured = _eval_parallel(rs, repo, workers, cap)
+        measured = _eval_parallel(rs, repo, workers)
         measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
     else:
-        measures = {r.id: eval_rule(r, repo, rs, cap) for r in rs.rules}
+        measures = {r.id: eval_rule(r, repo, rs) for r in rs.rules}
     return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint)

@@ -13,10 +13,11 @@ Grammar (EBNF) is documented in docs/expression-language.md.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation
 
 from .errors import ParseError
 from .values import format_timestamp, parse_timestamp, value_type
@@ -27,12 +28,7 @@ __all__ = [
     "columns_referenced", "validate_pattern", "ExprTypeError",
 ]
 
-_SECONDS_PER_DAY = Decimal(86400)
-
 KEYWORDS = {"and", "or", "not", "true", "false", "null", "ts"}
-
-FUNCTIONS = ("len", "upper", "lower", "substr", "abs", "regex_match",
-             "date_diff_days", "age_days", "in_set")
 
 
 class ExprTypeError(ValueError):
@@ -116,6 +112,87 @@ def validate_pattern(pattern: str) -> None:
         re.compile(pattern)
     except re.error as exc:
         raise ValueError(f"invalid pattern {pattern!r}: {exc}") from None
+
+
+# --------------------------------------------------------------------------
+# Operators and functions: one definition each, read by the parser, the type
+# checker and the evaluator. Implementations see non-null operands only.
+
+_NUMERIC = ("integer", "decimal")
+_SECONDS_PER_DAY = Decimal(86400)
+_DIVISION = Context(prec=28)  # quotients round to 28 significant digits
+
+
+def _divide(a, b) -> Decimal:
+    return _DIVISION.divide(Decimal(a), Decimal(b))
+
+
+def _mod(a, b):
+    """Remainder with the dividend's sign, as Decimal's % and SQL MOD give."""
+    if type(a) is int and type(b) is int:
+        r = abs(a) % abs(b)
+        return -r if a < 0 else r
+    return a % b
+
+
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _divide, "%": _mod}
+
+
+def _substr(text: str, start: int, length: int | None = None) -> str:
+    start = max(start, 1) - 1  # 1-based start, clamped
+    if length is None:
+        return text[start:]
+    return text[start:start + length] if length > 0 else ""
+
+
+def _regex_match(text: str, pattern: str) -> bool:
+    return re.fullmatch(pattern, text) is not None
+
+
+def _days(a: datetime, b: datetime) -> Decimal:
+    """a minus b, in days."""
+    delta = a - b
+    seconds = Decimal(delta.days) * _SECONDS_PER_DAY + Decimal(delta.seconds)
+    if delta.microseconds:
+        seconds += Decimal(delta.microseconds) / Decimal(1_000_000)
+    return _DIVISION.divide(seconds, _SECONDS_PER_DAY)
+
+
+def _in_set(value, *members) -> bool | None:
+    """Null subject: null. A member matches an equal value of its own type, or
+    any number an equal number; null members never match."""
+    if value is None:
+        return None
+    if type(value) in (int, Decimal):
+        return any(type(m) in (int, Decimal) and value == m for m in members)
+    return any(type(m) is type(value) and value == m for m in members)
+
+
+@dataclass(frozen=True)
+class _Func:
+    lo: int  # fewest arguments
+    hi: int  # most arguments
+    params: tuple[tuple[str, ...], ...]  # allowed datatypes per argument; later ones any
+    result: str
+    impl: object  # callable over the argument values
+
+
+_TEXT, _INTEGER, _TIMESTAMP = ("text",), ("integer",), ("timestamp",)
+
+_FUNCS = {
+    "len": _Func(1, 1, (_TEXT,), "integer", len),
+    "upper": _Func(1, 1, (_TEXT,), "text", str.upper),
+    "lower": _Func(1, 1, (_TEXT,), "text", str.lower),
+    "substr": _Func(2, 3, (_TEXT, _INTEGER, _INTEGER), "text", _substr),
+    "abs": _Func(1, 1, (_NUMERIC,), "decimal", abs),  # else its argument's type
+    "regex_match": _Func(2, 2, (_TEXT,), "boolean", _regex_match),  # pattern: a literal
+    "date_diff_days": _Func(2, 2, (_TIMESTAMP, _TIMESTAMP), "decimal", _days),
+    "age_days": _Func(1, 1, (_TIMESTAMP,), "decimal", _days),  # from reference time
+    "in_set": _Func(2, 64, (), "boolean", _in_set),  # members: comparable to the subject
+}
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +290,7 @@ class _Parser:
 
     def comparison(self) -> Expr:
         e = self.sum_expr()
-        if self.at_op("=", "!=", "<", "<=", ">", ">="):
+        if self.at_op(*_COMPARE):
             op = self.advance().text
             return Compare(op, e, self.sum_expr())
         return e
@@ -278,15 +355,16 @@ class _Parser:
                 self.fail(f"keyword {word!r} cannot be used here")
             self.advance()
             if self.at_op("("):
-                return self.call(word, t)
+                return self.call(word, t.pos)
             return Column(word)
         self.fail(f"unexpected token {t.text!r}" if t.kind != "eof"
                   else "unexpected end of expression")
 
-    def call(self, name: str, tok: _Token) -> Expr:
-        if name not in FUNCTIONS:
+    def call(self, name: str, pos: int) -> Expr:
+        func = _FUNCS.get(name)
+        if func is None:
             raise ParseError(f"unknown function {name!r} in expression {self.source!r}",
-                             column=tok.pos + 1)
+                             column=pos + 1)
         self.expect_op("(")
         args: list[Expr] = []
         if not self.at_op(")"):
@@ -295,41 +373,20 @@ class _Parser:
                 self.advance()
                 args.append(self.or_expr())
         self.expect_op(")")
-        expr = Call(name, tuple(args))
-        _check_call_shape(expr, self.source, tok.pos)
-        return expr
-
-
-def _check_call_shape(call: Call, source: str, pos: int) -> None:
-    lo, hi = _FUNC_ARITY[call.func]
-    if not (lo <= len(call.args) <= hi):
-        expected = str(lo) if lo == hi else f"{lo}..{hi}"
-        raise ParseError(
-            f"{call.func} takes {expected} argument(s), got {len(call.args)}"
-            f" in expression {source!r}", column=pos + 1)
-    if call.func == "regex_match":
-        pat = call.args[1]
-        if not (isinstance(pat, Literal) and isinstance(pat.value, str)):
-            raise ParseError(
-                f"regex_match pattern must be a text literal in expression {source!r}",
-                column=pos + 1)
-        try:
-            validate_pattern(pat.value)
-        except ValueError as exc:
-            raise ParseError(str(exc), column=pos + 1) from None
-
-
-_FUNC_ARITY = {
-    "len": (1, 1),
-    "upper": (1, 1),
-    "lower": (1, 1),
-    "substr": (2, 3),
-    "abs": (1, 1),
-    "regex_match": (2, 2),
-    "date_diff_days": (2, 2),
-    "age_days": (1, 1),
-    "in_set": (2, 64),
-}
+        if not (func.lo <= len(args) <= func.hi):
+            expected = str(func.lo) if func.lo == func.hi else f"{func.lo}..{func.hi}"
+            raise ParseError(f"{name} takes {expected} argument(s), got {len(args)}"
+                             f" in expression {self.source!r}", column=pos + 1)
+        if name == "regex_match":
+            pat = args[1]
+            if not (isinstance(pat, Literal) and isinstance(pat.value, str)):
+                raise ParseError("regex_match pattern must be a text literal in "
+                                 f"expression {self.source!r}", column=pos + 1)
+            try:
+                validate_pattern(pat.value)
+            except ValueError as exc:
+                raise ParseError(str(exc), column=pos + 1) from None
+        return Call(name, tuple(args))
 
 
 def parse_expr(source: str) -> Expr:
@@ -399,9 +456,6 @@ def unparse(e: Expr) -> str:
 # --------------------------------------------------------------------------
 # Type checking
 
-_NUMERIC = ("integer", "decimal")
-
-
 def comparable(a: str, b: str) -> bool:
     """Equal datatypes, or both numeric, compare."""
     if a == b:
@@ -456,11 +510,7 @@ def typecheck(e: Expr, columns: dict[str, str]) -> str:
         for t in (lt, rt):
             if t not in _NUMERIC and t != "null":
                 raise ExprTypeError(f"arithmetic {e.op!r} applied to {t}")
-        if e.op == "/":
-            return "decimal"
-        if "decimal" in (lt, rt) or "null" in (lt, rt):
-            return "decimal"
-        return "integer"
+        return "integer" if lt == rt == "integer" and e.op != "/" else "decimal"
     if isinstance(e, Call):
         return _typecheck_call(e, columns)
     raise TypeError(f"not an expression node: {e!r}")
@@ -468,67 +518,33 @@ def typecheck(e: Expr, columns: dict[str, str]) -> str:
 
 def _typecheck_call(e: Call, columns: dict[str, str]) -> str:
     kinds = [typecheck(a, columns) for a in e.args]
-
-    def need(i: int, *allowed: str) -> None:
-        if kinds[i] != "null" and kinds[i] not in allowed:
+    func = _FUNCS[e.func]
+    for i, (kind, allowed) in enumerate(zip(kinds, func.params), 1):
+        if kind != "null" and kind not in allowed:
             raise ExprTypeError(
-                f"{e.func} argument {i + 1} must be {' or '.join(allowed)}, got {kinds[i]}")
-
-    if e.func in ("upper", "lower"):
-        need(0, "text")
-        return "text"
-    if e.func == "len":
-        need(0, "text")
-        return "integer"
-    if e.func == "substr":
-        need(0, "text")
-        for i in range(1, len(e.args)):
-            need(i, "integer")
-        return "text"
-    if e.func == "abs":
-        need(0, *_NUMERIC)
-        return kinds[0] if kinds[0] in _NUMERIC else "decimal"
-    if e.func == "regex_match":
-        need(0, "text")
-        return "boolean"
-    if e.func == "date_diff_days":
-        need(0, "timestamp")
-        need(1, "timestamp")
-        return "decimal"
-    if e.func == "age_days":
-        need(0, "timestamp")
-        return "decimal"
+                f"{e.func} argument {i} must be {' or '.join(allowed)}, got {kind}")
     if e.func == "in_set":
         first = kinds[0]
-        for i in range(1, len(e.args)):
-            if kinds[i] == "null" or first == "null":
-                continue
-            if not comparable(first, kinds[i]):
+        for i, kind in enumerate(kinds[1:], 2):
+            if "null" not in (first, kind) and not comparable(first, kind):
                 raise ExprTypeError(
-                    f"in_set member {i + 1} has type {kinds[i]}, incompatible with {first}")
-        return "boolean"
-    raise ExprTypeError(f"unknown function {e.func!r}")  # pragma: no cover
+                    f"in_set member {i} has type {kind}, incompatible with {first}")
+    if e.func == "abs" and kinds[0] != "null":
+        return kinds[0]  # abs keeps its argument's numeric type
+    return func.result
 
 
 def columns_referenced(e: Expr) -> set[str]:
     if isinstance(e, Column):
         return {e.name}
-    if isinstance(e, (Literal,)):
-        return set()
-    if isinstance(e, Compare):
-        return columns_referenced(e.left) | columns_referenced(e.right)
-    if isinstance(e, (And, Or)):
-        return columns_referenced(e.left) | columns_referenced(e.right)
-    if isinstance(e, (Not, Neg)):
-        return columns_referenced(e.operand)
-    if isinstance(e, Arith):
-        return columns_referenced(e.left) | columns_referenced(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= columns_referenced(a)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression node: {e!r}")
+    out: set[str] = set()
+    for value in vars(e).values():  # child nodes, and Call's tuple of them
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                out |= columns_referenced(child)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -571,18 +587,7 @@ def evaluate(e: Expr, row, reference_time: datetime):
         right = evaluate(e.right, row, reference_time)
         if left is None or right is None:
             return None
-        op = e.op
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
+        return _COMPARE[e.op](left, right)
     if isinstance(e, Neg):
         v = evaluate(e.operand, row, reference_time)
         return None if v is None else -v
@@ -592,17 +597,7 @@ def evaluate(e: Expr, row, reference_time: datetime):
         if left is None or right is None:
             return None
         try:
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
-            if e.op == "/":
-                with localcontext() as ctx:
-                    ctx.prec = 28
-                    return Decimal(left) / Decimal(right)
-            return left % right
+            return _ARITH[e.op](left, right)
         except (ZeroDivisionError, InvalidOperation):
             return None  # arithmetic faults are data conditions, not errors
     if isinstance(e, Call):
@@ -612,56 +607,10 @@ def evaluate(e: Expr, row, reference_time: datetime):
 
 def _eval_call(e: Call, row, reference_time: datetime):
     args = [evaluate(a, row, reference_time) for a in e.args]
-    f = e.func
-    if f == "in_set":
-        if args[0] is None:
-            return None
-        return any(m is not None and _same_kind(args[0], m) and args[0] == m
-                   for m in args[1:])
-    if f == "age_days":
-        if args[0] is None:
-            return None
-        delta = reference_time - args[0]
-        return _days(delta)
-    if f == "date_diff_days":
-        if args[0] is None or args[1] is None:
-            return None
-        return _days(args[0] - args[1])
-    if any(a is None for a in args):
-        return None
-    if f == "len":
-        return len(args[0])
-    if f == "upper":
-        return args[0].upper()
-    if f == "lower":
-        return args[0].lower()
-    if f == "substr":
-        start = max(args[1], 1) - 1  # 1-based start, clamped
-        if len(args) == 2:
-            return args[0][start:]
-        if args[2] <= 0:
-            return ""
-        return args[0][start:start + args[2]]
-    if f == "abs":
-        return abs(args[0])
-    if f == "regex_match":
-        return re.fullmatch(e.args[1].value, args[0]) is not None
-    raise TypeError(f"unknown function {f!r}")  # pragma: no cover
-
-
-def _same_kind(a, b) -> bool:
-    num = (int, Decimal)
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool)
-    if isinstance(a, num) and isinstance(b, num):
-        return True
-    return type(a) is type(b)
-
-
-def _days(delta) -> Decimal:
-    seconds = Decimal(delta.days) * _SECONDS_PER_DAY + Decimal(delta.seconds)
-    if delta.microseconds:
-        seconds += Decimal(delta.microseconds) / Decimal(1_000_000)
-    with localcontext() as ctx:
-        ctx.prec = 28
-        return seconds / _SECONDS_PER_DAY
+    if e.func == "age_days":
+        args.insert(0, reference_time)  # age_days(t) is date_diff_days(reference_time, t)
+    if e.func != "in_set":  # null members never match, so _in_set sees them
+        for a in args:  # by identity: `None in args` would compare datetimes by ==
+            if a is None:
+                return None
+    return _FUNCS[e.func].impl(*args)

@@ -127,9 +127,8 @@ def _selector(rule: Rule, repo: Repository) -> str | None:
     if isinstance(k, Syntax):
         body = f"not regex_match({rule.columns[0]}, {_literal_text(k.pattern, 'text')})"
     elif isinstance(k, FormatClass):
-        own = dict.fromkeys(c for e, c in rule.targets if e == rule.entity)
         body = " or ".join(f"not regex_match({c}, {_literal_text(k.pattern, 'text')})"
-                           for c in own)
+                           for e, c in rule.targets if e == rule.entity)
     elif isinstance(k, Range):
         col = rule.columns[0]
         parts = []

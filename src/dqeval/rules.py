@@ -143,8 +143,6 @@ KINDS: dict[str, type] = {k.name: k for k in (
     Syntax, Range, Domain, NotNull, NoDefault, Unique, MinCount, ForeignKey,
     FormatClass, Predicate, Freshness, Frequency)}
 KIND_NAMES = tuple(KINDS)
-KIND_PROPERTIES: dict[str, tuple[Property, ...]] = {
-    name: k.properties for name, k in KINDS.items()}
 
 # Per kind: (field, param name, is an "entity.column" reference), field order.
 _PARAMS: dict[type, tuple[tuple[str, str, bool], ...]] = {
@@ -490,7 +488,15 @@ def _parse_rule(obj, index: int, format_classes: dict[str, str]) -> Rule:
                          "(null presence is what the rule checks)",
                          context=f"{context}.skip_null")
     description = _want(obj, "description", str, context, "")
-    return Rule(rule_id, entity, columns, prop, kind, where, skip_null, description)
+    rule = Rule(rule_id, entity, columns, prop, kind, where, skip_null, description)
+    seen: set[tuple[str, str]] = set()
+    for i, target in enumerate(rule.targets):  # only format_class can list one twice
+        if target in seen:
+            raise ParseError(f"{kind_name} target '{target[0]}.{target[1]}' is repeated",
+                             context=f"{context}." + ("columns" if i < len(columns)
+                                                      else "params.extra_targets"))
+        seen.add(target)
+    return rule
 
 
 def parse_ruleset(document: str) -> RuleSet:

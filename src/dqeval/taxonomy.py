@@ -70,11 +70,6 @@ PROPERTY_CHARACTERISTIC: dict[Property, Characteristic] = {
 }
 
 
-def properties_of(characteristic: Characteristic) -> list[Property]:
-    """All taxonomy properties of one characteristic, in declaration order."""
-    return [p for p in Property if PROPERTY_CHARACTERISTIC[p] is characteristic]
-
-
 def parse_characteristic(name: str) -> Characteristic:
     for c in Characteristic:
         if c.value == name:

@@ -388,6 +388,26 @@ def test_synth_duration_out_of_range_exits_3(tmp_path, capsys, step, kind, param
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_repeated_format_class_target_exits_3(workspace, capsys):
+    (workspace / "rules.json").write_text(make_ruleset(
+        [rule("fc", "person", ["id"], "CONS_FORM", "format_class",
+              {"class": "code", "extra_targets": [["person", "id"]]})],
+        format_classes={"code": "^[0-9]{8}[A-Z]$"}))
+    message = ("error: format_class target 'person.id' is repeated "
+               "(rules[0] (id 'fc').params.extra_targets)\n")
+    assert _evaluate(workspace, "--jobs", "1") == 3
+    assert capsys.readouterr().err == message
+    (workspace / "spec.json").write_text(json.dumps({
+        "seed": 1, "entities": {"person": {"rows": 4, "columns": {}}},
+        "violations": [{"rule": "fc", "rate": 0.5}]}))
+    assert main(["synth", "--spec", str(workspace / "spec.json"),
+                 "--schema", str(workspace / "schema.json"),
+                 "--rules", str(workspace / "rules.json"),
+                 "--out", str(workspace / "synth")]) == 3
+    assert capsys.readouterr().err == message
+    assert not (workspace / "out").exists() and not (workspace / "synth").exists()
+
+
 _INT_SCHEMA = {"entities": [{"name": "item", "columns": [
     {"name": "n", "datatype": "integer", "nullable": False}]}]}
 

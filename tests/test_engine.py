@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import RecordRef, eval_all, eval_rule
 from dqeval.errors import EvalError
-from dqeval.rules import KIND_NAMES, KIND_PROPERTIES, KINDS, parse_ruleset
+from dqeval.rules import KIND_NAMES, KINDS, parse_ruleset
 from engine_reference import reference_counts
 from oracle import naive_measure
 
@@ -215,8 +216,9 @@ def test_format_class_sums_targets(person_snapshot):
     assert m.a == 9
 
 
-def test_failing_cap_keeps_true_total(person_snapshot, table3_ruleset):
-    m = eval_rule(table3_ruleset.rules[1], person_snapshot, table3_ruleset, cap=0)
+def test_failing_cap_keeps_true_total(person_snapshot, table3_ruleset, monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_FAILING_CAP", 0)
+    m = eval_rule(table3_ruleset.rules[1], person_snapshot, table3_ruleset)
     assert m.failing == ()
     assert m.failing_total == 1
 
@@ -459,7 +461,7 @@ def _any_rule(draw, kind: str) -> dict:
     if where is not None:
         extra["where"] = where
     columns = [] if KINDS[kind].arity == "none" else [column]
-    return rule("x", "m", columns, KIND_PROPERTIES[kind][0].name, kind, params,
+    return rule("x", "m", columns, KINDS[kind].properties[0].name, kind, params,
                 skip_null=kind not in ("not_null", "no_default") and draw(st.booleans()),
                 **extra)
 
@@ -522,8 +524,9 @@ def test_distinct_value_path_matches_per_row_reference(body, pattern, main, ref,
     repo = Repository(SchemaCatalog(tuple(e.schema for e in entities.values())),
                       entities, "fp")
     r = rs.rules[0]
-    expected = engine._cap_raw(*reference_counts(r, repo, rs), cap)
-    assert engine._eval_counts(r, repo, rs, cap) == expected
+    with mock.patch.object(engine, "DEFAULT_FAILING_CAP", cap):
+        expected = engine._cap_raw(*reference_counts(r, repo, rs))
+        assert engine._eval_counts(r, repo, rs) == expected
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import expr_reference as reference
 from dqeval.errors import ParseError
-from dqeval.expr import (And, Arith, Call, Column, Compare, ExprTypeError,
-                         Literal, Neg, Not, Or, columns_referenced, evaluate,
-                         parse_expr, typecheck, unparse, validate_pattern)
+from dqeval.expr import (_ARITH, _COMPARE, _FUNCS, And, Arith, Call, Column,
+                         Compare, ExprTypeError, Literal, Neg, Not, Or,
+                         columns_referenced, evaluate, parse_expr, typecheck,
+                         unparse, validate_pattern)
 
 REF = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
@@ -114,6 +118,17 @@ def test_not_of_null_is_null():
 def test_division_by_zero_yields_null():
     assert ev("1 / (age - 34)") is None
     assert ev("1 % (age - 34)") is None
+
+
+def test_modulo_takes_the_dividends_sign():
+    # one rule whatever the operands' types, as Decimal's % and SQL MOD give
+    for source, expected in [("-7 % 2", -1), ("-7 % 2.0", Decimal("-1.0")),
+                             ("-7.5 % 2", Decimal("-1.5")), ("7 % -2", 1),
+                             ("7 % 2", 1), ("-8 % 2", 0)]:
+        got = ev(source)
+        assert (got, type(got)) == (expected, type(expected)), source
+    for source in ("7 % 0", "-7 % 0.0", "7.5 % 0"):
+        assert ev(source) is None, source
 
 
 def test_division_always_decimal():
@@ -237,3 +252,159 @@ leaf_nodes = st.one_of(
 @given(expr_trees())
 def test_unparse_parse_identity(tree):
     assert parse_expr(unparse(tree)) == tree
+
+
+# --------------------------------------------------------------------------
+# the operator and function tables against the reference ladders
+# (tests/expr_reference.py), on rows with nulls, mixed int/Decimal operands
+# and zero divisors
+
+TYPED = {"t1": "text", "t2": "text", "i1": "integer", "i2": "integer",
+         "d1": "decimal", "d2": "decimal", "b1": "boolean", "s1": "timestamp",
+         "s2": "timestamp"}
+_BY_TYPE = {t: [c for c, ct in TYPED.items() if ct == t] for t in set(TYPED.values())}
+_VALUES = {
+    "text": st.sampled_from(["", "a", "ab", "Abc", "cab", "ä"]),
+    "integer": st.integers(-9, 9) | st.sampled_from([0, 10**30, -(10**30)]),
+    "decimal": st.sampled_from([Decimal("0"), Decimal("0.00"), Decimal("-2.5"),
+                                Decimal("1.10"), Decimal("3"), Decimal("7E+2"),
+                                Decimal("0.333"), Decimal("-1E+30")]),
+    "boolean": st.booleans(),
+    "timestamp": st.sampled_from([
+        datetime(2024, 5, 30, 12, 0, tzinfo=timezone.utc),
+        datetime(2024, 6, 1, tzinfo=timezone.utc),
+        datetime(2023, 1, 1, 3, 4, 5, 678901, tzinfo=timezone.utc)]),
+}
+_ORDERED = ["text", "integer", "decimal", "timestamp"]
+_PATTERNS = ["a.*", "[a-c]+", "x?y*", ""]
+
+rows = st.fixed_dictionaries({  # one cell in four null
+    c: st.integers(0, 3).flatmap(lambda k, t=t: _VALUES[t] if k else st.none())
+    for c, t in TYPED.items()})
+
+
+def _leaf(draw, t: str):
+    choice = draw(st.integers(0, 7))
+    if choice == 0:
+        return Literal(None)
+    if choice <= 2:
+        return Literal(draw(_VALUES[t]))
+    return Column(draw(st.sampled_from(_BY_TYPE[t])))
+
+
+@st.composite
+def typed_trees(draw, t: str = "boolean", depth: int = 0):
+    """A well-typed expression of datatype t, using every operator and
+    function; a null operand may make it null, or integer arithmetic decimal."""
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        return _leaf(draw, t)
+    sub = lambda u: typed_trees(u, depth + 1)  # noqa: E731
+    numeric = st.sampled_from(["integer", "decimal"])
+    if t == "boolean":
+        choice = draw(st.integers(-2, 5))
+        if choice <= 0:
+            op = draw(st.sampled_from(sorted(_COMPARE)))
+            u = draw(st.sampled_from(_ORDERED + ["boolean"] * (op in ("=", "!="))))
+            v = draw(numeric) if u in ("integer", "decimal") else u
+            return Compare(op, draw(sub(u)), draw(sub(v)))
+        if choice == 1:
+            return draw(st.sampled_from([And, Or]))(draw(sub("boolean")), draw(sub("boolean")))
+        if choice == 2:
+            return Not(draw(sub("boolean")))
+        if choice == 3:
+            return Call("regex_match", (draw(sub("text")),
+                                        Literal(draw(st.sampled_from(_PATTERNS)))))
+        u = draw(st.sampled_from(_ORDERED + ["boolean"]))
+        members = st.sampled_from([u, "null"] + (["integer", "decimal"]
+                                                 if u in ("integer", "decimal") else []))
+        n = draw(st.integers(1, 4))
+        return Call("in_set", (draw(sub(u)),) + tuple(
+            Literal(None) if m == "null" else draw(sub(m))
+            for m in draw(st.lists(members, min_size=n, max_size=n))))
+    if t in ("integer", "decimal"):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            op = draw(st.sampled_from(sorted(_ARITH)))
+            if t == "integer" and op != "/":
+                return Arith(op, draw(sub("integer")), draw(sub("integer")))
+            return Arith(op, draw(sub(draw(numeric))), draw(sub(draw(numeric))))
+        if choice == 1:
+            return draw(st.sampled_from([Neg, lambda x: Call("abs", (x,))]))(draw(sub(t)))
+        if t == "integer":
+            return Call("len", (draw(sub("text")),))
+        if choice == 2:
+            return Call("date_diff_days", (draw(sub("timestamp")), draw(sub("timestamp"))))
+        return Call("age_days", (draw(sub("timestamp")),))
+    if t == "text":
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            return Call(draw(st.sampled_from(["upper", "lower"])), (draw(sub("text")),))
+        # a null operand makes integer arithmetic decimal, which substr refuses
+        ints = [draw(sub("integer")) for _ in range(choice)]
+        ints = [i if reference.typecheck(i, TYPED) in ("integer", "null")
+                else _leaf(draw, "integer") for i in ints]
+        return Call("substr", (draw(sub("text")), *ints))
+    return _leaf(draw, t)
+
+
+@st.composite
+def any_trees(draw, depth: int = 0):
+    """Any expression over TYPED's columns (and one unknown column) whose
+    calls have the shapes the parser lets through."""
+    if depth >= 3 or draw(st.booleans()):
+        t = draw(st.sampled_from(sorted(_VALUES)))
+        if draw(st.integers(0, 9)) == 0:
+            return Column("missing")
+        return _leaf(draw, t)
+    sub = any_trees(depth + 1)
+    choice = draw(st.integers(0, 6))
+    if choice == 0:
+        return Compare(draw(st.sampled_from(sorted(_COMPARE))), draw(sub), draw(sub))
+    if choice == 1:
+        return Arith(draw(st.sampled_from(sorted(_ARITH))), draw(sub), draw(sub))
+    if choice == 2:
+        return draw(st.sampled_from([And, Or]))(draw(sub), draw(sub))
+    if choice == 3:
+        return draw(st.sampled_from([Not, Neg]))(draw(sub))
+    name = draw(st.sampled_from(sorted(_FUNCS)))
+    func = _FUNCS[name]
+    args = draw(st.lists(sub, min_size=func.lo, max_size=min(func.hi, 4)))
+    if name == "regex_match":
+        args[1] = Literal(draw(st.sampled_from(_PATTERNS)))
+    return Call(name, tuple(args))
+
+
+def _typecheck_outcome(check, tree):
+    try:
+        return "ok", check(tree, TYPED)
+    except ExprTypeError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_trees())
+def test_typecheck_and_columns_match_reference(tree):
+    assert _typecheck_outcome(typecheck, tree) == _typecheck_outcome(reference.typecheck, tree)
+    assert columns_referenced(tree) == reference.columns_referenced(tree)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(["boolean", "boolean", "integer", "decimal", "text"])
+       .flatmap(typed_trees),
+       rows)
+def test_evaluate_matches_reference(tree, row):
+    assert reference.typecheck(tree, TYPED) == typecheck(tree, TYPED)
+    got = evaluate(tree, row, REF)
+    want = reference.evaluate(tree, row, REF)
+    assert repr(got) == repr(want)  # value and type, Decimal exponent included
+
+
+def test_docs_name_exactly_the_functions():
+    text = (Path(__file__).parents[1] / "docs" / "expression-language.md").read_text()
+    ebnf = re.search(r"^function +=(.*?);", text, re.S | re.M).group(1)
+    assert re.findall(r'"(\w+)"', ebnf) == list(_FUNCS)
+    table = text.split("## Functions", 1)[1].split("\n## ", 1)[0]
+    named = [re.findall(r"`(\w+)\(", line) for line in table.splitlines()
+             if line.startswith("| `")]
+    assert [n for names in named for n in names] == list(_FUNCS)
+    assert f"v plus 1 to {_FUNCS['in_set'].hi - 1} members" in table

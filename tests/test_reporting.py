@@ -147,12 +147,9 @@ def _selected_rows(selector: str, entity, rs) -> set[int]:
     ([["person", "ipaddress"]],
      {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$') or "
                 "not regex_match(ipaddress, '^[0-9]{8}[A-Z]$')"}),
-    ([["person", "id"], ["person", "ipaddress"], ["person", "id"]],
-     {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$') or "
-                "not regex_match(ipaddress, '^[0-9]{8}[A-Z]$')"}),
     ([["warning", "wid"]],
      {"person": "not regex_match(id, '^[0-9]{8}[A-Z]$')", "warning": None}),
-], ids=["own-entity", "repeated", "other-entity"])
+], ids=["own-entity", "other-entity"])
 def test_format_class_manifest_selectors(person_snapshot, extra, selectors):
     """A format_class selector tests every target column of the rule's entity
     once and selects exactly the rows that entity's manifest lists; the

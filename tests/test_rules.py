@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 import rules_reference
 from conftest import make_ruleset, rule
 from dqeval.errors import ParseError
-from dqeval.rules import (_PARAMS, KIND_PROPERTIES, KINDS, parse_ruleset,
-                          rules_by_property, serialize_ruleset, validate_ruleset)
+from dqeval.rules import (_PARAMS, KINDS, parse_ruleset, rules_by_property,
+                          serialize_ruleset, validate_ruleset)
 from dqeval.scenarios import build_scenario, scenario_names
 from dqeval.taxonomy import Characteristic, Property
 
@@ -63,6 +63,26 @@ def test_format_class_resolves_pattern():
               {"class": "code"})],
         format_classes={"code": "^[A-Z]+$"}))
     assert rs.rules[0].kind.pattern == "^[A-Z]+$"
+
+
+@pytest.mark.parametrize("columns, extra, message", [
+    (["id", "id"], [],
+     "format_class target 'person.id' is repeated (rules[0] (id 'fc').columns)"),
+    (["id", "ipaddress"], [["warning", "wid"], ["person", "ipaddress"]],
+     "format_class target 'person.ipaddress' is repeated "
+     "(rules[0] (id 'fc').params.extra_targets)"),
+    (["id"], [["warning", "wid"], ["warning", "wid"]],
+     "format_class target 'warning.wid' is repeated "
+     "(rules[0] (id 'fc').params.extra_targets)"),
+], ids=["columns", "own-extra-target", "other-extra-target"])
+def test_format_class_repeated_target_rejected(columns, extra, message):
+    # as with a unique key: a cell tested twice would be counted twice in B
+    with pytest.raises(ParseError) as exc:
+        parse_ruleset(make_ruleset([
+            rule("fc", "person", columns, "CONS_FORM", "format_class",
+                 {"class": "code", "extra_targets": extra})],
+            format_classes={"code": "^[A-Z]+$"}))
+    assert str(exc.value) == message
 
 
 def test_malformed_json_has_location():
@@ -230,7 +250,7 @@ def rulesets(draw):
     rules = []
     for i in range(n):
         kind = draw(st.sampled_from(sorted(_KIND_BUILDERS)))
-        prop = draw(st.sampled_from(KIND_PROPERTIES[kind])).value
+        prop = draw(st.sampled_from(KINDS[kind].properties)).value
         kind_name, columns, params = _KIND_BUILDERS[kind](i)
         body = rule(f"r{i}", draw(st.sampled_from(["alpha", "beta"])), columns,
                     prop, kind_name, params)
@@ -287,7 +307,7 @@ _ALLOWED_PROPERTIES = {
 
 def _parse_error(kind: str, columns: list, params: dict, prop: str | None = None,
                  **extra) -> ParseError:
-    prop = prop or KIND_PROPERTIES[kind][0].value
+    prop = prop or KINDS[kind].properties[0].value
     with pytest.raises(ParseError) as exc:
         parse_ruleset(make_ruleset(
             [rule("r", "alpha", columns, prop, kind, params, **extra)],
@@ -351,7 +371,7 @@ def test_wrong_property_lists_allowed(kind):
     assert err.message == (f"kind {kind!r} cannot be categorized under property "
                            f"{prop}; allowed: {allowed}")
     assert err.context == "rules[0] (id 'r').property"
-    assert ", ".join(p.value for p in KIND_PROPERTIES[kind]) == allowed
+    assert ", ".join(p.value for p in KINDS[kind].properties) == allowed
 
 
 @pytest.mark.parametrize("where, params, label", [
@@ -465,7 +485,7 @@ def varied_rulesets(draw):
     for i in range(draw(st.integers(1, 12))):
         kind, columns, params = draw(st.sampled_from(_VARIANTS))
         body = rule(f"r{i}", draw(st.sampled_from(["alpha", "beta"])), columns,
-                    draw(st.sampled_from(KIND_PROPERTIES[kind])).value, kind,
+                    draw(st.sampled_from(KINDS[kind].properties)).value, kind,
                     params(i))
         if draw(st.booleans()) and kind not in ("not_null", "no_default"):
             body["skip_null"] = True
@@ -482,7 +502,7 @@ def test_serialize_matches_reference(rs):
 
 
 def test_every_variant_kind_covered():
-    assert {kind for kind, _, _ in _VARIANTS} == set(KIND_PROPERTIES)
+    assert {kind for kind, _, _ in _VARIANTS} == set(KINDS)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -543,7 +563,7 @@ def test_rule_targets_and_reference(kind, columns, params, targets, reference):
     `where` and freshness `condition`, and follow format_class's own columns
     with its extra targets."""
     rs = parse_ruleset(make_ruleset(
-        [rule("r", "alpha", columns, KIND_PROPERTIES[kind][0].value, kind, params,
+        [rule("r", "alpha", columns, KINDS[kind].properties[0].value, kind, params,
               where="w > 0")],
         format_classes={"fc": "^[A-Z]+$"}))
     assert rs.rules[0].targets == tuple(targets)

@@ -15,7 +15,7 @@ from dqeval.dataset import (ColumnSchema, EntitySchema, SchemaCatalog,
                             load_catalog, load_snapshot)
 from dqeval.engine import eval_all
 from dqeval.errors import ConflictingPlan, SynthError
-from dqeval.rules import KIND_PROPERTIES, parse_ruleset
+from dqeval.rules import KINDS, parse_ruleset
 from dqeval.synthkit import (ColumnGen, EntityPlan, SynthSpec, ViolationPlan,
                              expected_vs_actual, generate, parse_expected,
                              parse_synthspec, round_half_up, serialize_expected)
@@ -323,8 +323,7 @@ def _per_value_rule(draw, kind: str) -> tuple[dict, str]:
             params["pattern"] = draw(st.sampled_from(_PATTERNS))
         else:
             params["class"] = "c"
-            params["extra_targets"] = draw(st.sampled_from(
-                [[], [["r", "t"]], [["r", "t"], ["m", "t"]]]))
+            params["extra_targets"] = draw(st.sampled_from([[], [["r", "t"]]]))
     elif kind == "range":
         column = draw(st.sampled_from(["d", "i", "at"]))
         pool = {"d": [0, 1, 1.0, 2.5, 17, 99.99], "i": [0, 1, 2, 17],
@@ -362,7 +361,7 @@ def _per_value_rule(draw, kind: str) -> tuple[dict, str]:
         params.update(timestamp_column="at",
                       max_age=draw(st.sampled_from(["31d", "132090m", "1d", 45, 0])))
     columns = [] if kind == "freshness" else [column]
-    return rule("x", "m", columns, KIND_PROPERTIES[kind][0].name, kind, params), column
+    return rule("x", "m", columns, KINDS[kind].properties[0].name, kind, params), column
 
 
 def _outcome(verify, *args) -> str | None:

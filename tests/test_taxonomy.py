@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from dqeval.taxonomy import (Characteristic, Property, PROPERTY_CHARACTERISTIC,
-                             parse_characteristic, parse_property, properties_of)
+                             parse_characteristic, parse_property)
 
 
 def test_exactly_five_characteristics():
@@ -17,7 +17,8 @@ def test_exactly_fifteen_properties_all_mapped():
 
 
 def test_property_split_per_characteristic():
-    split = {c: [p.value for p in properties_of(c)] for c in Characteristic}
+    split = {c: [p.value for p in Property if PROPERTY_CHARACTERISTIC[p] is c]
+             for c in Characteristic}
     assert split[Characteristic.ACCURACY] == ["EXAC_SINT", "EXAC_SEMAN", "RAN_EXAC"]
     assert split[Characteristic.COMPLETENESS] == [
         "COMP_FICH", "COMP_REG", "COMP_VAL_ESP", "FAL_COMP_FICH"]
