@@ -64,10 +64,6 @@ class RuleMeasure:
         """Exact compliance ratio A/B, or None when not applicable (B = 0)."""
         return None if self.b == 0 else Fraction(self.a, self.b)
 
-    @property
-    def not_applicable(self) -> bool:
-        return self.b == 0
-
 
 @dataclass(frozen=True)
 class MeasureSet:

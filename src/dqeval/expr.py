@@ -17,7 +17,8 @@ import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import Context, Decimal, InvalidOperation
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     InvalidOperation)
 
 from .errors import ParseError
 from .values import format_timestamp, parse_timestamp, value_type
@@ -120,25 +121,41 @@ def validate_pattern(pattern: str) -> None:
 
 _NUMERIC = ("integer", "decimal")
 _SECONDS_PER_DAY = Decimal(86400)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # never rounds
 _DIVISION = Context(prec=28)  # quotients round to 28 significant digits
+
+
+def _exact(int_op, decimal_op):
+    """int op int gives an int; a Decimal operand gives the unrounded Decimal."""
+    def apply(a, b):
+        return int_op(a, b) if type(a) is int and type(b) is int else decimal_op(a, b)
+    return apply
+
+
+def _negate(v):
+    return -v if type(v) is int else _EXACT.minus(v)
+
+
+def _abs(v):
+    return abs(v) if type(v) is int else _EXACT.abs(v)
 
 
 def _divide(a, b) -> Decimal:
     return _DIVISION.divide(Decimal(a), Decimal(b))
 
 
-def _mod(a, b):
+def _int_mod(a: int, b: int) -> int:
     """Remainder with the dividend's sign, as Decimal's % and SQL MOD give."""
-    if type(a) is int and type(b) is int:
-        r = abs(a) % abs(b)
-        return -r if a < 0 else r
-    return a % b
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
 _COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": _divide, "%": _mod}
+_ARITH = {"+": _exact(operator.add, _EXACT.add),
+          "-": _exact(operator.sub, _EXACT.subtract),
+          "*": _exact(operator.mul, _EXACT.multiply),
+          "/": _divide, "%": _exact(_int_mod, _EXACT.remainder)}
 
 
 def _substr(text: str, start: int, length: int | None = None) -> str:
@@ -187,7 +204,7 @@ _FUNCS = {
     "upper": _Func(1, 1, (_TEXT,), "text", str.upper),
     "lower": _Func(1, 1, (_TEXT,), "text", str.lower),
     "substr": _Func(2, 3, (_TEXT, _INTEGER, _INTEGER), "text", _substr),
-    "abs": _Func(1, 1, (_NUMERIC,), "decimal", abs),  # else its argument's type
+    "abs": _Func(1, 1, (_NUMERIC,), "decimal", _abs),  # else its argument's type
     "regex_match": _Func(2, 2, (_TEXT,), "boolean", _regex_match),  # pattern: a literal
     "date_diff_days": _Func(2, 2, (_TIMESTAMP, _TIMESTAMP), "decimal", _days),
     "age_days": _Func(1, 1, (_TIMESTAMP,), "decimal", _days),  # from reference time
@@ -417,6 +434,8 @@ def _unparse(e: Expr) -> tuple[str, int]:
             return _quote(v), _LEVEL["atom"]
         if isinstance(v, datetime):
             return "ts" + _quote(format_timestamp(v)), _LEVEL["atom"]
+        if isinstance(v, Decimal):  # positional: the tokenizer reads no exponent
+            return format(v, "f"), _LEVEL["atom"]
         return str(v), _LEVEL["atom"]
     if isinstance(e, Column):
         return e.name, _LEVEL["atom"]
@@ -590,7 +609,7 @@ def evaluate(e: Expr, row, reference_time: datetime):
         return _COMPARE[e.op](left, right)
     if isinstance(e, Neg):
         v = evaluate(e.operand, row, reference_time)
-        return None if v is None else -v
+        return None if v is None else _negate(v)
     if isinstance(e, Arith):
         left = evaluate(e.left, row, reference_time)
         right = evaluate(e.right, row, reference_time)

@@ -25,7 +25,7 @@ from .rules import (Domain, FormatClass, Freshness, NoDefault, Predicate,
                     Range, Rule, RuleSet, Syntax)
 from .scoring import ScoreResult, ScoringConfig
 from .taxonomy import Characteristic, Property, parse_characteristic, parse_property
-from .values import format_timestamp, parse_timestamp
+from .values import coerce_literal, format_timestamp, parse_timestamp
 
 _FOUR_PLACES = Decimal("0.0001")
 
@@ -105,13 +105,7 @@ class EvaluationReport:
 # Selector expressions (violating-row selectors, negations of the checks)
 
 def _literal_text(value, datatype: str) -> str:
-    lit = value
-    if datatype == "timestamp" and isinstance(value, str):
-        lit = parse_timestamp(value)
-    if isinstance(lit, Decimal) and lit == lit.to_integral_value() \
-            and "." not in str(lit):
-        lit = int(lit)
-    return unparse(Literal(lit))
+    return unparse(Literal(coerce_literal(value, datatype)))
 
 
 def _selector(rule: Rule, repo: Repository) -> str | None:
@@ -151,7 +145,7 @@ def _selector(rule: Rule, repo: Repository) -> str | None:
         body = f"not ({unparse(k.expr)})"
     elif isinstance(k, Freshness):
         [(_, column)] = rule.targets
-        age = f"age_days({column}) > {_decimal_text(k.max_age_days)}"
+        age = f"age_days({column}) > {unparse(Literal(k.max_age_days))}"
         if k.condition is not None:
             body = f"({unparse(k.condition)}) and {age}"
         else:
@@ -161,12 +155,6 @@ def _selector(rule: Rule, repo: Repository) -> str | None:
     if rule.where is not None:
         body = f"({unparse(rule.where)}) and ({body})"
     return body
-
-
-def _decimal_text(d: Decimal) -> str:
-    if d == d.to_integral_value():
-        return str(int(d))
-    return str(d)
 
 
 # --------------------------------------------------------------------------

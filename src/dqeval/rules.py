@@ -295,20 +295,6 @@ def days_to_timedelta(days: Decimal) -> timedelta:
     return timedelta(microseconds=int(days * 86_400_000_000))
 
 
-def _cmp_bounds(lo, hi) -> bool | None:
-    """min <= max when both bounds are present and comparable; None if unknown."""
-    num = (int, Decimal)
-    if isinstance(lo, num) and not isinstance(lo, bool) \
-            and isinstance(hi, num) and not isinstance(hi, bool):
-        return lo <= hi
-    if isinstance(lo, str) and isinstance(hi, str):
-        try:
-            return parse_timestamp(lo) <= parse_timestamp(hi)
-        except ValueError:
-            return lo <= hi
-    return None
-
-
 def _expr(text: str, context: str) -> Expr:
     """Parse expression text, reporting errors under the document path `context`."""
     try:
@@ -343,12 +329,6 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
         hi = _literal(params.get("max"), f"{ctx}.max")
         if lo is None and hi is None:
             raise ParseError("range requires at least one of min/max", context=ctx)
-        if lo is not None and hi is not None:
-            ok = _cmp_bounds(lo, hi)
-            if ok is None:
-                raise ParseError("range bounds have incompatible types", context=ctx)
-            if not ok:
-                raise ParseError("range min must not exceed max", context=ctx)
         return Range(lo, hi,
                      _want(params, "min_inclusive", bool, ctx, True),
                      _want(params, "max_inclusive", bool, ctx, True))
@@ -615,12 +595,16 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
             error(rule_id, f"column {ent_name}.{col} does not exist")
         return target.column(col)
 
-    def check_literals(rule_id: str, dtype: str, labelled) -> None:
+    def check_literals(rule_id: str, dtype: str, labelled) -> list:
+        """Each literal typed for the column; None where it does not fit."""
+        typed = []
         for label, value in labelled:
             try:
-                coerce_literal(value, dtype)
+                typed.append(coerce_literal(value, dtype))
             except ValueError as exc:
                 error(rule_id, f"{label}: {exc}")
+                typed.append(None)
+        return typed
 
     for rule in rs.rules:
         entity = catalog.get(rule.entity)
@@ -647,14 +631,17 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
                                    f"{rule.entity}.{c} is {col_types[c]}")
             if isinstance(k, FormatClass):
                 used_classes.add(k.class_name)
+                where_checked = {rule.entity}
                 for ent_name, col in k.extra_targets:
                     column = target_column(rule.id, ent_name, col)
                     if column is not None and column.datatype != "text":
                         error(rule.id, f"pattern rules require text columns; "
                                        f"{ent_name}.{col} is {column.datatype}")
                     target = catalog.get(ent_name)
-                    if target is not None and rule.where is not None:
+                    if target is not None and rule.where is not None \
+                            and ent_name not in where_checked:
                         # where runs against every target entity's rows
+                        where_checked.add(ent_name)
                         _check_boolean_expr(rule, rule.where,
                                             {c.name: c.datatype for c in target.columns},
                                             f"where (target {ent_name})", error)
@@ -662,8 +649,10 @@ def validate_ruleset(rs: RuleSet, catalog) -> list[Diagnostic]:
             if dtype == "boolean":
                 error(rule.id, "range rules cannot target boolean columns")
             else:
-                check_literals(rule.id, dtype,
-                               (("range min", k.min), ("range max", k.max)))
+                lo, hi = check_literals(rule.id, dtype,
+                                        (("range min", k.min), ("range max", k.max)))
+                if lo is not None and hi is not None and lo > hi:
+                    error(rule.id, "range min must not exceed max")
         elif isinstance(k, Domain):
             if k.reference is not None:
                 column = target_column(rule.id, *k.reference)

@@ -129,7 +129,6 @@ class ScenarioBundle:
     catalog: SchemaCatalog
     ruleset: RuleSet
     spec: SynthSpec
-    seed: int
 
 
 def scenario_names() -> tuple[str, ...]:
@@ -313,7 +312,7 @@ class _Builder:
             plans[fact] = EntityPlan(self.profile.rows, tuple(
                 (c, self.generators[fact][c]) for c in self.generators[fact]))
         spec = SynthSpec(self.seed, tuple(plans.items()), tuple(self.violations))
-        return ScenarioBundle(name, catalog, ruleset, spec, self.seed)
+        return ScenarioBundle(name, catalog, ruleset, spec)
 
 
 def build_scenario(name: str) -> ScenarioBundle:

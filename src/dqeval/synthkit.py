@@ -93,12 +93,6 @@ class SynthSpec:
 class ExpectedMeasures:
     measures: tuple[tuple[str, int, int], ...]  # (rule_id, a, b)
 
-    def get(self, rule_id: str) -> tuple[int, int] | None:
-        for rid, a, b in self.measures:
-            if rid == rule_id:
-                return a, b
-        return None
-
 
 @dataclass(frozen=True)
 class Discrepancy:

@@ -2,15 +2,18 @@
 function and operator tables: one if-branch per function and per operator.
 
 Kept verbatim as a test oracle for `dqeval.expr` (see the properties in
-tests/test_expr.py), with one change: integer `%` takes the dividend's sign,
-as decimal `%` and SQL `MOD` do. Do not import this from `src/`.
+tests/test_expr.py), with two changes: integer `%` takes the dividend's sign,
+as decimal `%` and SQL `MOD` do; and `+ - * %`, unary minus and `abs` run in
+a context that never rounds, so only `/` and the day differences round to 28
+digits. Do not import this from `src/`.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import datetime
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     InvalidOperation, localcontext)
 from fractions import Fraction
 
 from dqeval.expr import (And, Arith, Call, Column, Compare, Expr, ExprTypeError,
@@ -18,6 +21,7 @@ from dqeval.expr import (And, Arith, Call, Column, Compare, Expr, ExprTypeError,
 from dqeval.values import value_type
 
 _SECONDS_PER_DAY = Decimal(86400)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # --------------------------------------------------------------------------
@@ -209,26 +213,28 @@ def evaluate(e: Expr, row, reference_time: datetime):
         return left >= right
     if isinstance(e, Neg):
         v = evaluate(e.operand, row, reference_time)
-        return None if v is None else -v
+        with localcontext(_EXACT):
+            return None if v is None else -v
     if isinstance(e, Arith):
         left = evaluate(e.left, row, reference_time)
         right = evaluate(e.right, row, reference_time)
         if left is None or right is None:
             return None
         try:
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
             if e.op == "/":
                 with localcontext() as ctx:
                     ctx.prec = 28
                     return Decimal(left) / Decimal(right)
-            if type(left) is int and type(right) is int:  # truncated, like Decimal
-                return left - right * int(Fraction(left, right))
-            return left % right
+            with localcontext(_EXACT):
+                if e.op == "+":
+                    return left + right
+                if e.op == "-":
+                    return left - right
+                if e.op == "*":
+                    return left * right
+                if type(left) is int and type(right) is int:  # truncated, like Decimal
+                    return left - right * int(Fraction(left, right))
+                return left % right
         except (ZeroDivisionError, InvalidOperation):
             return None  # arithmetic faults are data conditions, not errors
     if isinstance(e, Call):
@@ -269,7 +275,8 @@ def _eval_call(e: Call, row, reference_time: datetime):
             return ""
         return args[0][start:start + args[2]]
     if f == "abs":
-        return abs(args[0])
+        with localcontext(_EXACT):
+            return abs(args[0])
     if f == "regex_match":
         return re.fullmatch(e.args[1].value, args[0]) is not None
     raise TypeError(f"unknown function {f!r}")  # pragma: no cover

@@ -423,8 +423,10 @@ _INT_SCHEMA = {"entities": [{"name": "item", "columns": [
      ["ERROR r: column item.zzz does not exist"]),
     (rule("r", "ghost", ["n"], "COMP_REG", "not_null"),
      ["ERROR r: entity 'ghost' does not exist"]),
+    (rule("r", "item", ["n"], "RAN_EXAC", "range", {"min": 9, "max": 1}),
+     ["ERROR r: range min must not exceed max"]),
 ], ids=["range-literal", "missing-column", "syntax-on-integer", "unique-key",
-        "unknown-entity"])
+        "unknown-entity", "inverted-range"])
 def test_synth_invalid_ruleset_exits_3(tmp_path, capsys, body, errors):
     """synth validates first and prints the ERROR lines `dq validate` prints."""
     (tmp_path / "rules.json").write_text(make_ruleset([body]))

@@ -66,7 +66,7 @@ def test_empty_entity_not_applicable(person_catalog, tmp_path: Path):
         m, _ = _measure(make_ruleset([rule("r", "person", cols, prop, kind,
                                            params)]), repo)
         assert (m.a, m.b) == (0, 0)
-        assert m.ratio is None and m.not_applicable
+        assert m.ratio is None and m.b == 0
 
 
 # --------------------------------------------------------------------------

@@ -131,6 +131,37 @@ def test_modulo_takes_the_dividends_sign():
         assert ev(source) is None, source
 
 
+_BIG = Decimal("123456789012345678901234567.01")  # 29 significant digits
+_MINUS_BIG = Decimal("-123456789012345678901234567.01")  # `-_BIG` would round
+
+
+@pytest.mark.parametrize("x", [_BIG, 10**27, _MINUS_BIG],
+                         ids=["decimal", "integer", "negative"])
+@pytest.mark.parametrize("source", [
+    "x % 0.01 = 0", "x + 0 = x", "x - 0 = x", "x * 1 = x", "0 - (0 - x) = x",
+    "-(-x) = x", "abs(x) - x = 0 or abs(x) + x = 0", "(x * 100) % 1 = 0",
+    "x + 0.001 - x = 0.001",
+])
+def test_arithmetic_other_than_division_is_exact(source, x):
+    assert ev(source, {"x": x}) is True
+
+
+def test_exact_arithmetic_keeps_types_and_zero_divisors_null():
+    row = {"x": _BIG, "n": 10**27}
+    for source, expected in [
+            ("x % 0.01", Decimal("0.00")), ("n % 0.01", Decimal("0.00")),
+            ("-x", _MINUS_BIG), ("abs(-x)", _BIG), ("n * n", 10**54), ("n % 7", 10**27 % 7),
+            ("-n", -10**27), ("abs(0 - n)", 10**27)]:
+        got = ev(source, row)
+        assert (got, type(got)) == (expected, type(expected)), source
+    for source in ("x % 0", "x % 0.0", "n % 0"):
+        assert ev(source, row) is None, source
+
+
+def test_division_rounds_to_28_digits():
+    assert ev("x / 1", {"x": _BIG}) == Decimal("1.234567890123456789012345670E+26")
+
+
 def test_division_always_decimal():
     assert ev("7 / 2") == Decimal("3.5")
 
@@ -242,7 +273,9 @@ def arith_trees(draw, depth: int = 0):
 leaf_nodes = st.one_of(
     st.integers(0, 999).map(Literal),
     st.sampled_from(["Decim1", "a_col", "x9"]).map(Column),
-    st.sampled_from([Decimal("1.25"), Decimal("0.5")]).map(Literal),
+    # every positional decimal the tokenizer reads: small ones and trailing zeros
+    (st.sampled_from(["1.25", "0.5", "0.0000001", "0.00000000", "10.500", "7.0"])
+     | st.from_regex(r"[0-9]{1,4}\.[0-9]{1,12}", fullmatch=True)).map(Decimal).map(Literal),
     st.sampled_from(["", "it's", "plain"]).map(Literal),
     st.sampled_from([True, False, None]).map(Literal),
     st.just(Literal(datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc))),

@@ -2,22 +2,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_ruleset, rule
+from conftest import dumps, make_ruleset, rule
 from dqeval import __version__
-from dqeval.dataset import RowView
+from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository, RowView,
+                            SchemaCatalog)
 from dqeval.engine import eval_all
 from dqeval.errors import FingerprintMismatch, ScopeMismatch
-from dqeval.expr import evaluate, parse_expr
+from dqeval.expr import evaluate, parse_expr, typecheck
 from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, render_text,
                               serialize_comparison, serialize_measures,
                               serialize_report, write_improvement)
-from dqeval.rules import parse_ruleset
+from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scoring import default_config, score_all
 from dqeval.taxonomy import Characteristic, Property
 
@@ -168,6 +171,119 @@ def test_format_class_manifest_selectors(person_snapshot, extra, selectors):
             entity = person_snapshot.entities[m.entity]
             assert _selected_rows(m.rules[0].selector, entity, rs) == \
                 {ref.row for ref in m.rules[0].records}
+
+
+# --------------------------------------------------------------------------
+# selectors of literal-carrying rules: literals typed for the column, then
+# written as expression text
+
+def _ts(hour: int, minute: int = 0) -> datetime:
+    return datetime(2024, 1, 1, hour, minute, tzinfo=timezone.utc)
+
+
+_CELLS = {  # column: (datatype, cells)
+    "i": ("integer", [None, -3, 0, 5, 10, 150]),
+    "x": ("decimal", [None, Decimal("0.0000001"), Decimal("0.5"), Decimal("9.0"),
+                      Decimal("10.50"), Decimal("150"), Decimal("-2")]),
+    "t": ("timestamp", [None, _ts(0) - timedelta(hours=1), _ts(0), _ts(1, 30), _ts(3)]),
+    "s": ("text", [None, "", "N/A", "a", "b", "it's"]),
+}
+_ROWS = max(len(cells) for _, cells in _CELLS.values())
+_SCHEMA = EntitySchema("m", tuple(ColumnSchema(c, t, True) for c, (t, _) in _CELLS.items()))
+_REPO = Repository(
+    SchemaCatalog((_SCHEMA,)),
+    {"m": Entity(_SCHEMA, {c: (cells * _ROWS)[:_ROWS] for c, (_, cells) in _CELLS.items()})},
+    "fingerprint")
+
+
+def _parsed(body: dict):
+    """A ruleset of one rule, its literals kept exact: a JSON `1e-7` stays
+    Decimal('1E-7'), as the document loader reads it."""
+    return parse_ruleset(dumps(dict(json.loads(make_ruleset([])), rules=[body])))
+
+
+_PROPERTY = {"range": "RAN_EXAC", "domain": "EXAC_SEMAN", "no_default": "COMP_VAL_ESP",
+             "freshness": "CONV_ACT"}
+
+
+def _selector_and_measure(rs):
+    ms = eval_all(rs, _REPO)
+    report = build_report(rs, _REPO, ms, score_all(ms, rs), default_config(), __version__)
+    return report.measures[0].selector, ms.measures[rs.rules[0].id]
+
+
+@pytest.mark.parametrize("column, kind, params, selector", [
+    ("x", "range", {"min": "0.5", "max": "10.5"}, "not (x >= 0.5 and x <= 10.5)"),
+    ("x", "range", {"min": Decimal("1e-7")}, "not (x >= 0.0000001)"),
+    ("x", "range", {"max": Decimal("1.5E+2")}, "not (x <= 150)"),
+    ("i", "range", {"max": Decimal("5.0")}, "not (i <= 5)"),
+    ("t", "range", {"min": "2024-01-01T01:00:00+01:00"},
+     "not (t >= ts'2024-01-01T00:00:00Z')"),
+    ("x", "domain", {"allowed": ["9.0", 5, None]}, "not in_set(x, 9.0, 5, null)"),
+    ("x", "no_default", {"placeholders": [Decimal("-2.00")]}, "in_set(x, -2.00)"),
+    (None, "freshness", {"timestamp_column": "t", "max_age": Decimal("1e-8")},
+     "age_days(t) > 0.00000001"),
+    (None, "freshness", {"timestamp_column": "t", "max_age": Decimal("30.0")},
+     "age_days(t) > 30.0"),
+    (None, "freshness", {"timestamp_column": "t", "max_age": "12h"}, "age_days(t) > 0.5"),
+], ids=["decimal-strings", "small-json-decimal", "exponent-json-decimal",
+        "integral-decimal-on-integer", "timestamp-offset", "domain", "no-default",
+        "small-max-age", "max-age-trailing-zero", "max-age-hours"])
+def test_literal_selectors_exact(column, kind, params, selector):
+    body = rule("r", "m", [column] if column else [], _PROPERTY[kind], kind, params)
+    assert _selector_and_measure(_parsed(body))[0] == selector
+
+
+def _offset_texts(dt: datetime):
+    """RFC 3339 texts of one instant: Z, and at non-UTC offsets."""
+    return st.sampled_from([-330, -120, 60, 345, 840]).map(
+        lambda minutes: dt.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
+    ) | st.just(dt.strftime("%Y-%m-%dT%H:%M:%SZ"))
+
+
+_LITERALS = {  # every form the documents accept for a column of each datatype
+    "integer": st.integers(-5, 200) | st.sampled_from(
+        ["5.0", "1e1", "1.5E+2", "0.0", "-3.00", "1E+2"]).map(Decimal),  # JSON numbers
+    "decimal": st.integers(-5, 200)
+    | st.sampled_from(["1e-7", "1E-8", "0.5", "10.50", "9.0", "1.5e2", "150.000",
+                       "-2.0", "0.00000010", "2E-1"]).map(Decimal)
+    | st.sampled_from(["0.0000001", "0.5", "10.5", "9.0", "150", "-2", "10.50",
+                       "0.000000000001"]),
+    "timestamp": st.sampled_from(_CELLS["t"][1][1:] + [_ts(2, 15)]).flatmap(_offset_texts),
+    "text": st.sampled_from(["", "N/A", "a", "b", "ab", "it's"]),
+}
+
+
+@st.composite
+def literal_rules(draw):
+    column = draw(st.sampled_from(sorted(_CELLS)))
+    literal = _LITERALS[_CELLS[column][0]]
+    kind = draw(st.sampled_from(["range", "domain", "no_default"]))
+    if kind == "range":
+        bounds = draw(st.sampled_from([("min",), ("max",), ("min", "max")]))
+        params = {b: draw(literal) for b in bounds}
+        params.update({f"{b}_inclusive": draw(st.booleans()) for b in bounds})
+    else:
+        members = draw(st.lists(literal | st.none(), min_size=1, max_size=4))
+        params = {"allowed" if kind == "domain" else "placeholders": members}
+    return rule("r", "m", [column], _PROPERTY[kind], kind, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal_rules())
+def test_selector_selects_failing_non_null_rows(body):
+    """Whatever form a literal is written in, the selector parses, typechecks to
+    boolean against its entity, and selects exactly the failing rows whose
+    tested value is not null (null cells fail but no comparison selects them)."""
+    rs = _parsed(body)
+    assert [str(d) for d in validate_ruleset(rs, _REPO.catalog)
+            if d.message != "range min must not exceed max"] == []
+    selector, measure = _selector_and_measure(rs)
+    expr = parse_expr(selector)
+    assert typecheck(expr, {c: t for c, (t, _) in _CELLS.items()}) == "boolean"
+    cells = _REPO.entities["m"].column(body["columns"][0])
+    assert _selected_rows(selector, _REPO.entities["m"], rs) == \
+        {ref.row for ref in measure.failing if cells[ref.row] is not None}
 
 
 def test_fingerprint_mismatch_rejected(table3_report):

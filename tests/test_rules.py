@@ -97,11 +97,27 @@ def test_range_requires_a_bound():
             rule("1", "person", ["age"], "RAN_EXAC", "range", {})]))
 
 
-def test_range_min_above_max_rejected():
-    with pytest.raises(ParseError, match="min must not exceed max"):
-        parse_ruleset(make_ruleset([
-            rule("1", "person", ["age"], "RAN_EXAC", "range",
-                 {"min": 10, "max": 5})]))
+def test_range_min_above_max_rejected(person_catalog):
+    rs = parse_ruleset(make_ruleset([
+        rule("1", "person", ["age"], "RAN_EXAC", "range", {"min": 10, "max": 5})]))
+    assert [str(d) for d in validate_ruleset(rs, person_catalog)] == \
+        ["ERROR 1: range min must not exceed max"]
+
+
+@pytest.mark.parametrize("column, bounds, expected", [
+    ("balance", {"min": "9.0", "max": "10.5"}, []),
+    ("balance", {"min": 5, "max": "10.5"}, []),
+    ("balance", {"min": "10.5", "max": "9.0"}, ["ERROR r: range min must not exceed max"]),
+    ("updated", {"min": "2024-01-01T01:00:00-02:00", "max": "2024-01-01T02:00:00Z"},
+     ["ERROR r: range min must not exceed max"]),
+    ("id", {"min": "b", "max": "a"}, ["ERROR r: range min must not exceed max"]),
+], ids=["decimal-strings", "int-and-decimal-string", "decimal-strings-inverted",
+        "timestamps-across-offsets", "text"])
+def test_range_bounds_compare_as_typed_values(person_catalog, column, bounds, expected):
+    """Bounds are compared after they take the column's type, not as written."""
+    rs = parse_ruleset(make_ruleset([rule("r", "person", [column], "RAN_EXAC",
+                                          "range", bounds)]))
+    assert [str(d) for d in validate_ruleset(rs, person_catalog)] == expected
 
 
 def test_unique_key_duplicates_rejected():
@@ -268,6 +284,15 @@ def rulesets(draw):
 def test_parse_serialize_identity(document):
     rs = parse_ruleset(document)
     assert parse_ruleset(serialize_ruleset(rs)) == rs
+
+
+@pytest.mark.parametrize("where", ["balance > 0.0000001", "balance * 0.50 >= 10.000",
+                                   "balance % 0.000000000001 = 0"])
+def test_small_decimal_literals_round_trip(where):
+    rs = parse_ruleset(make_ruleset([
+        rule("r", "person", ["balance"], "COMP_REG", "not_null", {}, where=where)]))
+    assert parse_ruleset(serialize_ruleset(rs)) == rs
+    assert json.loads(serialize_ruleset(rs))["rules"][0]["where"] == where
 
 
 @given(rulesets())
@@ -438,8 +463,13 @@ _UNUSED_FC = "WARNING -: format class 'fc' is defined but never used"
      ["ERROR r: entity 'nobody' does not exist",
       "ERROR r: column warning.nope does not exist",
       "ERROR r: where (target warning): unknown column 'age'",
-      "ERROR r: pattern rules require text columns; person.age is integer",
-      "ERROR r: where (target warning): unknown column 'age'"]),
+      "ERROR r: pattern rules require text columns; person.age is integer"]),
+    (rule("r", "person", ["id"], "CONS_FORM", "format_class",
+          {"class": "fc", "extra_targets": [["person", "ipaddress"], ["warning", "wid"],
+                                            ["warning", "type"]]},
+          where="nope > 1"),
+     ["ERROR r: where: unknown column 'nope'",
+      "ERROR r: where (target warning): unknown column 'nope'"]),
 ])
 def test_validation_diagnostics_exact(person_catalog, body, expected):
     rs = parse_ruleset(make_ruleset([body], format_classes={"fc": "^[A-Z]+$"}))

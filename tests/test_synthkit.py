@@ -60,8 +60,8 @@ def test_quarter_rate_gives_exact_counts(tmp_path: Path):
     rs = parse_ruleset(rs_doc)
     spec = _spec(violations=[ViolationPlan("syn", Decimal("0.25"), ("*no*",))])
     expected = generate(spec, catalog, rs, tmp_path)
-    assert expected.get("syn") == (750, 1000)
-    assert expected.get("rng") == (1000, 1000)
+    assert expected.measures == (("syn", 750, 1000), ("rng", 1000, 1000),
+                                 ("nn", 1000, 1000))
     repo = load_snapshot(tmp_path, catalog)
     ms = eval_all(rs, repo)
     assert expected_vs_actual(expected, ms) == []
@@ -80,7 +80,7 @@ def test_format_class_counts_every_target_when_own_entity_is_empty(tmp_path: Pat
     spec = SynthSpec(1, (("m", EntityPlan(0, column)), ("r", EntityPlan(4, column))),
                      (ViolationPlan("fc", Decimal("0.5"), ("bad",)),))
     expected = generate(spec, catalog, rs, tmp_path)
-    assert expected.get("fc") == (2, 4)
+    assert expected.measures == (("fc", 2, 4),)
     assert expected_vs_actual(expected, eval_all(rs, load_snapshot(tmp_path, catalog))) == []
 
 
