@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 from datetime import datetime
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import ParseError
@@ -23,6 +23,11 @@ from .values import format_timestamp
 # The C string encoder json.dumps(s, ensure_ascii=False) ends in, bound once:
 # json.dumps builds a new JSONEncoder per call when ensure_ascii is False.
 _encode_str = json.encoder.encode_basestring
+
+
+class Raw(str):
+    """JSON text written as it is: a value already laid out for the depth at
+    which it is placed."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,6 +58,8 @@ def _leaf(obj) -> str | None:
     elif isinstance(obj, float):
         # floats are never produced by the pipeline; refuse silently lossy output
         raise TypeError("float values are not allowed in canonical documents")
+    elif isinstance(obj, Raw):
+        return obj
     elif isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     elif isinstance(obj, datetime):
@@ -117,15 +124,52 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    """Parse JSON keeping decimals exact (floats become Decimal)."""
-    return json.loads(text, parse_float=Decimal)
+    """Parse JSON keeping decimals exact (floats become Decimal). A number
+    whose exponent is beyond Decimal's limits is a ValueError, as malformed
+    JSON is."""
+    try:
+        return json.loads(text, parse_float=Decimal)
+    except InvalidOperation:
+        raise ValueError("a number's exponent is out of range") from None
+
+
+# The most digits a number in an input document or expression may have
+# before, and after, its decimal point once written out in full. Rule
+# literals become integers and positional expression text, which grow with
+# the exponent.
+MAX_NUMBER_DIGITS = 1000
+
+
+def number_out_of_range(literal: str) -> ParseError:
+    shown = literal if len(literal) <= 24 else literal[:20] + "..."
+    return ParseError(f"number {shown} is out of range: at most "
+                      f"{MAX_NUMBER_DIGITS} digits before and after the "
+                      "decimal point")
+
+
+def _document_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_NUMBER_DIGITS:
+        raise number_out_of_range(literal)
+    return int(literal)
+
+
+def _document_decimal(literal: str) -> Decimal:
+    if len(literal.lower().partition("e")[2].lstrip("+-0")) > 9:
+        raise number_out_of_range(literal)  # beyond what Decimal's own limits allow
+    value = Decimal(literal)
+    if (value.as_tuple().exponent < -MAX_NUMBER_DIGITS
+            or value.adjusted() >= MAX_NUMBER_DIGITS):
+        raise number_out_of_range(literal)
+    return value
 
 
 def load_document(text: str):
     """`loads` for input documents: malformed JSON is a ParseError naming its
-    line and column."""
+    line and column, and so is a number too long to write out in full (see
+    MAX_NUMBER_DIGITS)."""
     try:
-        return loads(text)
+        return json.loads(text, parse_int=_document_int,
+                          parse_float=_document_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
                          column=exc.colno) from None

@@ -356,6 +356,11 @@ class Repository:
     entities: dict[str, Entity]
     fingerprint: str
 
+    def record_key(self, entity: str, row: int) -> dict:
+        """The key of one row: key column name → value, in schema order."""
+        e = self.entities[entity]
+        return {c: e.column(c)[row] for c in e.schema.key}
+
 
 def load_snapshot(directory: Path, catalog: SchemaCatalog) -> Repository:
     """Load every catalog entity from `<entity>.csv` files in a directory."""

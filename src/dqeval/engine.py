@@ -3,11 +3,12 @@
 For every rule, B counts the applicable items (rows passing `where`, minus
 null subjects when skip_null, minus rows failing a freshness `condition`;
 entity-level kinds have B = 1; format_class sums rows over all its targets),
-`failing` references every applicable item failing the check in (entity,
-ordinal) order, and A = B - len(failing) for every kind. B = 0 means the
-rule is not applicable and the ratio is undefined. Results are independent
-of evaluation order, so rules may be evaluated in parallel; the repository
-is immutable throughout.
+`failing` holds the (entity, ordinal) pair of every applicable item failing
+the check, in that order (ordinal None for entity-level kinds, at most
+DEFAULT_FAILING_CAP pairs), and A = B - failing_total for every kind. B = 0
+means the rule is not applicable and the ratio is undefined. Results are
+independent of evaluation order, so rules may be evaluated in parallel; the
+repository is immutable throughout.
 
 The eight per-value kinds (syntax, range, domain, not_null, no_default,
 foreign_key, format_class, freshness) cost one check per distinct value of
@@ -43,19 +44,11 @@ DEFAULT_FAILING_CAP = 100_000
 
 
 @dataclass(frozen=True)
-class RecordRef:
-    """Locator for one non-compliant item. row is None for entity-level kinds."""
-    entity: str
-    row: int | None
-    key: tuple = ()
-
-
-@dataclass(frozen=True)
 class RuleMeasure:
     rule_id: str
     a: int
     b: int
-    failing: tuple[RecordRef, ...]
+    failing: list[tuple[str, int | None]]  # (entity, ordinal); None: entity-level
     failing_total: int
     elapsed: float = field(compare=False, default=0.0)
 
@@ -65,11 +58,19 @@ class RuleMeasure:
         return None if self.b == 0 else Fraction(self.a, self.b)
 
 
+def _no_keys(entity: str, row: int) -> dict:
+    raise LookupError(f"no record keys for {entity} row {row}")
+
+
 @dataclass(frozen=True)
 class MeasureSet:
     measures: dict[str, RuleMeasure]  # rule id → measure, in document order
     ruleset_fingerprint: str
     snapshot_fingerprint: str
+    # (entity, row) → the record's key, column name → value: the repository's
+    # key columns for an evaluated set, the parsed records for a parsed one
+    record_key: Callable[[str, int], dict] = field(
+        default=_no_keys, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.measures.values())
@@ -100,31 +101,15 @@ def _applicable_rows(rule: Rule, entity: Entity, rs: RuleSet,
     return rows
 
 
-def _make_ref(entity: Entity, ordinal: int | None) -> RecordRef:
-    if ordinal is None:
-        return RecordRef(entity.name, None)
-    return RecordRef(entity.name, ordinal,
-                     tuple((c, entity.column(c)[ordinal]) for c in entity.schema.key))
-
-
-# Raw failing items are (entity name, ordinal) pairs; record refs with key
-# values are only materialized in the coordinating process, which keeps
-# worker results small and avoids touching key columns in forked children.
-
 def _cap_raw(a: int, b: int,
              raw: list[tuple[str, int | None]]) -> tuple[int, int, list, int]:
+    """(A, B, the first DEFAULT_FAILING_CAP failing pairs in (entity, ordinal)
+    order, how many failed)."""
     raw.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
     total = len(raw)
     if total > DEFAULT_FAILING_CAP:
         raw = raw[:DEFAULT_FAILING_CAP]
     return a, b, raw, total
-
-
-def _materialize(rule: Rule, repo: Repository, counts, elapsed: float) -> RuleMeasure:
-    a, b, raw, total = counts
-    failing = tuple(_make_ref(repo.entities[name], ordinal)
-                    for name, ordinal in raw)
-    return RuleMeasure(rule.id, a, b, failing, total, elapsed)
 
 
 # --------------------------------------------------------------------------
@@ -302,8 +287,8 @@ def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet) -> tuple[int, int, l
 def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
     """Evaluate one validated rule. EvalError signals a pipeline bug only."""
     started = time.perf_counter()
-    counts = _eval_counts(rule, repo, rs)
-    return _materialize(rule, repo, counts, time.perf_counter() - started)
+    a, b, failing, total = _eval_counts(rule, repo, rs)
+    return RuleMeasure(rule.id, a, b, failing, total, time.perf_counter() - started)
 
 
 # Worker state for fork-based parallel evaluation; set in the parent right
@@ -338,7 +323,7 @@ def _place_worker(cpus: frozenset, slots) -> None:
 
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, RuleMeasure]:
     """Rule index → measure, from batches of consecutive rules run in forked
-    workers; each batch's record refs are materialized here as it arrives."""
+    workers."""
     # imported here: concurrent.futures.process adds ~20 ms to every start-up
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
@@ -362,9 +347,9 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, Rul
                        for i in range(0, len(rules), size)]
             try:
                 for future in as_completed(futures):
-                    for index, counts, elapsed in future.result():
-                        measured[index] = _materialize(rules[index], repo,
-                                                       counts, elapsed)
+                    for index, (a, b, failing, total), elapsed in future.result():
+                        measured[index] = RuleMeasure(rules[index].id, a, b,
+                                                      failing, total, elapsed)
             except BrokenProcessPool:
                 unfinished = [r.id for i, r in enumerate(rules) if i not in measured]
                 shown = ", ".join(unfinished[:10])
@@ -386,10 +371,12 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
 
     jobs > 1 forks workers that share the loaded repository copy-on-write,
     at most one per usable CPU (more only queue for the same CPUs);
-    workers ship back counts and failing ordinals only, and the coordinator
-    materializes record refs, so the output is identical to a sequential run
-    byte for byte. A worker that dies raises EvalError naming the rules not
-    yet evaluated. Without fork, evaluation is sequential.
+    workers ship back counts and failing (entity, ordinal) pairs, the same
+    values a sequential run computes, so the output is identical byte for
+    byte. Key values are read from the repository only when records are
+    written (`MeasureSet.record_key`). A worker that dies raises EvalError
+    naming the rules not yet evaluated. Without fork, evaluation is
+    sequential.
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -397,4 +384,5 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
         measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
     else:
         measures = {r.id: eval_rule(r, repo, rs) for r in rs.rules}
-    return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint)
+    return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint,
+                      repo.record_key)

@@ -20,6 +20,7 @@ from datetime import datetime
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      InvalidOperation)
 
+from .canonical import MAX_NUMBER_DIGITS, number_out_of_range
 from .errors import ParseError
 from .values import format_timestamp, parse_timestamp, value_type
 
@@ -241,6 +242,9 @@ def _tokenize(source: str) -> list[_Token]:
             raise ParseError(f"unexpected character {source[pos]!r} in expression",
                              column=pos + 1)
         kind = m.lastgroup
+        if kind in ("int", "decimal") and MAX_NUMBER_DIGITS < max(
+                map(len, m.group().split("."))):
+            raise number_out_of_range(m.group())
         if kind != "ws":
             tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()

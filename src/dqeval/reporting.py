@@ -10,7 +10,8 @@ expression where the row-expression language can express the violation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import canonical
 from .dataset import Repository
-from .engine import MeasureSet, RecordRef, RuleMeasure
+from .engine import MeasureSet, RuleMeasure
 from .errors import FingerprintMismatch, ParseError, ScopeMismatch
 from .expr import Literal, unparse
 from .rules import (Domain, FormatClass, Freshness, NoDefault, Predicate,
@@ -303,9 +304,67 @@ def parse_report(text: str) -> EvaluationReport:
 
 
 # --------------------------------------------------------------------------
-# Measures document (full failing refs; feeds the improvement manifests)
+# Failing records
+
+# Failing-record lists sit at one depth in measures.json (document, measures,
+# measure, failing) and in the manifests (document, rules, rule, records).
+_RECORDS_LEVEL = 3
+
+
+def _key_value(value) -> str:
+    t = type(value)
+    if t is str:
+        return canonical._encode_str(value)
+    if t is int:
+        return str(value)
+    return canonical._leaf(value)
+
+
+def record_writer(record_key: Callable[[str, int], dict], level: int,
+                  with_entity: bool) -> Callable[[list], canonical.Raw]:
+    """A writer of failing-record lists at `level`: from (entity, row) pairs it
+    gives the text canonical.dumps gives [{"entity", "row", "key": {...}}]
+    ("entity" only when with_entity), without building the dicts. An
+    entity-level record (row None) has an empty key. One row fails many rules,
+    so each (entity, row)'s text is made once per writer."""
+    lead, sep, close = canonical._layout(level)
+    member, member_sep, record_close = canonical._layout(level + 1)
+    key_lead, key_sep, key_close = canonical._layout(level + 2)
+    texts: dict[tuple[str, int | None], str] = {}
+
+    def record(pair: tuple[str, int | None]) -> str:
+        entity, row = pair
+        head = "{" + member
+        if with_entity:
+            head += f'"entity": {canonical._encode_str(entity)}{member_sep}'
+        if row is None:
+            row_text, key_text = "null", "{}"
+        else:
+            key = record_key(entity, row)
+            members = key_sep.join(f"{canonical._encode_str(name)}: {_key_value(v)}"
+                                   for name, v in key.items())
+            row_text = str(row)
+            key_text = "{" + key_lead + members + key_close + "}" if key else "{}"
+        text = texts[pair] = (f'{head}"row": {row_text}{member_sep}"key": '
+                              f'{key_text}{record_close}}}')
+        return text
+
+    def write(records: list[tuple[str, int | None]]) -> canonical.Raw:
+        if not records:
+            return canonical.Raw("[]")
+        get = texts.get
+        return canonical.Raw("[" + lead + sep.join([get(p) or record(p)
+                                                    for p in records])
+                             + close + "]")
+
+    return write
+
+
+# --------------------------------------------------------------------------
+# Measures document (full failing records; feeds the improvement manifests)
 
 def serialize_measures(ms: MeasureSet) -> str:
+    write_records = record_writer(ms.record_key, _RECORDS_LEVEL, True)
     doc = {
         "ruleset_fingerprint": ms.ruleset_fingerprint,
         "snapshot_fingerprint": ms.snapshot_fingerprint,
@@ -315,11 +374,7 @@ def serialize_measures(ms: MeasureSet) -> str:
                 "a": m.a,
                 "b": m.b,
                 "failing_total": m.failing_total,
-                "failing": [
-                    {"entity": ref.entity, "row": ref.row,
-                     "key": {k: v for k, v in ref.key}}
-                    for ref in m.failing
-                ],
+                "failing": write_records(m.failing),
             }
             for m in ms
         ],
@@ -327,17 +382,42 @@ def serialize_measures(ms: MeasureSet) -> str:
     return canonical.dumps(doc)
 
 
+def _valid_record(entity, row, key) -> bool:
+    return (type(entity) is str and type(key) is dict
+            and (not key if row is None else type(row) is int)
+            and all(type(v) in (str, int, bool, type(None))
+                    or type(v) is Decimal and v.is_finite() for v in key.values()))
+
+
 def parse_measures(text: str) -> MeasureSet:
+    """The measures document in the evaluated form: failing (entity, row)
+    pairs, with keys looked up in a table built from the records.
+
+    A record needs a text entity, an integer row (or null with an empty key)
+    and a key of JSON scalars; one (entity, row) with two keys that are not
+    written alike is a ParseError."""
+    keys: dict[tuple[str, int | None], dict] = {}
     try:
         data = canonical.loads(text)
         measures = {}
         for m in data["measures"]:
-            refs = tuple(RecordRef(r["entity"], r["row"],
-                                   tuple(r["key"].items())) for r in m["failing"])
+            failing = []
+            for r in m["failing"]:
+                pair = (r["entity"], r["row"])
+                key = r["key"]
+                known = keys.setdefault(pair, key)
+                if known is key:
+                    if not _valid_record(*pair, key):
+                        raise ValueError(f"invalid failing record {r!r}")
+                elif known != key or repr(known) != repr(key):
+                    raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
+                                     f"{known!r} and {key!r}")
+                failing.append(pair)
             measures[m["rule_id"]] = RuleMeasure(
-                m["rule_id"], m["a"], m["b"], refs, m["failing_total"])
+                m["rule_id"], m["a"], m["b"], failing, m["failing_total"])
         return MeasureSet(measures, data["ruleset_fingerprint"],
-                          data["snapshot_fingerprint"])
+                          data["snapshot_fingerprint"],
+                          lambda entity, row: keys[entity, row])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid measures document: {exc}") from None
 
@@ -351,7 +431,7 @@ class ManifestRule:
     kind: str
     selector: str | None
     failing_total: int
-    records: tuple[RecordRef, ...]
+    records: tuple[tuple[str, int | None], ...]  # (entity, row) pairs
 
 
 @dataclass(frozen=True)
@@ -359,13 +439,16 @@ class ImprovementManifest:
     entity: str
     property: Property
     rules: tuple[ManifestRule, ...]
+    # writes ManifestRule.records; shared by the manifests of one measure set
+    write_records: Callable[[tuple], canonical.Raw] = field(compare=False,
+                                                            repr=False)
 
 
 def build_improvement(report: EvaluationReport,
                       ms: MeasureSet) -> list[ImprovementManifest]:
     """Manifests for every rule with failures, grouped by (entity, property).
 
-    format_class failures may span entities; each ref lands in its own
+    format_class failures may span entities; each record lands in its own
     entity's manifest, and the rule's selector, which reads the columns of
     the rule's entity, is given only in that entity's manifest.
     """
@@ -379,16 +462,17 @@ def build_improvement(report: EvaluationReport,
         measure = ms.measures.get(summary.rule_id)
         if measure is None or measure.failing_total == 0:
             continue
-        by_entity: dict[str, list[RecordRef]] = {}
-        for ref in measure.failing:
-            by_entity.setdefault(ref.entity, []).append(ref)
-        for entity, refs in by_entity.items():
+        by_entity: dict[str, list[tuple[str, int | None]]] = {}
+        for record in measure.failing:
+            by_entity.setdefault(record[0], []).append(record)
+        for entity, records in by_entity.items():
             selector = summary.selector if entity == summary.entity else None
             groups.setdefault((entity, summary.property), []).append(ManifestRule(
                 summary.rule_id, summary.kind, selector,
-                measure.failing_total, tuple(refs)))
+                measure.failing_total, tuple(records)))
 
-    return [ImprovementManifest(entity, prop, tuple(rules))
+    write_records = record_writer(ms.record_key, _RECORDS_LEVEL, False)
+    return [ImprovementManifest(entity, prop, tuple(rules), write_records)
             for (entity, prop), rules in sorted(
                 groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value))]
 
@@ -407,8 +491,7 @@ def serialize_manifest(manifest: ImprovementManifest, report: EvaluationReport) 
                 "selector": r.selector,
                 "failing_total": r.failing_total,
                 "failing_listed": len(r.records),
-                "records": [{"row": ref.row, "key": {k: v for k, v in ref.key}}
-                            for ref in r.records],
+                "records": manifest.write_records(r.records),
             }
             for r in manifest.rules
         ],

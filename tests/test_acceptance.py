@@ -248,17 +248,17 @@ def test_criterion_4_repair_monotonicity(tmp_path: Path):
 
     repairs = 0
     while repairs < 100:
-        candidates = [(rid, ref) for rid in _REPAIRABLE
-                      for ref in ms.measures[rid].failing]
+        candidates = [(rid, row) for rid in _REPAIRABLE
+                      for _, row in ms.measures[rid].failing]
         if not candidates:
             break
-        rid, ref = candidates[rng.randrange(len(candidates))]
+        rid, row = candidates[rng.randrange(len(candidates))]
         column = _RULE_COLUMN[rid]
         col = columns["fact"][column]
         passing_rows = [i for i in range(len(col))
-                        if i not in {r.row for r in ms.measures[rid].failing}]
+                        if i not in {r for _, r in ms.measures[rid].failing}]
         assert passing_rows, f"rule {rid} has no compliant row to copy from"
-        col[ref.row] = col[passing_rows[0]]
+        col[row] = col[passing_rows[0]]
 
         current = rebuild()
         ms = eval_all(rs, current)

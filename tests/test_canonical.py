@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import canonical_reference as reference
-from dqeval import canonical, cli, scenarios
+from conftest import reference_record_writer
+from dqeval import canonical, cli, reporting, scenarios
 from dqeval.dataset import load_catalog, serialize_catalog
+from dqeval.errors import ParseError
 from dqeval.rules import parse_ruleset, serialize_ruleset
 from dqeval.synthkit import serialize_expected
 
@@ -136,9 +138,42 @@ def test_scenario_documents_match_reference(name, tmp_path: Path, monkeypatch):
 
     ours = documents(tmp_path / "canonical")
     monkeypatch.setattr(canonical, "dumps", reference.dumps)
+    # failing records go to the reference emitter as the dicts they stand for
+    monkeypatch.setattr(reporting, "record_writer", reference_record_writer)
     theirs = documents(tmp_path / "reference")
     assert {"report.json", "measures.json", "improve/index.json"} <= ours.keys()
     assert any(k.endswith(".manifest.json") for k in ours)
     assert ours.keys() == theirs.keys()
     for doc in ours:
         assert ours[doc] == theirs[doc], doc
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("9" * 1000, int("9" * 1000)), ("-" + "9" * 1000, -int("9" * 1000)),
+    ("-0", 0), ("1.50", Decimal("1.50")), ("1e999", Decimal("1E+999")),
+    ("9" * 1000 + "." + "9" * 1000, Decimal("9" * 1000 + "." + "9" * 1000)),
+    ("0." + "0" * 999 + "1", Decimal("1E-1000")), ("1e-1000", Decimal("1E-1000")),
+    ("1E+0000000000000001", Decimal("1E+1")), ("0e0", Decimal("0")),
+], ids=["1000-digits", "negative-1000-digits", "minus-zero", "decimal",
+        "exponent-999", "1000-and-1000-digits", "1000-fraction-digits",
+        "exponent-minus-1000", "padded-exponent", "zero"])
+def test_document_numbers_in_range(literal, value):
+    [parsed] = canonical.load_document(f"[{literal}]")
+    assert parsed == value and type(parsed) is type(value)
+    assert str(parsed) == str(value)
+
+
+@pytest.mark.parametrize("literal", [
+    "9" * 1001, "-" + "9" * 1001, "1e1000", "1e999999", "1" * 1001 + ".5",
+    "1e-1001", "0e-1001", "0." + "0" * 1000 + "1", "1" + "0" * 1000 + "e-1001",
+    "1e99999999999999999999", "1e-99999999999999999999"],
+    ids=["1001-digits", "negative-1001-digits", "exponent-1000", "exponent-999999",
+         "1001-integer-digits", "exponent-minus-1001", "zero-exponent-minus-1001",
+         "1001-fraction-digits", "1001-digits-exponent-minus-1001",
+         "exponent-20-digits", "exponent-minus-20-digits"])
+def test_document_numbers_out_of_range(literal):
+    shown = literal if len(literal) <= 24 else literal[:20] + "..."
+    with pytest.raises(ParseError) as caught:
+        canonical.load_document('{"a": [1, {"b": %s}]}' % literal)
+    assert str(caught.value) == (f"number {shown} is out of range: at most 1000 "
+                                 "digits before and after the decimal point")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, make_ruleset, rule
 from dqeval.cli import build_parser, main
+from dqeval.scenarios import write_scenario
 
 RULES_DOC = make_ruleset([
     rule("r1", "person", ["id"], "EXAC_SINT", "syntax",
@@ -176,6 +179,29 @@ def test_improve_fingerprint_mismatch_exits_5(workspace):
                  "--measures", str(workspace / "tampered.json"),
                  "--out", str(workspace / "manifests")])
     assert code == 5
+
+
+def test_number_beyond_decimal_limits_is_an_input_error(workspace, capsys):
+    """An exponent Decimal cannot hold is an error message, not a traceback,
+    in every document the commands read back."""
+    huge = "1e99999999999999999999"
+    message = "a number's exponent is out of range\n"
+    _evaluate(workspace)
+    out = workspace / "out"
+    for name in ("report.json", "measures.json"):
+        text = (out / name).read_text()
+        (workspace / name).write_text(text.replace('"ruleset_fingerprint"',
+                                                   f'"x": {huge}, "ruleset_fingerprint"', 1))
+    capsys.readouterr()
+    assert main(["certify", str(workspace / "report.json")]) == 1
+    assert capsys.readouterr().err == "error: malformed report: " + message
+    assert main(["improve", "--report", str(out / "report.json"),
+                 "--measures", str(workspace / "measures.json"),
+                 "--out", str(workspace / "manifests")]) == 1
+    assert capsys.readouterr().err == "error: invalid measures document: " + message
+    (workspace / "config.json").write_text('{"thresholds": [20, 40, 70, %s]}' % huge)
+    assert _evaluate(workspace, "--config", str(workspace / "config.json")) == 3
+    assert capsys.readouterr().err == "error: malformed config: " + message
 
 
 # --------------------------------------------------------------------------
@@ -468,3 +494,65 @@ def test_synth_bad_plan_exits_3(tmp_path, capsys, body, violating, message):
                  "--rules", str(tmp_path / "rules.json"),
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == message + "\n"
+
+
+_OUT_OF_RANGE = "is out of range: at most 1000 digits before and after the decimal point"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"max": 100', '"max": 1e999999', f"number 1e999999 {_OUT_OF_RANGE}"),
+    ('"max": 100', '"max": ' + "9" * 5000, f"number {'9' * 20}... {_OUT_OF_RANGE}"),
+    ('"where": null', '"where": "c0061 < 0.' + "5" * 1001 + '"',
+     f"number 0.555555555555555555... {_OUT_OF_RANGE} "
+     "(rules[60] (id 'RAN_EXAC_001').where)"),
+], ids=["exponent", "digits", "expression"])
+def test_oversized_number_exits_3(tmp_path, capsys, old, new, message):
+    """A number too long to write out in full is refused while the rules are
+    read, by validate, evaluate and synth alike."""
+    write_scenario("travel-v1", tmp_path / "s")
+    rules = tmp_path / "s" / "rules.json"
+    files = ["--rules", str(rules), "--schema", str(tmp_path / "s" / "schema.json")]
+    assert main(["validate", *files]) == 0
+    text = rules.read_text()
+    at = text.index(old, text.index('"RAN_EXAC_001"'))
+    rules.write_text(text[:at] + new + text[at + len(old):])
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"travel_08": {"rows": 4, "columns": {}}}}))
+    capsys.readouterr()
+    for argv in (["validate", *files],
+                 ["evaluate", *files, "--data", str(tmp_path / "s" / "snapshot"),
+                  "--out", str(tmp_path / "out")],
+                 ["synth", "--spec", str(tmp_path / "spec.json"), *files,
+                  "--out", str(tmp_path / "synth")]):
+        assert main(argv) == 3, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n", argv[0]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "synth").exists()
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    """evaluate and improve write the same bytes under two hash seeds."""
+    write_scenario("registry-v1", tmp_path / "s")
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = tmp_path / f"seed{seed}"
+        for argv in (["evaluate", "--rules", str(tmp_path / "s" / "rules.json"),
+                      "--schema", str(tmp_path / "s" / "schema.json"),
+                      "--data", str(tmp_path / "s" / "snapshot"),
+                      "--out", str(out / "evaluate"), "--jobs", "1"],
+                     ["improve", "--report", str(out / "evaluate" / "report.json"),
+                      "--measures", str(out / "evaluate" / "measures.json"),
+                      "--out", str(out / "improve")]):
+            proc = subprocess.run([sys.executable, "-m", "dqeval.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*.json"))})
+    assert {"evaluate/report.json", "evaluate/measures.json",
+            "improve/index.json"} <= written[0].keys()
+    assert sum(n.endswith(".manifest.json") for n in written[0]) > 100
+    assert written[0].keys() == written[1].keys()
+    for name in written[0]:
+        assert written[0][name] == written[1][name], name

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import signal
@@ -17,8 +18,9 @@ from conftest import make_ruleset, rule
 from dqeval import engine
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
-from dqeval.engine import RecordRef, eval_all, eval_rule
+from dqeval.engine import eval_all, eval_rule
 from dqeval.errors import EvalError
+from dqeval.reporting import serialize_measures
 from dqeval.rules import KIND_NAMES, KINDS, parse_ruleset
 from engine_reference import reference_counts
 from oracle import naive_measure
@@ -26,6 +28,12 @@ from oracle import naive_measure
 
 def _single(rs):
     return rs.rules[0]
+
+
+def _written(rs, repo) -> list[list[dict]]:
+    """Each rule's failing records as measures.json writes them."""
+    doc = json.loads(serialize_measures(eval_all(rs, repo)))
+    return [m["failing"] for m in doc["measures"]]
 
 
 def _measure(document: str, repo, rule_index: int = 0):
@@ -40,14 +48,15 @@ def test_syntax_over_person_ids(person_snapshot, table3_ruleset):
     m = eval_rule(table3_ruleset.rules[0], person_snapshot, table3_ruleset)
     assert (m.a, m.b) == (3, 4)
     assert m.ratio == Fraction(3, 4)
-    assert [(r.entity, r.row) for r in m.failing] == [("person", 2)]
-    assert m.failing[0].key == (("id", "1234"),)
+    assert m.failing == [("person", 2)]
+    assert _written(table3_ruleset, person_snapshot)[0] == [
+        {"entity": "person", "row": 2, "key": {"id": "1234"}}]
 
 
 def test_domain_over_warning_types(person_snapshot, table3_ruleset):
     m = eval_rule(table3_ruleset.rules[1], person_snapshot, table3_ruleset)
     assert (m.a, m.b) == (4, 5)
-    assert [(r.entity, r.row) for r in m.failing] == [("warning", 4)]
+    assert m.failing == [("warning", 4)]
 
 
 def test_empty_entity_not_applicable(person_catalog, tmp_path: Path):
@@ -128,7 +137,7 @@ def test_unique_flags_every_group_member(person_snapshot):
     m, _ = _measure(make_ruleset([
         rule("r", "warning", [], "RIES_INCO", "unique", {"key": ["type"]})]), repo)
     assert (m.a, m.b) == (2, 5)
-    assert [r.row for r in m.failing] == [0, 1, 3]
+    assert m.failing == [("warning", 0), ("warning", 1), ("warning", 3)]
     assert m.failing_total == 3
 
 
@@ -152,11 +161,13 @@ def test_min_count(person_snapshot):
         rule("r", "person", [], "COMP_FICH", "min_count", {"threshold": 4})]),
         person_snapshot)
     assert (m.a, m.b) == (1, 1) and not m.failing
-    m, _ = _measure(make_ruleset([
+    m, rs = _measure(make_ruleset([
         rule("r", "person", [], "COMP_FICH", "min_count", {"threshold": 5})]),
         person_snapshot)
     assert (m.a, m.b) == (0, 1)
-    assert m.failing == (RecordRef("person", None),)
+    assert m.failing == [("person", None)]
+    assert _written(rs, person_snapshot) == [
+        [{"entity": "person", "row": None, "key": {}}]]
 
 
 def test_freshness_and_frequency(person_snapshot):
@@ -219,7 +230,7 @@ def test_format_class_sums_targets(person_snapshot):
 def test_failing_cap_keeps_true_total(person_snapshot, table3_ruleset, monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_FAILING_CAP", 0)
     m = eval_rule(table3_ruleset.rules[1], person_snapshot, table3_ruleset)
-    assert m.failing == ()
+    assert m.failing == []
     assert m.failing_total == 1
 
 
@@ -340,7 +351,8 @@ def test_repair_increases_a_by_one(person_snapshot, table3_ruleset):
     before = eval_rule(syntax_rule, person_snapshot, table3_ruleset)
     cols = dict(person_snapshot.entities["person"]._columns)
     ids = list(cols["id"])
-    ids[before.failing[0].row] = "22222222C"  # compliant replacement
+    [(_, row)] = before.failing
+    ids[row] = "22222222C"  # compliant replacement
     cols["id"] = ids
     entity = Entity(person_snapshot.entities["person"].schema, cols)
     repo = Repository(person_snapshot.catalog,

@@ -60,6 +60,23 @@ def test_timestamp_literal_requires_offset():
         parse_expr("ts'2024-06-01T00:00:00'")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("9" * 1000, int("9" * 1000)), ("1." + "5" * 1000, Decimal("1." + "5" * 1000)),
+    ("9" * 1000 + ".5", Decimal("9" * 1000 + ".5"))],
+    ids=["1000-digits", "1000-fraction-digits", "1000-integer-digits"])
+def test_number_literals_up_to_1000_digits(text, value):
+    assert parse_expr(f"x < {text}") == Compare("<", Column("x"), Literal(value))
+
+
+@pytest.mark.parametrize("text", ["9" * 1001, "1." + "5" * 1001, "9" * 1001 + ".5"],
+                         ids=["1001-digits", "1001-fraction-digits",
+                              "1001-integer-digits"])
+def test_number_literals_beyond_1000_digits_refused(text):
+    with pytest.raises(ParseError, match=re.escape(
+            f"number {text[:20]}... is out of range: at most 1000 digits")):
+        parse_expr(f"x < {text}")
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError, match="unknown function"):
         parse_expr("frobnicate(age)")

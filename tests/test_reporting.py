@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -9,17 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dumps, make_ruleset, rule
-from dqeval import __version__
+import canonical_reference as reference
+from conftest import dumps, make_ruleset, reference_record_writer, rule
+from dqeval import __version__, canonical, engine
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository, RowView,
                             SchemaCatalog)
 from dqeval.engine import eval_all
-from dqeval.errors import FingerprintMismatch, ScopeMismatch
+from dqeval.errors import FingerprintMismatch, ParseError, ScopeMismatch
 from dqeval.expr import evaluate, parse_expr, typecheck
 from dqeval.reporting import (build_improvement, build_report, compare,
-                              parse_measures, parse_report, render_text,
-                              serialize_comparison, serialize_measures,
-                              serialize_report, write_improvement)
+                              parse_measures, parse_report, record_writer,
+                              render_text, serialize_comparison,
+                              serialize_measures, serialize_report,
+                              write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scoring import default_config, score_all
 from dqeval.taxonomy import Characteristic, Property
@@ -88,7 +91,156 @@ def test_measures_document_roundtrip(table3_report):
     parsed = parse_measures(serialize_measures(ms))
     assert list(parsed.measures) == list(ms.measures)
     assert parsed.measures["r1"].failing_total == 1
-    assert parsed.measures["r1"].failing[0].row == 2
+    assert parsed.measures["r1"].failing == [("person", 2)]
+    assert parsed.record_key("person", 2) == {"id": "1234"}
+
+
+# --------------------------------------------------------------------------
+# failing records: the record writer against the reference emitter
+
+_KEY_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "日本語",
+             "\U0001f600", 'say "hi"', "tab\there", ""]
+_KEY_VALUES = st.one_of(
+    st.text(), st.sampled_from(_KEY_TEXT),
+    st.integers(), st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.sampled_from([Decimal("1E+2"), Decimal("-1.5E-7"), Decimal("0E-7"),
+                     Decimal("-0"), Decimal("1.50")]),
+    st.datetimes(min_value=datetime(1900, 1, 2), max_value=datetime(9998, 12, 30),
+                 timezones=st.sampled_from([
+                     timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                     timezone(timedelta(hours=-8))])),
+    st.booleans(), st.none())
+
+
+@st.composite
+def _failing_lists(draw):
+    """(record_key, failing list): rows of a few entities with keys of every
+    value type, some rows repeated, entity-level records mixed in."""
+    entities = draw(st.lists(st.sampled_from(["a", "é\"q", "\u2028"]),
+                             min_size=1, max_size=3, unique=True))
+    names = {e: draw(st.lists(st.sampled_from(["id", "k\"2", "ñ", "x"]),
+                              max_size=3, unique=True)) for e in entities}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(entities), st.one_of(
+        st.none(), st.integers(0, 2 ** 40))), max_size=25))
+    keys = {(e, row): {n: draw(_KEY_VALUES) for n in names[e]}
+            for e, row in pairs if row is not None}
+    return (lambda entity, row: keys[entity, row]), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_failing_lists(), st.integers(0, 5), st.booleans())
+def test_record_writer_matches_reference_emitter(failing, level, with_entity):
+    record_key, pairs = failing
+    write = record_writer(record_key, level, with_entity)
+    old_shape = reference_record_writer(record_key, level, with_entity)
+    ours, theirs = write(pairs), old_shape(pairs)
+    for _ in range(level):  # the emitter then writes the list at `level`
+        ours, theirs = [ours], [theirs]
+    assert canonical.dumps(ours) == reference.dumps(theirs)
+    if level == 0:
+        assert write(pairs) == reference.dumps(old_shape(pairs))[:-1]
+
+
+_KEYED = EntitySchema("k", (
+    ColumnSchema("t", "text", True), ColumnSchema("i", "integer", True),
+    ColumnSchema("d", "decimal", True), ColumnSchema("b", "boolean", True),
+    ColumnSchema("at", "timestamp", True), ColumnSchema("v", "integer", True)),
+    key=("t", "i", "d", "b", "at"))
+_KEYED_ROWS = st.lists(st.fixed_dictionaries({
+    "t": st.one_of(st.none(), st.text(max_size=4), st.sampled_from(_KEY_TEXT)),
+    "i": st.one_of(st.none(), st.integers(-(10 ** 30), 10 ** 30)),
+    "d": st.one_of(st.none(), st.decimals(allow_nan=False, allow_infinity=False)),
+    "b": st.one_of(st.none(), st.booleans()),
+    "at": st.one_of(st.none(), st.datetimes(
+        min_value=datetime(1900, 1, 2), max_value=datetime(9998, 12, 30),
+        timezones=st.just(timezone.utc))),
+    "v": st.one_of(st.none(), st.integers(0, 3))}), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KEYED_ROWS, st.sampled_from([0, 1, 2, 5, 10 ** 6]))
+def test_measures_document_matches_reference_emitter(rows, cap):
+    """measures.json of an evaluated set, with DEFAULT_FAILING_CAP patched
+    small, is the reference emitter's text of the old dict shape with keys
+    read from the rows; parsing it and writing it again gives the same text."""
+    entity = Entity(_KEYED, {c.name: [r[c.name] for r in rows]
+                             for c in _KEYED.columns})
+    repo = Repository(SchemaCatalog((_KEYED,)), {"k": entity}, "fp")
+    rs = parse_ruleset(make_ruleset([
+        rule("nn", "k", ["v"], "COMP_REG", "not_null"),
+        rule("rg", "k", ["v"], "RAN_EXAC", "range", {"min": 2}),
+        rule("mc", "k", [], "COMP_FICH", "min_count", {"threshold": 5}),
+        rule("ok", "k", ["v"], "RAN_EXAC", "range", {"min": 0}, skip_null=True)]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "DEFAULT_FAILING_CAP", cap)
+        ms = eval_all(rs, repo)
+    text = serialize_measures(ms)
+    write = reference_record_writer(
+        lambda e, row: {c: entity.column(c)[row] for c in _KEYED.key}, 3, True)
+    assert text == reference.dumps({
+        "ruleset_fingerprint": ms.ruleset_fingerprint,
+        "snapshot_fingerprint": ms.snapshot_fingerprint,
+        "measures": [{"rule_id": m.rule_id, "a": m.a, "b": m.b,
+                      "failing_total": m.failing_total,
+                      "failing": write(m.failing)} for m in ms]})
+    assert all(len(m.failing) == min(m.failing_total, cap) for m in ms)
+    assert serialize_measures(parse_measures(text)) == text
+
+
+def _measures_text(*records: str) -> str:
+    """A measures document whose one rule lists `records`, each JSON text."""
+    return ('{"ruleset_fingerprint": "r", "snapshot_fingerprint": "s", "measures": '
+            '[{"rule_id": "x", "a": 0, "b": 9, "failing_total": %d, "failing": [%s]}]}'
+            % (len(records), ", ".join(records)))
+
+
+def _record(row: str, key: str, entity: str = '"e"') -> str:
+    return f'{{"entity": {entity}, "row": {row}, "key": {key}}}'
+
+
+@pytest.mark.parametrize("records, message", [
+    ([_record("1", '{"id": "a"}'), _record("1", '{"id": "b"}')],
+     "e row 1 has two keys, {'id': 'a'} and {'id': 'b'}"),
+    ([_record("1", '{"id": 1}'), _record("1", '{"id": true}')],
+     "e row 1 has two keys, {'id': 1} and {'id': True}"),
+    ([_record("1", '{"id": 1}'), _record("1", '{"id": 1.0}')],
+     "e row 1 has two keys, {'id': 1} and {'id': Decimal('1.0')}"),
+    ([_record("1", '{"id": 1.0}'), _record("1", '{"id": 1.00}')],
+     "e row 1 has two keys, {'id': Decimal('1.0')} and {'id': Decimal('1.00')}"),
+    ([_record("1", '{"i": 1, "j": 2}'), _record("1", '{"j": 2, "i": 1}')],
+     "e row 1 has two keys, {'i': 1, 'j': 2} and {'j': 2, 'i': 1}"),
+    ([_record("null", "{}"), _record("null", '{"id": "a"}')],
+     "e row None has two keys, {} and {'id': 'a'}"),
+    ([_record("null", '{"id": "a"}')], "invalid failing record"),
+    ([_record('"1"', '{"id": "a"}')], "invalid failing record"),
+    ([_record("1.5", '{"id": "a"}')], "invalid failing record"),
+    ([_record("true", '{"id": "a"}')], "invalid failing record"),
+    ([_record("1", '{"id": ["a"]}')], "invalid failing record"),
+    ([_record("1", '{"id": {"a": 1}}')], "invalid failing record"),
+    ([_record("1", '{"id": NaN}')], "invalid failing record"),
+    ([_record("1", '["id", "a"]')], "invalid failing record"),
+    ([_record("1", '{"id": "a"}', entity="7")], "invalid failing record"),
+    ([_record("[1]", '{"id": "a"}')], "unhashable type"),
+], ids=["text", "int-bool", "int-decimal", "decimal-exponent", "member-order",
+        "entity-level", "entity-level-key", "text-row", "decimal-row", "bool-row",
+        "array-value", "object-value", "nan-value", "array-key", "numeric-entity",
+        "array-row"])
+def test_parse_measures_refuses_records_it_cannot_write(records, message):
+    """parse_measures accepts only what the record writer writes back as it
+    was read: one key per (entity, row), written alike wherever it repeats."""
+    with pytest.raises(ParseError, match="invalid measures document: "
+                       + re.escape(message)):
+        parse_measures(_measures_text(*records))
+
+
+def test_parsed_keys_come_from_the_records(table3_report):
+    _, ms = table3_report
+    text = serialize_measures(ms)
+    parsed = parse_measures(text)
+    assert parsed.record_key("person", 2) == {"id": "1234"}
+    assert parsed.record_key("warning", 4) == {"wid": "w5"}
+    assert serialize_measures(parsed) == text
 
 
 # --------------------------------------------------------------------------
@@ -100,10 +252,11 @@ def test_single_failure_manifest(table3_report, tmp_path: Path):
     assert [(m.entity, m.property) for m in manifests] == [
         ("person", Property.EXAC_SINT), ("warning", Property.EXAC_SEMAN)]
     person_manifest = manifests[0]
-    assert person_manifest.rules[0].records[0].row == 2
-    assert dict(person_manifest.rules[0].records[0].key) == {"id": "1234"}
+    assert person_manifest.rules[0].records == (("person", 2),)
 
     paths = write_improvement(manifests, report, tmp_path / "out")
+    written = json.loads((tmp_path / "out" / paths[0]).read_text())
+    assert written["rules"][0]["records"] == [{"row": 2, "key": {"id": "1234"}}]
     assert paths == ["person.EXAC_SINT.manifest.json",
                      "warning.EXAC_SEMAN.manifest.json"]
     index = json.loads((tmp_path / "out" / "index.json").read_text())
@@ -170,7 +323,7 @@ def test_format_class_manifest_selectors(person_snapshot, extra, selectors):
         if m.rules[0].selector is not None:
             entity = person_snapshot.entities[m.entity]
             assert _selected_rows(m.rules[0].selector, entity, rs) == \
-                {ref.row for ref in m.rules[0].records}
+                {row for _, row in m.rules[0].records}
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +436,7 @@ def test_selector_selects_failing_non_null_rows(body):
     assert typecheck(expr, {c: t for c, (t, _) in _CELLS.items()}) == "boolean"
     cells = _REPO.entities["m"].column(body["columns"][0])
     assert _selected_rows(selector, _REPO.entities["m"], rs) == \
-        {ref.row for ref in measure.failing if cells[ref.row] is not None}
+        {row for _, row in measure.failing if cells[row] is not None}
 
 
 def test_fingerprint_mismatch_rejected(table3_report):

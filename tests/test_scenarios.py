@@ -7,7 +7,9 @@ import pytest
 
 from dqeval.dataset import load_catalog, load_snapshot
 from dqeval.engine import eval_all
-from dqeval.reporting import build_report, compare
+from dqeval.reporting import (build_improvement, build_report, compare,
+                              parse_measures, parse_report, serialize_measures,
+                              serialize_report, write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scenarios import build_scenario, scenario_names, write_scenario
 from dqeval.scoring import default_config, score_all
@@ -178,3 +180,24 @@ def test_synth_outputs_pinned(name: str, tmp_path: Path):
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["rules.json", "schema.json", "snapshot"]
     assert _tree_digest(tmp_path) == _SYNTH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_evaluated_and_parsed_measures_write_the_same_manifests(name, tmp_path):
+    """Manifests from eval_all's measure set, whose keys come from the
+    repository, and from the parsed report.json and measures.json, whose keys
+    come from the records, are the same bytes."""
+    bundle, repo, ms, result, _ = _evaluate(name, tmp_path)
+    report = build_report(bundle.ruleset, repo, ms, result, default_config(),
+                          __version__)
+    write_improvement(build_improvement(report, ms), report, tmp_path / "evaluated")
+    parsed_report = parse_report(serialize_report(report))
+    parsed = parse_measures(serialize_measures(ms))
+    write_improvement(build_improvement(parsed_report, parsed), parsed_report,
+                      tmp_path / "parsed")
+    written = sorted(p.name for p in (tmp_path / "evaluated").iterdir())
+    assert any(n.endswith(".manifest.json") for n in written)
+    assert sorted(p.name for p in (tmp_path / "parsed").iterdir()) == written
+    for n in written:
+        assert (tmp_path / "evaluated" / n).read_bytes() == \
+            (tmp_path / "parsed" / n).read_bytes(), n
