@@ -187,11 +187,19 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def snapshot_fingerprint(directory: Path) -> str:
-    """Content hash of a snapshot directory: per-file digests over sorted names."""
-    directory = Path(directory)
-    entries = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
+def fingerprint_digests(digests: dict[str, str]) -> str:
+    """Content hash of a snapshot from its files' sha256 digests, keyed by
+    file name: one `name:digest` line per file, in name order."""
     h = hashlib.sha256()
-    for p in entries:
-        h.update(f"{p.name}:{sha256_file(p)}\n".encode("utf-8"))
+    for name in sorted(digests):
+        h.update(f"{name}:{digests[name]}\n".encode("utf-8"))
     return h.hexdigest()
+
+
+def snapshot_fingerprint(directory: Path) -> str:
+    """Content hash of every `*.csv` file in a snapshot directory. A loaded
+    Repository's fingerprint covers its catalog files alone, and equals this
+    one where those are the only CSV files."""
+    directory = Path(directory)
+    return fingerprint_digests({p.name: sha256_file(p) for p in directory.iterdir()
+                                if p.suffix == ".csv"})

@@ -14,7 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import __version__, scenarios, synthkit
+from . import __version__
 from .dataset import load_catalog, load_snapshot
 from .engine import eval_all, usable_cpus
 from .errors import (DqError, EvalError, FingerprintMismatch, InvalidRuleset,
@@ -203,6 +203,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # imported here: no other command needs them, and every start-up pays
+    # for what it imports
+    from . import scenarios, synthkit
     out = Path(args.out)
     if args.scenario:
         if args.scenario not in scenarios.scenario_names():
@@ -231,8 +234,27 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 # Argument wiring
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad argument, which is certify's "not
+    eligible"; here it is a usage error like any other."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dq",
         description="Measure tabular snapshots against declarative business "
                     "rules and produce quality levels, certification verdicts, "
@@ -254,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chars", help="comma-separated characteristic filter")
     p.add_argument("--props", help="comma-separated property filter")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=usable_cpus(),
+    p.add_argument("--jobs", type=_jobs, default=usable_cpus(),
                    help="parallel rule evaluation degree")
     p.set_defaults(fn=cmd_evaluate)
 

@@ -4,16 +4,22 @@ A snapshot is a directory of one CSV file per entity (RFC 4180 quoting,
 comma-delimited, UTF-8, header row matching the schema's column order).
 An unquoted empty field (or the token ``\\N``) reads as Null; a quoted empty
 field reads as empty text, which is why loading uses its own quote-aware
-reader instead of the stdlib csv module. Entities keep columns column-major
-and are never mutated after load, so concurrent readers need no locks.
+reader instead of the stdlib csv module. Loading reads each file once, in
+fixed-size chunks: it hashes the bytes it parses, for the snapshot
+fingerprint, and turns each chunk's complete records into columns a block at
+a time. Entities keep columns column-major and are never mutated after load,
+so concurrent readers need no locks.
 """
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import canonical
@@ -166,38 +172,89 @@ class RowView:
 # --------------------------------------------------------------------------
 # Snapshot reading
 
-def _records(text: str):
-    """Yield raw CSV records, merging physical lines inside quoted fields.
+# Bytes read per step. The loader holds one chunk's text and its records at a
+# time besides the columns it builds and their caches.
+_CHUNK_BYTES = 1 << 16
 
-    RFC 4180: a record is complete iff it contains an even number of quote
-    characters, so odd cumulative parity means the newline was inside quotes.
-    A final newline ends the last record; an interior empty line is a record.
-    Records end in "\n" or "\r\n"; a bare "\r" separates nothing.
+# A column caches the values of at most this many distinct field texts.
+_DEDUP_CAP = 65536
+
+# A quoted "" or \N is text, unlike the same characters unquoted, which read
+# as Null: the splitter gives such a field this key instead of its text.
+_QUOTED_NULLS = {"": ("",), _NULL_TOKEN: (_NULL_TOKEN,)}
+_NULLS = frozenset(_QUOTED_NULLS)
+
+
+def _field_text(key) -> str:
+    return key[0] if key.__class__ is tuple else key
+
+
+def _decoded(file, digest):
+    """The file's text, one chunk at a time, after feeding each chunk's bytes
+    to `digest`. Raises UnicodeDecodeError where the bytes stop being UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for chunk in iter(partial(file.read, _CHUNK_BYTES), b""):
+        digest.update(chunk)
+        yield decoder.decode(chunk)
+    yield decoder.decode(b"", final=True)
+
+
+def _record_blocks(texts):
+    """Yield the CSV records each text completes, as one list per text, and
+    whether any of them may hold a quote character.
+
+    RFC 4180: a newline ends a record iff an even number of quote characters
+    precede it in the record, so odd parity means the newline is inside
+    quotes. The unfinished record and its parity carry over to the next text.
+    Records end in "\\n" or "\\r\\n"; a bare "\\r" separates nothing. A final
+    newline ends the last record; an interior empty line is a record, and so
+    is an empty file.
     """
-    lines = text.split("\n")
-    if len(lines) > 1 and lines[-1] == "":
-        lines.pop()
-    buf: list[str] = []
-    parity = 0
-    for line in lines:
-        parity += line.count('"')
-        buf.append(line)
-        if parity % 2 == 0:
-            record = "\n".join(buf)
-            if record.endswith("\r"):
-                record = record[:-1]
-            yield record
-            buf = []
-            parity = 0
-    if buf and any(buf):
+    parts: list[str] = []  # the unfinished record
+    odd = 0
+    empty = True
+    for text in texts:
+        lines = text.split("\n")
+        if not (odd or '"' in text):  # every newline ends a record
+            parts.append(lines[0])
+            if len(lines) == 1:
+                continue
+            lines[0] = "".join(parts)
+            parts = [lines.pop()]
+            records = lines
+            quoted = '"' in records[0]
+        else:
+            quoted = True
+            records = []
+            for line in lines[:-1]:
+                parts.append(line)
+                odd ^= line.count('"') & 1
+                if odd:
+                    parts.append("\n")
+                else:
+                    records.append("".join(parts))
+                    parts = []
+            parts.append(lines[-1])
+            odd ^= lines[-1].count('"') & 1
+        if records:
+            empty = False
+            # only the first record can hold text of an earlier chunk
+            if "\r" in text or records[0].endswith("\r"):
+                records = [r[:-1] if r.endswith("\r") else r for r in records]
+            yield records, quoted
+    if odd:
         raise LoadError("unterminated quoted field at end of file")
+    last = "".join(parts)
+    if last or empty:
+        yield [last[:-1] if last.endswith("\r") else last], '"' in last
 
 
-def _split_record(record: str) -> list[tuple[str, bool]]:
-    """Split one record into (field_text, was_quoted) pairs."""
+def _split(record: str) -> list:
+    """The field keys of one record: each field's text, except that a quoted
+    "" or \\N gives its `_QUOTED_NULLS` key."""
     if '"' not in record:
-        return [(f, False) for f in record.split(",")]
-    fields: list[tuple[str, bool]] = []
+        return record.split(",")
+    fields: list = []
     i, n = 0, len(record)
     while True:
         if i < n and record[i] == '"':
@@ -214,7 +271,8 @@ def _split_record(record: str) -> list[tuple[str, bool]]:
                 else:
                     parts.append(record[j:k])
                     break
-            fields.append(("".join(parts), True))
+            text = "".join(parts)
+            fields.append(_QUOTED_NULLS.get(text, text))
             i = k + 1
             if i < n and record[i] != ",":
                 raise LoadError("unexpected text after closing quote")
@@ -224,80 +282,132 @@ def _split_record(record: str) -> list[tuple[str, bool]]:
         else:
             k = record.find(",", i)
             if k < 0:
-                fields.append((record[i:], False))
+                fields.append(record[i:])
                 return fields
-            fields.append((record[i:k], False))
+            fields.append(record[i:k])
             i = k + 1
 
 
-_DEDUP_CAP = 65536
+def _split_block(records: list[str], quoted: bool, n_cols: int, first_row: int):
+    """The records' field keys, up to the first record that does not split
+    into n_cols fields; and that record's LoadError, or None. The records
+    are rows first_row, first_row + 1, ..."""
+    if quoted:
+        rows = []
+        try:
+            for record in records:
+                rows.append(_split(record))
+        except LoadError as exc:
+            error = exc
+        else:
+            error = None
+    else:
+        rows = [record.split(",") for record in records]
+        error = None
+    if set(map(len, rows)) - {n_cols}:
+        for i, fields in enumerate(rows):
+            if len(fields) != n_cols:
+                return rows[:i], LoadError(
+                    f"expected {n_cols} fields, found {len(fields)}",
+                    row=first_row + i)
+    return rows, error
 
 
-def load_entity(path: Path, schema: EntitySchema) -> Entity:
-    """Load one snapshot file, coercing every cell to its declared datatype."""
+def _parse_keys(keys: set, spec: ColumnSchema) -> tuple[dict, dict]:
+    """key → value for the keys that parse in this column, and key → error
+    message for those that do not."""
+    nulls = keys.intersection(_NULLS)  # nullable columns cache these
+    errors = dict.fromkeys(nulls, "null in non-nullable column")
+    keys -= nulls
+    if spec.datatype == "text":
+        values = dict(zip(keys, keys))
+        for key in _QUOTED_NULLS.values():
+            if key in values:
+                values[key] = key[0]
+        return values, errors
+    values = {}
+    for key in keys:
+        try:
+            values[key] = parse_cell(_field_text(key), spec.datatype)
+        except ValueError as exc:
+            errors[key] = str(exc)
+    return values, errors
+
+
+def _add_rows(rows: list, first_row: int, specs, caches: list[dict],
+              columns: list[list]) -> None:
+    """Append one block of split rows to the columns, a column at a time.
+
+    Each column parses only the keys its cache has not seen, once each. A
+    block whose new keys would take the cache past _DEDUP_CAP maps through a
+    dict of its own keys instead. The first cell that fails, in row order,
+    raises its LoadError.
+    """
+    failure = None  # (row, column index, message) of the first failing cell
+    for j, keys in enumerate(zip(*rows)):
+        cache = caches[j]
+        distinct = set(keys)
+        values, errors = _parse_keys(distinct.difference(cache), specs[j])
+        if errors:
+            row = next(i for i, key in enumerate(keys) if key in errors)
+            if failure is None or row < failure[0]:
+                failure = (row, j, errors[keys[row]])
+            continue
+        if failure is not None:
+            continue
+        if len(cache) + len(values) <= _DEDUP_CAP:
+            cache.update(values)
+            values = cache
+        else:
+            for key in distinct.difference(values):
+                values[key] = cache[key]
+        columns[j].extend(map(values.__getitem__, keys))
+    if failure is not None:
+        row, j, message = failure
+        raise LoadError(message, row=first_row + row, column=specs[j].name)
+
+
+def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
+    """One snapshot file's Entity, and the sha256 of the bytes it was parsed
+    from, from one pass over the file."""
     path = Path(path)
+    digest = hashlib.sha256()
+    specs = schema.columns
+    columns: list[list] = [[] for _ in specs]
+    caches = [dict.fromkeys(_NULLS) if c.nullable else {} for c in specs]
+    n_rows = 0
     try:
-        # no newline translation: a "\r" inside quotes is part of the value
-        text = path.read_bytes().decode("utf-8")
+        # binary: no newline translation, a "\r" inside quotes is kept
+        with open(path, "rb") as file:
+            texts = _decoded(file, digest)
+            try:
+                blocks = _record_blocks(texts)
+                records, quoted = next(blocks)  # the first record is the header
+                header = [_field_text(k) for k in _split(records[0])]
+                expected = schema.column_names()
+                if header != expected:
+                    raise LoadError(f"header {header!r} does not match schema "
+                                    f"columns {expected!r}", row=0)
+                for records, quoted in chain([(records[1:], quoted)], blocks):
+                    rows, error = _split_block(records, quoted, len(specs), n_rows)
+                    _add_rows(rows, n_rows, specs, caches, columns)
+                    if error is not None:
+                        raise error
+                    n_rows += len(rows)
+            except LoadError:
+                for _ in texts:  # a file that is not UTF-8 says so first
+                    pass
+                raise
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise LoadError(f"{path} is not valid UTF-8") from None
+    return Entity(schema, dict(zip(schema.column_names(), columns))), digest.hexdigest()
 
-    records = _records(text)
-    try:
-        header = [f for f, _ in _split_record(next(records))]
-    except StopIteration:
-        raise LoadError(f"{path} is empty (missing header row)") from None
-    expected = schema.column_names()
-    if header != expected:
-        raise LoadError(f"header {header!r} does not match schema columns {expected!r}",
-                        row=0)
 
-    columns: dict[str, list] = {c.name: [] for c in schema.columns}
-    specs = list(schema.columns)
-    appenders = [columns[c.name].append for c in specs]
-    # dictionary dedup: repeated field texts share one parsed value object
-    # (big memory win on categorical columns; also skips re-parsing).
-    # High-cardinality columns stop caching once the cap is hit.
-    caches: list[dict | None] = [{} for _ in specs]
-    n_cols = len(specs)
-    ordinal = 0
-    for record in records:
-        fields = _split_record(record)
-        if len(fields) != n_cols:
-            raise LoadError(f"expected {n_cols} fields, found {len(fields)}", row=ordinal)
-        for idx in range(n_cols):
-            text_value, quoted = fields[idx]
-            spec = specs[idx]
-            if not quoted and (text_value == "" or text_value == _NULL_TOKEN):
-                if not spec.nullable:
-                    raise LoadError(f"null in non-nullable column",
-                                    row=ordinal, column=spec.name)
-                appenders[idx](None)
-                continue
-            cache = caches[idx]
-            if cache is not None:
-                cached = cache.get(text_value)
-                if cached is not None:
-                    appenders[idx](cached)
-                    continue
-            if spec.datatype == "text":
-                value = text_value
-            else:
-                try:
-                    value = parse_cell(text_value, spec.datatype)
-                except ValueError as exc:
-                    raise LoadError(str(exc), row=ordinal,
-                                    column=spec.name) from None
-            if cache is not None:
-                if len(cache) < _DEDUP_CAP:
-                    cache[text_value] = value
-                else:
-                    caches[idx] = None
-            appenders[idx](value)
-        ordinal += 1
-    return Entity(schema, columns)
+def load_entity(path: Path, schema: EntitySchema) -> Entity:
+    """Load one snapshot file, coercing every cell to its declared datatype."""
+    return _load(path, schema)[0]
 
 
 # --------------------------------------------------------------------------
@@ -363,15 +473,18 @@ class Repository:
 
 
 def load_snapshot(directory: Path, catalog: SchemaCatalog) -> Repository:
-    """Load every catalog entity from `<entity>.csv` files in a directory."""
+    """Load every catalog entity from `<entity>.csv` files in a directory.
+    The fingerprint covers those files, as the bytes they were parsed from;
+    other files in the directory do not count."""
     directory = Path(directory)
     if not directory.is_dir():
         raise LoadError(f"snapshot directory {directory} does not exist")
     entities: dict[str, Entity] = {}
+    digests: dict[str, str] = {}
     for schema in catalog.entities:
         path = directory / f"{schema.name}.csv"
         if not path.is_file():
             raise LoadError(f"snapshot is missing {path.name}")
-        entities[schema.name] = load_entity(path, schema)
-    return Repository(catalog, entities, canonical.snapshot_fingerprint(directory))
+        entities[schema.name], digests[path.name] = _load(path, schema)
+    return Repository(catalog, entities, canonical.fingerprint_digests(digests))
 

@@ -20,7 +20,6 @@ column, including values found only in rows a filter excludes.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import re
 import time
@@ -321,10 +320,17 @@ def _place_worker(cpus: frozenset, slots) -> None:
     os.sched_setaffinity(0, cpus)
 
 
+def _can_fork() -> bool:
+    # imported here, as in _eval_parallel: multiprocessing and
+    # concurrent.futures add about 20 ms to every start-up that imports them
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, RuleMeasure]:
     """Rule index → measure, from batches of consecutive rules run in forked
     workers."""
-    # imported here: concurrent.futures.process adds ~20 ms to every start-up
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
     rules = rs.rules
@@ -379,7 +385,7 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     sequential.
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1 and _can_fork():
         measured = _eval_parallel(rs, repo, workers)
         measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
     else:

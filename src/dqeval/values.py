@@ -30,7 +30,10 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"invalid timestamp {text!r} (expected RFC 3339)") from None
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset; naive timestamps are rejected")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # its UTC instant falls outside years 1..9999
+        raise ValueError(f"timestamp {text!r} is out of range") from None
 
 
 def format_timestamp(dt: datetime) -> str:

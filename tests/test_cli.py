@@ -318,6 +318,50 @@ def test_jobs_default_without_affinity_uses_cpu_count(monkeypatch):
     assert build_parser().parse_args(_EVALUATE_ARGS).jobs == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify"],  # no report
+    _EVALUATE_ARGS + ["--jobs", "x"],
+    _EVALUATE_ARGS + ["--jobs", "0"],
+    _EVALUATE_ARGS + ["--jobs", "-3"],
+])
+def test_argument_errors_exit_1(argv, capsys):
+    """Exit 2 is certify's "not eligible", never a bad argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]])
+def test_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+def test_evaluate_imports_no_synth_or_pool_modules(workspace):
+    """Every start-up pays for what it imports: a serial evaluate loads
+    neither the synth modules nor the process pool's."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import dqeval.cli\n"
+        "from dqeval.dataset import load_catalog, load_snapshot\n"
+        "from dqeval.engine import eval_all\n"
+        "from dqeval.rules import parse_ruleset\n"
+        f"ws = {str(workspace)!r}\n"
+        "repo = load_snapshot(ws + '/snapshot',"
+        " load_catalog(open(ws + '/schema.json').read()))\n"
+        "eval_all(parse_ruleset(open(ws + '/rules.json').read()), repo, jobs=1)\n"
+        "print(sorted(m for m in ('dqeval.synthkit', 'dqeval.scenarios',"
+        " 'multiprocessing', 'concurrent.futures') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # --------------------------------------------------------------------------
 # durations that leave the datetime range: exit 3 with a diagnostic
 

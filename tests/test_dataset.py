@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dataset_reference
-from conftest import PERSON_SCHEMA
+from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV
+from dqeval import canonical, dataset
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, load_catalog, load_entity, load_snapshot,
                             serialize_catalog, serialize_entity, write_entity)
 from dqeval.errors import LoadError, ParseError
@@ -184,6 +188,23 @@ def test_naive_timestamp_rejected(tmp_path: Path):
         load_entity(path, schema)
 
 
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00",
+                                  "9999-12-31T23:59:59-01:00"])
+def test_timestamp_outside_utc_range_names_row_and_column(tmp_path: Path, text):
+    schema = _schema(("n", "integer"), ("t", "timestamp"))
+    path = tmp_path / "t.csv"
+    path.write_text(f"n,t\nx,2024-01-01T00:00:00Z\n1,{text}\n")
+    with pytest.raises(LoadError) as exc:
+        load_entity(path, schema)
+    assert (exc.value.message, exc.value.row, exc.value.column) == (
+        "invalid integer 'x'", 0, "n")
+    path.write_text(f"n,t\n1,2024-01-01T00:00:00Z\n1,{text}\n")
+    with pytest.raises(LoadError) as exc:
+        load_entity(path, schema)
+    assert (exc.value.message, exc.value.row, exc.value.column) == (
+        f"timestamp {text!r} is out of range", 1, "t")
+
+
 def test_two_loads_compare_equal(tmp_path: Path):
     schema = _schema(("id", "text"),)
     path = tmp_path / "t.csv"
@@ -198,6 +219,20 @@ def test_snapshot_requires_every_entity(tmp_path: Path, person_catalog):
         "id,ipaddress,age,balance,active,updated\n")
     with pytest.raises(LoadError, match="warning.csv"):
         load_snapshot(snap, person_catalog)
+
+
+def test_fingerprint_covers_catalog_files_only(tmp_path: Path, person_catalog):
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    (snap / "person.csv").write_text(PERSON_CSV)
+    (snap / "warning.csv").write_text(WARNING_CSV)
+    fingerprint = load_snapshot(snap, person_catalog).fingerprint
+    assert fingerprint == canonical.snapshot_fingerprint(snap)
+    (snap / "stray.csv").write_text("x\n1\n")
+    assert load_snapshot(snap, person_catalog).fingerprint == fingerprint
+    assert canonical.snapshot_fingerprint(snap) != fingerprint
+    (snap / "warning.csv").write_text(WARNING_CSV + "w6,HR,1234\n")
+    assert load_snapshot(snap, person_catalog).fingerprint != fingerprint
 
 
 # --------------------------------------------------------------------------
@@ -290,3 +325,118 @@ def test_serialize_entity_matches_cell_by_cell_reference(entity):
 def test_mixed_types_in_one_column_match_reference(datatype, values):
     entity = Entity(_schema(("c", datatype)), {"c": values})
     assert serialize_entity(entity) == dataset_reference.serialize_entity(entity)
+
+
+# --------------------------------------------------------------------------
+# the streamed loader against the whole-file reference
+
+_WIDE = _schema(("t", "text", True), ("u", "text"), ("n", "integer", True),
+                ("b", "boolean"))
+_NARROW = _schema(("t", "text", True))
+
+# unquoted: \\N, a bare \\r, a stray quote, multi-byte characters
+_unquoted = st.sampled_from(["", "\\N", "x", "é€", "日本", "😀", "a\rb", "\r",
+                             'x"y']) | st.text(alphabet="a1\r\\Né€", max_size=4)
+# quoted: "" escapes, separators, newlines and CRLF inside, empty, \N
+_quoted = st.lists(st.sampled_from(
+    ["a", "1", ",", '"', "\n", "\r\n", "\r", "é", "€", "\\N", "true"]),
+    max_size=4).map(lambda parts: '"' + "".join(parts).replace('"', '""') + '"')
+_text_fields = _unquoted | _quoted
+# per datatype, fields that mostly parse; nulls and bad cells now and then
+_FIELDS = {
+    "text": _text_fields,
+    "integer": st.sampled_from(["1", "-7", "", "\\N", '"12"', '""', "abc"]),
+    "boolean": st.sampled_from(["true", "false", '"true"', "false", "",
+                                "yes"]),
+}
+
+
+@st.composite
+def _csv_files(draw) -> tuple[EntitySchema, bytes]:
+    """A schema and the bytes of a file for it: mostly well-formed, with
+    every quoting and line-ending form, and sometimes a wrong header, a
+    wrong field count, an unparseable cell, a null where none is allowed,
+    an unterminated quote or bytes that are not UTF-8."""
+    schema = draw(st.sampled_from([_WIDE, _NARROW]))
+    names = schema.column_names()
+    header = draw(st.sampled_from([",".join(names)] * 4 + [
+        ",".join(f'"{n}"' for n in names), "t,n", ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:  # any number of any fields
+            fields = draw(st.lists(_text_fields, min_size=1, max_size=5))
+        elif kind == 1:  # an unterminated quote
+            fields = ['"' + draw(_unquoted)] * len(names)
+        else:
+            fields = [draw(_FIELDS[c.datatype]) for c in schema.columns]
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    mixed = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                          min_size=len(lines), max_size=len(lines)))
+    ends = draw(st.sampled_from([[newline] * len(lines), mixed]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final newline
+    data = text.encode("utf-8")
+    damage = draw(st.integers(0, 11))
+    if damage == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    elif damage == 1:  # ends inside a multi-byte character
+        data += "€".encode("utf-8")[:2]
+    return schema, data
+
+
+def _outcome(load, path: Path, schema: EntitySchema):
+    """The loaded columns, each value as its repr (so that 1 and True, or
+    Decimal 1.0 and 1.00, differ), or the LoadError's parts."""
+    try:
+        entity = load(path, schema)
+    except LoadError as exc:
+        return "LoadError", exc.message, exc.row, exc.column
+    return entity.n_rows, {name: list(map(repr, entity.column(name)))
+                           for name in schema.column_names()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files(), st.sampled_from([2, 3, 65536]))
+@example((_WIDE, b't,u,n,b\nx,y,1,true,9\n\xff'), 65536)  # UTF-8 reported first
+@example((_WIDE, 't,u,n,b\n"é\r\n",x,,false\r\n'.encode()), 65536)
+@example((_NARROW, b"t\n\n\r\n\"\"\n\\N\n\"\\N\""), 65536)
+@example((_WIDE, b't,u,n,b\nx,"open,1,true\n'), 65536)
+@example((_NARROW, b""), 65536)
+@example((_schema(("", "text")), b""), 65536)  # the empty file's header is [""]
+def test_streamed_load_matches_reference_at_every_chunk_size(file, cap):
+    """Every chunk size from 1 byte to past the file's end splits multi-byte
+    characters, quoted fields and CRLF pairs somewhere; the dedup cap patched
+    low sends columns through the per-block dict."""
+    schema, data = file
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        path.write_bytes(data)
+        expected = _outcome(dataset_reference.load_entity, path, schema)
+        with mock.patch.object(dataset, "_DEDUP_CAP", cap), \
+                mock.patch.object(dataset_reference, "_DEDUP_CAP", cap):
+            for size in range(1, len(data) + 2):
+                with mock.patch.object(dataset, "_CHUNK_BYTES", size):
+                    assert _outcome(load_entity, path, schema) == expected, size
+        if expected[0] != "LoadError":
+            assert dataset._load(path, schema)[1] == hashlib.sha256(data).hexdigest()
+
+
+def test_dedup_cap_bounds_a_columns_cache(tmp_path: Path):
+    """Past the cap, a column's values still come out equal, and its cache
+    stops growing."""
+    schema = _schema(("n", "integer"))
+    path = tmp_path / "t.csv"
+    path.write_text("n\n" + "".join(f"{i % 7}\n" for i in range(40)))
+    caches = []
+    real = dataset._add_rows
+    with mock.patch.object(dataset, "_DEDUP_CAP", 4), \
+            mock.patch.object(dataset, "_CHUNK_BYTES", 6), \
+            mock.patch.object(dataset, "_add_rows",
+                              lambda *a: (caches.append(a[3]), real(*a))[1]):
+        entity = load_entity(path, schema)
+    assert entity.column("n") == [i % 7 for i in range(40)]
+    assert max(len(c) for c in caches[-1]) <= 4

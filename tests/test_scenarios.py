@@ -15,7 +15,7 @@ from dqeval.scenarios import build_scenario, scenario_names, write_scenario
 from dqeval.scoring import default_config, score_all
 from dqeval.synthkit import expected_vs_actual, generate
 from dqeval.taxonomy import Characteristic
-from dqeval import __version__
+from dqeval import __version__, canonical
 from dqeval.cli import main
 
 
@@ -88,6 +88,16 @@ def test_write_scenario_layout(tmp_path: Path):
     repo = load_snapshot(tmp_path / "t1" / "snapshot", catalog)
     assert len(rs.rules) == 375
     assert set(repo.entities) == {e.name for e in catalog.entities}
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_loaded_fingerprint_equals_directory_fingerprint(name: str, tmp_path: Path):
+    """A scenario's snapshot holds only catalog CSVs, so fingerprinting the
+    bytes parsed gives the directory's fingerprint."""
+    write_scenario(name, tmp_path)
+    catalog = load_catalog((tmp_path / "schema.json").read_text())
+    repo = load_snapshot(tmp_path / "snapshot", catalog)
+    assert repo.fingerprint == canonical.snapshot_fingerprint(tmp_path / "snapshot")
 
 
 def test_travel_comparison_quotes_transitions(tmp_path: Path):
