@@ -63,6 +63,15 @@ class SchemaCatalog:
         return None
 
 
+def plain_name(name: str) -> bool:
+    """Whether an entity name is one plain file-name component, so that the
+    files named after it (`<name>.csv`, `<name>.<property>.manifest.json`)
+    stay inside their directory: not empty, `.` or `..`, and without `/`,
+    `\\` or NUL."""
+    return (name not in ("", ".", "..")
+            and "/" not in name and "\\" not in name and "\0" not in name)
+
+
 def load_catalog(document: str) -> SchemaCatalog:
     """Parse a schema catalog JSON document."""
     data = canonical.load_document(document)
@@ -78,6 +87,9 @@ def load_catalog(document: str) -> SchemaCatalog:
         name = raw.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError("entity name must be non-empty text", context=f"{ctx}.name")
+        if not plain_name(name):
+            raise ParseError(f"entity name {name!r} is not a plain file name "
+                             "(no '/', '\\', NUL, '.' or '..')", context=f"{ctx}.name")
         if name in seen:
             raise ParseError(f"duplicate entity name {name!r}", context=f"{ctx}.name")
         seen.add(name)

@@ -8,7 +8,10 @@ the check, in that order (ordinal None for entity-level kinds, at most
 DEFAULT_FAILING_CAP pairs), and A = B - failing_total for every kind. B = 0
 means the rule is not applicable and the ratio is undefined. Results are
 independent of evaluation order, so rules may be evaluated in parallel; the
-repository is immutable throughout.
+repository is immutable throughout. A process pool is started only when
+the evaluation's estimated serial cost, worked out from sizes before
+anything is evaluated, is large enough to pay for the pool; otherwise the
+rules run serially, with the same results.
 
 The eight per-value kinds (syntax, range, domain, not_null, no_default,
 foreign_key, format_class, freshness) cost one check per distinct value of
@@ -32,7 +35,7 @@ from itertools import compress
 
 from .dataset import Entity, Repository, RowView
 from .errors import EvalError, UnknownColumn
-from .expr import evaluate
+from .expr import evaluate, node_count
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,
@@ -290,12 +293,77 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
     return RuleMeasure(rule.id, a, b, failing, total, time.perf_counter() - started)
 
 
+# The estimated serial work from which a pool of workers pays for itself.
+# Measured with Python 3.11.7 on 2 shared vCPUs: importing multiprocessing
+# and concurrent.futures takes about 20 ms, forking two workers of a
+# 60k-row process about 25 ms, and two processes run CPU-bound work about
+# 1.4x as fast as one. Serial work T then saves T * (1 - 1/1.4) on two
+# workers, which exceeds those 45 ms from about 150 ms on.
+POOL_BREAK_EVEN_NS = 150_000_000
+
+# The cost model of _serial_costs_ns, fitted to the per-rule times of
+# eval_rule (best of 3, same host) on perfbench's inputs: scan (60k rows,
+# per-value rules at 56-75 ns per row), registry (813 rules of 100 rows at
+# 11-40 us each, most of it per rule) and rowexpr (68k rows; expressions at
+# 670-1200 ns per row and node, unique keys at about 1 us per row).
+_RULE_NS = 25_000            # per rule: bind the check, build the measure
+_NODE_NS = 750               # per row of the rule's entity and expression node
+_ROW_NS = {                  # per row of each target
+    **dict.fromkeys(_VALUE_CHECKS, 65),  # one set lookup per cell
+    Unique: 1_000,           # build the key tuple, count it, look it up
+    Predicate: 0,            # the expression's nodes carry its cost
+    MinCount: 0,
+    Frequency: 200,          # sort the timestamps
+}
+
+
+def _serial_costs_ns(rs: RuleSet, repo: Repository) -> list[int]:
+    """The estimated serial time of each rule, from sizes the validated rules
+    and the loaded entities hold: the rows of each target, weighted by kind,
+    plus the rows of the rule's entity times the nodes of its `where`,
+    predicate and freshness `condition`, plus a fixed cost per rule. No value
+    is read, no expression evaluated and no clock consulted."""
+    rows = {name: e.n_rows for name, e in repo.entities.items()}
+
+    def cost(rule: Rule) -> int:
+        k = rule.kind
+        exprs = (rule.where, getattr(k, "expr", None), getattr(k, "condition", None))
+        nodes = sum(node_count(e) for e in exprs if e is not None)
+        return (_RULE_NS
+                + _ROW_NS[type(k)] * sum(rows.get(e, 0) for e, _ in rule.targets)
+                + _NODE_NS * nodes * rows.get(rule.entity, 0))
+
+    return [cost(rule) for rule in rs.rules]
+
+
+def _longest_first(costs: list[int], workers: int) -> list[list[int]]:
+    """Rule indices in batches, longest first: rules are dealt in order of
+    falling estimated cost, index breaking ties, and a rule joins the open
+    batch only while the batch stays within a quarter of one worker's share,
+    so a heavy rule travels alone and starts first, while light ones share
+    the last batches. Graham's longest-processing-time-first rule (Bounds on
+    Multiprocessing Timing Anomalies, 1969) keeps the makespan within
+    4/3 - 1/(3m) of the optimum on m workers."""
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    share = sum(costs) / (4 * workers)
+    batches: list[list[int]] = []
+    batch: list[int] = []
+    held = 0
+    for i in order:
+        if batch and held + costs[i] > share:
+            batches.append(batch)
+            batch, held = [], 0
+        batch.append(i)
+        held += costs[i]
+    return batches + [batch] if batch else batches
+
+
 # Worker state for fork-based parallel evaluation; set in the parent right
 # before the pool is created so children inherit it copy-on-write.
 _WORKER_STATE: tuple[RuleSet, Repository] | None = None
 
 
-def _eval_batch(indices: range) -> list[tuple[int, tuple, float]]:
+def _eval_batch(indices: list[int]) -> list[tuple[int, tuple, float]]:
     rs, repo = _WORKER_STATE
     out = []
     for index in indices:
@@ -327,14 +395,14 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, RuleMeasure]:
-    """Rule index → measure, from batches of consecutive rules run in forked
-    workers."""
+def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
+                   costs: list[int]) -> dict[int, RuleMeasure]:
+    """Rule index → measure, from batches run in forked workers, submitted
+    longest first by the rules' estimated costs."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
     rules = rs.rules
-    size = max(1, len(rules) // (4 * workers))
     measured: dict[int, RuleMeasure] = {}
     ctx = multiprocessing.get_context("fork")
     placement = {}
@@ -349,8 +417,8 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, Rul
     gc.freeze()  # the collector would otherwise dirty the shared pages
     try:
         with ProcessPoolExecutor(workers, mp_context=ctx, **placement) as pool:
-            futures = [pool.submit(_eval_batch, range(i, min(i + size, len(rules))))
-                       for i in range(0, len(rules), size)]
+            futures = [pool.submit(_eval_batch, batch)
+                       for batch in _longest_first(costs, workers)]
             try:
                 for future in as_completed(futures):
                     for index, (a, b, failing, total), elapsed in future.result():
@@ -375,18 +443,25 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int) -> dict[int, Rul
 def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     """Evaluate every rule; the result does not depend on schedule or jobs.
 
-    jobs > 1 forks workers that share the loaded repository copy-on-write,
-    at most one per usable CPU (more only queue for the same CPUs);
-    workers ship back counts and failing (entity, ordinal) pairs, the same
-    values a sequential run computes, so the output is identical byte for
-    byte. Key values are read from the repository only when records are
-    written (`MeasureSet.record_key`). A worker that dies raises EvalError
-    naming the rules not yet evaluated. Without fork, evaluation is
-    sequential.
+    jobs is an upper bound on the worker processes: at most one per usable
+    CPU (more only queue for the same CPUs) and one per rule. With more than
+    one, each rule's serial cost is estimated from sizes alone (rows,
+    targets, kind, expression nodes), and workers are forked only when the
+    total reaches POOL_BREAK_EVEN_NS, the work from which the pool saves more
+    than its start-up costs; below it the rules run serially, and
+    multiprocessing is not imported.
+    Forked workers share the loaded repository copy-on-write, take batches
+    of rules longest first, and ship back counts and failing (entity,
+    ordinal) pairs, the same values a sequential run computes, so the
+    output is identical byte for byte. Key values are read from the
+    repository only when records are written (`MeasureSet.record_key`). A
+    worker that dies raises EvalError naming the rules not yet evaluated.
+    Without fork, evaluation is sequential.
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
-    if workers > 1 and _can_fork():
-        measured = _eval_parallel(rs, repo, workers)
+    costs = _serial_costs_ns(rs, repo) if workers > 1 else []
+    if workers > 1 and sum(costs) >= POOL_BREAK_EVEN_NS and _can_fork():
+        measured = _eval_parallel(rs, repo, workers, costs)
         measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
     else:
         measures = {r.id: eval_rule(r, repo, rs) for r in rs.rules}

@@ -27,7 +27,7 @@ from .values import format_timestamp, parse_timestamp, value_type
 __all__ = [
     "Expr", "Literal", "Column", "Compare", "And", "Or", "Not", "Arith",
     "Neg", "Call", "parse_expr", "unparse", "typecheck", "evaluate",
-    "columns_referenced", "validate_pattern", "ExprTypeError",
+    "columns_referenced", "node_count", "validate_pattern", "ExprTypeError",
 ]
 
 KEYWORDS = {"and", "or", "not", "true", "false", "null", "ts"}
@@ -557,17 +557,27 @@ def _typecheck_call(e: Call, columns: dict[str, str]) -> str:
     return func.result
 
 
+def _children(e: Expr):
+    for value in vars(e).values():  # child nodes, and Call's tuple of them
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                yield child
+
+
 def columns_referenced(e: Expr) -> set[str]:
     if isinstance(e, Column):
         return {e.name}
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression node: {e!r}")
     out: set[str] = set()
-    for value in vars(e).values():  # child nodes, and Call's tuple of them
-        for child in value if isinstance(value, tuple) else (value,):
-            if isinstance(child, Expr):
-                out |= columns_referenced(child)
+    for child in _children(e):
+        out |= columns_referenced(child)
     return out
+
+
+def node_count(e: Expr) -> int:
+    """How many nodes the expression tree holds, itself included."""
+    return 1 + sum(map(node_count, _children(e)))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import canonical
-from .dataset import Repository
+from .dataset import Repository, plain_name
 from .engine import MeasureSet, RuleMeasure
 from .errors import FingerprintMismatch, ParseError, ScopeMismatch
 from .expr import Literal, unparse
@@ -393,9 +393,10 @@ def parse_measures(text: str) -> MeasureSet:
     """The measures document in the evaluated form: failing (entity, row)
     pairs, with keys looked up in a table built from the records.
 
-    A record needs a text entity, an integer row (or null with an empty key)
-    and a key of JSON scalars; one (entity, row) with two keys that are not
-    written alike is a ParseError."""
+    A record needs a text entity that is a plain file name (manifests are
+    named after it), an integer row (or null with an empty key) and a key of
+    JSON scalars; one (entity, row) with two keys that are not written alike
+    is a ParseError."""
     keys: dict[tuple[str, int | None], dict] = {}
     try:
         data = canonical.loads(text)
@@ -415,6 +416,9 @@ def parse_measures(text: str) -> MeasureSet:
                 failing.append(pair)
             measures[m["rule_id"]] = RuleMeasure(
                 m["rule_id"], m["a"], m["b"], failing, m["failing_total"])
+        unsafe = sorted(e for e in {e for e, _ in keys} if not plain_name(e))
+        if unsafe:
+            raise ValueError(f"entity name {unsafe[0]!r} is not a plain file name")
         return MeasureSet(measures, data["ruleset_fingerprint"],
                           data["snapshot_fingerprint"],
                           lambda entity, row: keys[entity, row])

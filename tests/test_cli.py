@@ -600,3 +600,55 @@ def test_outputs_independent_of_hash_seed(tmp_path):
     assert written[0].keys() == written[1].keys()
     for name in written[0]:
         assert written[0][name] == written[1][name], name
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "synth"])
+def test_entity_name_outside_its_directory_exits_3(workspace, tmp_path, capsys,
+                                                   command):
+    """A catalog entity named `../outside` would read the snapshot directory's
+    parent and make synth write there: every command that reads the catalog
+    refuses it before touching a file."""
+    schema = json.loads(json.dumps(PERSON_SCHEMA))
+    schema["entities"].append({"name": "../outside", "columns": [
+        {"name": "x", "datatype": "text", "nullable": True}], "key": []})
+    (workspace / "schema.json").write_text(json.dumps(schema))
+    (workspace / "outside.csv").write_text("x\nleaked\n")
+    (workspace / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"../outside": {"rows": 1, "columns": {}}}}))
+    files = ["--rules", str(workspace / "rules.json"),
+             "--schema", str(workspace / "schema.json")]
+    argv = {"validate": ["validate", *files],
+            "evaluate": ["evaluate", *files, "--data", str(workspace / "snapshot"),
+                         "--out", str(workspace / "out" / "run")],
+            "synth": ["synth", "--spec", str(workspace / "spec.json"), *files,
+                      "--out", str(workspace / "out" / "run")]}[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: entity name '../outside' is not a plain file name "
+        "(no '/', '\\', NUL, '.' or '..') (entities[2].name)\n")
+    assert not (workspace / "out").exists()
+
+
+def test_evaluate_below_break_even_forks_nothing(tmp_path):
+    """`--jobs 2` on a bundled scenario, with two usable CPUs, stays serial:
+    no fork, and the process pool's modules are never imported."""
+    write_scenario("registry-v1", tmp_path / "s")
+    src = Path(__file__).resolve().parents[1] / "src"
+    s = tmp_path / "s"
+    script = (
+        "import os, sys\n"
+        "from dqeval import engine\n"
+        "from dqeval.cli import main\n"
+        "engine.usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        f"code = main(['evaluate', '--rules', {str(s / 'rules.json')!r},"
+        f" '--schema', {str(s / 'schema.json')!r}, '--data', {str(s / 'snapshot')!r},"
+        f" '--out', {str(tmp_path / 'out')!r}, '--jobs', '2'])\n"
+        "print(code, len(forks), [m for m in ('multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 []"

@@ -45,6 +45,23 @@ def test_key_must_reference_existing_column():
         load_catalog(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", ["../outside", "a/b", "/abs", "a\\b", "a\0b",
+                                  ".", ".."])
+def test_entity_name_must_be_a_plain_file_name(name):
+    doc = {"entities": [{"name": name, "columns": [
+        {"name": "c", "datatype": "text"}]}]}
+    with pytest.raises(ParseError, match="is not a plain file name") as exc:
+        load_catalog(json.dumps(doc))
+    assert exc.value.context == "entities[0].name"
+
+
+def test_entity_name_may_hold_dots():
+    doc = {"entities": [{"name": n, "columns": [{"name": "c", "datatype": "text"}]}
+                        for n in ("a.b", "...", ".hidden")]}
+    assert [e.name for e in load_catalog(json.dumps(doc)).entities] == \
+        ["a.b", "...", ".hidden"]
+
+
 def test_duplicate_entity_rejected():
     doc = {"entities": [
         {"name": "e", "columns": [{"name": "c", "datatype": "text"}]},

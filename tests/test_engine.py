@@ -4,6 +4,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -12,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import make_ruleset, rule
 from dqeval import engine
@@ -22,6 +24,7 @@ from dqeval.engine import eval_all, eval_rule
 from dqeval.errors import EvalError
 from dqeval.reporting import serialize_measures
 from dqeval.rules import KIND_NAMES, KINDS, parse_ruleset
+from dqeval.scenarios import SCENARIOS, build_scenario
 from engine_reference import reference_counts
 from oracle import naive_measure
 
@@ -268,7 +271,9 @@ def test_eval_all_deterministic(person_snapshot, table3_ruleset):
         eval_all(table3_ruleset, person_snapshot)
 
 
-def test_eval_all_parallel_equals_sequential(person_snapshot, table3_ruleset):
+def test_eval_all_parallel_equals_sequential(person_snapshot, table3_ruleset,
+                                            monkeypatch):
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)  # fork even for tiny work
     assert eval_all(table3_ruleset, person_snapshot, jobs=4) == \
         eval_all(table3_ruleset, person_snapshot)
 
@@ -555,6 +560,7 @@ def _timed_out(signum, frame):
 def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
                                        monkeypatch):
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     monkeypatch.setattr(engine, "_eval_counts", _die)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, 10)
@@ -570,6 +576,7 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
 
 def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     rs = parse_ruleset(make_ruleset([
         rule("ok", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
         rule("bad", "person", ["id"], "EXAC_SEMAN", "domain",
@@ -581,6 +588,7 @@ def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
 def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
     # more rules than 4 x workers, so each task carries several rules
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     rs = parse_ruleset(make_ruleset(
         [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax",
               {"pattern": "^[0-9]{8}[A-Z]$" if i % 2 else "^1.*$"})
@@ -597,3 +605,100 @@ def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
     monkeypatch.setattr(engine, "_eval_parallel", no_fork)
     assert eval_all(table3_ruleset, person_snapshot, jobs=4) == \
         eval_all(table3_ruleset, person_snapshot)
+
+
+# --------------------------------------------------------------------------
+# the pool decision and the longest-first schedule
+
+def _sized_repository(catalog, rows: dict[str, int]) -> Repository:
+    """Entities of the given row counts whose cells are all null: the cost
+    estimate reads sizes only, so no data needs generating."""
+    entities = {s.name: Entity(s, {c.name: [None] * rows[s.name] for c in s.columns})
+                for s in catalog.entities}
+    return Repository(catalog, entities, "fp")
+
+
+def test_criterion_8_shape_estimates_above_break_even():
+    """Criterion 8's shape, 1M rows under 4 syntax, 3 range and 3 domain
+    rules, is worth a pool."""
+    columns = [ColumnSchema("pk", "text", False)]
+    columns += [ColumnSchema(f"ip{i}", "text", True) for i in range(4)]
+    columns += [ColumnSchema(f"n{i}", "integer", True) for i in range(3)]
+    columns += [ColumnSchema(f"c{i}", "text", True) for i in range(3)]
+    catalog = SchemaCatalog((EntitySchema("big", tuple(columns), ("pk",)),))
+    rs = parse_ruleset(make_ruleset(
+        [rule(f"s{i}", "big", [f"ip{i}"], "EXAC_SINT", "syntax",
+              {"pattern": "^[0-9.]+$"}) for i in range(4)]
+        + [rule(f"r{i}", "big", [f"n{i}"], "RAN_EXAC", "range",
+                {"min": 0, "max": 255}) for i in range(3)]
+        + [rule(f"d{i}", "big", [f"c{i}"], "EXAC_SEMAN", "domain",
+                {"allowed": ["RED", "GREEN", "BLUE"]}) for i in range(3)]))
+    repo = _sized_repository(catalog, {"big": 1_000_000})
+    assert sum(engine._serial_costs_ns(rs, repo)) >= engine.POOL_BREAK_EVEN_NS
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_bundled_scenarios_estimate_below_break_even(name):
+    bundle = build_scenario(name)
+    repo = _sized_repository(bundle.catalog,
+                             {n: plan.rows for n, plan in bundle.spec.entities})
+    assert sum(engine._serial_costs_ns(bundle.ruleset, repo)) < \
+        engine.POOL_BREAK_EVEN_NS
+
+
+def test_cost_estimate_independent_of_hash_seed():
+    script = (
+        "from dqeval import engine\n"
+        "from dqeval.dataset import Entity, Repository\n"
+        "from dqeval.scenarios import build_scenario\n"
+        "b = build_scenario('registry-v1')\n"
+        "rows = dict((n, p.rows) for n, p in b.spec.entities)\n"
+        "repo = Repository(b.catalog, {s.name: Entity(s, {c.name: [None] * rows[s.name]"
+        " for c in s.columns}) for s in b.catalog.entities}, 'fp')\n"
+        "costs = engine._serial_costs_ns(b.ruleset, repo)\n"
+        "print(costs, engine._longest_first(costs, 2))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for seed in ("0", "1", "4242"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(costs=st.lists(st.integers(0, 10**12), min_size=1, max_size=60),
+       workers=st.integers(2, 4))
+def test_longest_first_batches_cover_every_rule_once(costs, workers):
+    batches = engine._longest_first(costs, workers)
+    assert all(batches)
+    assert sorted(i for batch in batches for i in batch) == list(range(len(costs)))
+    order = [i for batch in batches for i in batch]
+    assert [costs[i] for i in order] == sorted(costs, reverse=True)
+    share = sum(costs) / (4 * workers)
+    assert all(sum(costs[i] for i in batch) <= share
+               for batch in batches if len(batch) > 1)
+
+
+def test_longest_first_keeps_equal_rules_apart():
+    """Criterion 8's ten equal rules on two workers: one rule per task, so no
+    worker idles while the other runs a last batch of two."""
+    assert engine._longest_first([65] * 10, 2) == [[i] for i in range(10)]
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(len(ORACLE_RULES))), workers=st.integers(2, 4))
+def test_pool_path_equals_serial_on_shuffled_rulesets(person_snapshot, order,
+                                                      workers):
+    rs = parse_ruleset(make_ruleset([ORACLE_RULES[i] for i in order],
+                                    format_classes={"alnum": "^[0-9A-Za-z]+$"}))
+    serial = eval_all(rs, person_snapshot)
+    with mock.patch.object(engine, "usable_cpus", lambda: workers), \
+            mock.patch.object(engine, "POOL_BREAK_EVEN_NS", 0):
+        pooled = eval_all(rs, person_snapshot, jobs=workers)
+    assert pooled == serial
+    assert list(pooled.measures) == list(serial.measures)

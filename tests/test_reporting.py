@@ -222,10 +222,18 @@ def _record(row: str, key: str, entity: str = '"e"') -> str:
     ([_record("1", '["id", "a"]')], "invalid failing record"),
     ([_record("1", '{"id": "a"}', entity="7")], "invalid failing record"),
     ([_record("[1]", '{"id": "a"}')], "unhashable type"),
+    ([_record("1", '{"id": "a"}'), _record("1", '{"id": "a"}', entity='"../x"')],
+     "entity name '../x' is not a plain file name"),
+    ([_record("null", "{}", entity='".."')], "entity name '..' is not a plain file name"),
+    ([_record("1", '{"id": "a"}', entity='"a\\\\b"')],
+     "entity name 'a\\\\b' is not a plain file name"),
+    ([_record("1", '{"id": "a"}', entity='"a\\u0000b"')],
+     "entity name 'a\\x00b' is not a plain file name"),
 ], ids=["text", "int-bool", "int-decimal", "decimal-exponent", "member-order",
         "entity-level", "entity-level-key", "text-row", "decimal-row", "bool-row",
         "array-value", "object-value", "nan-value", "array-key", "numeric-entity",
-        "array-row"])
+        "array-row", "parent-entity", "dot-dot-entity", "backslash-entity",
+        "nul-entity"])
 def test_parse_measures_refuses_records_it_cannot_write(records, message):
     """parse_measures accepts only what the record writer writes back as it
     was read: one key per (entity, row), written alike wherever it repeats."""
