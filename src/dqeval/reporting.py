@@ -261,6 +261,32 @@ def serialize_report(report: EvaluationReport) -> str:
     return canonical.dumps(doc)
 
 
+def _int(doc: dict, key: str, null: bool = False) -> int | None:
+    """doc[key] when it is an integer (a bool is not), or null if `null`."""
+    value = doc[key]
+    if type(value) is int or null and value is None:
+        return value
+    raise TypeError(f"{key} must be an integer{' or null' if null else ''}, "
+                    f"not {value!r}")
+
+
+def _number(doc: dict, key: str) -> Decimal | None:
+    """doc[key] as a Decimal when it is a number (a bool is not), or null."""
+    value = doc[key]
+    if value is None:
+        return None
+    if type(value) in (int, Decimal):
+        return Decimal(value)
+    raise TypeError(f"{key} must be a number or null, not {value!r}")
+
+
+def _profile(doc: dict) -> tuple[int, int, int, int, int]:
+    value = doc["profile"]
+    if type(value) is list and len(value) == 5 and all(type(n) is int for n in value):
+        return tuple(value)
+    raise TypeError(f"profile must be five integers, not {value!r}")
+
+
 def parse_report(text: str) -> EvaluationReport:
     try:
         data = canonical.loads(text)
@@ -275,17 +301,16 @@ def parse_report(text: str) -> EvaluationReport:
         scope = data["scope"]
         measures = tuple(MeasureSummary(
             m["rule_id"], m["entity"], parse_property(m["property"]), m["kind"],
-            m["a"], m["b"],
-            None if m["ratio"] is None else Decimal(m["ratio"]),
-            m["failing_total"], m["selector"]) for m in data["measures"])
+            _int(m, "a"), _int(m, "b"), _number(m, "ratio"),
+            _int(m, "failing_total"), m["selector"]) for m in data["measures"])
         properties = tuple(PropertyReport(
-            parse_property(p["property"]),
-            None if p["value"] is None else Decimal(p["value"]),
-            p["level"], p["sum_a"], p["sum_b"], p["rule_count"])
+            parse_property(p["property"]), _number(p, "value"),
+            _int(p, "level", null=True), _int(p, "sum_a"), _int(p, "sum_b"),
+            _int(p, "rule_count"))
             for p in data["properties"])
         characteristics = tuple(CharacteristicReport(
-            parse_characteristic(c["characteristic"]), tuple(c["profile"]),
-            c["level"],
+            parse_characteristic(c["characteristic"]), _profile(c),
+            _int(c, "level", null=True),
             tuple(parse_property(p) for p in c["strengths"]),
             tuple(parse_property(p) for p in c["weaknesses"]))
             for c in data["characteristics"])
@@ -297,8 +322,8 @@ def parse_report(text: str) -> EvaluationReport:
                   for name, n in scope["rule_counts"].items()),
             measures, properties, characteristics,
             verdict["eligible"],
-            tuple((parse_characteristic(r["characteristic"]), r["level"])
-                  for r in verdict["reasons"]))
+            tuple((parse_characteristic(r["characteristic"]),
+                   _int(r, "level", null=True)) for r in verdict["reasons"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid report document: {exc}") from None
 
@@ -415,7 +440,8 @@ def parse_measures(text: str) -> MeasureSet:
                                      f"{known!r} and {key!r}")
                 failing.append(pair)
             measures[m["rule_id"]] = RuleMeasure(
-                m["rule_id"], m["a"], m["b"], failing, m["failing_total"])
+                m["rule_id"], _int(m, "a"), _int(m, "b"), failing,
+                _int(m, "failing_total"))
         unsafe = sorted(e for e in {e for e, _ in keys} if not plain_name(e))
         if unsafe:
             raise ValueError(f"entity name {unsafe[0]!r} is not a plain file name")

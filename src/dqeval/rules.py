@@ -205,12 +205,6 @@ class RuleSet:
     rules: tuple[Rule, ...]
     format_classes: tuple[tuple[str, str], ...] = ()
 
-    def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

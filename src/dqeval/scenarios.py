@@ -13,12 +13,13 @@ version string and the violation plans differ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 from .dataset import ColumnSchema, EntitySchema, SchemaCatalog, serialize_catalog
-from .rules import RuleSet, parse_ruleset, serialize_ruleset
+from .rules import KINDS, RuleSet, parse_ruleset, serialize_ruleset
 from .synthkit import (ColumnGen, EntityPlan, ExpectedMeasures, SynthSpec,
                        ViolationPlan, generate)
 from . import canonical
@@ -121,6 +122,57 @@ _PROFILES = {
 _SYNTAX_PATTERN = "^[A-Z]{2}[0-9]{6}$"
 _DOMAIN_POOL = ("ALPHA", "BETA", "GAMMA")
 _PROVENANCE_POOL = ("CRM", "WEB", "API")
+_PROVENANCE_SET = ", ".join(f"'{v}'" for v in _PROVENANCE_POOL)
+
+
+def _serial(fmt: str) -> ColumnGen:
+    return ColumnGen("serial", (("format", fmt),))
+
+
+def _choice(values: tuple) -> ColumnGen:
+    return ColumnGen("choice", (("values", values),))
+
+
+# Rule template -> (datatype and generator of the column it adds, rule kind,
+# and a function from that column and the org's lookup entity to the rule's
+# params and its plan's violating pool). The kind's arity decides whether
+# the column is also the rule's `columns`. min_count is not here: it adds
+# no column and takes its threshold from whether the rule is to fail.
+_TEMPLATES = {
+    "syntax": ("text", _serial("AB{n:06d}"), "syntax",
+               lambda col, lookup: ({"pattern": _SYNTAX_PATTERN}, ("??",))),
+    "domain": ("text", _choice(_DOMAIN_POOL), "domain",
+               lambda col, lookup: ({"allowed": list(_DOMAIN_POOL)}, ())),
+    "range": ("integer", ColumnGen("int_uniform", (("max", 100), ("min", 0))),
+              "range", lambda col, lookup: ({"min": 0, "max": 100}, ())),
+    "not_null": ("text", _choice(("set_a", "set_b")), "not_null",
+                 lambda col, lookup: ({}, ())),
+    "no_default": ("text", _choice(("real_a", "real_b")), "no_default",
+                   lambda col, lookup: ({"placeholders": ["N/A"]}, ())),
+    "unique": ("text", _serial("K{n:07d}"), "unique",
+               lambda col, lookup: ({"key": [col]}, ())),
+    "foreign_key": ("text", _choice(tuple(f"CODE{i:06d}" for i in range(10))),
+                    "foreign_key",
+                    lambda col, lookup: ({"referenced": f"{lookup}.code"}, ())),
+    "format_class": ("text", _serial("CD{n:06d}"), "format_class",
+                     lambda col, lookup: ({"class": "std_code"}, ("*bad*",))),
+    "predicate": ("integer", ColumnGen("int_uniform", (("max", 99), ("min", 10))),
+                  "predicate",
+                  lambda col, lookup: ({"expr": f"{col} < 1000"}, ((col, 1000),))),
+    "provenance": ("text", _choice(_PROVENANCE_POOL), "predicate",
+                   lambda col, lookup: ({"expr": f"in_set({col}, {_PROVENANCE_SET})"},
+                                        ((col, "UNKNOWN"),))),
+    "freshness": ("timestamp",
+                  ColumnGen("timestamp_uniform", (("end", "2024-05-31T00:00:00Z"),
+                                                  ("start", "2024-05-02T00:00:00Z"))),
+                  "freshness",
+                  lambda col, lookup: ({"timestamp_column": col, "max_age": "60d"}, ())),
+    "frequency": ("timestamp",
+                  ColumnGen("timestamp_spaced", (("start", "2024-05-02T00:00:00Z"),
+                                                 ("step", "1h"))),
+                  "frequency",
+                  lambda col, lookup: ({"timestamp_column": col, "max_gap": "7d"}, ())),
+}
 
 
 @dataclass(frozen=True)
@@ -141,160 +193,54 @@ class _Builder:
         self.version = version
         self.seed = seed
         self.facts = [f"{profile.org}_{i:02d}" for i in range(profile.fact_entities)]
-        self.schema_cols: dict[str, list[ColumnSchema]] = {
-            name: [ColumnSchema("pk", "text")] for name in self.facts}
-        self.generators: dict[str, dict[str, ColumnGen]] = {
-            name: {"pk": ColumnGen("serial", (("format", "PK{n:08d}"),))}
-            for name in self.facts}
-        self.rules: list[dict] = []
-        self.violations: list[ViolationPlan] = []
-        self.counter = 0
-        self.entity_cursor = 0
         # lookup entity backing the foreign-key rules
         self.lookup = f"{profile.org}_lookup"
-        self.schema_cols[self.lookup] = [ColumnSchema("code", "text")]
-        self.generators[self.lookup] = {
-            "code": ColumnGen("serial", (("format", "CODE{n:06d}"),))}
-
-    def next_entity(self) -> str:
-        entity = self.facts[self.entity_cursor % len(self.facts)]
-        self.entity_cursor += 1
-        return entity
-
-    def next_column(self) -> str:
-        self.counter += 1
-        return f"c{self.counter:04d}"
-
-    def add_column(self, entity: str, datatype: str, gen: ColumnGen,
-                   nullable: bool = False) -> str:
-        column = self.next_column()
-        self.schema_cols[entity].append(ColumnSchema(column, datatype, nullable))
-        self.generators[entity][column] = gen
-        return column
-
-    def add_rule(self, rule_id: str, entity: str, columns: list[str],
-                 prop: str, kind: str, params: dict, skip_null: bool = False) -> None:
-        self.rules.append({
-            "id": rule_id, "entity": entity, "columns": columns,
-            "property": prop, "kind": kind, "params": params,
-            "where": None, "skip_null": skip_null,
-            "description": f"{prop} check over {entity}",
-        })
-
-    def plan(self, rule_id: str, rate: Decimal, violating=()) -> None:
-        if rate > 0:
-            self.violations.append(ViolationPlan(rule_id, rate, violating))
+        # entity -> its (column schema, generator) pairs, in column order
+        self.columns: dict[str, list[tuple[ColumnSchema, ColumnGen]]] = {
+            self.lookup: [(ColumnSchema("code", "text"), _serial("CODE{n:06d}"))]}
+        for name in self.facts:
+            self.columns[name] = [(ColumnSchema("pk", "text"), _serial("PK{n:08d}"))]
+        self.rules: list[dict] = []
+        self.violations: list[ViolationPlan] = []
+        self.entity_cycle = itertools.cycle(self.facts)
+        self.column_numbers = itertools.count(1)
 
     def emit(self, plan: PropertyPlan) -> None:
-        index = 0
-        for template, count in plan.kinds:
-            for _ in range(count):
-                index += 1
-                rule_id = f"{plan.property}_{index:03d}"
-                rate = plan.rates.get(self.version, Decimal(0))
-                fails = (plan.fail_counts or {}).get(self.version, 0)
-                self._emit_rule(template, rule_id, plan.property, rate,
-                                failing=index <= fails)
-
-    def _emit_rule(self, template: str, rule_id: str, prop: str,
-                   rate: Decimal, failing: bool) -> None:
-        entity = self.next_entity()
-        rows = self.profile.rows
-        if template == "syntax":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("serial", (("format", "AB{n:06d}"),)))
-            self.add_rule(rule_id, entity, [col], prop, "syntax",
-                          {"pattern": _SYNTAX_PATTERN})
-            self.plan(rule_id, rate, ("??",))
-        elif template == "domain":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("choice", (("values", _DOMAIN_POOL),)))
-            self.add_rule(rule_id, entity, [col], prop, "domain",
-                          {"allowed": list(_DOMAIN_POOL)})
-            self.plan(rule_id, rate)
-        elif template == "range":
-            col = self.add_column(entity, "integer",
-                                  ColumnGen("int_uniform",
-                                            (("max", 100), ("min", 0))))
-            self.add_rule(rule_id, entity, [col], prop, "range",
-                          {"min": 0, "max": 100})
-            self.plan(rule_id, rate)
-        elif template == "min_count":
-            threshold = rows + 1 if failing else max(rows // 2, 1)
-            self.add_rule(rule_id, entity, [], prop, "min_count",
-                          {"threshold": threshold})
-        elif template == "not_null":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("choice",
-                                            (("values", ("set_a", "set_b")),)),
-                                  nullable=True)
-            self.add_rule(rule_id, entity, [col], prop, "not_null", {})
-            self.plan(rule_id, rate)
-        elif template == "no_default":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("choice",
-                                            (("values", ("real_a", "real_b")),)))
-            self.add_rule(rule_id, entity, [col], prop, "no_default",
-                          {"placeholders": ["N/A"]})
-            self.plan(rule_id, rate)
-        elif template == "unique":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("serial", (("format", "K{n:07d}"),)))
-            self.add_rule(rule_id, entity, [], prop, "unique", {"key": [col]})
-            self.plan(rule_id, rate)
-        elif template == "foreign_key":
-            pool = tuple(f"CODE{i:06d}" for i in range(10))
-            col = self.add_column(entity, "text",
-                                  ColumnGen("choice", (("values", pool),)))
-            self.add_rule(rule_id, entity, [col], prop, "foreign_key",
-                          {"referenced": f"{self.lookup}.code"})
-            self.plan(rule_id, rate)
-        elif template == "format_class":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("serial", (("format", "CD{n:06d}"),)))
-            self.add_rule(rule_id, entity, [col], prop, "format_class",
-                          {"class": "std_code"})
-            self.plan(rule_id, rate, ("*bad*",))
-        elif template == "predicate":
-            col = self.add_column(entity, "integer",
-                                  ColumnGen("int_uniform",
-                                            (("max", 99), ("min", 10))))
-            self.add_rule(rule_id, entity, [], prop, "predicate",
-                          {"expr": f"{col} < 1000"})
-            self.plan(rule_id, rate, ((col, 1000),))
-        elif template == "provenance":
-            col = self.add_column(entity, "text",
-                                  ColumnGen("choice", (("values", _PROVENANCE_POOL),)))
-            members = ", ".join(f"'{v}'" for v in _PROVENANCE_POOL)
-            self.add_rule(rule_id, entity, [], prop, "predicate",
-                          {"expr": f"in_set({col}, {members})"})
-            self.plan(rule_id, rate, ((col, "UNKNOWN"),))
-        elif template == "freshness":
-            col = self.add_column(entity, "timestamp",
-                                  ColumnGen("timestamp_uniform",
-                                            (("end", "2024-05-31T00:00:00Z"),
-                                             ("start", "2024-05-02T00:00:00Z"))))
-            self.add_rule(rule_id, entity, [], prop, "freshness",
-                          {"timestamp_column": col, "max_age": "60d"})
-            self.plan(rule_id, rate)
-        elif template == "frequency":
-            col = self.add_column(entity, "timestamp",
-                                  ColumnGen("timestamp_spaced",
-                                            (("start", "2024-05-02T00:00:00Z"),
-                                             ("step", "1h"))))
-            self.add_rule(rule_id, entity, [], prop, "frequency",
-                          {"timestamp_column": col, "max_gap": "7d"})
-            if failing:
-                self.plan(rule_id, Decimal(1))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown template {template!r}")
+        """Add one rule, with its column and violation plan, per template use."""
+        prop = plan.property
+        rate = plan.rates.get(self.version, Decimal(0))
+        fails = (plan.fail_counts or {}).get(self.version, 0)
+        templates = [t for t, count in plan.kinds for _ in range(count)]
+        for index, template in enumerate(templates, 1):
+            rule_id = f"{prop}_{index:03d}"
+            entity = next(self.entity_cycle)
+            failing = index <= fails
+            if template == "min_count":
+                rows = self.profile.rows
+                kind, columns = "min_count", []
+                params = {"threshold": rows + 1 if failing else max(rows // 2, 1)}
+            else:
+                datatype, gen, kind, make = _TEMPLATES[template]
+                col = f"c{next(self.column_numbers):04d}"
+                self.columns[entity].append(
+                    (ColumnSchema(col, datatype, kind == "not_null"), gen))
+                params, violating = make(col, self.lookup)
+                columns = [] if KINDS[kind].arity == "none" else [col]
+                planned = rate if kind != "frequency" else Decimal(1 if failing else 0)
+                if planned > 0:
+                    self.violations.append(ViolationPlan(rule_id, planned, violating))
+            self.rules.append({
+                "id": rule_id, "entity": entity, "columns": columns,
+                "property": prop, "kind": kind, "params": params,
+                "where": None, "skip_null": False,
+                "description": f"{prop} check over {entity}",
+            })
 
     def bundle(self, name: str) -> ScenarioBundle:
-        entities = [EntitySchema(self.lookup,
-                                 tuple(self.schema_cols[self.lookup]), ("code",))]
-        entities += [EntitySchema(fact, tuple(self.schema_cols[fact]), ("pk",))
-                     for fact in self.facts]
-        catalog = SchemaCatalog(tuple(entities))
+        # every entity is keyed on its first column
+        catalog = SchemaCatalog(tuple(
+            EntitySchema(entity, tuple(schema for schema, _ in cols), (cols[0][0].name,))
+            for entity, cols in self.columns.items()))
 
         doc = canonical.dumps({
             "name": f"{self.profile.org}-rules",
@@ -305,13 +251,10 @@ class _Builder:
         })
         ruleset = parse_ruleset(doc)
 
-        plans = {self.lookup: EntityPlan(self.profile.rows, tuple(
-            (c, self.generators[self.lookup][c])
-            for c in self.generators[self.lookup]))}
-        for fact in self.facts:
-            plans[fact] = EntityPlan(self.profile.rows, tuple(
-                (c, self.generators[fact][c]) for c in self.generators[fact]))
-        spec = SynthSpec(self.seed, tuple(plans.items()), tuple(self.violations))
+        spec = SynthSpec(self.seed, tuple(
+            (entity, EntityPlan(self.profile.rows,
+                                tuple((schema.name, gen) for schema, gen in cols)))
+            for entity, cols in self.columns.items()), tuple(self.violations))
         return ScenarioBundle(name, catalog, ruleset, spec)
 
 

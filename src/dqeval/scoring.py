@@ -248,8 +248,8 @@ def _fraction_json(f: Fraction):
 def load_config(document: str) -> ScoringConfig:
     """Parse the thresholds/profiles/aggregation override document."""
     try:
-        data = canonical.loads(document)
-    except ValueError as exc:
+        data = canonical.load_document(document)
+    except ParseError as exc:
         raise ParseError(f"malformed config: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")

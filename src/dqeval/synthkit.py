@@ -292,9 +292,9 @@ def _columns_written(rule: Rule, plan: ViolationPlan) -> set[tuple[str, str]]:
 
 
 def _check_spec(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet) -> None:
-    rule_ids = {r.id for r in rs.rules}
+    rules = {r.id: r for r in rs.rules}
     for plan in spec.violations:
-        if plan.rule_id not in rule_ids:
+        if plan.rule_id not in rules:
             raise SynthError(f"violation plan references unknown rule {plan.rule_id!r}")
     seen_plans: set[str] = set()
     for plan in spec.violations:
@@ -326,7 +326,7 @@ def _check_spec(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet) -> None:
 
     written: dict[tuple[str, str], str] = {}
     for plan in spec.violations:
-        rule = rs.rule(plan.rule_id)
+        rule = rules[plan.rule_id]
         if isinstance(rule.kind, MinCount):
             raise SynthError("min_count rules take no violation plan; their "
                              "outcome follows from the row count")

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, make_ruleset, rule
+from dqeval import canonical
 from dqeval.cli import build_parser, main
 from dqeval.scenarios import write_scenario
 
@@ -201,7 +203,101 @@ def test_number_beyond_decimal_limits_is_an_input_error(workspace, capsys):
     assert capsys.readouterr().err == "error: invalid measures document: " + message
     (workspace / "config.json").write_text('{"thresholds": [20, 40, 70, %s]}' % huge)
     assert _evaluate(workspace, "--config", str(workspace / "config.json")) == 3
-    assert capsys.readouterr().err == "error: malformed config: " + message
+    assert capsys.readouterr().err == f"error: malformed config: number {huge} {_OUT_OF_RANGE}\n"
+
+
+def test_config_number_beyond_bounds_exits_3_at_once(workspace):
+    """A config threshold too long to write out in full is refused while the
+    config is read, before any exact arithmetic on it."""
+    (workspace / "config.json").write_text('{"thresholds": [20, 40, 70, 1e-999999999]}')
+    argv = ["evaluate", "--rules", str(workspace / "rules.json"),
+            "--schema", str(workspace / "schema.json"),
+            "--data", str(workspace / "snapshot"), "--out", str(workspace / "out"),
+            "--config", str(workspace / "config.json")]
+    script = ("import time\n"
+              "from dqeval.cli import main\n"
+              "start = time.perf_counter()\n"
+              f"code = main({argv!r})\n"
+              "print(code, time.perf_counter() - start)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    code, seconds = proc.stdout.split()
+    assert code == "3" and float(seconds) < 1
+    assert proc.stderr == f"error: malformed config: number 1e-999999999 {_OUT_OF_RANGE}\n"
+    assert not (workspace / "out").exists()
+
+
+def _rewrite(source: Path, target: Path, path: tuple, value) -> None:
+    doc = canonical.loads(source.read_text())
+    place = doc
+    for step in path[:-1]:
+        place = place[step]
+    place[path[-1]] = value
+    target.write_text(canonical.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("properties", 0, "value"), "abc", "value must be a number or null, not 'abc'"),
+    (("measures", 0, "ratio"), "0.75", "ratio must be a number or null, not '0.75'"),
+    (("measures", 0, "ratio"), True, "ratio must be a number or null, not True"),
+    (("properties", 0, "level"), "3", "level must be an integer or null, not '3'"),
+    (("characteristics", 0, "level"), Decimal("4.0"),
+     "level must be an integer or null, not Decimal('4.0')"),
+    (("verdict", "reasons"), [{"characteristic": "Accuracy", "level": "2"}],
+     "level must be an integer or null, not '2'"),
+    (("measures", 0, "a"), True, "a must be an integer, not True"),
+    (("measures", 0, "b"), "4", "b must be an integer, not '4'"),
+    (("measures", 0, "failing_total"), None, "failing_total must be an integer, not None"),
+    (("properties", 0, "sum_a"), Decimal("3.5"),
+     "sum_a must be an integer, not Decimal('3.5')"),
+    (("properties", 0, "sum_b"), False, "sum_b must be an integer, not False"),
+    (("properties", 0, "rule_count"), "1", "rule_count must be an integer, not '1'"),
+    (("characteristics", 0, "profile"), [0, 0, 0, 2],
+     "profile must be five integers, not [0, 0, 0, 2]"),
+    (("characteristics", 0, "profile"), [0, 0, 0, 2, "0"],
+     "profile must be five integers, not [0, 0, 0, 2, '0']"),
+], ids=["value-text", "ratio-text", "ratio-bool", "property-level-text",
+        "characteristic-level-decimal", "reason-level-text", "a-bool", "b-text",
+        "failing-total-null", "sum-a-decimal", "sum-b-bool", "rule-count-text",
+        "profile-four", "profile-text-member"])
+def test_report_numbers_of_the_wrong_type_exit_1(workspace, capsys, path, value, message):
+    """certify, compare and improve refuse a report whose numbers are not of
+    their type, with a message instead of a traceback or a wrong figure."""
+    _evaluate(workspace)
+    out = workspace / "out"
+    _rewrite(out / "report.json", workspace / "report.json", path, value)
+    capsys.readouterr()
+    expected = f"error: invalid report document: {message}\n"
+    assert main(["certify", str(workspace / "report.json")]) == 1
+    assert capsys.readouterr().err == expected
+    assert main(["compare", str(out / "report.json"), str(workspace / "report.json"),
+                 "--out", str(workspace / "cmp")]) == 1
+    assert capsys.readouterr().err == expected
+    assert main(["improve", "--report", str(workspace / "report.json"),
+                 "--measures", str(out / "measures.json"),
+                 "--out", str(workspace / "manifests")]) == 1
+    assert capsys.readouterr().err == expected
+    assert not (workspace / "cmp").exists() and not (workspace / "manifests").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("failing_total", "90", "failing_total must be an integer, not '90'"),
+    ("a", True, "a must be an integer, not True"),
+    ("b", Decimal("5.0"), "b must be an integer, not Decimal('5.0')"),
+], ids=["failing-total-text", "a-bool", "b-decimal"])
+def test_measures_numbers_of_the_wrong_type_exit_1(workspace, capsys, key, value, message):
+    """improve refuses a measures document whose counts are not integers
+    rather than copying them into the manifests."""
+    _evaluate(workspace)
+    out = workspace / "out"
+    _rewrite(out / "measures.json", workspace / "measures.json", ("measures", 0, key), value)
+    capsys.readouterr()
+    assert main(["improve", "--report", str(out / "report.json"),
+                 "--measures", str(workspace / "measures.json"),
+                 "--out", str(workspace / "manifests")]) == 1
+    assert capsys.readouterr().err == f"error: invalid measures document: {message}\n"
+    assert not (workspace / "manifests").exists()
 
 
 # --------------------------------------------------------------------------

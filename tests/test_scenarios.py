@@ -11,7 +11,8 @@ from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, serialize_measures,
                               serialize_report, write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
-from dqeval.scenarios import build_scenario, scenario_names, write_scenario
+from dqeval.scenarios import (_PROFILES, _TEMPLATES, build_scenario, scenario_names,
+                              write_scenario)
 from dqeval.scoring import default_config, score_all
 from dqeval.synthkit import expected_vs_actual, generate
 from dqeval.taxonomy import Characteristic
@@ -39,6 +40,12 @@ def test_scenario_names_cover_three_orgs():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         build_scenario("casino-v1")
+
+
+def test_template_table_has_no_dead_or_missing_rows():
+    named = {template for profile in _PROFILES.values() for plan in profile.plans
+             for template, _ in plan.kinds}
+    assert named == set(_TEMPLATES) | {"min_count"}
 
 
 def test_scenarios_validate_cleanly():

@@ -442,7 +442,7 @@ _PINNED_SCHEMAS = {"item": load_catalog(json.dumps(SCHEMA)).get("item"),
         "two-targets-own-baseline-fails", "two-targets-extra-baseline-fails",
         "two-targets-own-before-extra", "two-targets-planned-passes", "two-targets-ok"])
 def test_verification_messages(rule_id, tables, chosen, message):
-    r = _PINNED.rule(rule_id)
+    r = {x.id: x for x in _PINNED.rules}[rule_id]
     schema = _PINNED_SCHEMAS[r.entity]
     slots = [(e, c, i) for e, c in r.targets for i in range(len(tables[e][c]))]
     assert _outcome(synthkit._verify, r, tables, chosen, schema, _PINNED, None) == message
