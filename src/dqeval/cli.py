@@ -10,23 +10,17 @@ verdict in its exit status.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import load_catalog, load_snapshot
-from .engine import eval_all, usable_cpus
 from .errors import (DqError, EvalError, FingerprintMismatch, InvalidRuleset,
                      LoadError, NothingEvaluated, ParseError, ScopeMismatch,
                      SynthError)
-from .reporting import (build_improvement, build_report, compare,
-                        parse_measures, parse_report, render_text,
-                        serialize_comparison, serialize_measures,
-                        serialize_report, write_improvement)
-from .rules import RuleSet, parse_ruleset, validate_ruleset
-from .scoring import default_config, load_config, score_all
-from .taxonomy import parse_characteristic, parse_property
+
+# Each command imports the layers it runs, inside its cmd_* function: every
+# start-up pays for what it imports, and improve, certify and compare need
+# only the report documents, not the evaluation layers.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,6 +45,8 @@ def _read(path: str, what: str) -> str:
 
 
 def _load_rules_and_schema(args):
+    from .dataset import load_catalog
+    from .rules import parse_ruleset
     try:
         rs = parse_ruleset(_read(args.rules, "rules file"))
         catalog = load_catalog(_read(args.schema, "schema file"))
@@ -74,7 +70,8 @@ def _parse_name_list(raw: str | None, parser_fn, what: str):
     return names or None
 
 
-def _filter_rules(rs: RuleSet, chars, props) -> RuleSet:
+def _filter_rules(rs, chars, props):
+    import dataclasses
     rules = rs.rules
     if chars is not None:
         rules = tuple(r for r in rules if r.characteristic in chars)
@@ -87,6 +84,7 @@ def _filter_rules(rs: RuleSet, chars, props) -> RuleSet:
 
 
 def _scoring_config(args):
+    from .scoring import default_config, load_config
     if getattr(args, "config", None):
         try:
             return load_config(_read(args.config, "config file"))
@@ -99,6 +97,7 @@ def _scoring_config(args):
 # Commands
 
 def cmd_validate(args) -> int:
+    from .rules import validate_ruleset
     rs, catalog = _load_rules_and_schema(args)
     diagnostics = validate_ruleset(rs, catalog)
     for d in diagnostics:
@@ -110,6 +109,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .dataset import load_snapshot
+    from .engine import eval_all
+    from .reporting import (build_report, render_text, serialize_measures,
+                            serialize_report)
+    from .rules import validate_ruleset
+    from .scoring import score_all
+    from .taxonomy import parse_characteristic, parse_property
     rs, catalog = _load_rules_and_schema(args)
     chars = _parse_name_list(args.chars, parse_characteristic, "characteristic")
     props = _parse_name_list(args.props, parse_property, "property")
@@ -154,6 +160,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .reporting import parse_report
     try:
         report = parse_report(_read(args.report, "report"))
     except ParseError as exc:
@@ -168,6 +175,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_improve(args) -> int:
+    from .reporting import (build_improvement, parse_measures, parse_report,
+                            write_improvement)
     try:
         report = parse_report(_read(args.report, "report"))
         ms = parse_measures(_read(args.measures, "measures file"))
@@ -183,6 +192,7 @@ def cmd_improve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .reporting import compare, parse_report, render_text, serialize_comparison
     try:
         first = parse_report(_read(args.first, "report"))
         second = parse_report(_read(args.second, "report"))
@@ -203,9 +213,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # imported here: no other command needs them, and every start-up pays
-    # for what it imports
     from . import scenarios, synthkit
+    from .dataset import load_catalog
+    from .rules import parse_ruleset
     out = Path(args.out)
     if args.scenario:
         if args.scenario not in scenarios.scenario_names():
@@ -254,6 +264,7 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .host import usable_cpus
     parser = _Parser(
         prog="dq",
         description="Measure tabular snapshots against declarative business "

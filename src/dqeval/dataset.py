@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import canonical
 from .errors import LoadError, ParseError, UnknownColumn
+from .host import plain_name
 from .values import DATATYPES, format_cell, parse_cell
 
 _NULL_TOKEN = "\\N"
@@ -61,15 +62,6 @@ class SchemaCatalog:
             if e.name == name:
                 return e
         return None
-
-
-def plain_name(name: str) -> bool:
-    """Whether an entity name is one plain file-name component, so that the
-    files named after it (`<name>.csv`, `<name>.<property>.manifest.json`)
-    stay inside their directory: not empty, `.` or `..`, and without `/`,
-    `\\` or NUL."""
-    return (name not in ("", ".", "..")
-            and "/" not in name and "\\" not in name and "\0" not in name)
 
 
 def load_catalog(document: str) -> SchemaCatalog:

@@ -28,14 +28,14 @@ import re
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from datetime import timedelta
-from fractions import Fraction
 from itertools import compress
 
 from .dataset import Entity, Repository, RowView
 from .errors import EvalError, UnknownColumn
 from .expr import evaluate, node_count
+from .host import usable_cpus
+from .reporting import MeasureSet, RuleMeasure
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,
@@ -43,39 +43,6 @@ from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
 from .values import coerce_literal
 
 DEFAULT_FAILING_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class RuleMeasure:
-    rule_id: str
-    a: int
-    b: int
-    failing: list[tuple[str, int | None]]  # (entity, ordinal); None: entity-level
-    failing_total: int
-    elapsed: float = field(compare=False, default=0.0)
-
-    @property
-    def ratio(self) -> Fraction | None:
-        """Exact compliance ratio A/B, or None when not applicable (B = 0)."""
-        return None if self.b == 0 else Fraction(self.a, self.b)
-
-
-def _no_keys(entity: str, row: int) -> dict:
-    raise LookupError(f"no record keys for {entity} row {row}")
-
-
-@dataclass(frozen=True)
-class MeasureSet:
-    measures: dict[str, RuleMeasure]  # rule id → measure, in document order
-    ruleset_fingerprint: str
-    snapshot_fingerprint: str
-    # (entity, row) → the record's key, column name → value: the repository's
-    # key columns for an evaluated set, the parsed records for a parsed one
-    record_key: Callable[[str, int], dict] = field(
-        default=_no_keys, compare=False, repr=False)
-
-    def __iter__(self):
-        return iter(self.measures.values())
 
 
 # --------------------------------------------------------------------------
@@ -371,13 +338,6 @@ def _eval_batch(indices: list[int]) -> list[tuple[int, tuple, float]]:
         counts = _eval_counts(rs.rules[index], repo, rs)
         out.append((index, counts, time.perf_counter() - started))
     return out
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _place_worker(cpus: frozenset, slots) -> None:

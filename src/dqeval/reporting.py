@@ -1,4 +1,5 @@
-"""Evaluation reports, improvement manifests, and report comparison.
+"""Base measures, evaluation reports, improvement manifests, and report
+comparison.
 
 Reports serialize canonically (stable key order, exact decimal rendering,
 no wall-clock timestamps), so identical inputs always produce byte-identical
@@ -16,17 +17,20 @@ from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import canonical
-from .dataset import Repository, plain_name
-from .engine import MeasureSet, RuleMeasure
 from .errors import FingerprintMismatch, ParseError, ScopeMismatch
-from .expr import Literal, unparse
-from .rules import (Domain, FormatClass, Freshness, NoDefault, Predicate,
-                    Range, Rule, RuleSet, Syntax)
-from .scoring import ScoreResult, ScoringConfig
+from .host import plain_name
 from .taxonomy import Characteristic, Property, parse_characteristic, parse_property
-from .values import coerce_literal, format_timestamp, parse_timestamp
+from .values import format_timestamp, parse_timestamp
+
+# Annotations only: improve, certify and compare load none of the evaluation
+# layers, and every start-up pays for what it imports.
+if TYPE_CHECKING:
+    from .dataset import Repository
+    from .rules import RuleSet
+    from .scoring import ScoreResult, ScoringConfig
 
 _FOUR_PLACES = Decimal("0.0001")
 
@@ -103,62 +107,6 @@ class EvaluationReport:
 
 
 # --------------------------------------------------------------------------
-# Selector expressions (violating-row selectors, negations of the checks)
-
-def _literal_text(value, datatype: str) -> str:
-    return unparse(Literal(coerce_literal(value, datatype)))
-
-
-def _selector(rule: Rule, repo: Repository) -> str | None:
-    """Expression selecting the violating rows of `rule` within its entity,
-    or None when the kind cannot be expressed row-locally."""
-    k = rule.kind
-    schema = repo.catalog.get(rule.entity)
-
-    def dtype(column: str) -> str:
-        return schema.column(column).datatype
-
-    body: str | None = None
-    if isinstance(k, Syntax):
-        body = f"not regex_match({rule.columns[0]}, {_literal_text(k.pattern, 'text')})"
-    elif isinstance(k, FormatClass):
-        body = " or ".join(f"not regex_match({c}, {_literal_text(k.pattern, 'text')})"
-                           for e, c in rule.targets if e == rule.entity)
-    elif isinstance(k, Range):
-        col = rule.columns[0]
-        parts = []
-        if k.min is not None:
-            op = ">=" if k.min_inclusive else ">"
-            parts.append(f"{col} {op} {_literal_text(k.min, dtype(col))}")
-        if k.max is not None:
-            op = "<=" if k.max_inclusive else "<"
-            parts.append(f"{col} {op} {_literal_text(k.max, dtype(col))}")
-        body = f"not ({' and '.join(parts)})"
-    elif isinstance(k, Domain) and rule.reference is None:
-        col = rule.columns[0]
-        members = ", ".join(_literal_text(v, dtype(col)) for v in k.allowed)
-        body = f"not in_set({col}, {members})"
-    elif isinstance(k, NoDefault):
-        col = rule.columns[0]
-        members = ", ".join(_literal_text(v, dtype(col)) for v in k.placeholders)
-        body = f"in_set({col}, {members})"
-    elif isinstance(k, Predicate):
-        body = f"not ({unparse(k.expr)})"
-    elif isinstance(k, Freshness):
-        [(_, column)] = rule.targets
-        age = f"age_days({column}) > {unparse(Literal(k.max_age_days))}"
-        if k.condition is not None:
-            body = f"({unparse(k.condition)}) and {age}"
-        else:
-            body = age
-    if body is None:
-        return None
-    if rule.where is not None:
-        body = f"({unparse(rule.where)}) and ({body})"
-    return body
-
-
-# --------------------------------------------------------------------------
 # Building
 
 def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
@@ -175,7 +123,7 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
         measures.append(MeasureSummary(
             rule.id, rule.entity, rule.property, rule.kind_name,
             m.a, m.b, _render_value(m.ratio), m.failing_total,
-            _selector(rule, repo)))
+            rule.selector(repo.catalog)))
 
     return EvaluationReport(
         metadata=ReportMetadata(
@@ -314,12 +262,16 @@ def parse_report(text: str) -> EvaluationReport:
             tuple(parse_property(p) for p in c["strengths"]),
             tuple(parse_property(p) for p in c["weaknesses"]))
             for c in data["characteristics"])
+        row_counts, rule_counts = scope["row_counts"], scope["rule_counts"]
         verdict = data["verdict"]
+        if type(verdict["eligible"]) is not bool:
+            raise TypeError(f"eligible must be true or false, not "
+                            f"{verdict['eligible']!r}")
         return EvaluationReport(
             metadata,
-            tuple(sorted(scope["row_counts"].items())),
-            tuple((parse_characteristic(name), n)
-                  for name, n in scope["rule_counts"].items()),
+            tuple(sorted((name, _int(row_counts, name)) for name in row_counts)),
+            tuple((parse_characteristic(name), _int(rule_counts, name))
+                  for name in rule_counts),
             measures, properties, characteristics,
             verdict["eligible"],
             tuple((parse_characteristic(r["characteristic"]),
@@ -386,7 +338,41 @@ def record_writer(record_key: Callable[[str, int], dict], level: int,
 
 
 # --------------------------------------------------------------------------
-# Measures document (full failing records; feeds the improvement manifests)
+# Base measures and their document (full failing records; feeds the
+# improvement manifests)
+
+@dataclass(frozen=True)
+class RuleMeasure:
+    rule_id: str
+    a: int
+    b: int
+    failing: list[tuple[str, int | None]]  # (entity, ordinal); None: entity-level
+    failing_total: int
+    elapsed: float = field(compare=False, default=0.0)
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """Exact compliance ratio A/B, or None when not applicable (B = 0)."""
+        return None if self.b == 0 else Fraction(self.a, self.b)
+
+
+def _no_keys(entity: str, row: int) -> dict:
+    raise LookupError(f"no record keys for {entity} row {row}")
+
+
+@dataclass(frozen=True)
+class MeasureSet:
+    measures: dict[str, RuleMeasure]  # rule id → measure, in document order
+    ruleset_fingerprint: str
+    snapshot_fingerprint: str
+    # (entity, row) → the record's key, column name → value: the repository's
+    # key columns for an evaluated set, the parsed records for a parsed one
+    record_key: Callable[[str, int], dict] = field(
+        default=_no_keys, compare=False, repr=False)
+
+    def __iter__(self):
+        return iter(self.measures.values())
+
 
 def serialize_measures(ms: MeasureSet) -> str:
     write_records = record_writer(ms.record_key, _RECORDS_LEVEL, True)
@@ -423,6 +409,7 @@ def parse_measures(text: str) -> MeasureSet:
     JSON scalars; one (entity, row) with two keys that are not written alike
     is a ParseError."""
     keys: dict[tuple[str, int | None], dict] = {}
+    texts: dict[tuple[str, int | None], str] = {}  # first key's repr, once repeated
     try:
         data = canonical.loads(text)
         measures = {}
@@ -435,9 +422,11 @@ def parse_measures(text: str) -> MeasureSet:
                 if known is key:
                     if not _valid_record(*pair, key):
                         raise ValueError(f"invalid failing record {r!r}")
-                elif known != key or repr(known) != repr(key):
-                    raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
-                                     f"{known!r} and {key!r}")
+                else:
+                    first = texts.get(pair) or texts.setdefault(pair, repr(known))
+                    if known != key or repr(key) != first:
+                        raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
+                                         f"{known!r} and {key!r}")
                 failing.append(pair)
             measures[m["rule_id"]] = RuleMeasure(
                 m["rule_id"], _int(m, "a"), _int(m, "b"), failing,

@@ -1,4 +1,5 @@
-"""Business-rule documents: parsing, validation, serialization.
+"""Business-rule documents: parsing, validation, serialization, and each
+rule's violating-row selector.
 
 A ruleset is a JSON document binding each rule to one quality property and
 one kind-specific check. Rulesets are immutable after parsing and safe to
@@ -15,7 +16,7 @@ from decimal import Decimal
 
 from . import canonical
 from .errors import ParseError
-from .expr import (Expr, ExprTypeError, columns_referenced, comparable,
+from .expr import (Expr, ExprTypeError, Literal, columns_referenced, comparable,
                    parse_expr, typecheck, unparse, validate_pattern)
 from .taxonomy import Characteristic, Property, parse_property
 from .values import coerce_literal, format_timestamp, parse_timestamp
@@ -195,6 +196,56 @@ class Rule:
         if isinstance(k, ForeignKey):
             return k.referenced
         return k.reference if isinstance(k, Domain) else None
+
+    def selector(self, catalog) -> str | None:
+        """Expression text selecting the rule's violating rows within its
+        entity (the negation of its check, under `where`), or None when the
+        kind cannot be expressed row-locally."""
+        k = self.kind
+        schema = catalog.get(self.entity)
+
+        def literal(value, column: str | None = None) -> str:
+            datatype = "text" if column is None else schema.column(column).datatype
+            return unparse(Literal(coerce_literal(value, datatype)))
+
+        body: str | None = None
+        if isinstance(k, Syntax):
+            body = f"not regex_match({self.columns[0]}, {literal(k.pattern)})"
+        elif isinstance(k, FormatClass):
+            body = " or ".join(f"not regex_match({c}, {literal(k.pattern)})"
+                               for e, c in self.targets if e == self.entity)
+        elif isinstance(k, Range):
+            col = self.columns[0]
+            parts = []
+            if k.min is not None:
+                op = ">=" if k.min_inclusive else ">"
+                parts.append(f"{col} {op} {literal(k.min, col)}")
+            if k.max is not None:
+                op = "<=" if k.max_inclusive else "<"
+                parts.append(f"{col} {op} {literal(k.max, col)}")
+            body = f"not ({' and '.join(parts)})"
+        elif isinstance(k, Domain) and self.reference is None:
+            col = self.columns[0]
+            members = ", ".join(literal(v, col) for v in k.allowed)
+            body = f"not in_set({col}, {members})"
+        elif isinstance(k, NoDefault):
+            col = self.columns[0]
+            members = ", ".join(literal(v, col) for v in k.placeholders)
+            body = f"in_set({col}, {members})"
+        elif isinstance(k, Predicate):
+            body = f"not ({unparse(k.expr)})"
+        elif isinstance(k, Freshness):
+            [(_, column)] = self.targets
+            age = f"age_days({column}) > {unparse(Literal(k.max_age_days))}"
+            if k.condition is not None:
+                body = f"({unparse(k.condition)}) and {age}"
+            else:
+                body = age
+        if body is None:
+            return None
+        if self.where is not None:
+            body = f"({unparse(self.where)}) and ({body})"
+        return body
 
 
 @dataclass(frozen=True)

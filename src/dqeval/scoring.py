@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import MixedProperty, NothingEvaluated, OutOfRange, ParseError
 from . import canonical
-from .engine import MeasureSet, RuleMeasure
+from .reporting import MeasureSet, RuleMeasure
 from .rules import Rule, RuleSet, rules_by_property
 from .taxonomy import Characteristic, Property, parse_characteristic
 

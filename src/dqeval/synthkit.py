@@ -36,9 +36,9 @@ from pathlib import Path
 
 from . import canonical
 from .dataset import Entity, RowView, SchemaCatalog, write_entity
-from .engine import MeasureSet
 from .errors import ConflictingPlan, InvalidRuleset, ParseError, SynthError
 from .expr import columns_referenced, evaluate
+from .reporting import MeasureSet
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,

@@ -257,13 +257,20 @@ def _rewrite(source: Path, target: Path, path: tuple, value) -> None:
      "profile must be five integers, not [0, 0, 0, 2]"),
     (("characteristics", 0, "profile"), [0, 0, 0, 2, "0"],
      "profile must be five integers, not [0, 0, 0, 2, '0']"),
+    (("scope", "row_counts", "person"), "4", "person must be an integer, not '4'"),
+    (("scope", "rule_counts", "Accuracy"), True,
+     "Accuracy must be an integer, not True"),
+    (("verdict", "eligible"), "false", "eligible must be true or false, not 'false'"),
 ], ids=["value-text", "ratio-text", "ratio-bool", "property-level-text",
         "characteristic-level-decimal", "reason-level-text", "a-bool", "b-text",
         "failing-total-null", "sum-a-decimal", "sum-b-bool", "rule-count-text",
-        "profile-four", "profile-text-member"])
+        "profile-four", "profile-text-member", "scope-row-count-text",
+        "scope-rule-count-bool", "eligible-text"])
 def test_report_numbers_of_the_wrong_type_exit_1(workspace, capsys, path, value, message):
-    """certify, compare and improve refuse a report whose numbers are not of
-    their type, with a message instead of a traceback or a wrong figure."""
+    """certify, compare and improve refuse a report whose numbers (or verdict)
+    are not of their type, with a message instead of a traceback or a wrong
+    figure: a text "false" is not a verdict, and certify must not read it as
+    eligible."""
     _evaluate(workspace)
     out = workspace / "out"
     _rewrite(out / "report.json", workspace / "report.json", path, value)
@@ -456,6 +463,73 @@ def test_evaluate_imports_no_synth_or_pool_modules(workspace):
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def registry_outputs(tmp_path_factory) -> Path:
+    """registry-v1 with its evaluate outputs in `out`."""
+    s = tmp_path_factory.mktemp("registry")
+    write_scenario("registry-v1", s)
+    assert main(["evaluate", "--rules", str(s / "rules.json"), "--schema",
+                 str(s / "schema.json"), "--data", str(s / "snapshot"),
+                 "--out", str(s / "out"), "--jobs", "1"]) == 0
+    return s
+
+
+def _modules_after(argv: list[str]) -> tuple[int, set[str]]:
+    """main(argv)'s exit code in a fresh interpreter, and the dqeval modules
+    it has imported by then."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from dqeval.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('dqeval')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+_EVALUATION_LAYERS = {f"dqeval.{m}" for m in (
+    "engine", "rules", "expr", "dataset", "scoring", "synthkit", "scenarios")}
+
+
+@pytest.mark.parametrize("command, code", [
+    ("improve", 0), ("certify", 2), ("compare", 0)])
+def test_document_commands_import_no_evaluation_layer(registry_outputs, tmp_path,
+                                                      command, code):
+    """improve, certify and compare read and write documents only: a start-up
+    that imports the evaluation layers would pay for them on every run."""
+    out = registry_outputs / "out"
+    argv = {"improve": ["improve", "--report", str(out / "report.json"), "--measures",
+                        str(out / "measures.json"), "--out", str(tmp_path / "m")],
+            "certify": ["certify", str(out / "report.json")],
+            "compare": ["compare", str(out / "report.json"), str(out / "report.json"),
+                        "--out", str(tmp_path / "c")]}[command]
+    exit_code, modules = _modules_after(argv)
+    assert exit_code == code
+    assert "dqeval.reporting" in modules
+    assert modules & _EVALUATION_LAYERS == set()
+
+
+def test_version_imports_only_the_shell():
+    assert _modules_after(["--version"]) == (0, {
+        "dqeval", "dqeval.cli", "dqeval.errors", "dqeval.host", "dqeval.taxonomy"})
+
+
+def test_validate_imports_no_engine_scoring_or_reporting(registry_outputs):
+    s = registry_outputs
+    exit_code, modules = _modules_after(["validate", "--rules", str(s / "rules.json"),
+                                         "--schema", str(s / "schema.json")])
+    assert exit_code == 0
+    assert "dqeval.rules" in modules
+    assert modules & {"dqeval.engine", "dqeval.scoring", "dqeval.reporting"} == set()
 
 
 # --------------------------------------------------------------------------
