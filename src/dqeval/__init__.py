@@ -10,13 +10,13 @@ fixture generator with exact oracles round out the toolchain.
 __version__ = "0.1.0"
 
 from .errors import (ConflictingPlan, DqError, EvalError, FingerprintMismatch,
-                     LoadError, MixedProperty, NothingEvaluated, OutOfRange,
-                     ParseError, ScopeMismatch, SynthError, UnknownColumn)
+                     LoadError, NothingEvaluated, OutOfRange, ParseError,
+                     ScopeMismatch, SynthError, UnknownColumn)
 from .taxonomy import Characteristic, Property
 
 __all__ = [
     "__version__", "Characteristic", "Property",
     "DqError", "ParseError", "LoadError", "UnknownColumn", "EvalError",
-    "MixedProperty", "OutOfRange", "NothingEvaluated", "FingerprintMismatch",
+    "OutOfRange", "NothingEvaluated", "FingerprintMismatch",
     "ScopeMismatch", "SynthError", "ConflictingPlan",
 ]

@@ -111,7 +111,7 @@ def cmd_validate(args) -> int:
 def cmd_evaluate(args) -> int:
     from .dataset import load_snapshot
     from .engine import eval_all
-    from .reporting import (build_report, render_text, serialize_measures,
+    from .reporting import (build_report, render_report, serialize_measures,
                             serialize_report)
     from .rules import validate_ruleset
     from .scoring import score_all
@@ -149,8 +149,8 @@ def cmd_evaluate(args) -> int:
     (out / "report.json").write_text(serialize_report(report), encoding="utf-8")
     (out / "measures.json").write_text(serialize_measures(ms), encoding="utf-8")
     if args.format == "text":
-        (out / "report.txt").write_text(render_text(report), encoding="utf-8")
-        print(render_text(report))
+        (out / "report.txt").write_text(render_report(report), encoding="utf-8")
+        print(render_report(report))
     else:
         verdict = "ELIGIBLE" if report.eligible else "NOT ELIGIBLE"
         print(f"evaluated {len(rs.rules)} rules over "
@@ -192,7 +192,8 @@ def cmd_improve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .reporting import compare, parse_report, render_text, serialize_comparison
+    from .reporting import (compare, parse_report, render_comparison,
+                            serialize_comparison)
     try:
         first = parse_report(_read(args.first, "report"))
         second = parse_report(_read(args.second, "report"))
@@ -207,8 +208,9 @@ def cmd_compare(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.json").write_text(serialize_comparison(result),
                                              encoding="utf-8")
-        (out / "comparison.txt").write_text(render_text(result), encoding="utf-8")
-    print(render_text(result))
+        (out / "comparison.txt").write_text(render_comparison(result),
+                                            encoding="utf-8")
+    print(render_comparison(result))
     return EXIT_OK
 
 

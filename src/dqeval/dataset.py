@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -371,9 +372,22 @@ def _add_rows(rows: list, first_row: int, specs, caches: list[dict],
         raise LoadError(message, row=first_row + row, column=specs[j].name)
 
 
+def _stat(file) -> tuple[int, int, int]:
+    st = os.fstat(file.fileno())
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _check_unchanged(file, before: tuple[int, int, int], path: Path) -> None:
+    """Refuse a file whose size, mtime or inode moved while it was read, or
+    whose bytes read are not its size."""
+    if _stat(file) != before or file.tell() != before[0]:
+        raise LoadError(f"snapshot file {path} changed while it was read")
+
+
 def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
     """One snapshot file's Entity, and the sha256 of the bytes it was parsed
-    from, from one pass over the file."""
+    from, from one pass over the file. A file that changes during the pass is
+    a LoadError."""
     path = Path(path)
     digest = hashlib.sha256()
     specs = schema.columns
@@ -383,6 +397,7 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
     try:
         # binary: no newline translation, a "\r" inside quotes is kept
         with open(path, "rb") as file:
+            before = _stat(file)
             texts = _decoded(file, digest)
             try:
                 blocks = _record_blocks(texts)
@@ -401,7 +416,9 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
             except LoadError:
                 for _ in texts:  # a file that is not UTF-8 says so first
                     pass
+                _check_unchanged(file, before, path)  # and one that changed
                 raise
+            _check_unchanged(file, before, path)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:

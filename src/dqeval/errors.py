@@ -66,10 +66,6 @@ class EvalError(DqError):
         super().__init__(message if rule_id is None else f"rule {rule_id}: {message}")
 
 
-class MixedProperty(DqError):
-    """Measures passed to a property aggregation span several properties."""
-
-
 class OutOfRange(DqError):
     """A quality value lies outside [0, 100]."""
 

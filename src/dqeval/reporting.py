@@ -133,14 +133,10 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
                           for name in sorted(repo.entities)),
         rule_counts=tuple((c, rule_counts[c]) for c in Characteristic),
         measures=tuple(measures),
-        properties=tuple(PropertyReport(s.property, _render_value(s.value), s.level,
-                                        s.sum_a, s.sum_b, s.rule_count)
-                         for s in result.property_scores),
-        characteristics=tuple(CharacteristicReport(
-            r.characteristic, r.profile.counts, r.level, r.strengths, r.weaknesses)
-            for r in result.characteristic_results),
-        eligible=result.verdict.eligible,
-        reasons=result.verdict.reasons)
+        properties=result.properties,
+        characteristics=result.characteristics,
+        eligible=result.eligible,
+        reasons=result.reasons)
 
 
 # --------------------------------------------------------------------------
@@ -672,16 +668,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_text(document) -> str:
-    """Fixed-width human rendering of a report or comparison."""
-    if isinstance(document, EvaluationReport):
-        return _render_report(document)
-    if isinstance(document, ComparisonReport):
-        return _render_comparison(document)
-    raise TypeError(f"cannot render {type(document).__name__}")
-
-
-def _render_report(report: EvaluationReport) -> str:
+def render_report(report: EvaluationReport) -> str:
+    """Fixed-width human rendering of a report."""
     md = report.metadata
     lines = [
         "DATA QUALITY EVALUATION REPORT",
@@ -721,7 +709,8 @@ def _render_report(report: EvaluationReport) -> str:
     return "\n".join(lines)
 
 
-def _render_comparison(cmp: ComparisonReport) -> str:
+def render_comparison(cmp: ComparisonReport) -> str:
+    """Fixed-width human rendering of a comparison."""
     lines = [
         "DATA QUALITY COMPARISON",
         f"ruleset: {cmp.ruleset_name} (v{cmp.first_version} -> v{cmp.second_version})",

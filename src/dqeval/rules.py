@@ -752,15 +752,3 @@ def _check_boolean_expr(rule: Rule, e: Expr, col_types: dict[str, str],
         return
     if result != "boolean":
         error(rule.id, f"{label} must be boolean, got {result}")
-
-
-# --------------------------------------------------------------------------
-# Partitioning
-
-def rules_by_property(rs: RuleSet) -> dict[Property, list[Rule]]:
-    """Partition rules by property, preserving document order within each list."""
-    out: dict[Property, list[Rule]] = {}
-    for rule in rs.rules:
-        out.setdefault(rule.property, []).append(rule)
-    return out
-

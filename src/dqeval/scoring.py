@@ -7,7 +7,9 @@ bands (half-open low, closed top), per-characteristic level counts form a
 profile vector, and a profiling table of per-range caps turns the profile
 into a characteristic level 0..5. Certification requires every evaluated
 characteristic to reach at least level 3. All arithmetic is exact
-(fractions), so boundary cases never drift.
+(fractions), so boundary cases never drift. Scoring reads only each rule's
+(property, A, B) and builds the report's own property and characteristic
+records.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import MixedProperty, NothingEvaluated, OutOfRange, ParseError
+from .errors import NothingEvaluated, OutOfRange, ParseError
 from . import canonical
-from .reporting import MeasureSet, RuleMeasure
-from .rules import Rule, RuleSet, rules_by_property
+from .reporting import CharacteristicReport, MeasureSet, PropertyReport, _render_value
 from .taxonomy import Characteristic, Property, parse_characteristic
+
+if TYPE_CHECKING:
+    from .rules import RuleSet
 
 DEFAULT_THRESHOLDS = (20, 40, 70, 85)
 
@@ -58,12 +63,6 @@ class LevelThresholds:
 
 def default_thresholds() -> LevelThresholds:
     return LevelThresholds.of(*DEFAULT_THRESHOLDS)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """How many evaluated properties of one characteristic sit at each level."""
-    counts: tuple[int, int, int, int, int]  # levels 1..5
 
 
 @dataclass(frozen=True)
@@ -106,60 +105,34 @@ def default_profiling_table(property_count: int) -> ProfilingTable:
 
 
 @dataclass(frozen=True)
-class PropertyScore:
-    property: Property
-    value: Fraction | None  # None = not evaluated (no applicable rules)
-    level: int | None
-    sum_a: int
-    sum_b: int
-    rule_count: int
-
-
-@dataclass(frozen=True)
-class CharacteristicResult:
-    characteristic: Characteristic
-    profile: Profile
-    level: int | None  # None = no evaluated properties
-    strengths: tuple[Property, ...]
-    weaknesses: tuple[Property, ...]
-
-
-@dataclass(frozen=True)
-class Verdict:
+class ScoreResult:
+    """The scored part of an EvaluationReport, under its field names."""
+    properties: tuple[PropertyReport, ...]
+    characteristics: tuple[CharacteristicReport, ...]
     eligible: bool
     reasons: tuple[tuple[Characteristic, int], ...]  # characteristics below 3
-
-
-@dataclass(frozen=True)
-class ScoreResult:
-    property_scores: tuple[PropertyScore, ...]
-    characteristic_results: tuple[CharacteristicResult, ...]
-    verdict: Verdict
 
 
 # --------------------------------------------------------------------------
 # Steps
 
-def property_value(pairs: list[tuple[Rule, RuleMeasure]],
+def property_value(pairs: list[tuple[int, int]],
                    mode: str = "micro") -> Fraction | None:
-    """Aggregate one property's rule measures into a quality value in [0, 100].
+    """Aggregate one property's (A, B) measures into a quality value in [0, 100].
 
     micro: 100·ΣA/ΣB (record-weighted); macro: 100·mean(A_i/B_i).
-    Not-applicable measures are excluded; None when nothing is applicable.
+    Not-applicable measures (B = 0) are excluded; None when nothing is
+    applicable.
     """
     if mode not in ("micro", "macro"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    properties = {rule.property for rule, _ in pairs}
-    if len(properties) > 1:
-        raise MixedProperty("measures span properties: "
-                            + ", ".join(sorted(p.value for p in properties)))
-    applicable = [m for _, m in pairs if m.b > 0]
+    applicable = [(a, b) for a, b in pairs if b > 0]
     if not applicable:
         return None
     if mode == "micro":
-        total_b = sum(m.b for m in applicable)
-        return Fraction(100) * Fraction(sum(m.a for m in applicable), total_b)
-    return Fraction(100) * sum(Fraction(m.a, m.b) for m in applicable) \
+        return Fraction(100) * Fraction(sum(a for a, _ in applicable),
+                                        sum(b for _, b in applicable))
+    return Fraction(100) * sum(Fraction(a, b) for a, b in applicable) \
         / len(applicable)
 
 
@@ -174,24 +147,25 @@ def value_to_level(value, thresholds: LevelThresholds) -> int:
     return 5
 
 
-def make_profile(levels) -> Profile:
-    """Count per-level occurrences; not-evaluated properties are excluded upstream."""
+def make_profile(levels) -> tuple[int, int, int, int, int]:
+    """How many of the levels sit at each of 1..5; not-evaluated properties
+    are excluded upstream."""
     counts = [0, 0, 0, 0, 0]
     for level in levels:
         if not 1 <= level <= 5:
             raise ValueError(f"property level {level} outside 1..5")
         counts[level - 1] += 1
-    return Profile(tuple(counts))
+    return tuple(counts)
 
 
-def profile_to_level(profile: Profile, table: ProfilingTable) -> int:
+def profile_to_level(profile: tuple[int, ...], table: ProfilingTable) -> int:
     """Best satisfied range, scanning 5 down to 1; 0 when none is satisfied.
 
     Range r is satisfied iff for every level l in 1..4 the cumulative count
     of properties at level <= l stays within caps[r][l] (null caps skip)."""
     cumulative = []
     running = 0
-    for c in profile.counts[:4]:
+    for c in profile[:4]:
         running += c
         cumulative.append(running)
     for r in range(5, 0, -1):
@@ -201,13 +175,15 @@ def profile_to_level(profile: Profile, table: ProfilingTable) -> int:
     return 0
 
 
-def certification_eligibility(results) -> Verdict:
-    """Eligible iff every evaluated characteristic reached at least level 3."""
-    evaluated = [r for r in results if r.level is not None]
+def certification_eligibility(
+        characteristics) -> tuple[bool, tuple[tuple[Characteristic, int], ...]]:
+    """Eligible iff every evaluated characteristic reached at least level 3;
+    the reasons are those below it."""
+    evaluated = [c for c in characteristics if c.level is not None]
     if not evaluated:
         raise NothingEvaluated("no characteristic was evaluated")
-    reasons = tuple((r.characteristic, r.level) for r in evaluated if r.level < 3)
-    return Verdict(not reasons, reasons)
+    reasons = tuple((c.characteristic, c.level) for c in evaluated if c.level < 3)
+    return not reasons, reasons
 
 
 # --------------------------------------------------------------------------
@@ -309,46 +285,48 @@ def load_config(document: str) -> ScoringConfig:
 
 def score_all(ms: MeasureSet, rs: RuleSet,
               config: ScoringConfig | None = None) -> ScoreResult:
-    """Compose the scoring steps over a complete measure set.
+    """Score each rule's (property, A, B) into the report's records.
 
     Strengths are properties at level >= 4, weaknesses at level <= 2;
     characteristics with no evaluated property are excluded from the verdict.
     """
     config = config or default_config()
-    by_prop = rules_by_property(rs)
+    by_prop: dict[Property, list[tuple[int, int]]] = {}
+    for rule in rs.rules:
+        m = ms.measures[rule.id]
+        by_prop.setdefault(rule.property, []).append((m.a, m.b))
 
-    scores: list[PropertyScore] = []
+    properties: list[PropertyReport] = []
     for prop in Property:
-        rules = by_prop.get(prop)
-        if not rules:
+        pairs = by_prop.get(prop)
+        if not pairs:
             continue
-        pairs = [(r, ms.measures[r.id]) for r in rules]
         value = property_value(pairs, config.aggregation)
         level = value_to_level(value, config.thresholds) if value is not None else None
-        scores.append(PropertyScore(
-            prop, value, level,
-            sum_a=sum(m.a for _, m in pairs if m.b > 0),
-            sum_b=sum(m.b for _, m in pairs),
-            rule_count=len(rules)))
+        properties.append(PropertyReport(
+            prop, _render_value(value), level,
+            sum_a=sum(a for a, b in pairs if b > 0),
+            sum_b=sum(b for _, b in pairs),
+            rule_count=len(pairs)))
 
-    results: list[CharacteristicResult] = []
+    characteristics: list[CharacteristicReport] = []
     for characteristic in Characteristic:
-        char_scores = [s for s in scores
-                       if s.property.characteristic is characteristic]
-        if not char_scores:
+        char_props = [p for p in properties
+                      if p.property.characteristic is characteristic]
+        if not char_props:
             continue
-        levels = [s.level for s in char_scores if s.level is not None]
+        levels = [p.level for p in char_props if p.level is not None]
         profile = make_profile(levels)
         level = None
         if levels:
             table = config.table_for(characteristic, len(levels))
             level = profile_to_level(profile, table)
-        results.append(CharacteristicResult(
+        characteristics.append(CharacteristicReport(
             characteristic, profile, level,
-            strengths=tuple(s.property for s in char_scores
-                            if s.level is not None and s.level >= 4),
-            weaknesses=tuple(s.property for s in char_scores
-                             if s.level is not None and s.level <= 2)))
+            strengths=tuple(p.property for p in char_props
+                            if p.level is not None and p.level >= 4),
+            weaknesses=tuple(p.property for p in char_props
+                             if p.level is not None and p.level <= 2)))
 
-    verdict = certification_eligibility(results)
-    return ScoreResult(tuple(scores), tuple(results), verdict)
+    eligible, reasons = certification_eligibility(characteristics)
+    return ScoreResult(tuple(properties), tuple(characteristics), eligible, reasons)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dqeval import canonical
+from dqeval import canonical, dataset
 from dqeval.dataset import load_catalog, load_snapshot
 from dqeval.rules import parse_ruleset
 
@@ -109,3 +109,18 @@ def reference_record_writer(record_key, level: int, with_entity: bool):
                 | {"row": row, "key": {} if row is None else record_key(entity, row)}
                 for entity, row in records]
     return write
+
+
+def growing_reader(extra: bytes):
+    """A stand-in for dataset._decoded that appends `extra` to the file being
+    read once its first chunk has been read."""
+    decoded = dataset._decoded
+
+    def read(file, digest):
+        texts = decoded(file, digest)
+        yield next(texts)
+        with open(file.name, "ab") as out:
+            out.write(extra)
+        yield from texts
+
+    return read

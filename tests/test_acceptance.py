@@ -20,7 +20,7 @@ from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import eval_all
 from dqeval.reporting import build_report, serialize_report
-from dqeval.rules import parse_ruleset, rules_by_property
+from dqeval.rules import parse_ruleset
 from dqeval.scenarios import write_scenario
 from dqeval.scoring import (default_config, default_profiling_table,
                             default_thresholds, make_profile, profile_to_level,
@@ -44,7 +44,7 @@ def _finish(n: int, what: str, started: float, budget: float):
 def test_criterion_1_worked_profile_example():
     started = time.perf_counter()
     profile = make_profile([4, 4, 3])
-    assert profile.counts == (0, 0, 1, 2, 0)
+    assert profile == (0, 0, 1, 2, 0)
     level = profile_to_level(profile, default_profiling_table(3))
     assert level == 3
     _finish(1, "property levels (4,4,3) -> profile <0,0,1,2,0> -> level 3",
@@ -194,10 +194,12 @@ def test_criterion_3_oracle_equivalence(tmp_path: Path):
         ms = eval_all(rs, repo)
         assert expected_vs_actual(expected, ms) == [], f"seed {seed}"
         # micro property values equal 100*sum(A)/sum(B) within 1e-9
-        for prop, prop_rules in rules_by_property(rs).items():
-            pairs = [(r, ms.measures[r.id]) for r in prop_rules]
-            value = property_value(pairs, "micro")
-            applicable = [m for _, m in pairs if m.b > 0]
+        by_prop: dict = {}
+        for r in rs.rules:
+            by_prop.setdefault(r.property, []).append(ms.measures[r.id])
+        for measures in by_prop.values():
+            value = property_value([(m.a, m.b) for m in measures], "micro")
+            applicable = [m for m in measures if m.b > 0]
             if not applicable:
                 assert value is None
                 continue
@@ -217,10 +219,11 @@ _RULE_COLUMN = {"syn": "syn", "rng": "rng_c", "dom": "dom", "nn": "nn",
 
 
 def _scores_snapshot(result):
-    prop_values = {s.property: s.value for s in result.property_scores}
-    prop_levels = {s.property: s.level for s in result.property_scores}
-    char_levels = {c.characteristic: c.level
-                   for c in result.characteristic_results}
+    """Property values as rendered (rounding to four places never reverses
+    their order), property levels and characteristic levels."""
+    prop_values = {p.property: p.value for p in result.properties}
+    prop_levels = {p.property: p.level for p in result.properties}
+    char_levels = {c.characteristic: c.level for c in result.characteristics}
     return prop_values, prop_levels, char_levels
 
 

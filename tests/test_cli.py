@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, make_ruleset, rule
+from conftest import (PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, growing_reader,
+                      make_ruleset, rule)
 from dqeval import canonical
 from dqeval.cli import build_parser, main
 from dqeval.scenarios import write_scenario
@@ -109,6 +110,18 @@ def test_evaluate_empty_snapshot_dir_exits_1(workspace, capsys):
                  "--data", str(empty), "--out", str(workspace / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_evaluate_snapshot_that_grows_while_read_exits_1(workspace, capsys,
+                                                        monkeypatch):
+    from dqeval import dataset
+    monkeypatch.setattr(dataset, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(dataset, "_decoded", growing_reader(b"X\n"))
+    assert _evaluate(workspace) == 1
+    person = workspace / "snapshot" / "person.csv"
+    assert capsys.readouterr().err == \
+        f"error: snapshot file {person} changed while it was read\n"
+    assert not (workspace / "out").exists()
 
 
 def test_evaluate_text_format(workspace, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dataset_reference
-from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV
+from conftest import PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, growing_reader
 from dqeval import canonical, dataset
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, load_catalog, load_entity, load_snapshot,
                             serialize_catalog, serialize_entity, write_entity)
@@ -457,3 +457,18 @@ def test_dedup_cap_bounds_a_columns_cache(tmp_path: Path):
         entity = load_entity(path, schema)
     assert entity.column("n") == [i % 7 for i in range(40)]
     assert max(len(c) for c in caches[-1]) <= 4
+
+
+@pytest.mark.parametrize("extra", [b"40\n", b"40,"], ids=["record", "bad-record"])
+def test_file_that_grows_while_loading_is_refused(tmp_path: Path, extra: bytes):
+    """Bytes appended between chunks are read too, so the size read and the
+    size at the end differ from the size at open. A bad record among them is
+    reported as the change, not as a parse error."""
+    schema = _schema(("n", "integer"))
+    path = tmp_path / "t.csv"
+    path.write_text("n\n" + "".join(f"{i}\n" for i in range(40)))
+    with mock.patch.object(dataset, "_CHUNK_BYTES", 16), \
+            mock.patch.object(dataset, "_decoded", growing_reader(extra)):
+        with pytest.raises(LoadError) as exc:
+            load_entity(path, schema)
+    assert str(exc.value) == f"snapshot file {path} changed while it was read"

@@ -31,3 +31,19 @@ def test_module_imports_first(module):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert f"'dqeval.{module}'" in proc.stdout
+
+
+def test_scoring_imports_no_evaluation_layer():
+    """Scoring reads (property, A, B) items, so a document command can score
+    without loading the rule, expression, snapshot or engine layers."""
+    script = ("import sys\n"
+              "import dqeval.scoring\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('dqeval.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dqeval.scoring" in loaded
+    assert loaded & {"dqeval.rules", "dqeval.expr", "dqeval.dataset",
+                     "dqeval.engine"} == set()

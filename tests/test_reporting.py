@@ -20,9 +20,9 @@ from dqeval.errors import FingerprintMismatch, ParseError, ScopeMismatch
 from dqeval.expr import evaluate, parse_expr, typecheck
 from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, record_writer,
-                              render_text, serialize_comparison,
-                              serialize_measures, serialize_report,
-                              write_improvement)
+                              render_comparison, render_report,
+                              serialize_comparison, serialize_measures,
+                              serialize_report, write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scoring import default_config, score_all
 from dqeval.taxonomy import Characteristic, Property
@@ -542,13 +542,13 @@ def test_comparison_serialization_stable(person_snapshot, table3_ruleset):
 
 def test_eligible_verdict_line(table3_report):
     report, _ = table3_report
-    text = render_text(report)
+    text = render_report(report)
     assert "VERDICT: ELIGIBLE (min level 3 rule)" in text
 
 
 def test_not_eligible_lists_characteristics(person_snapshot, table3_ruleset):
     report = _report_with_levels(person_snapshot, table3_ruleset, "1", degrade=True)
-    text = render_text(report)
+    text = render_report(report)
     assert "VERDICT: NOT ELIGIBLE (min level 3 rule)" in text
     assert "below threshold: Accuracy at level 2" in text
 
@@ -556,6 +556,6 @@ def test_not_eligible_lists_characteristics(person_snapshot, table3_ruleset):
 def test_comparison_renders_before_after(person_snapshot, table3_ruleset):
     first = _report_with_levels(person_snapshot, table3_ruleset, "1", degrade=True)
     second = _report_with_levels(person_snapshot, table3_ruleset, "2", degrade=False)
-    text = render_text(compare(first, second))
+    text = render_comparison(compare(first, second))
     assert "before" in text and "after" in text
     assert "NOT ELIGIBLE -> ELIGIBLE" in text

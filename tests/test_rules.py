@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 import rules_reference
 from conftest import make_ruleset, rule
 from dqeval.errors import ParseError
-from dqeval.rules import (_PARAMS, KINDS, parse_ruleset, rules_by_property,
-                          serialize_ruleset, validate_ruleset)
+from dqeval.rules import (_PARAMS, KINDS, parse_ruleset, serialize_ruleset,
+                          validate_ruleset)
 from dqeval.scenarios import build_scenario, scenario_names
 from dqeval.taxonomy import Characteristic, Property
 
@@ -206,19 +206,7 @@ def test_freshness_needs_timestamp_column(person_catalog):
 
 
 # --------------------------------------------------------------------------
-# partitioning
-
-def test_single_rule_partition(table3_ruleset):
-    by_prop = rules_by_property(table3_ruleset)
-    assert set(by_prop) == {Property.EXAC_SINT, Property.EXAC_SEMAN}
-
-
-def test_document_order_preserved():
-    rs = parse_ruleset(make_ruleset([
-        rule("b", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
-        rule("a", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "y"})]))
-    assert [r.id for r in rules_by_property(rs)[Property.EXAC_SINT]] == ["b", "a"]
-
+# rule counts
 
 def test_characteristic_rule_counts_match_published_split():
     # 89 Accuracy / 78 Completeness / 91 Consistency / 54 Credibility /
@@ -237,7 +225,7 @@ def test_characteristic_rule_counts_match_published_split():
 
 
 # --------------------------------------------------------------------------
-# round trip + partition properties
+# round-trip properties
 
 _KIND_BUILDERS = {
     "syntax": lambda i: ("syntax", ["col_a"], {"pattern": "^[0-9]{4}$"}),
@@ -293,17 +281,6 @@ def test_small_decimal_literals_round_trip(where):
         rule("r", "person", ["balance"], "COMP_REG", "not_null", {}, where=where)]))
     assert parse_ruleset(serialize_ruleset(rs)) == rs
     assert json.loads(serialize_ruleset(rs))["rules"][0]["where"] == where
-
-
-@given(rulesets())
-def test_rules_by_property_is_a_partition(document):
-    rs = parse_ruleset(document)
-    by_prop = rules_by_property(rs)
-    flattened = [r for rules in by_prop.values() for r in rules]
-    assert sorted(r.id for r in flattened) == sorted(r.id for r in rs.rules)
-    assert len(flattened) == len(rs.rules)
-    for prop, bucket in by_prop.items():
-        assert all(r.property is prop for r in bucket)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ def _evaluate(name: str, tmp_path: Path):
     ms = eval_all(bundle.ruleset, repo)
     assert expected_vs_actual(expected, ms) == []
     result = score_all(ms, bundle.ruleset, default_config())
-    levels = {c.characteristic: c.level for c in result.characteristic_results}
+    levels = {c.characteristic: c.level for c in result.characteristics}
     return bundle, repo, ms, result, levels
 
 
@@ -68,13 +69,13 @@ def test_school_first_evaluation_only_accuracy_below_3(tmp_path: Path):
     assert levels[Characteristic.ACCURACY] == 2
     assert all(lv >= 3 for c, lv in levels.items()
                if c is not Characteristic.ACCURACY)
-    assert not result.verdict.eligible
+    assert not result.eligible
 
 
 def test_school_second_evaluation_reaches_5(tmp_path: Path):
     _, _, _, result, levels = _evaluate("school-v2", tmp_path)
     assert levels[Characteristic.ACCURACY] == 5
-    assert result.verdict.eligible
+    assert result.eligible
 
 
 def test_rulesets_share_ids_across_versions():
@@ -165,6 +166,36 @@ def test_pipeline_outputs_pinned(name: str, tmp_path: Path):
                      "--out", str(out / "improve")]) == 0
         digests.append(_pipeline_digest(out))
     assert digests == [_PIPELINE_DIGESTS[name]] * 2
+
+
+# A --config that moves every scoring step off its default: macro
+# aggregation, thresholds (one fractional) that re-band school-v1's values, and
+# a profiling table that lifts Accuracy's profile <1,0,2,0,0> from level 2 to
+# 3. The digest is report.json's SHA-256; like the pins above, it changes with
+# dqeval.__version__.
+_CUSTOM_CONFIG = {
+    "aggregation": "macro",
+    "thresholds": [15, 56, Decimal("75.5"), 96],
+    "profiles": {"Accuracy": [[None] * 4, [None] * 4, [2, 3, 3, 3], [1, 1, 3, 3],
+                              [0, 0, 1, 3], [0, 0, 0, 0]]},
+}
+_CUSTOM_CONFIG_REPORT_DIGEST = \
+    "f8853304cb6438703d635dec84a0320f8c73fa430e3c3d1cf61c28dca1388264"
+
+
+def test_report_under_a_custom_config_pinned(tmp_path: Path):
+    s = tmp_path / "s"
+    assert main(["synth", "--scenario", "school-v1", "--out", str(s)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(canonical.dumps(_CUSTOM_CONFIG), encoding="utf-8")
+    assert main(["evaluate", "--rules", str(s / "rules.json"),
+                 "--schema", str(s / "schema.json"), "--data", str(s / "snapshot"),
+                 "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    levels = {c["characteristic"]: c["level"]
+              for c in canonical.loads(report.decode())["characteristics"]}
+    assert levels["Accuracy"] == 3
+    assert hashlib.sha256(report).hexdigest() == _CUSTOM_CONFIG_REPORT_DIGEST
 
 
 # SHA-256 over every file `dq synth --scenario` writes: schema.json,

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_ruleset, rule
-from dqeval.engine import RuleMeasure
-from dqeval.errors import (MixedProperty, NothingEvaluated, OutOfRange,
-                           ParseError)
+from dqeval.errors import NothingEvaluated, OutOfRange, ParseError
+from dqeval.reporting import (CharacteristicReport, MeasureSet, PropertyReport,
+                              RuleMeasure)
 from dqeval.rules import parse_ruleset
-from dqeval.scoring import (CharacteristicResult, LevelThresholds, Profile,
-                            ProfilingTable, certification_eligibility,
-                            default_config, default_profiling_table,
-                            default_thresholds, load_config, make_profile,
-                            profile_to_level, property_value, score_all,
-                            value_to_level)
+from dqeval.scoring import (LevelThresholds, ProfilingTable,
+                            certification_eligibility, default_config,
+                            default_profiling_table, default_thresholds,
+                            load_config, make_profile, profile_to_level,
+                            property_value, score_all, value_to_level)
 from dqeval.taxonomy import Characteristic, Property
 
 
@@ -24,46 +23,28 @@ def _m(rule_id: str, a: int, b: int) -> RuleMeasure:
     return RuleMeasure(rule_id, a, b, (), max(b - a, 0))
 
 
-def _pair(prop: Property, a: int, b: int, rid="r"):
-    r = parse_ruleset(make_ruleset([
-        rule(rid, "e", ["c"] if prop is Property.EXAC_SINT else [],
-             prop.value, "syntax" if prop is Property.EXAC_SINT else "predicate",
-             {"pattern": "x"} if prop is Property.EXAC_SINT else {"expr": "c = 1"})
-    ])).rules[0]
-    return r, _m(rid, a, b)
-
-
 # --------------------------------------------------------------------------
 # property_value
 
 def test_micro_average():
-    pairs = [_pair(Property.EXAC_SINT, 3, 4), _pair(Property.EXAC_SINT, 9, 16)]
-    assert property_value(pairs, "micro") == Fraction(60)
+    assert property_value([(3, 4), (9, 16)], "micro") == Fraction(60)
 
 
 def test_macro_average():
-    pairs = [_pair(Property.EXAC_SINT, 3, 4), _pair(Property.EXAC_SINT, 9, 16)]
     # mean(0.75, 0.5625) * 100
-    assert property_value(pairs, "macro") == Fraction(100) * Fraction(21, 32)
+    assert property_value([(3, 4), (9, 16)], "macro") == Fraction(100) * Fraction(21, 32)
 
 
 def test_fully_compliant_rule_scores_100():
-    assert property_value([_pair(Property.EXAC_SINT, 7, 7)]) == Fraction(100)
+    assert property_value([(7, 7)]) == Fraction(100)
 
 
 def test_all_not_applicable_is_not_evaluated():
-    assert property_value([_pair(Property.EXAC_SINT, 0, 0)]) is None
+    assert property_value([(0, 0)]) is None
 
 
 def test_not_applicable_measures_excluded_first():
-    pairs = [_pair(Property.EXAC_SINT, 3, 4), _pair(Property.EXAC_SINT, 0, 0)]
-    assert property_value(pairs) == Fraction(75)
-
-
-def test_mixed_property_rejected():
-    pairs = [_pair(Property.EXAC_SINT, 1, 2), _pair(Property.CONS_SEMAN, 1, 2)]
-    with pytest.raises(MixedProperty):
-        property_value(pairs)
+    assert property_value([(3, 4), (0, 0)]) == Fraction(75)
 
 
 # --------------------------------------------------------------------------
@@ -106,15 +87,15 @@ def test_value_to_level_monotone(a, b):
 # profiles
 
 def test_worked_accuracy_profile():
-    assert make_profile([4, 4, 3]).counts == (0, 0, 1, 2, 0)
+    assert make_profile([4, 4, 3]) == (0, 0, 1, 2, 0)
 
 
 def test_all_fives():
-    assert make_profile([5, 5, 5]).counts == (0, 0, 0, 0, 3)
+    assert make_profile([5, 5, 5]) == (0, 0, 0, 0, 3)
 
 
 def test_empty_profile():
-    assert make_profile([]).counts == (0, 0, 0, 0, 0)
+    assert make_profile([]) == (0, 0, 0, 0, 0)
 
 
 def test_profile_order_independent():
@@ -133,12 +114,12 @@ def test_all_fives_reach_level_5():
 
 def test_mixed_profile_lands_at_2():
     table = default_profiling_table(3)
-    assert profile_to_level(Profile((1, 0, 0, 0, 2)), table) == 2
+    assert profile_to_level((1, 0, 0, 0, 2), table) == 2
 
 
 def test_three_ones_land_at_1():
     table = default_profiling_table(3)
-    assert profile_to_level(Profile((3, 0, 0, 0, 0)), table) == 1
+    assert profile_to_level((3, 0, 0, 0, 0), table) == 1
 
 
 def test_level_zero_when_nothing_satisfied():
@@ -146,7 +127,7 @@ def test_level_zero_when_nothing_satisfied():
     table = ProfilingTable((
         (None, None, None, None),
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
-    assert profile_to_level(Profile((1, 0, 0, 0, 0)), table) == 0
+    assert profile_to_level((1, 0, 0, 0, 0), table) == 0
 
 
 def test_table_invariants_enforced():
@@ -175,8 +156,8 @@ def test_profile_improvement_never_lowers_level(levels, which):
 # --------------------------------------------------------------------------
 # verdict
 
-def _char(c: Characteristic, level: int | None) -> CharacteristicResult:
-    return CharacteristicResult(c, Profile((0, 0, 0, 0, 0)), level, (), ())
+def _char(c: Characteristic, level: int | None) -> CharacteristicReport:
+    return CharacteristicReport(c, (0, 0, 0, 0, 0), level, (), ())
 
 
 def test_two_characteristics_below_threshold():
@@ -187,26 +168,25 @@ def test_two_characteristics_below_threshold():
         _char(Characteristic.CREDIBILITY, 5),
         _char(Characteristic.CURRENTNESS, 5),
     ]
-    verdict = certification_eligibility(results)
-    assert not verdict.eligible
-    assert verdict.reasons == ((Characteristic.ACCURACY, 1),
-                               (Characteristic.CONSISTENCY, 1))
+    eligible, reasons = certification_eligibility(results)
+    assert not eligible
+    assert reasons == ((Characteristic.ACCURACY, 1), (Characteristic.CONSISTENCY, 1))
 
 
 def test_all_fives_eligible():
-    verdict = certification_eligibility([_char(c, 5) for c in Characteristic])
-    assert verdict.eligible and verdict.reasons == ()
+    assert certification_eligibility([_char(c, 5) for c in Characteristic]) == \
+        (True, ())
 
 
 def test_all_threes_eligible():
-    assert certification_eligibility([_char(c, 3) for c in Characteristic]).eligible
+    assert certification_eligibility([_char(c, 3) for c in Characteristic])[0]
 
 
 def test_not_evaluated_excluded():
-    verdict = certification_eligibility([
+    eligible, _ = certification_eligibility([
         _char(Characteristic.ACCURACY, 3),
         _char(Characteristic.CURRENTNESS, None)])
-    assert verdict.eligible
+    assert eligible
 
 
 def test_nothing_evaluated_raises():
@@ -217,7 +197,7 @@ def test_nothing_evaluated_raises():
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=5))
 def test_verdict_iff_min_level_at_least_3(levels):
     results = [_char(c, lv) for c, lv in zip(Characteristic, levels)]
-    assert certification_eligibility(results).eligible == (min(levels) >= 3)
+    assert certification_eligibility(results)[0] == (min(levels) >= 3)
 
 
 # --------------------------------------------------------------------------
@@ -251,21 +231,21 @@ def test_load_config_profile_matrix():
 def _score_single_property(value_pct: int):
     rs = parse_ruleset(make_ruleset([
         rule("r", "e", ["c"], "EXAC_SINT", "syntax", {"pattern": "x"})]))
-    from dqeval.engine import MeasureSet
     ms = MeasureSet({"r": _m("r", value_pct, 100)}, "rf", "sf")
     return score_all(ms, rs, default_config())
 
 
 def test_single_property_value_60_gives_level_3():
     result = _score_single_property(60)
-    assert result.property_scores[0].level == 3
-    assert result.characteristic_results[0].level == 3
-    assert result.verdict.eligible
+    assert result.properties == (
+        PropertyReport(Property.EXAC_SINT, Decimal("60.0000"), 3, 60, 100, 1),)
+    assert result.characteristics[0].level == 3
+    assert result.eligible
 
 
 def test_all_compliant_gives_level_5():
     result = _score_single_property(100)
-    assert result.characteristic_results[0].level == 5
+    assert result.characteristics[0].level == 5
 
 
 def test_strengths_and_weaknesses_cut():
@@ -273,15 +253,14 @@ def test_strengths_and_weaknesses_cut():
         rule("hi", "e", ["c"], "EXAC_SINT", "syntax", {"pattern": "x"}),
         rule("lo", "e", ["d"], "RAN_EXAC", "range", {"min": 0}),
     ]))
-    from dqeval.engine import MeasureSet
     ms = MeasureSet({"hi": _m("hi", 90, 100), "lo": _m("lo", 10, 100)}, "rf", "sf")
     result = score_all(ms, rs, default_config())
-    acc = result.characteristic_results[0]
+    acc = result.characteristics[0]
     assert acc.strengths == (Property.EXAC_SINT,)
     assert acc.weaknesses == (Property.RAN_EXAC,)
 
 
 def test_characteristic_without_rules_absent():
     result = _score_single_property(50)
-    assert [c.characteristic for c in result.characteristic_results] == \
+    assert [c.characteristic for c in result.characteristics] == \
         [Characteristic.ACCURACY]
