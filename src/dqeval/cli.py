@@ -17,6 +17,7 @@ from . import __version__
 from .errors import (DqError, EvalError, FingerprintMismatch, InvalidRuleset,
                      LoadError, NothingEvaluated, ParseError, ScopeMismatch,
                      SynthError)
+from .host import usable_cpus, write_atomic
 
 # Each command imports the layers it runs, inside its cmd_* function: every
 # start-up pays for what it imports, and improve, certify and compare need
@@ -146,10 +147,10 @@ def cmd_evaluate(args) -> int:
     report = build_report(rs, repo, ms, result, config, __version__)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(serialize_report(report), encoding="utf-8")
-    (out / "measures.json").write_text(serialize_measures(ms), encoding="utf-8")
+    write_atomic(out / "report.json", serialize_report(report))
+    write_atomic(out / "measures.json", serialize_measures(ms))
     if args.format == "text":
-        (out / "report.txt").write_text(render_report(report), encoding="utf-8")
+        write_atomic(out / "report.txt", render_report(report))
         print(render_report(report))
     else:
         verdict = "ELIGIBLE" if report.eligible else "NOT ELIGIBLE"
@@ -206,10 +207,8 @@ def cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.json").write_text(serialize_comparison(result),
-                                             encoding="utf-8")
-        (out / "comparison.txt").write_text(render_comparison(result),
-                                            encoding="utf-8")
+        write_atomic(out / "comparison.json", serialize_comparison(result))
+        write_atomic(out / "comparison.txt", render_comparison(result))
     print(render_comparison(result))
     return EXIT_OK
 
@@ -266,7 +265,6 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .host import usable_cpus
     parser = _Parser(
         prog="dq",
         description="Measure tabular snapshots against declarative business "

@@ -7,8 +7,12 @@ field reads as empty text, which is why loading uses its own quote-aware
 reader instead of the stdlib csv module. Loading reads each file once, in
 fixed-size chunks: it hashes the bytes it parses, for the snapshot
 fingerprint, and turns each chunk's complete records into columns a block at
-a time. Entities keep columns column-major and are never mutated after load,
-so concurrent readers need no locks.
+a time. A block without quotes whose records all hold the schema's number of
+fields is split once, as one text; a column whose keys are all in its cache
+of parsed values maps through the cache in one pass. Every other block, and
+every other column, takes the record-by-record and parse-what-is-new path,
+which also reports errors. Entities keep columns column-major and are never
+mutated after load, so concurrent readers need no locks.
 """
 
 from __future__ import annotations
@@ -294,9 +298,22 @@ def _split(record: str) -> list:
 
 
 def _split_block(records: list[str], quoted: bool, n_cols: int, first_row: int):
-    """The records' field keys, up to the first record that does not split
-    into n_cols fields; and that record's LoadError, or None. The records
-    are rows first_row, first_row + 1, ..."""
+    """The records' field keys as n_cols columns, up to the first record that
+    does not split into n_cols fields; and that record's LoadError, or None.
+    The records are rows first_row, first_row + 1, ...
+
+    A block without quotes whose every record holds n_cols - 1 commas is
+    split once, as one text, and column j is every n_cols-th field from j.
+    The count is taken per record: a record one field short next to one a
+    field long would pass a count over the whole block. Every other block is
+    split a record at a time and transposed, so that it fails at the
+    record, and with the message, that the reference loader gives.
+    """
+    if not records:
+        return [()] * n_cols, None
+    if not quoted and set(map(str.count, records, repeat(","))) == {n_cols - 1}:
+        fields = ",".join(records).split(",")
+        return [fields[j::n_cols] for j in range(n_cols)], None
     if quoted:
         rows = []
         try:
@@ -312,10 +329,10 @@ def _split_block(records: list[str], quoted: bool, n_cols: int, first_row: int):
     if set(map(len, rows)) - {n_cols}:
         for i, fields in enumerate(rows):
             if len(fields) != n_cols:
-                return rows[:i], LoadError(
+                return list(zip(*rows[:i])), LoadError(
                     f"expected {n_cols} fields, found {len(fields)}",
                     row=first_row + i)
-    return rows, error
+    return list(zip(*rows)), error
 
 
 def _parse_keys(keys: set, spec: ColumnSchema) -> tuple[dict, dict]:
@@ -339,18 +356,27 @@ def _parse_keys(keys: set, spec: ColumnSchema) -> tuple[dict, dict]:
     return values, errors
 
 
-def _add_rows(rows: list, first_row: int, specs, caches: list[dict],
+def _add_rows(cols: list, first_row: int, specs, caches: list[dict],
               columns: list[list]) -> None:
-    """Append one block of split rows to the columns, a column at a time.
+    """Append one block of field keys, given as columns, to the columns.
 
-    Each column parses only the keys its cache has not seen, once each. A
-    block whose new keys would take the cache past _DEDUP_CAP maps through a
-    dict of its own keys instead. The first cell that fails, in row order,
-    raises its LoadError.
+    A cache holds only keys that parsed (and a nullable column's nulls), so
+    a column whose keys are all cached maps through it in one pass. At the
+    first key it lacks, the column drops what that pass appended and parses
+    only the keys its cache has not seen, once each. A block whose new keys
+    would take the cache past _DEDUP_CAP maps through a dict of its own keys
+    instead. The first cell that fails, in row order, raises its LoadError.
     """
     failure = None  # (row, column index, message) of the first failing cell
-    for j, keys in enumerate(zip(*rows)):
+    for j, keys in enumerate(cols):
         cache = caches[j]
+        column = columns[j]
+        size = len(column)
+        try:
+            column.extend(map(cache.__getitem__, keys))
+            continue
+        except KeyError:
+            del column[size:]
         distinct = set(keys)
         values, errors = _parse_keys(distinct.difference(cache), specs[j])
         if errors:
@@ -366,7 +392,7 @@ def _add_rows(rows: list, first_row: int, specs, caches: list[dict],
         else:
             for key in distinct.difference(values):
                 values[key] = cache[key]
-        columns[j].extend(map(values.__getitem__, keys))
+        column.extend(map(values.__getitem__, keys))
     if failure is not None:
         row, j, message = failure
         raise LoadError(message, row=first_row + row, column=specs[j].name)
@@ -408,11 +434,11 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
                     raise LoadError(f"header {header!r} does not match schema "
                                     f"columns {expected!r}", row=0)
                 for records, quoted in chain([(records[1:], quoted)], blocks):
-                    rows, error = _split_block(records, quoted, len(specs), n_rows)
-                    _add_rows(rows, n_rows, specs, caches, columns)
+                    cols, error = _split_block(records, quoted, len(specs), n_rows)
+                    _add_rows(cols, n_rows, specs, caches, columns)
                     if error is not None:
                         raise error
-                    n_rows += len(rows)
+                    n_rows += len(cols[0])
             except LoadError:
                 for _ in texts:  # a file that is not UTF-8 says so first
                     pass

@@ -1,5 +1,5 @@
-"""What the program asks of its host: the CPUs it may run on, and names that
-are safe as file names.
+"""What the program asks of its host: the CPUs it may run on, names that are
+safe as file names, and output files that are replaced whole.
 
 Both the command-line shell and the layers below it need these, so they
 live apart from either, in a module that imports nothing of the package.
@@ -8,6 +8,7 @@ live apart from either, in a module that imports nothing of the package.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 
 def usable_cpus() -> int:
@@ -24,3 +25,19 @@ def plain_name(name: str) -> bool:
     `\\` or NUL."""
     return (name not in ("", ".", "..")
             and "/" not in name and "\\" not in name and "\0" not in name)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path as UTF-8, through a temporary file in the same
+    directory that then replaces path: a reader, or a run that fails or is
+    killed partway, sees the old file or the new one, never part of either.
+    The temporary file is removed when the write fails."""
+    path = Path(path)
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as file:
+            file.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

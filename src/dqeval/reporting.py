@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import canonical
 from .errors import FingerprintMismatch, ParseError, ScopeMismatch
-from .host import plain_name
+from .host import plain_name, write_atomic
 from .taxonomy import Characteristic, Property, parse_characteristic, parse_property
 from .values import format_timestamp, parse_timestamp
 
@@ -522,8 +522,7 @@ def write_improvement(manifests: list[ImprovementManifest],
     entries = []
     for manifest in manifests:
         name = f"{manifest.entity}.{manifest.property.value}.manifest.json"
-        (directory / name).write_text(serialize_manifest(manifest, report),
-                                      encoding="utf-8")
+        write_atomic(directory / name, serialize_manifest(manifest, report))
         entries.append({
             "entity": manifest.entity,
             "property": manifest.property.value,
@@ -536,7 +535,7 @@ def write_improvement(manifests: list[ImprovementManifest],
         "snapshot_fingerprint": report.metadata.snapshot_fingerprint,
         "manifests": entries,
     }
-    (directory / "index.json").write_text(canonical.dumps(index), encoding="utf-8")
+    write_atomic(directory / "index.json", canonical.dumps(index))
     return [e["path"] for e in entries]
 
 

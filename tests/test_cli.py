@@ -130,6 +130,19 @@ def test_evaluate_text_format(workspace, capsys):
     assert "VERDICT" in capsys.readouterr().out
 
 
+def test_evaluate_write_that_fails_partway_keeps_the_old_outputs(workspace, monkeypatch):
+    from dqeval import reporting
+    assert _evaluate(workspace) == 0
+    out = workspace / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = reporting.serialize_measures
+    monkeypatch.setattr(reporting, "serialize_measures",
+                        lambda ms: real(ms)[:1] + "x" * 100_000 + "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        _evaluate(workspace)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_evaluate_validation_error_exits_3(workspace, capsys):
     (workspace / "rules.json").write_text(make_ruleset([
         rule("r", "person", ["ghost"], "EXAC_SINT", "syntax", {"pattern": "x"})]))
@@ -413,6 +426,29 @@ def test_evaluate_with_config_overrides(workspace):
     # 75% and 80% both clear the lowered level-5 bar
     assert all(p["level"] == 5 for p in report["properties"])
     assert report["metadata"]["config"]["aggregation"] == "macro"
+
+
+def test_macro_and_micro_aggregation_differ_end_to_end(tmp_path: Path):
+    """Two rules of one property over entities of 1 and 9 rows: 1/1 and 1/9
+    compliant. Micro weighs records, 100·2/10; macro averages the ratios,
+    100·(1 + 1/9)/2."""
+    schema = {"entities": [{"name": e, "columns": [{"name": "code", "datatype": "text"}]}
+                           for e in ("a", "b")]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "rules.json").write_text(make_ruleset([
+        rule(f"r{e}", e, ["code"], "EXAC_SINT", "syntax", {"pattern": "^[0-9]+$"})
+        for e in ("a", "b")]))
+    (tmp_path / "snapshot").mkdir()
+    (tmp_path / "snapshot" / "a.csv").write_text("code\n1\n")
+    (tmp_path / "snapshot" / "b.csv").write_text("code\n1\n" + "x\n" * 8)
+    (tmp_path / "macro.json").write_text('{"aggregation": "macro"}')
+    rendered = {}
+    for name, extra in (("micro", []), ("macro", ["--config", str(tmp_path / "macro.json")])):
+        assert _evaluate(tmp_path, *extra) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        [prop] = json.loads(text, parse_float=Decimal)["properties"]
+        rendered[name] = (str(prop["value"]), prop["level"], prop["sum_a"], prop["sum_b"])
+    assert rendered == {"micro": ("20.0000", 2, 2, 10), "macro": ("55.5556", 3, 2, 10)}
 
 
 _EVALUATE_ARGS = ["evaluate", "--rules", "r.json", "--schema", "s.json",

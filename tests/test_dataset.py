@@ -424,10 +424,19 @@ def _outcome(load, path: Path, schema: EntitySchema):
 @example((_WIDE, b't,u,n,b\nx,"open,1,true\n'), 65536)
 @example((_NARROW, b""), 65536)
 @example((_schema(("", "text")), b""), 65536)  # the empty file's header is [""]
+# a record one field short, then one a field long: right only as a block total
+@example((_WIDE, b"t,u,n,b\nx,y,1\nx,y,1,true,9\n"), 65536)
+# cached keys, then in a later block a bad integer and a null where none may be
+@example((_WIDE, b"t,u,n,b\nx,y,1,true\nx,y,1,true\nx,y,abc,true\nx,,1,true\n"), 65536)
+# blocks of nulls only, which the pre-seeded keys map, next to a new key
+@example((_NARROW, b"t\n\n\\N\n\n\\N\nx\n\\N\n\n"), 65536)
 def test_streamed_load_matches_reference_at_every_chunk_size(file, cap):
     """Every chunk size from 1 byte to past the file's end splits multi-byte
-    characters, quoted fields and CRLF pairs somewhere; the dedup cap patched
-    low sends columns through the per-block dict."""
+    characters, quoted fields and CRLF pairs somewhere, and puts a record in a
+    block of its own or in one with its neighbours, so that blocks take both
+    the one-split and the record-by-record path, and columns map both through
+    a warm cache and past it. The dedup cap patched low sends columns through
+    the per-block dict."""
     schema, data = file
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.csv"

@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import canonical_reference as reference
 from conftest import dumps, make_ruleset, reference_record_writer, rule
-from dqeval import __version__, canonical, engine
+from dqeval import __version__, canonical, engine, reporting
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository, RowView,
                             SchemaCatalog)
 from dqeval.engine import eval_all
 from dqeval.errors import FingerprintMismatch, ParseError, ScopeMismatch
 from dqeval.expr import evaluate, parse_expr, typecheck
+from dqeval.host import write_atomic
 from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, record_writer,
                               render_comparison, render_report,
@@ -271,6 +272,39 @@ def test_single_failure_manifest(table3_report, tmp_path: Path):
     assert len(index["manifests"]) == 2
     doc = json.loads((tmp_path / "out" / paths[0]).read_text())
     assert doc["rules"][0]["records"] == [{"row": 2, "key": {"id": "1234"}}]
+
+
+def test_write_that_fails_partway_keeps_the_old_files(table3_report, tmp_path: Path,
+                                                      monkeypatch):
+    """A manifest whose write fails leaves every file as it was, and no
+    temporary file beside them."""
+    report, ms = table3_report
+    manifests = build_improvement(report, ms)
+    out = tmp_path / "out"
+    write_improvement(manifests, report, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real, calls = reporting.serialize_manifest, []
+
+    def second_cannot_be_encoded(*args):  # past its first 100,000 characters
+        calls.append(args)
+        text = real(*args)
+        return text[:1] + "x" * 100_000 + "\ud800" if len(calls) == 2 else text
+    monkeypatch.setattr(reporting, "serialize_manifest", second_cannot_be_encoded)
+    with pytest.raises(UnicodeEncodeError):
+        write_improvement(manifests, report, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_write_atomic_replaces_whole_or_not_at_all(tmp_path: Path):
+    target = tmp_path / "report.json"
+    write_atomic(target, "old")
+    write_atomic(target, "new €")
+    assert target.read_bytes() == "new €".encode()
+    blocker = tmp_path / "dir"
+    (blocker / "inside").mkdir(parents=True)
+    with pytest.raises(OSError):  # os.replace cannot put a file over a directory
+        write_atomic(blocker, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "report.json"]
 
 
 def test_zero_failures_empty_manifest_set(person_snapshot, tmp_path: Path):
