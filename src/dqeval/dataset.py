@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import canonical
 from .errors import LoadError, ParseError, UnknownColumn
-from .host import plain_name
+from .host import plain_name, write_atomic
 from .values import DATATYPES, format_cell, parse_cell
 
 _NULL_TOKEN = "\\N"
@@ -363,20 +363,23 @@ def _add_rows(cols: list, first_row: int, specs, caches: list[dict],
     A cache holds only keys that parsed (and a nullable column's nulls), so
     a column whose keys are all cached maps through it in one pass. At the
     first key it lacks, the column drops what that pass appended and parses
-    only the keys its cache has not seen, once each. A block whose new keys
-    would take the cache past _DEDUP_CAP maps through a dict of its own keys
-    instead. The first cell that fails, in row order, raises its LoadError.
+    only the keys its cache has not seen, once each. A column's first block
+    skips that pass, as its cache holds no more than the nulls. A block
+    whose new keys would take the cache past _DEDUP_CAP maps through a dict
+    of its own keys instead. The first cell that fails, in row order, raises
+    its LoadError.
     """
     failure = None  # (row, column index, message) of the first failing cell
     for j, keys in enumerate(cols):
         cache = caches[j]
         column = columns[j]
         size = len(column)
-        try:
-            column.extend(map(cache.__getitem__, keys))
-            continue
-        except KeyError:
-            del column[size:]
+        if size:
+            try:
+                column.extend(map(cache.__getitem__, keys))
+                continue
+            except KeyError:
+                del column[size:]
         distinct = set(keys)
         values, errors = _parse_keys(distinct.difference(cache), specs[j])
         if errors:
@@ -494,7 +497,7 @@ def _column_fields(values: list, datatype: str):
 
 def write_entity(entity: Entity, path: Path) -> None:
     """Write the canonical snapshot form (the one load_entity round-trips)."""
-    Path(path).write_text(serialize_entity(entity), encoding="utf-8")
+    write_atomic(path, serialize_entity(entity))
 
 
 def serialize_entity(entity: Entity) -> str:

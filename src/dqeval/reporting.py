@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import canonical
-from .errors import FingerprintMismatch, ParseError, ScopeMismatch
+from .errors import DqError, FingerprintMismatch, ParseError, ScopeMismatch
 from .host import plain_name, write_atomic
-from .taxonomy import Characteristic, Property, parse_characteristic, parse_property
+from .taxonomy import Characteristic, Property, parse_property
 from .values import format_timestamp, parse_timestamp
 
 # Annotations only: improve, certify and compare load none of the evaluation
@@ -64,9 +65,13 @@ class MeasureSummary:
     kind: str
     a: int
     b: int
-    ratio: Decimal | None
     failing_total: int
     selector: str | None
+
+    @property
+    def ratio(self) -> Decimal | None:
+        """A/B rendered to four places, or None when not applicable (B = 0)."""
+        return _render_value(Fraction(self.a, self.b)) if self.b else None
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,19 @@ class CharacteristicReport:
 class EvaluationReport:
     metadata: ReportMetadata
     entity_rows: tuple[tuple[str, int], ...]
-    rule_counts: tuple[tuple[Characteristic, int], ...]
     measures: tuple[MeasureSummary, ...]
     properties: tuple[PropertyReport, ...]
     characteristics: tuple[CharacteristicReport, ...]
     eligible: bool
     reasons: tuple[tuple[Characteristic, int], ...]
+
+    @property
+    def rule_counts(self) -> tuple[tuple[Characteristic, int], ...]:
+        """How many rules each characteristic has, in taxonomy order."""
+        counts = dict.fromkeys(Characteristic, 0)
+        for m in self.measures:
+            counts[m.property.characteristic] += 1
+        return tuple(counts.items())
 
     def characteristic(self, c: Characteristic) -> CharacteristicReport | None:
         for r in self.characteristics:
@@ -113,17 +125,12 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
                  result: ScoreResult, config: ScoringConfig,
                  tool_version: str) -> EvaluationReport:
     """Assemble the complete, canonical evaluation report."""
-    rule_counts = {c: 0 for c in Characteristic}
-    for rule in rs.rules:
-        rule_counts[rule.characteristic] += 1
-
     measures = []
     for rule in rs.rules:
         m = ms.measures[rule.id]
         measures.append(MeasureSummary(
             rule.id, rule.entity, rule.property, rule.kind_name,
-            m.a, m.b, _render_value(m.ratio), m.failing_total,
-            rule.selector(repo.catalog)))
+            m.a, m.b, m.failing_total, rule.selector(repo.catalog)))
 
     return EvaluationReport(
         metadata=ReportMetadata(
@@ -131,7 +138,6 @@ def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
             rs.reference_time, tool_version, config.to_json()),
         entity_rows=tuple((name, repo.entities[name].n_rows)
                           for name in sorted(repo.entities)),
-        rule_counts=tuple((c, rule_counts[c]) for c in Characteristic),
         measures=tuple(measures),
         properties=result.properties,
         characteristics=result.characteristics,
@@ -158,7 +164,7 @@ def serialize_report(report: EvaluationReport) -> str:
             "entity_count": len(report.entity_rows),
             "row_counts": {name: n for name, n in report.entity_rows},
             "rule_counts": {c.value: n for c, n in report.rule_counts},
-            "total_rules": sum(n for _, n in report.rule_counts),
+            "total_rules": len(report.measures),
         },
         "measures": [
             {
@@ -205,74 +211,59 @@ def serialize_report(report: EvaluationReport) -> str:
     return canonical.dumps(doc)
 
 
-def _int(doc: dict, key: str, null: bool = False) -> int | None:
-    """doc[key] when it is an integer (a bool is not), or null if `null`."""
+def _int(doc: dict, key: str) -> int:
+    """doc[key] when it is an integer (a bool is not)."""
     value = doc[key]
-    if type(value) is int or null and value is None:
+    if type(value) is int:
         return value
-    raise TypeError(f"{key} must be an integer{' or null' if null else ''}, "
-                    f"not {value!r}")
+    raise TypeError(f"{key} must be an integer, not {value!r}")
 
 
-def _number(doc: dict, key: str) -> Decimal | None:
-    """doc[key] as a Decimal when it is a number (a bool is not), or null."""
-    value = doc[key]
-    if value is None:
-        return None
-    if type(value) in (int, Decimal):
-        return Decimal(value)
-    raise TypeError(f"{key} must be a number or null, not {value!r}")
-
-
-def _profile(doc: dict) -> tuple[int, int, int, int, int]:
-    value = doc["profile"]
-    if type(value) is list and len(value) == 5 and all(type(n) is int for n in value):
-        return tuple(value)
-    raise TypeError(f"profile must be five integers, not {value!r}")
+def _measure(m: dict) -> MeasureSummary:
+    """One measure's inputs; its failing_total is B - A, as the engine counts."""
+    a, b, failing_total = _int(m, "a"), _int(m, "b"), _int(m, "failing_total")
+    if not 0 <= a <= b:
+        raise ValueError(f"rule {m['rule_id']}: a {a} and b {b} are not 0 <= a <= b")
+    if failing_total != b - a:
+        raise ValueError(f"rule {m['rule_id']}: failing_total {failing_total} is not b - a")
+    return MeasureSummary(m["rule_id"], m["entity"], parse_property(m["property"]),
+                          m["kind"], a, b, failing_total, m["selector"])
 
 
 def parse_report(text: str) -> EvaluationReport:
+    """The report on a document's inputs: the metadata (the config echo read
+    by load_config), scope.row_counts and each measure's rule_id, entity,
+    property, kind, a, b, failing_total and selector. The rest is derived,
+    the scored records through scoring.score, and a document that states it
+    otherwise is a ParseError naming the first line that differs."""
+    from .scoring import load_config, score  # scoring imports this module
     try:
         data = canonical.loads(text)
     except ValueError as exc:
         raise ParseError(f"malformed report: {exc}") from None
     try:
         md = data["metadata"]
+        config = load_config(canonical.dumps(md["config"]))
         metadata = ReportMetadata(
             md["ruleset_name"], md["ruleset_version"], md["ruleset_fingerprint"],
             md["snapshot_fingerprint"], parse_timestamp(md["reference_time"]),
-            md["tool_version"], md["config"])
-        scope = data["scope"]
-        measures = tuple(MeasureSummary(
-            m["rule_id"], m["entity"], parse_property(m["property"]), m["kind"],
-            _int(m, "a"), _int(m, "b"), _number(m, "ratio"),
-            _int(m, "failing_total"), m["selector"]) for m in data["measures"])
-        properties = tuple(PropertyReport(
-            parse_property(p["property"]), _number(p, "value"),
-            _int(p, "level", null=True), _int(p, "sum_a"), _int(p, "sum_b"),
-            _int(p, "rule_count"))
-            for p in data["properties"])
-        characteristics = tuple(CharacteristicReport(
-            parse_characteristic(c["characteristic"]), _profile(c),
-            _int(c, "level", null=True),
-            tuple(parse_property(p) for p in c["strengths"]),
-            tuple(parse_property(p) for p in c["weaknesses"]))
-            for c in data["characteristics"])
-        row_counts, rule_counts = scope["row_counts"], scope["rule_counts"]
-        verdict = data["verdict"]
-        if type(verdict["eligible"]) is not bool:
-            raise TypeError(f"eligible must be true or false, not "
-                            f"{verdict['eligible']!r}")
-        return EvaluationReport(
-            metadata,
-            tuple(sorted((name, _int(row_counts, name)) for name in row_counts)),
-            tuple((parse_characteristic(name), _int(rule_counts, name))
-                  for name in rule_counts),
-            measures, properties, characteristics,
-            verdict["eligible"],
-            tuple((parse_characteristic(r["characteristic"]),
-                   _int(r, "level", null=True)) for r in verdict["reasons"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            md["tool_version"], config.to_json())
+        row_counts = data["scope"]["row_counts"]
+        measures = tuple(map(_measure, data["measures"]))
+        result = score([(m.property, m.a, m.b) for m in measures], config)
+        report = EvaluationReport(
+            metadata, tuple(sorted((n, _int(row_counts, n)) for n in row_counts)),
+            measures, result.properties, result.characteristics, result.eligible,
+            result.reasons)
+        derived = serialize_report(report)
+        stated = text if text == derived else canonical.dumps(data)
+        if stated != derived:
+            line, want = next(pair for pair in zip_longest(
+                stated.split("\n"), derived.split("\n"), fillvalue="")
+                if pair[0] != pair[1])
+            raise ValueError(f"{line.strip()} where the measures give {want.strip()}")
+        return report
+    except (KeyError, TypeError, ValueError, DqError) as exc:
         raise ParseError(f"invalid report document: {exc}") from None
 
 
@@ -676,7 +667,7 @@ def render_report(report: EvaluationReport) -> str:
         f"reference time: {format_timestamp(md.reference_time)}",
         f"entities:       {len(report.entity_rows)}  "
         f"rows: {sum(n for _, n in report.entity_rows)}  "
-        f"rules: {sum(n for _, n in report.rule_counts)}",
+        f"rules: {len(report.measures)}",
         "",
         "CHARACTERISTICS",
         f"  {'characteristic':<15} {'level':>5}  {'profile':<17} "

@@ -19,6 +19,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .dataset import ColumnSchema, EntitySchema, SchemaCatalog, serialize_catalog
+from .host import write_atomic
 from .rules import KINDS, RuleSet, parse_ruleset, serialize_ruleset
 from .synthkit import (ColumnGen, EntityPlan, ExpectedMeasures, SynthSpec,
                        ViolationPlan, generate)
@@ -277,9 +278,7 @@ def write_scenario(name: str, out_dir: Path) -> ExpectedMeasures:
     bundle = build_scenario(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "schema.json").write_text(serialize_catalog(bundle.catalog),
-                                         encoding="utf-8")
-    (out_dir / "rules.json").write_text(serialize_ruleset(bundle.ruleset),
-                                        encoding="utf-8")
+    write_atomic(out_dir / "schema.json", serialize_catalog(bundle.catalog))
+    write_atomic(out_dir / "rules.json", serialize_ruleset(bundle.ruleset))
     return generate(bundle.spec, bundle.catalog, bundle.ruleset,
                     out_dir / "snapshot")

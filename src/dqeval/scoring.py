@@ -14,6 +14,7 @@ records.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -283,18 +284,17 @@ def load_config(document: str) -> ScoringConfig:
 # --------------------------------------------------------------------------
 # Full pipeline
 
-def score_all(ms: MeasureSet, rs: RuleSet,
-              config: ScoringConfig | None = None) -> ScoreResult:
-    """Score each rule's (property, A, B) into the report's records.
+def score(items: Iterable[tuple[Property, int, int]],
+          config: ScoringConfig | None = None) -> ScoreResult:
+    """Score (property, A, B) items, one per rule, into the report's records.
 
     Strengths are properties at level >= 4, weaknesses at level <= 2;
     characteristics with no evaluated property are excluded from the verdict.
     """
     config = config or default_config()
     by_prop: dict[Property, list[tuple[int, int]]] = {}
-    for rule in rs.rules:
-        m = ms.measures[rule.id]
-        by_prop.setdefault(rule.property, []).append((m.a, m.b))
+    for prop, a, b in items:
+        by_prop.setdefault(prop, []).append((a, b))
 
     properties: list[PropertyReport] = []
     for prop in Property:
@@ -330,3 +330,10 @@ def score_all(ms: MeasureSet, rs: RuleSet,
 
     eligible, reasons = certification_eligibility(characteristics)
     return ScoreResult(tuple(properties), tuple(characteristics), eligible, reasons)
+
+
+def score_all(ms: MeasureSet, rs: RuleSet,
+              config: ScoringConfig | None = None) -> ScoreResult:
+    """`score` over each rule's (property, A, B)."""
+    return score(((r.property, ms.measures[r.id].a, ms.measures[r.id].b)
+                  for r in rs.rules), config)

@@ -38,6 +38,7 @@ from . import canonical
 from .dataset import Entity, RowView, SchemaCatalog, write_entity
 from .errors import ConflictingPlan, InvalidRuleset, ParseError, SynthError
 from .expr import columns_referenced, evaluate
+from .host import write_atomic
 from .reporting import MeasureSet
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
@@ -533,8 +534,7 @@ def generate(spec: SynthSpec, catalog: SchemaCatalog, rs: RuleSet,
         for schema in catalog.entities:
             write_entity(Entity(schema, tables[schema.name]),
                          out_dir / f"{schema.name}.csv")
-        (out_dir / "expected_measures.json").write_text(
-            serialize_expected(expected), encoding="utf-8")
+        write_atomic(out_dir / "expected_measures.json", serialize_expected(expected))
     return expected
 
 

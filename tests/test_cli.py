@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, growing_reader,
                       make_ruleset, rule)
-from dqeval import canonical
+from dqeval import __version__, canonical
 from dqeval.cli import build_parser, main
 from dqeval.scenarios import write_scenario
 
@@ -96,6 +96,7 @@ def test_evaluate_chars_filter(workspace):
     chars = {c["characteristic"] for c in report["characteristics"]}
     assert chars == {"Accuracy"}
     assert {m["rule_id"] for m in report["measures"]} == {"acc"}
+    assert main(["certify", str(workspace / "out" / "report.json")]) == 0
 
 
 def test_evaluate_invalid_char_filter_exits_1(workspace):
@@ -263,43 +264,55 @@ def _rewrite(source: Path, target: Path, path: tuple, value) -> None:
     target.write_text(canonical.dumps(doc))
 
 
+def _differs(stated: str, derived: str) -> str:
+    return f"{stated} where the measures give {derived}"
+
+
 @pytest.mark.parametrize("path, value, message", [
-    (("properties", 0, "value"), "abc", "value must be a number or null, not 'abc'"),
-    (("measures", 0, "ratio"), "0.75", "ratio must be a number or null, not '0.75'"),
-    (("measures", 0, "ratio"), True, "ratio must be a number or null, not True"),
-    (("properties", 0, "level"), "3", "level must be an integer or null, not '3'"),
+    (("properties", 0, "value"), "abc",
+     _differs('"value": "abc",', '"value": 75.0000,')),
+    (("measures", 0, "ratio"), "0.75", _differs('"ratio": "0.75",', '"ratio": 0.7500,')),
+    (("measures", 0, "ratio"), True, _differs('"ratio": true,', '"ratio": 0.7500,')),
+    (("properties", 0, "level"), "3", _differs('"level": "3",', '"level": 4,')),
     (("characteristics", 0, "level"), Decimal("4.0"),
-     "level must be an integer or null, not Decimal('4.0')"),
+     _differs('"level": 4.0,', '"level": 4,')),
     (("verdict", "reasons"), [{"characteristic": "Accuracy", "level": "2"}],
-     "level must be an integer or null, not '2'"),
+     _differs('"reasons": [', '"reasons": []')),
     (("measures", 0, "a"), True, "a must be an integer, not True"),
     (("measures", 0, "b"), "4", "b must be an integer, not '4'"),
     (("measures", 0, "failing_total"), None, "failing_total must be an integer, not None"),
-    (("properties", 0, "sum_a"), Decimal("3.5"),
-     "sum_a must be an integer, not Decimal('3.5')"),
-    (("properties", 0, "sum_b"), False, "sum_b must be an integer, not False"),
-    (("properties", 0, "rule_count"), "1", "rule_count must be an integer, not '1'"),
-    (("characteristics", 0, "profile"), [0, 0, 0, 2],
-     "profile must be five integers, not [0, 0, 0, 2]"),
-    (("characteristics", 0, "profile"), [0, 0, 0, 2, "0"],
-     "profile must be five integers, not [0, 0, 0, 2, '0']"),
+    (("properties", 0, "sum_a"), Decimal("3.5"), _differs('"sum_a": 3.5,', '"sum_a": 3,')),
+    (("properties", 0, "sum_b"), False, _differs('"sum_b": false,', '"sum_b": 4,')),
+    (("properties", 0, "rule_count"), "1",
+     _differs('"rule_count": "1"', '"rule_count": 1')),
+    (("characteristics", 0, "profile"), [0, 0, 0, 2], _differs("2", "2,")),
+    (("characteristics", 0, "profile"), [0, 0, 0, 2, "0"], _differs('"0"', "0")),
     (("scope", "row_counts", "person"), "4", "person must be an integer, not '4'"),
     (("scope", "rule_counts", "Accuracy"), True,
-     "Accuracy must be an integer, not True"),
-    (("verdict", "eligible"), "false", "eligible must be true or false, not 'false'"),
+     _differs('"Accuracy": true,', '"Accuracy": 2,')),
+    (("verdict", "eligible"), "false",
+     _differs('"eligible": "false",', '"eligible": true,')),
+    (("metadata", "config", "aggregation"), "median",
+     "aggregation must be 'micro' or 'macro'"),
 ], ids=["value-text", "ratio-text", "ratio-bool", "property-level-text",
         "characteristic-level-decimal", "reason-level-text", "a-bool", "b-text",
         "failing-total-null", "sum-a-decimal", "sum-b-bool", "rule-count-text",
         "profile-four", "profile-text-member", "scope-row-count-text",
-        "scope-rule-count-bool", "eligible-text"])
+        "scope-rule-count-bool", "eligible-text", "config-echo-aggregation"])
 def test_report_numbers_of_the_wrong_type_exit_1(workspace, capsys, path, value, message):
-    """certify, compare and improve refuse a report whose numbers (or verdict)
-    are not of their type, with a message instead of a traceback or a wrong
-    figure: a text "false" is not a verdict, and certify must not read it as
-    eligible."""
+    """certify, compare and improve refuse a report whose inputs are not of
+    their type, or whose derived figures are not what the measures give, with
+    a message instead of a traceback or a wrong figure: a text "false" is not
+    a verdict, and certify must not read it as eligible."""
     _evaluate(workspace)
+    _rewrite(workspace / "out" / "report.json", workspace / "report.json", path, value)
+    _refused_by_every_reader(workspace, capsys, message)
+
+
+def _refused_by_every_reader(workspace: Path, capsys, message: str) -> None:
+    """certify, compare and improve each exit 1 on workspace/report.json with
+    `message`, and write nothing."""
     out = workspace / "out"
-    _rewrite(out / "report.json", workspace / "report.json", path, value)
     capsys.readouterr()
     expected = f"error: invalid report document: {message}\n"
     assert main(["certify", str(workspace / "report.json")]) == 1
@@ -312,6 +325,49 @@ def test_report_numbers_of_the_wrong_type_exit_1(workspace, capsys, path, value,
                  "--out", str(workspace / "manifests")]) == 1
     assert capsys.readouterr().err == expected
     assert not (workspace / "cmp").exists() and not (workspace / "manifests").exists()
+
+
+@pytest.mark.parametrize("first, counts, message", [
+    (1, {"a": 5, "failing_total": 0}, "rule r1: a 5 and b 4 are not 0 <= a <= b"),
+    (1, {"a": -1, "failing_total": 5}, "rule r1: a -1 and b 4 are not 0 <= a <= b"),
+    (1, {"a": 0, "b": -1, "failing_total": -1},
+     "rule r1: a 0 and b -1 are not 0 <= a <= b"),
+    (1, {"failing_total": 2}, "rule r1: failing_total 2 is not b - a"),
+    (2, {"a": 0, "b": 0, "failing_total": 0}, "no characteristic was evaluated"),
+], ids=["a-above-b", "a-negative", "b-negative", "failing-total-not-b-minus-a",
+        "every-b-zero"])
+def test_report_measures_that_are_not_counts_exit_1(workspace, capsys, first, counts,
+                                                    message):
+    """A measure's A and B are counts with 0 <= A <= B, and its failing_total
+    is B - A; a report with no applicable measure has no verdict."""
+    _evaluate(workspace)
+    doc = canonical.loads((workspace / "out" / "report.json").read_text())
+    for measure in doc["measures"][:first]:
+        measure.update(counts)
+    (workspace / "report.json").write_text(canonical.dumps(doc))
+    _refused_by_every_reader(workspace, capsys, message)
+
+
+@pytest.fixture(scope="module")
+def travel_outputs(tmp_path_factory) -> Path:
+    """travel-v1 with its evaluate outputs in `out`: not eligible, Accuracy at
+    level 1."""
+    s = tmp_path_factory.mktemp("travel")
+    write_scenario("travel-v1", s)
+    assert main(["evaluate", "--rules", str(s / "rules.json"), "--schema",
+                 str(s / "schema.json"), "--data", str(s / "snapshot"),
+                 "--out", str(s / "out"), "--jobs", "1"]) == 0
+    return s
+
+
+def test_forged_verdict_exits_1(travel_outputs, tmp_path, capsys):
+    """travel-v1's report with only its verdict replaced by an eligible one:
+    the measures it lists give Accuracy level 1, so no reader believes it."""
+    (tmp_path / "out").symlink_to(travel_outputs / "out")
+    _rewrite(travel_outputs / "out" / "report.json", tmp_path / "report.json",
+             ("verdict",), {"eligible": True, "reasons": []})
+    _refused_by_every_reader(tmp_path, capsys,
+                             '"eligible": true, where the measures give "eligible": false,')
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -416,6 +472,7 @@ def test_evaluate_props_filter(workspace):
     report = json.loads((workspace / "out" / "report.json").read_text())
     assert {m["rule_id"] for m in report["measures"]} == {"r3"}
     assert {p["property"] for p in report["properties"]} == {"EXAC_SEMAN"}
+    assert main(["certify", str(workspace / "out" / "report.json")]) == 0
 
 
 def test_evaluate_with_config_overrides(workspace):
@@ -426,6 +483,7 @@ def test_evaluate_with_config_overrides(workspace):
     # 75% and 80% both clear the lowered level-5 bar
     assert all(p["level"] == 5 for p in report["properties"])
     assert report["metadata"]["config"]["aggregation"] == "macro"
+    assert main(["certify", str(workspace / "out" / "report.json")]) == 0
 
 
 def test_macro_and_micro_aggregation_differ_end_to_end(tmp_path: Path):
@@ -449,6 +507,19 @@ def test_macro_and_micro_aggregation_differ_end_to_end(tmp_path: Path):
         [prop] = json.loads(text, parse_float=Decimal)["properties"]
         rendered[name] = (str(prop["value"]), prop["level"], prop["sum_a"], prop["sum_b"])
     assert rendered == {"micro": ("20.0000", 2, 2, 10), "macro": ("55.5556", 3, 2, 10)}
+    # the macro report reads back as the one built in process
+    from dqeval.dataset import load_catalog, load_snapshot
+    from dqeval.engine import eval_all
+    from dqeval.reporting import build_report, parse_report
+    from dqeval.rules import parse_ruleset
+    from dqeval.scoring import load_config, score_all
+    rs = parse_ruleset((tmp_path / "rules.json").read_text())
+    repo = load_snapshot(tmp_path / "snapshot",
+                         load_catalog((tmp_path / "schema.json").read_text()))
+    ms = eval_all(rs, repo, jobs=1)
+    config = load_config((tmp_path / "macro.json").read_text())
+    assert parse_report(text) == build_report(rs, repo, ms, score_all(ms, rs, config),
+                                              config, __version__)
 
 
 _EVALUATE_ARGS = ["evaluate", "--rules", "r.json", "--schema", "s.json",
@@ -546,15 +617,16 @@ def _modules_after(argv: list[str]) -> tuple[int, set[str]]:
 
 
 _EVALUATION_LAYERS = {f"dqeval.{m}" for m in (
-    "engine", "rules", "expr", "dataset", "scoring", "synthkit", "scenarios")}
+    "engine", "rules", "expr", "dataset", "synthkit", "scenarios")}
 
 
 @pytest.mark.parametrize("command, code", [
     ("improve", 0), ("certify", 2), ("compare", 0)])
 def test_document_commands_import_no_evaluation_layer(registry_outputs, tmp_path,
                                                       command, code):
-    """improve, certify and compare read and write documents only: a start-up
-    that imports the evaluation layers would pay for them on every run."""
+    """improve, certify and compare read and write documents, and re-score a
+    report's measures: a start-up that imports the evaluation layers would pay
+    for them on every run."""
     out = registry_outputs / "out"
     argv = {"improve": ["improve", "--report", str(out / "report.json"), "--measures",
                         str(out / "measures.json"), "--out", str(tmp_path / "m")],
@@ -563,7 +635,7 @@ def test_document_commands_import_no_evaluation_layer(registry_outputs, tmp_path
                         "--out", str(tmp_path / "c")]}[command]
     exit_code, modules = _modules_after(argv)
     assert exit_code == code
-    assert "dqeval.reporting" in modules
+    assert {"dqeval.reporting", "dqeval.scoring"} <= modules
     assert modules & _EVALUATION_LAYERS == set()
 
 

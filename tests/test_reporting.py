@@ -14,7 +14,7 @@ import canonical_reference as reference
 from conftest import dumps, make_ruleset, reference_record_writer, rule
 from dqeval import __version__, canonical, engine, reporting
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository, RowView,
-                            SchemaCatalog)
+                            SchemaCatalog, load_snapshot)
 from dqeval.engine import eval_all
 from dqeval.errors import FingerprintMismatch, ParseError, ScopeMismatch
 from dqeval.expr import evaluate, parse_expr, typecheck
@@ -25,7 +25,9 @@ from dqeval.reporting import (build_improvement, build_report, compare,
                               serialize_comparison, serialize_measures,
                               serialize_report, write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
+from dqeval.scenarios import build_scenario
 from dqeval.scoring import default_config, score_all
+from dqeval.synthkit import generate
 from dqeval.taxonomy import Characteristic, Property
 
 
@@ -56,6 +58,88 @@ def test_report_measures_render_ratio_4dp(table3_report):
 def test_report_roundtrip(table3_report):
     report, _ = table3_report
     assert parse_report(serialize_report(report)) == report
+
+
+@pytest.fixture(scope="module")
+def travel_report(tmp_path_factory) -> tuple[str, dict]:
+    """travel-v1's report text and its decoded document: not eligible, with
+    strengths, weaknesses and reasons, so every kind of derived figure is in it."""
+    bundle = build_scenario("travel-v1")
+    out = tmp_path_factory.mktemp("travel")
+    generate(bundle.spec, bundle.catalog, bundle.ruleset, out)
+    repo = load_snapshot(out, bundle.catalog)
+    ms = eval_all(bundle.ruleset, repo, jobs=1)
+    text = serialize_report(build_report(bundle.ruleset, repo, ms,
+                                         score_all(ms, bundle.ruleset),
+                                         default_config(), __version__))
+    assert serialize_report(parse_report(text)) == text
+    return text, canonical.loads(text)
+
+
+def _derived_paths(doc: dict) -> list[tuple]:
+    """The path of every figure a report derives from its measures: each
+    ratio, every scope member but the row counts, and everything under
+    properties, characteristics and verdict, containers included."""
+    paths = [("measures", i, "ratio") for i in range(len(doc["measures"]))]
+
+    def walk(node, path):
+        paths.append(path)
+        members = (node.items() if type(node) is dict
+                   else enumerate(node) if type(node) is list else ())
+        for key, child in members:
+            walk(child, path + (key,))
+    for key in ("entity_count", "rule_counts", "total_rules"):
+        walk(doc["scope"][key], ("scope", key))
+    for key in ("properties", "characteristics", "verdict"):
+        walk(doc[key], (key,))
+    return paths
+
+
+def _near(value) -> list:
+    """Values that equal `value` in Python but not as JSON text, or sit next
+    to it: a bool beside its int, an int beside its Decimal, another
+    exponent of one Decimal."""
+    if type(value) is bool:
+        return [not value, int(value), None]
+    if type(value) is int:
+        return [value + 1, value - 1, Decimal(value), Decimal(value).quantize(
+            Decimal("0.0001")), bool(value), str(value)]
+    if type(value) is Decimal:
+        return [value + Decimal("0.0001"), value.normalize(), value.quantize(
+            Decimal("0.01")), int(value), str(value)]
+    return [None]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.decimals(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from([p.value for p in Property] + [c.value for c in Characteristic]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_changed_derived_figure_is_refused(travel_report, data):
+    """Replace any one derived figure of a valid report with another JSON
+    value, and parse_report refuses the document: a report is believed only
+    for what its measures give."""
+    text, doc = travel_report
+    path = data.draw(st.sampled_from(_derived_paths(doc)), label="path")
+    place = doc
+    for step in path[:-1]:
+        place = place[step]
+    old = place[path[-1]]
+    new = data.draw(st.one_of(st.sampled_from(_near(old)), _JSON_VALUES).filter(
+        lambda v: canonical.dumps(v) != canonical.dumps(old)), label="new")
+    place[path[-1]] = new
+    try:
+        forged = canonical.dumps(doc)
+    finally:
+        place[path[-1]] = old
+    with pytest.raises(ParseError, match="^invalid report document: "):
+        parse_report(forged)
 
 
 def test_canonical_serialization_is_stable(person_snapshot, table3_ruleset):

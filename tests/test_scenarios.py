@@ -14,7 +14,7 @@ from dqeval.reporting import (build_improvement, build_report, compare,
 from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scenarios import (_PROFILES, _TEMPLATES, build_scenario, scenario_names,
                               write_scenario)
-from dqeval.scoring import default_config, score_all
+from dqeval.scoring import default_config, load_config, score_all
 from dqeval.synthkit import expected_vs_actual, generate
 from dqeval.taxonomy import Characteristic
 from dqeval import __version__, canonical
@@ -196,6 +196,13 @@ def test_report_under_a_custom_config_pinned(tmp_path: Path):
               for c in canonical.loads(report.decode())["characteristics"]}
     assert levels["Accuracy"] == 3
     assert hashlib.sha256(report).hexdigest() == _CUSTOM_CONFIG_REPORT_DIGEST
+    # read back, the report is the one built in process under that config
+    rs = parse_ruleset((s / "rules.json").read_text())
+    repo = load_snapshot(s / "snapshot", load_catalog((s / "schema.json").read_text()))
+    ms = eval_all(rs, repo)
+    custom = load_config(config.read_text())
+    assert parse_report(report.decode()) == build_report(
+        rs, repo, ms, score_all(ms, rs, custom), custom, __version__)
 
 
 # SHA-256 over every file `dq synth --scenario` writes: schema.json,
@@ -234,12 +241,14 @@ def test_synth_outputs_pinned(name: str, tmp_path: Path):
 def test_evaluated_and_parsed_measures_write_the_same_manifests(name, tmp_path):
     """Manifests from eval_all's measure set, whose keys come from the
     repository, and from the parsed report.json and measures.json, whose keys
-    come from the records, are the same bytes."""
+    come from the records, are the same bytes; the report reads back as the
+    one built."""
     bundle, repo, ms, result, _ = _evaluate(name, tmp_path)
     report = build_report(bundle.ruleset, repo, ms, result, default_config(),
                           __version__)
     write_improvement(build_improvement(report, ms), report, tmp_path / "evaluated")
     parsed_report = parse_report(serialize_report(report))
+    assert parsed_report == report
     parsed = parse_measures(serialize_measures(ms))
     write_improvement(build_improvement(parsed_report, parsed), parsed_report,
                       tmp_path / "parsed")

@@ -104,6 +104,21 @@ def test_same_seed_twice_is_byte_identical(tmp_path: Path):
             (tmp_path / "two" / name).read_bytes()
 
 
+def test_write_that_fails_partway_keeps_the_old_snapshot(tmp_path: Path, monkeypatch):
+    """A snapshot file whose write fails partway leaves every file as it was,
+    and no temporary file beside them."""
+    from dqeval import dataset
+    catalog, rs = load_catalog(json.dumps(SCHEMA)), parse_ruleset(RULES)
+    generate(_spec(seed=7), catalog, rs, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real = dataset.serialize_entity
+    monkeypatch.setattr(dataset, "serialize_entity",  # past 100,000 characters
+                        lambda entity: real(entity)[:1] + "x" * 100_000 + "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        generate(_spec(seed=8), catalog, rs, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_different_seed_differs(tmp_path: Path):
     catalog = load_catalog(json.dumps(SCHEMA))
     from dqeval.rules import parse_ruleset
