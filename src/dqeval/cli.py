@@ -153,9 +153,9 @@ def cmd_evaluate(args) -> int:
         write_atomic(out / "report.txt", render_report(report))
         print(render_report(report))
     else:
-        verdict = "ELIGIBLE" if report.eligible else "NOT ELIGIBLE"
+        verdict = "ELIGIBLE" if report["verdict"]["eligible"] else "NOT ELIGIBLE"
         print(f"evaluated {len(rs.rules)} rules over "
-              f"{sum(n for _, n in report.entity_rows)} rows; verdict: {verdict}")
+              f"{sum(report['scope']['row_counts'].values())} rows; verdict: {verdict}")
     print(f"wrote {out / 'report.json'}")
     return EXIT_OK
 
@@ -166,12 +166,12 @@ def cmd_certify(args) -> int:
         report = parse_report(_read(args.report, "report"))
     except ParseError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from None
-    if report.eligible:
+    if report["verdict"]["eligible"]:
         print("ELIGIBLE: every evaluated characteristic is at level 3 or higher")
         return EXIT_OK
     print("NOT ELIGIBLE:")
-    for characteristic, level in report.reasons:
-        print(f"  {characteristic.value} at level {level}")
+    for reason in report["verdict"]["reasons"]:
+        print(f"  {reason['characteristic']} at level {reason['level']}")
     return EXIT_NOT_ELIGIBLE
 
 
@@ -193,8 +193,8 @@ def cmd_improve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .reporting import (compare, parse_report, render_comparison,
-                            serialize_comparison)
+    from . import canonical
+    from .reporting import compare, parse_report, render_comparison
     try:
         first = parse_report(_read(args.first, "report"))
         second = parse_report(_read(args.second, "report"))
@@ -207,7 +207,7 @@ def cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "comparison.json", serialize_comparison(result))
+        write_atomic(out / "comparison.json", canonical.dumps(result))
         write_atomic(out / "comparison.txt", render_comparison(result))
     print(render_comparison(result))
     return EXIT_OK

@@ -70,17 +70,6 @@ def _applicable_rows(rule: Rule, entity: Entity, rs: RuleSet,
     return rows
 
 
-def _cap_raw(a: int, b: int,
-             raw: list[tuple[str, int | None]]) -> tuple[int, int, list, int]:
-    """(A, B, the first DEFAULT_FAILING_CAP failing pairs in (entity, ordinal)
-    order, how many failed)."""
-    raw.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
-    total = len(raw)
-    if total > DEFAULT_FAILING_CAP:
-        raw = raw[:DEFAULT_FAILING_CAP]
-    return a, b, raw, total
-
-
 # --------------------------------------------------------------------------
 # Per-value kinds: one check per rule, run once per distinct value
 
@@ -242,22 +231,24 @@ _EVALUATORS = {
 # --------------------------------------------------------------------------
 # Entry points
 
-def _eval_counts(rule: Rule, repo: Repository, rs: RuleSet) -> tuple[int, int, list, int]:
+def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
+    """Evaluate one validated rule: A, B, the first DEFAULT_FAILING_CAP failing
+    pairs in (entity, ordinal) order, how many failed, and the time it took.
+    EvalError signals a pipeline bug only."""
+    started = time.perf_counter()
     entity = repo.entities.get(rule.entity)
     if entity is None:
         raise EvalError(f"entity {rule.entity!r} not loaded", rule.id)
     try:
-        b, raw = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
+        b, failing = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    return _cap_raw(b - len(raw), b, raw)
-
-
-def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
-    """Evaluate one validated rule. EvalError signals a pipeline bug only."""
-    started = time.perf_counter()
-    a, b, failing, total = _eval_counts(rule, repo, rs)
-    return RuleMeasure(rule.id, a, b, failing, total, time.perf_counter() - started)
+    failing.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
+    total = len(failing)
+    if total > DEFAULT_FAILING_CAP:
+        failing = failing[:DEFAULT_FAILING_CAP]
+    return RuleMeasure(rule.id, b - total, b, failing, total,
+                       time.perf_counter() - started)
 
 
 # The estimated serial work from which a pool of workers pays for itself.
@@ -330,14 +321,9 @@ def _longest_first(costs: list[int], workers: int) -> list[list[int]]:
 _WORKER_STATE: tuple[RuleSet, Repository] | None = None
 
 
-def _eval_batch(indices: list[int]) -> list[tuple[int, tuple, float]]:
+def _eval_batch(indices: list[int]) -> list[tuple[int, RuleMeasure]]:
     rs, repo = _WORKER_STATE
-    out = []
-    for index in indices:
-        started = time.perf_counter()
-        counts = _eval_counts(rs.rules[index], repo, rs)
-        out.append((index, counts, time.perf_counter() - started))
-    return out
+    return [(index, eval_rule(rs.rules[index], repo, rs)) for index in indices]
 
 
 def _place_worker(cpus: frozenset, slots) -> None:
@@ -381,9 +367,7 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
                        for batch in _longest_first(costs, workers)]
             try:
                 for future in as_completed(futures):
-                    for index, (a, b, failing, total), elapsed in future.result():
-                        measured[index] = RuleMeasure(rules[index].id, a, b,
-                                                      failing, total, elapsed)
+                    measured.update(future.result())
             except BrokenProcessPool:
                 unfinished = [r.id for i, r in enumerate(rules) if i not in measured]
                 shown = ", ".join(unfinished[:10])

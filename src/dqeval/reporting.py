@@ -1,19 +1,19 @@
 """Base measures, evaluation reports, improvement manifests, and report
 comparison.
 
-Reports serialize canonically (stable key order, exact decimal rendering,
-no wall-clock timestamps), so identical inputs always produce byte-identical
-documents. Improvement manifests locate every non-compliant record, grouped
-by (entity, property); each failing rule also carries a negated selector
-expression where the row-expression language can express the violation
-(cross-row and cross-entity kinds rely on the explicit record refs).
+Each document is built once, as the tree canonical.dumps writes (stable
+key order, exact decimal rendering, no wall-clock timestamps), so identical
+inputs always produce byte-identical documents. Improvement manifests
+locate every non-compliant record, grouped by (entity, property); each
+failing rule also carries a negated selector expression where the
+row-expression language can express the violation (cross-row and
+cross-entity kinds rely on the explicit record refs).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from itertools import zip_longest
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from . import canonical
 from .errors import DqError, FingerprintMismatch, ParseError, ScopeMismatch
 from .host import plain_name, write_atomic
-from .taxonomy import Characteristic, Property, parse_property
+from .taxonomy import Characteristic, parse_property
 from .values import format_timestamp, parse_timestamp
 
 # Annotations only: improve, certify and compare load none of the evaluation
@@ -31,7 +31,7 @@ from .values import format_timestamp, parse_timestamp
 if TYPE_CHECKING:
     from .dataset import Repository
     from .rules import RuleSet
-    from .scoring import ScoreResult, ScoringConfig
+    from .scoring import ScoringConfig
 
 _FOUR_PLACES = Decimal("0.0001")
 
@@ -44,171 +44,67 @@ def _render_value(value: Fraction | None) -> Decimal | None:
 
 
 # --------------------------------------------------------------------------
-# Report document model
+# Report document
 
-@dataclass(frozen=True)
-class ReportMetadata:
-    ruleset_name: str
-    ruleset_version: str
-    ruleset_fingerprint: str
-    snapshot_fingerprint: str
-    reference_time: datetime
-    tool_version: str
-    config: dict  # the ScoringConfig.to_json() echo
-
-
-@dataclass(frozen=True)
-class MeasureSummary:
-    rule_id: str
-    entity: str
-    property: Property
-    kind: str
-    a: int
-    b: int
-    failing_total: int
-    selector: str | None
-
-    @property
-    def ratio(self) -> Decimal | None:
-        """A/B rendered to four places, or None when not applicable (B = 0)."""
-        return _render_value(Fraction(self.a, self.b)) if self.b else None
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    property: Property
-    value: Decimal | None
-    level: int | None
-    sum_a: int
-    sum_b: int
-    rule_count: int
-
-
-@dataclass(frozen=True)
-class CharacteristicReport:
-    characteristic: Characteristic
-    profile: tuple[int, int, int, int, int]
-    level: int | None
-    strengths: tuple[Property, ...]
-    weaknesses: tuple[Property, ...]
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    metadata: ReportMetadata
-    entity_rows: tuple[tuple[str, int], ...]
-    measures: tuple[MeasureSummary, ...]
-    properties: tuple[PropertyReport, ...]
-    characteristics: tuple[CharacteristicReport, ...]
-    eligible: bool
-    reasons: tuple[tuple[Characteristic, int], ...]
-
-    @property
-    def rule_counts(self) -> tuple[tuple[Characteristic, int], ...]:
-        """How many rules each characteristic has, in taxonomy order."""
-        counts = dict.fromkeys(Characteristic, 0)
-        for m in self.measures:
-            counts[m.property.characteristic] += 1
-        return tuple(counts.items())
-
-    def characteristic(self, c: Characteristic) -> CharacteristicReport | None:
-        for r in self.characteristics:
-            if r.characteristic is c:
-                return r
-        return None
-
-
-# --------------------------------------------------------------------------
-# Building
-
-def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet,
-                 result: ScoreResult, config: ScoringConfig,
-                 tool_version: str) -> EvaluationReport:
-    """Assemble the complete, canonical evaluation report."""
-    measures = []
-    for rule in rs.rules:
-        m = ms.measures[rule.id]
-        measures.append(MeasureSummary(
-            rule.id, rule.entity, rule.property, rule.kind_name,
-            m.a, m.b, m.failing_total, rule.selector(repo.catalog)))
-
-    return EvaluationReport(
-        metadata=ReportMetadata(
-            rs.name, rs.version, ms.ruleset_fingerprint, ms.snapshot_fingerprint,
-            rs.reference_time, tool_version, config.to_json()),
-        entity_rows=tuple((name, repo.entities[name].n_rows)
-                          for name in sorted(repo.entities)),
-        measures=tuple(measures),
-        properties=result.properties,
-        characteristics=result.characteristics,
-        eligible=result.eligible,
-        reasons=result.reasons)
-
-
-# --------------------------------------------------------------------------
-# Serialization
-
-def serialize_report(report: EvaluationReport) -> str:
-    md = report.metadata
-    doc = {
-        "metadata": {
-            "ruleset_name": md.ruleset_name,
-            "ruleset_version": md.ruleset_version,
-            "ruleset_fingerprint": md.ruleset_fingerprint,
-            "snapshot_fingerprint": md.snapshot_fingerprint,
-            "reference_time": format_timestamp(md.reference_time),
-            "tool_version": md.tool_version,
-            "config": md.config,
-        },
+def _report(metadata: dict, row_counts: dict[str, int],
+            measures: list[tuple], scored: dict) -> dict:
+    """report.json from its inputs: the metadata, each entity's row count,
+    each rule's (rule_id, entity, property, kind, a, b, failing_total,
+    selector), and the properties, characteristics and verdict members
+    scoring.score gives. The ratios and the scope's counts are derived here."""
+    rule_counts = dict.fromkeys((c.value for c in Characteristic), 0)
+    for _, _, prop, *_ in measures:
+        rule_counts[prop.characteristic.value] += 1
+    return {
+        "metadata": metadata,
         "scope": {
-            "entity_count": len(report.entity_rows),
-            "row_counts": {name: n for name, n in report.entity_rows},
-            "rule_counts": {c.value: n for c, n in report.rule_counts},
-            "total_rules": len(report.measures),
+            "entity_count": len(row_counts),
+            "row_counts": row_counts,
+            "rule_counts": rule_counts,
+            "total_rules": len(measures),
         },
         "measures": [
             {
-                "rule_id": m.rule_id,
-                "entity": m.entity,
-                "property": m.property.value,
-                "kind": m.kind,
-                "a": m.a,
-                "b": m.b,
-                "ratio": m.ratio,
-                "failing_total": m.failing_total,
-                "selector": m.selector,
+                "rule_id": rule_id,
+                "entity": entity,
+                "property": prop.value,
+                "kind": kind,
+                "a": a,
+                "b": b,
+                "ratio": _render_value(Fraction(a, b)) if b else None,
+                "failing_total": failing_total,
+                "selector": selector,
             }
-            for m in report.measures
+            for rule_id, entity, prop, kind, a, b, failing_total, selector in measures
         ],
-        "properties": [
-            {
-                "property": p.property.value,
-                "characteristic": p.property.characteristic.value,
-                "value": p.value,
-                "level": p.level,
-                "sum_a": p.sum_a,
-                "sum_b": p.sum_b,
-                "rule_count": p.rule_count,
-            }
-            for p in report.properties
-        ],
-        "characteristics": [
-            {
-                "characteristic": c.characteristic.value,
-                "profile": list(c.profile),
-                "level": c.level,
-                "strengths": [p.value for p in c.strengths],
-                "weaknesses": [p.value for p in c.weaknesses],
-            }
-            for c in report.characteristics
-        ],
-        "verdict": {
-            "eligible": report.eligible,
-            "reasons": [{"characteristic": c.value, "level": lv}
-                        for c, lv in report.reasons],
-        },
+        **scored,
     }
-    return canonical.dumps(doc)
+
+
+def build_report(rs: RuleSet, repo: Repository, ms: MeasureSet, scored: dict,
+                 config: ScoringConfig, tool_version: str) -> dict:
+    """The complete, canonical evaluation report, as the document tree;
+    `scored` is score_all's members."""
+    metadata = {
+        "ruleset_name": rs.name,
+        "ruleset_version": rs.version,
+        "ruleset_fingerprint": ms.ruleset_fingerprint,
+        "snapshot_fingerprint": ms.snapshot_fingerprint,
+        "reference_time": format_timestamp(rs.reference_time),
+        "tool_version": tool_version,
+        "config": config.to_json(),
+    }
+    measures = []
+    for rule in rs.rules:
+        m = ms.measures[rule.id]
+        measures.append((rule.id, rule.entity, rule.property, rule.kind_name,
+                         m.a, m.b, m.failing_total, rule.selector(repo.catalog)))
+    return _report(metadata, {name: repo.entities[name].n_rows
+                              for name in sorted(repo.entities)}, measures, scored)
+
+
+def serialize_report(report: dict) -> str:
+    return canonical.dumps(report)
 
 
 def _int(doc: dict, key: str) -> int:
@@ -219,23 +115,44 @@ def _int(doc: dict, key: str) -> int:
     raise TypeError(f"{key} must be an integer, not {value!r}")
 
 
-def _measure(m: dict) -> MeasureSummary:
-    """One measure's inputs; its failing_total is B - A, as the engine counts."""
+def _text(doc: dict, key: str, null: bool = False) -> str | None:
+    """doc[key] when it is a string, or null where `null` allows it."""
+    value = doc[key]
+    if type(value) is str or null and value is None:
+        return value
+    raise TypeError(f"{key} must be a string{' or null' if null else ''}, "
+                    f"not {value!r}")
+
+
+def _counts(m: dict) -> tuple[int, int, int]:
+    """A measure's a, b and failing_total, with 0 <= a <= b and failing_total
+    = b - a, as the engine counts them."""
     a, b, failing_total = _int(m, "a"), _int(m, "b"), _int(m, "failing_total")
     if not 0 <= a <= b:
         raise ValueError(f"rule {m['rule_id']}: a {a} and b {b} are not 0 <= a <= b")
     if failing_total != b - a:
         raise ValueError(f"rule {m['rule_id']}: failing_total {failing_total} is not b - a")
-    return MeasureSummary(m["rule_id"], m["entity"], parse_property(m["property"]),
-                          m["kind"], a, b, failing_total, m["selector"])
+    return a, b, failing_total
 
 
-def parse_report(text: str) -> EvaluationReport:
-    """The report on a document's inputs: the metadata (the config echo read
-    by load_config), scope.row_counts and each measure's rule_id, entity,
-    property, kind, a, b, failing_total and selector. The rest is derived,
-    the scored records through scoring.score, and a document that states it
-    otherwise is a ParseError naming the first line that differs."""
+def _measure(m: dict) -> tuple:
+    """One report measure's inputs, in _report's order."""
+    a, b, failing_total = _counts(m)
+    return (_text(m, "rule_id"), _text(m, "entity"), parse_property(m["property"]),
+            _text(m, "kind"), a, b, failing_total, _text(m, "selector", null=True))
+
+
+_METADATA_TEXTS = ("ruleset_name", "ruleset_version", "ruleset_fingerprint",
+                   "snapshot_fingerprint", "reference_time", "tool_version")
+
+
+def parse_report(text: str) -> dict:
+    """The report document, laid out again from its inputs: the metadata (the
+    config echo read by load_config), scope.row_counts and each measure's
+    rule_id, entity, property, kind, a, b, failing_total and selector. The
+    rest is derived, the scored members through scoring.score, and a document
+    that states it otherwise is a ParseError naming the first line that
+    differs."""
     from .scoring import load_config, score  # scoring imports this module
     try:
         data = canonical.loads(text)
@@ -243,19 +160,17 @@ def parse_report(text: str) -> EvaluationReport:
         raise ParseError(f"malformed report: {exc}") from None
     try:
         md = data["metadata"]
+        metadata = {key: _text(md, key) for key in _METADATA_TEXTS}
+        metadata["reference_time"] = format_timestamp(
+            parse_timestamp(metadata["reference_time"]))
         config = load_config(canonical.dumps(md["config"]))
-        metadata = ReportMetadata(
-            md["ruleset_name"], md["ruleset_version"], md["ruleset_fingerprint"],
-            md["snapshot_fingerprint"], parse_timestamp(md["reference_time"]),
-            md["tool_version"], config.to_json())
+        metadata["config"] = config.to_json()
         row_counts = data["scope"]["row_counts"]
-        measures = tuple(map(_measure, data["measures"]))
-        result = score([(m.property, m.a, m.b) for m in measures], config)
-        report = EvaluationReport(
-            metadata, tuple(sorted((n, _int(row_counts, n)) for n in row_counts)),
-            measures, result.properties, result.characteristics, result.eligible,
-            result.reasons)
-        derived = serialize_report(report)
+        measures = list(map(_measure, data["measures"]))
+        report = _report(metadata, {n: _int(row_counts, n) for n in sorted(row_counts)},
+                         measures, score([(prop, a, b) for _, _, prop, _, a, b, _, _
+                                          in measures], config))
+        derived = canonical.dumps(report)
         stated = text if text == derived else canonical.dumps(data)
         if stated != derived:
             line, want = next(pair for pair in zip_longest(
@@ -391,16 +306,18 @@ def parse_measures(text: str) -> MeasureSet:
     """The measures document in the evaluated form: failing (entity, row)
     pairs, with keys looked up in a table built from the records.
 
-    A record needs a text entity that is a plain file name (manifests are
-    named after it), an integer row (or null with an empty key) and a key of
-    JSON scalars; one (entity, row) with two keys that are not written alike
-    is a ParseError."""
+    A measure needs a rule id of its own, 0 <= a <= b, failing_total = b - a
+    and at most failing_total records. A record needs a text entity that is a plain file
+    name (manifests are named after it), an integer row (or null with an
+    empty key) and a key of JSON scalars; one (entity, row) with two keys that
+    are not written alike is a ParseError."""
     keys: dict[tuple[str, int | None], dict] = {}
     texts: dict[tuple[str, int | None], str] = {}  # first key's repr, once repeated
     try:
         data = canonical.loads(text)
         measures = {}
         for m in data["measures"]:
+            a, b, failing_total = _counts(m)
             failing = []
             for r in m["failing"]:
                 pair = (r["entity"], r["row"])
@@ -415,9 +332,13 @@ def parse_measures(text: str) -> MeasureSet:
                         raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
                                          f"{known!r} and {key!r}")
                 failing.append(pair)
-            measures[m["rule_id"]] = RuleMeasure(
-                m["rule_id"], _int(m, "a"), _int(m, "b"), failing,
-                _int(m, "failing_total"))
+            if len(failing) > failing_total:
+                raise ValueError(f"rule {m['rule_id']}: {len(failing)} failing records "
+                                 f"listed, more than failing_total {failing_total}")
+            if m["rule_id"] in measures:
+                raise ValueError(f"rule {m['rule_id']} is listed twice")
+            measures[m["rule_id"]] = RuleMeasure(m["rule_id"], a, b, failing,
+                                                 failing_total)
         unsafe = sorted(e for e in {e for e, _ in keys} if not plain_name(e))
         if unsafe:
             raise ValueError(f"entity name {unsafe[0]!r} is not a plain file name")
@@ -431,99 +352,75 @@ def parse_measures(text: str) -> MeasureSet:
 # --------------------------------------------------------------------------
 # Improvement manifests
 
-@dataclass(frozen=True)
-class ManifestRule:
-    rule_id: str
-    kind: str
-    selector: str | None
-    failing_total: int
-    records: tuple[tuple[str, int | None], ...]  # (entity, row) pairs
+def build_improvement(report: dict, ms: MeasureSet) -> list[dict]:
+    """The manifest documents of every rule with failures, grouped by
+    (entity, property).
 
-
-@dataclass(frozen=True)
-class ImprovementManifest:
-    entity: str
-    property: Property
-    rules: tuple[ManifestRule, ...]
-    # writes ManifestRule.records; shared by the manifests of one measure set
-    write_records: Callable[[tuple], canonical.Raw] = field(compare=False,
-                                                            repr=False)
-
-
-def build_improvement(report: EvaluationReport,
-                      ms: MeasureSet) -> list[ImprovementManifest]:
-    """Manifests for every rule with failures, grouped by (entity, property).
-
-    format_class failures may span entities; each record lands in its own
-    entity's manifest, and the rule's selector, which reads the columns of
-    the rule's entity, is given only in that entity's manifest.
+    The measures must be the report's: the same fingerprints, and the same
+    rule ids in the same order with the same (a, b); otherwise
+    FingerprintMismatch names the first rule that differs. format_class
+    failures may span entities; each record lands in its own entity's
+    manifest, and the rule's selector, which reads the columns of the rule's
+    entity, is given only in that entity's manifest.
     """
-    if (report.metadata.ruleset_fingerprint != ms.ruleset_fingerprint
-            or report.metadata.snapshot_fingerprint != ms.snapshot_fingerprint):
+    md = report["metadata"]
+    if (md["ruleset_fingerprint"] != ms.ruleset_fingerprint
+            or md["snapshot_fingerprint"] != ms.snapshot_fingerprint):
         raise FingerprintMismatch(
             "report and measures were produced from different inputs")
-
-    groups: dict[tuple[str, Property], list[ManifestRule]] = {}
-    for summary in report.measures:
-        measure = ms.measures.get(summary.rule_id)
-        if measure is None or measure.failing_total == 0:
-            continue
-        by_entity: dict[str, list[tuple[str, int | None]]] = {}
-        for record in measure.failing:
-            by_entity.setdefault(record[0], []).append(record)
-        for entity, records in by_entity.items():
-            selector = summary.selector if entity == summary.entity else None
-            groups.setdefault((entity, summary.property), []).append(ManifestRule(
-                summary.rule_id, summary.kind, selector,
-                measure.failing_total, tuple(records)))
+    stated = [(m["rule_id"], m["a"], m["b"]) for m in report["measures"]]
+    measured = [(m.rule_id, m.a, m.b) for m in ms]
+    if stated != measured:
+        rule_id = next(s or m for s, m in zip_longest(stated, measured) if s != m)[0]
+        raise FingerprintMismatch(f"report and measures disagree on rule {rule_id!r}")
 
     write_records = record_writer(ms.record_key, _RECORDS_LEVEL, False)
-    return [ImprovementManifest(entity, prop, tuple(rules), write_records)
-            for (entity, prop), rules in sorted(
-                groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value))]
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for m in report["measures"]:
+        by_entity: dict[str, list[tuple[str, int | None]]] = {}
+        for record in ms.measures[m["rule_id"]].failing:
+            by_entity.setdefault(record[0], []).append(record)
+        for entity, records in by_entity.items():
+            groups.setdefault((entity, m["property"]), []).append({
+                "rule_id": m["rule_id"],
+                "kind": m["kind"],
+                "selector": m["selector"] if entity == m["entity"] else None,
+                "failing_total": m["failing_total"],
+                "failing_listed": len(records),
+                "records": write_records(records),
+            })
+    return [
+        {
+            "entity": entity,
+            "property": prop,
+            "characteristic": parse_property(prop).characteristic.value,
+            "ruleset_fingerprint": md["ruleset_fingerprint"],
+            "snapshot_fingerprint": md["snapshot_fingerprint"],
+            "rules": rules,
+        }
+        for (entity, prop), rules in sorted(groups.items())
+    ]
 
 
-def serialize_manifest(manifest: ImprovementManifest, report: EvaluationReport) -> str:
-    doc = {
-        "entity": manifest.entity,
-        "property": manifest.property.value,
-        "characteristic": manifest.property.characteristic.value,
-        "ruleset_fingerprint": report.metadata.ruleset_fingerprint,
-        "snapshot_fingerprint": report.metadata.snapshot_fingerprint,
-        "rules": [
-            {
-                "rule_id": r.rule_id,
-                "kind": r.kind,
-                "selector": r.selector,
-                "failing_total": r.failing_total,
-                "failing_listed": len(r.records),
-                "records": manifest.write_records(r.records),
-            }
-            for r in manifest.rules
-        ],
-    }
-    return canonical.dumps(doc)
-
-
-def write_improvement(manifests: list[ImprovementManifest],
-                      report: EvaluationReport, directory: Path) -> list[str]:
+def write_improvement(manifests: list[dict], report: dict,
+                      directory: Path) -> list[str]:
     """Write one manifest file per (entity, property) plus index.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for manifest in manifests:
-        name = f"{manifest.entity}.{manifest.property.value}.manifest.json"
-        write_atomic(directory / name, serialize_manifest(manifest, report))
+        name = f"{manifest['entity']}.{manifest['property']}.manifest.json"
+        write_atomic(directory / name, canonical.dumps(manifest))
         entries.append({
-            "entity": manifest.entity,
-            "property": manifest.property.value,
+            "entity": manifest["entity"],
+            "property": manifest["property"],
             "path": name,
-            "rule_count": len(manifest.rules),
-            "failing_listed": sum(len(r.records) for r in manifest.rules),
+            "rule_count": len(manifest["rules"]),
+            "failing_listed": sum(r["failing_listed"] for r in manifest["rules"]),
         })
     index = {
-        "ruleset_fingerprint": report.metadata.ruleset_fingerprint,
-        "snapshot_fingerprint": report.metadata.snapshot_fingerprint,
+        "ruleset_fingerprint": report["metadata"]["ruleset_fingerprint"],
+        "snapshot_fingerprint": report["metadata"]["snapshot_fingerprint"],
         "manifests": entries,
     }
     write_atomic(directory / "index.json", canonical.dumps(index))
@@ -533,120 +430,68 @@ def write_improvement(manifests: list[ImprovementManifest],
 # --------------------------------------------------------------------------
 # Comparison
 
-@dataclass(frozen=True)
-class PropertyDelta:
-    property: Property
-    first_value: Decimal | None
-    second_value: Decimal | None
-    value_delta: Decimal | None
-    first_level: int | None
-    second_level: int | None
-    level_delta: int | None
-
-
-@dataclass(frozen=True)
-class CharacteristicDelta:
-    characteristic: Characteristic
-    first_level: int | None
-    second_level: int | None
-    level_delta: int | None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    ruleset_name: str
-    first_version: str
-    second_version: str
-    properties: tuple[PropertyDelta, ...]
-    added_properties: tuple[Property, ...]
-    removed_properties: tuple[Property, ...]
-    characteristics: tuple[CharacteristicDelta, ...]
-    verdict_first: bool
-    verdict_second: bool
-    regression: bool
-
-
-def compare(first: EvaluationReport, second: EvaluationReport) -> ComparisonReport:
-    """Per-property and per-characteristic deltas, second minus first."""
-    if first.metadata.ruleset_name != second.metadata.ruleset_name:
+def compare(first: dict, second: dict) -> dict:
+    """The comparison document of two reports: per-property and
+    per-characteristic deltas, second minus first."""
+    name = first["metadata"]["ruleset_name"]
+    if name != second["metadata"]["ruleset_name"]:
         raise ScopeMismatch(
             f"reports describe different rulesets: "
-            f"{first.metadata.ruleset_name!r} vs {second.metadata.ruleset_name!r}")
-    first_chars = {c.characteristic for c in first.characteristics if c.level is not None}
-    second_chars = {c.characteristic for c in second.characteristics if c.level is not None}
-    if first_chars and second_chars and not (first_chars & second_chars):
+            f"{name!r} vs {second['metadata']['ruleset_name']!r}")
+    first_levels, second_levels = ({c["characteristic"]: c["level"]
+                                    for c in r["characteristics"]
+                                    if c["level"] is not None}
+                                   for r in (first, second))
+    if first_levels and second_levels and not first_levels.keys() & second_levels.keys():
         raise ScopeMismatch("reports share no evaluated characteristic")
 
-    first_props = {p.property: p for p in first.properties if p.value is not None}
-    second_props = {p.property: p for p in second.properties if p.value is not None}
+    # report properties are in taxonomy order
+    first_props, second_props = ({p["property"]: p for p in r["properties"]
+                                  if p["value"] is not None}
+                                 for r in (first, second))
+    properties = []
+    for prop, a in first_props.items():
+        if prop in second_props:
+            b = second_props[prop]
+            properties.append({
+                "property": prop,
+                "first_value": a["value"],
+                "second_value": b["value"],
+                "value_delta": b["value"] - a["value"],
+                "first_level": a["level"],
+                "second_level": b["level"],
+                "level_delta": b["level"] - a["level"],
+            })
 
-    deltas = []
-    regression = False
-    for prop in Property:
-        if prop in first_props and prop in second_props:
-            a, b = first_props[prop], second_props[prop]
-            value_delta = b.value - a.value
-            level_delta = b.level - a.level
-            regression = regression or value_delta < 0 or level_delta < 0
-            deltas.append(PropertyDelta(prop, a.value, b.value, value_delta,
-                                        a.level, b.level, level_delta))
-    added = tuple(p for p in Property if p in second_props and p not in first_props)
-    removed = tuple(p for p in Property if p in first_props and p not in second_props)
-
-    char_deltas = []
+    characteristics = []
     for characteristic in Characteristic:
-        a = first.characteristic(characteristic)
-        b = second.characteristic(characteristic)
-        a_level = a.level if a else None
-        b_level = b.level if b else None
+        a_level = first_levels.get(characteristic.value)
+        b_level = second_levels.get(characteristic.value)
         if a_level is None and b_level is None:
             continue
-        level_delta = None
-        if a_level is not None and b_level is not None:
-            level_delta = b_level - a_level
-            regression = regression or level_delta < 0
-        char_deltas.append(CharacteristicDelta(characteristic, a_level, b_level,
-                                               level_delta))
+        characteristics.append({
+            "characteristic": characteristic.value,
+            "first_level": a_level,
+            "second_level": b_level,
+            "level_delta": (None if a_level is None or b_level is None
+                            else b_level - a_level),
+        })
+    regression = (any(p["value_delta"] < 0 or p["level_delta"] < 0 for p in properties)
+                  or any(c["level_delta"] is not None and c["level_delta"] < 0
+                         for c in characteristics))
 
-    return ComparisonReport(
-        first.metadata.ruleset_name,
-        first.metadata.ruleset_version, second.metadata.ruleset_version,
-        tuple(deltas), added, removed, tuple(char_deltas),
-        first.eligible, second.eligible, regression)
-
-
-def serialize_comparison(cmp: ComparisonReport) -> str:
-    doc = {
-        "ruleset_name": cmp.ruleset_name,
-        "first_version": cmp.first_version,
-        "second_version": cmp.second_version,
-        "properties": [
-            {
-                "property": d.property.value,
-                "first_value": d.first_value,
-                "second_value": d.second_value,
-                "value_delta": d.value_delta,
-                "first_level": d.first_level,
-                "second_level": d.second_level,
-                "level_delta": d.level_delta,
-            }
-            for d in cmp.properties
-        ],
-        "added_properties": [p.value for p in cmp.added_properties],
-        "removed_properties": [p.value for p in cmp.removed_properties],
-        "characteristics": [
-            {
-                "characteristic": d.characteristic.value,
-                "first_level": d.first_level,
-                "second_level": d.second_level,
-                "level_delta": d.level_delta,
-            }
-            for d in cmp.characteristics
-        ],
-        "verdict_transition": {"first": cmp.verdict_first, "second": cmp.verdict_second},
-        "regression": cmp.regression,
+    return {
+        "ruleset_name": name,
+        "first_version": first["metadata"]["ruleset_version"],
+        "second_version": second["metadata"]["ruleset_version"],
+        "properties": properties,
+        "added_properties": [p for p in second_props if p not in first_props],
+        "removed_properties": [p for p in first_props if p not in second_props],
+        "characteristics": characteristics,
+        "verdict_transition": {"first": first["verdict"]["eligible"],
+                               "second": second["verdict"]["eligible"]},
+        "regression": regression,
     }
-    return canonical.dumps(doc)
 
 
 # --------------------------------------------------------------------------
@@ -658,80 +503,83 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_report(report: EvaluationReport) -> str:
+def render_report(report: dict) -> str:
     """Fixed-width human rendering of a report."""
-    md = report.metadata
+    md, scope = report["metadata"], report["scope"]
     lines = [
         "DATA QUALITY EVALUATION REPORT",
-        f"ruleset:        {md.ruleset_name} v{md.ruleset_version}",
-        f"reference time: {format_timestamp(md.reference_time)}",
-        f"entities:       {len(report.entity_rows)}  "
-        f"rows: {sum(n for _, n in report.entity_rows)}  "
-        f"rules: {len(report.measures)}",
+        f"ruleset:        {md['ruleset_name']} v{md['ruleset_version']}",
+        f"reference time: {md['reference_time']}",
+        f"entities:       {scope['entity_count']}  "
+        f"rows: {sum(scope['row_counts'].values())}  "
+        f"rules: {scope['total_rules']}",
         "",
         "CHARACTERISTICS",
         f"  {'characteristic':<15} {'level':>5}  {'profile':<17} "
         f"{'strengths':<12} weaknesses",
     ]
-    for c in report.characteristics:
-        profile = "<" + ",".join(str(n) for n in c.profile) + ">"
-        lines.append(f"  {c.characteristic.value:<15} {_fmt(c.level):>5}  "
-                     f"{profile:<17} {str(len(c.strengths)):<12} {len(c.weaknesses)}")
+    for c in report["characteristics"]:
+        profile = "<" + ",".join(str(n) for n in c["profile"]) + ">"
+        lines.append(f"  {c['characteristic']:<15} {_fmt(c['level']):>5}  "
+                     f"{profile:<17} {str(len(c['strengths'])):<12} "
+                     f"{len(c['weaknesses'])}")
     lines += [
         "",
         "PROPERTIES",
         f"  {'property':<14} {'characteristic':<15} {'value':>9} {'level':>5} "
         f"{'A':>10} {'B':>10} {'rules':>6}",
     ]
-    for p in report.properties:
+    for p in report["properties"]:
         lines.append(
-            f"  {p.property.value:<14} {p.property.characteristic.value:<15} "
-            f"{_fmt(p.value):>9} {_fmt(p.level):>5} {p.sum_a:>10} {p.sum_b:>10} "
-            f"{p.rule_count:>6}")
+            f"  {p['property']:<14} {p['characteristic']:<15} "
+            f"{_fmt(p['value']):>9} {_fmt(p['level']):>5} {p['sum_a']:>10} "
+            f"{p['sum_b']:>10} {p['rule_count']:>6}")
     lines.append("")
-    if report.eligible:
+    if report["verdict"]["eligible"]:
         lines.append("VERDICT: ELIGIBLE (min level 3 rule)")
     else:
         lines.append("VERDICT: NOT ELIGIBLE (min level 3 rule)")
-        for characteristic, level in report.reasons:
-            lines.append(f"  below threshold: {characteristic.value} at level {level}")
+        for reason in report["verdict"]["reasons"]:
+            lines.append(f"  below threshold: {reason['characteristic']} "
+                         f"at level {reason['level']}")
     lines.append("")
     return "\n".join(lines)
 
 
-def render_comparison(cmp: ComparisonReport) -> str:
+def render_comparison(cmp: dict) -> str:
     """Fixed-width human rendering of a comparison."""
     lines = [
         "DATA QUALITY COMPARISON",
-        f"ruleset: {cmp.ruleset_name} (v{cmp.first_version} -> v{cmp.second_version})",
+        f"ruleset: {cmp['ruleset_name']} "
+        f"(v{cmp['first_version']} -> v{cmp['second_version']})",
         "",
         "CHARACTERISTIC LEVELS",
         f"  {'characteristic':<15} {'before':>6} {'after':>6} {'delta':>6}",
     ]
-    for d in cmp.characteristics:
-        delta = f"{d.level_delta:+d}" if d.level_delta is not None else "-"
-        lines.append(f"  {d.characteristic.value:<15} {_fmt(d.first_level):>6} "
-                     f"{_fmt(d.second_level):>6} {delta:>6}")
+    for d in cmp["characteristics"]:
+        delta = f"{d['level_delta']:+d}" if d["level_delta"] is not None else "-"
+        lines.append(f"  {d['characteristic']:<15} {_fmt(d['first_level']):>6} "
+                     f"{_fmt(d['second_level']):>6} {delta:>6}")
     lines += [
         "",
         "PROPERTY VALUES",
         f"  {'property':<14} {'before':>9} {'after':>9} {'delta':>10} "
         f"{'lvl before':>10} {'lvl after':>9}",
     ]
-    for d in cmp.properties:
+    for d in cmp["properties"]:
         lines.append(
-            f"  {d.property.value:<14} {_fmt(d.first_value):>9} "
-            f"{_fmt(d.second_value):>9} {_fmt(d.value_delta):>10} "
-            f"{_fmt(d.first_level):>10} {_fmt(d.second_level):>9}")
-    for label, props in (("added", cmp.added_properties),
-                         ("removed", cmp.removed_properties)):
-        if props:
-            lines.append(f"  {label}: " + ", ".join(p.value for p in props))
+            f"  {d['property']:<14} {_fmt(d['first_value']):>9} "
+            f"{_fmt(d['second_value']):>9} {_fmt(d['value_delta']):>10} "
+            f"{_fmt(d['first_level']):>10} {_fmt(d['second_level']):>9}")
+    for label in ("added", "removed"):
+        if cmp[f"{label}_properties"]:
+            lines.append(f"  {label}: " + ", ".join(cmp[f"{label}_properties"]))
+    verdict = cmp["verdict_transition"]
     lines += [
         "",
-        f"verdict: {'ELIGIBLE' if cmp.verdict_first else 'NOT ELIGIBLE'} -> "
-        f"{'ELIGIBLE' if cmp.verdict_second else 'NOT ELIGIBLE'}",
-        f"regression: {'yes' if cmp.regression else 'no'}",
+        f"verdict: {'ELIGIBLE' if verdict['first'] else 'NOT ELIGIBLE'} -> "
+        f"{'ELIGIBLE' if verdict['second'] else 'NOT ELIGIBLE'}",
+        f"regression: {'yes' if cmp['regression'] else 'no'}",
         "",
     ]
     return "\n".join(lines)

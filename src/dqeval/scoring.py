@@ -8,8 +8,8 @@ profile vector, and a profiling table of per-range caps turns the profile
 into a characteristic level 0..5. Certification requires every evaluated
 characteristic to reach at least level 3. All arithmetic is exact
 (fractions), so boundary cases never drift. Scoring reads only each rule's
-(property, A, B) and builds the report's own property and characteristic
-records.
+(property, A, B) and gives report.json's properties, characteristics and
+verdict members as the document holds them.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING
 
 from .errors import NothingEvaluated, OutOfRange, ParseError
 from . import canonical
-from .reporting import CharacteristicReport, MeasureSet, PropertyReport, _render_value
+from .reporting import _render_value
 from .taxonomy import Characteristic, Property, parse_characteristic
 
 if TYPE_CHECKING:
+    from .reporting import MeasureSet
     from .rules import RuleSet
 
 DEFAULT_THRESHOLDS = (20, 40, 70, 85)
@@ -105,15 +106,6 @@ def default_profiling_table(property_count: int) -> ProfilingTable:
     return ProfilingTable(tuple(rows))
 
 
-@dataclass(frozen=True)
-class ScoreResult:
-    """The scored part of an EvaluationReport, under its field names."""
-    properties: tuple[PropertyReport, ...]
-    characteristics: tuple[CharacteristicReport, ...]
-    eligible: bool
-    reasons: tuple[tuple[Characteristic, int], ...]  # characteristics below 3
-
-
 # --------------------------------------------------------------------------
 # Steps
 
@@ -176,15 +168,16 @@ def profile_to_level(profile: tuple[int, ...], table: ProfilingTable) -> int:
     return 0
 
 
-def certification_eligibility(
-        characteristics) -> tuple[bool, tuple[tuple[Characteristic, int], ...]]:
-    """Eligible iff every evaluated characteristic reached at least level 3;
-    the reasons are those below it."""
-    evaluated = [c for c in characteristics if c.level is not None]
+def certification_eligibility(characteristics: list[dict]) -> dict:
+    """A report's verdict member from its characteristics member: eligible iff
+    every evaluated characteristic reached at least level 3; the reasons are
+    those below it."""
+    evaluated = [c for c in characteristics if c["level"] is not None]
     if not evaluated:
         raise NothingEvaluated("no characteristic was evaluated")
-    reasons = tuple((c.characteristic, c.level) for c in evaluated if c.level < 3)
-    return not reasons, reasons
+    reasons = [{"characteristic": c["characteristic"], "level": c["level"]}
+               for c in evaluated if c["level"] < 3]
+    return {"eligible": not reasons, "reasons": reasons}
 
 
 # --------------------------------------------------------------------------
@@ -285,8 +278,9 @@ def load_config(document: str) -> ScoringConfig:
 # Full pipeline
 
 def score(items: Iterable[tuple[Property, int, int]],
-          config: ScoringConfig | None = None) -> ScoreResult:
-    """Score (property, A, B) items, one per rule, into the report's records.
+          config: ScoringConfig | None = None) -> dict:
+    """Score (property, A, B) items, one per rule, into a report's
+    properties, characteristics and verdict members.
 
     Strengths are properties at level >= 4, weaknesses at level <= 2;
     characteristics with no evaluated property are excluded from the verdict.
@@ -296,44 +290,51 @@ def score(items: Iterable[tuple[Property, int, int]],
     for prop, a, b in items:
         by_prop.setdefault(prop, []).append((a, b))
 
-    properties: list[PropertyReport] = []
+    properties = []
     for prop in Property:
         pairs = by_prop.get(prop)
         if not pairs:
             continue
         value = property_value(pairs, config.aggregation)
         level = value_to_level(value, config.thresholds) if value is not None else None
-        properties.append(PropertyReport(
-            prop, _render_value(value), level,
-            sum_a=sum(a for a, b in pairs if b > 0),
-            sum_b=sum(b for _, b in pairs),
-            rule_count=len(pairs)))
+        properties.append({
+            "property": prop.value,
+            "characteristic": prop.characteristic.value,
+            "value": _render_value(value),
+            "level": level,
+            "sum_a": sum(a for a, b in pairs if b > 0),
+            "sum_b": sum(b for _, b in pairs),
+            "rule_count": len(pairs),
+        })
 
-    characteristics: list[CharacteristicReport] = []
+    characteristics = []
     for characteristic in Characteristic:
         char_props = [p for p in properties
-                      if p.property.characteristic is characteristic]
+                      if p["characteristic"] == characteristic.value]
         if not char_props:
             continue
-        levels = [p.level for p in char_props if p.level is not None]
+        levels = [p["level"] for p in char_props if p["level"] is not None]
         profile = make_profile(levels)
         level = None
         if levels:
             table = config.table_for(characteristic, len(levels))
             level = profile_to_level(profile, table)
-        characteristics.append(CharacteristicReport(
-            characteristic, profile, level,
-            strengths=tuple(p.property for p in char_props
-                            if p.level is not None and p.level >= 4),
-            weaknesses=tuple(p.property for p in char_props
-                             if p.level is not None and p.level <= 2)))
+        characteristics.append({
+            "characteristic": characteristic.value,
+            "profile": list(profile),
+            "level": level,
+            "strengths": [p["property"] for p in char_props
+                          if p["level"] is not None and p["level"] >= 4],
+            "weaknesses": [p["property"] for p in char_props
+                           if p["level"] is not None and p["level"] <= 2],
+        })
 
-    eligible, reasons = certification_eligibility(characteristics)
-    return ScoreResult(tuple(properties), tuple(characteristics), eligible, reasons)
+    return {"properties": properties, "characteristics": characteristics,
+            "verdict": certification_eligibility(characteristics)}
 
 
 def score_all(ms: MeasureSet, rs: RuleSet,
-              config: ScoringConfig | None = None) -> ScoreResult:
+              config: ScoringConfig | None = None) -> dict:
     """`score` over each rule's (property, A, B)."""
     return score(((r.property, ms.measures[r.id].a, ms.measures[r.id].b)
                   for r in rs.rules), config)

@@ -102,8 +102,8 @@ def dumps(obj) -> str:
 
 def reference_record_writer(record_key, level: int, with_entity: bool):
     """reporting.record_writer's reference: each list of failing records in
-    the dict shape serialize_measures and serialize_manifest once gave
-    canonical.dumps. `level` is where the emitter puts the list."""
+    the dict shape of measures.json and the manifests, for canonical.dumps.
+    `level` is where the emitter puts the list."""
     def write(records):
         return [({"entity": entity} if with_entity else {})
                 | {"row": row, "key": {} if row is None else record_key(entity, row)}

@@ -221,9 +221,9 @@ _RULE_COLUMN = {"syn": "syn", "rng": "rng_c", "dom": "dom", "nn": "nn",
 def _scores_snapshot(result):
     """Property values as rendered (rounding to four places never reverses
     their order), property levels and characteristic levels."""
-    prop_values = {p.property: p.value for p in result.properties}
-    prop_levels = {p.property: p.level for p in result.properties}
-    char_levels = {c.characteristic: c.level for c in result.characteristics}
+    prop_values = {p["property"]: p["value"] for p in result["properties"]}
+    prop_levels = {p["property"]: p["level"] for p in result["properties"]}
+    char_levels = {c["characteristic"]: c["level"] for c in result["characteristics"]}
     return prop_values, prop_levels, char_levels
 
 

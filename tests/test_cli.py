@@ -370,6 +370,40 @@ def test_forged_verdict_exits_1(travel_outputs, tmp_path, capsys):
                              '"eligible": true, where the measures give "eligible": false,')
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("measures", 0, "selector"), 5, "selector must be a string or null, not 5"),
+    (("measures", 0, "rule_id"), 7, "rule_id must be a string, not 7"),
+    (("measures", 0, "rule_id"), ["a"], "rule_id must be a string, not ['a']"),
+    (("measures", 0, "entity"), None, "entity must be a string, not None"),
+    (("measures", 0, "kind"), True, "kind must be a string, not True"),
+    (("metadata", "reference_time"), 5, "reference_time must be a string, not 5"),
+    (("metadata", "ruleset_name"), ["x"], "ruleset_name must be a string, not ['x']"),
+    (("metadata", "tool_version"), Decimal("1.0"),
+     "tool_version must be a string, not Decimal('1.0')"),
+], ids=["selector-number", "rule-id-number", "rule-id-array", "entity-null",
+        "kind-bool", "reference-time-number", "ruleset-name-array",
+        "tool-version-number"])
+def test_report_texts_of_the_wrong_type_exit_1(workspace, capsys, path, value, message):
+    """A report's metadata texts, rule ids, entities and kinds are strings and
+    its selectors strings or null: improve would copy anything else into the
+    manifests."""
+    _evaluate(workspace)
+    _rewrite(workspace / "out" / "report.json", workspace / "report.json", path, value)
+    _refused_by_every_reader(workspace, capsys, message)
+
+
+def _improve_refused(workspace: Path, capsys, code: int, message: str) -> None:
+    """improve exits `code` with `message` on workspace/measures.json and the
+    report it was evaluated with, and writes nothing."""
+    out = workspace / "out"
+    capsys.readouterr()
+    assert main(["improve", "--report", str(out / "report.json"),
+                 "--measures", str(workspace / "measures.json"),
+                 "--out", str(workspace / "manifests")]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "manifests").exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("failing_total", "90", "failing_total must be an integer, not '90'"),
     ("a", True, "a must be an integer, not True"),
@@ -379,14 +413,42 @@ def test_measures_numbers_of_the_wrong_type_exit_1(workspace, capsys, key, value
     """improve refuses a measures document whose counts are not integers
     rather than copying them into the manifests."""
     _evaluate(workspace)
-    out = workspace / "out"
-    _rewrite(out / "measures.json", workspace / "measures.json", ("measures", 0, key), value)
-    capsys.readouterr()
-    assert main(["improve", "--report", str(out / "report.json"),
-                 "--measures", str(workspace / "measures.json"),
-                 "--out", str(workspace / "manifests")]) == 1
-    assert capsys.readouterr().err == f"error: invalid measures document: {message}\n"
-    assert not (workspace / "manifests").exists()
+    _rewrite(workspace / "out" / "measures.json", workspace / "measures.json",
+             ("measures", 0, key), value)
+    _improve_refused(workspace, capsys, 1, f"invalid measures document: {message}")
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda ms: ms[0].update(a=0, failing_total=999999), 1,
+     "invalid measures document: rule r1: failing_total 999999 is not b - a"),
+    (lambda ms: ms[0].update(a=5, failing_total=-1), 1,
+     "invalid measures document: rule r1: a 5 and b 4 are not 0 <= a <= b"),
+    (lambda ms: ms[0].update(a=4, failing_total=0), 1,
+     "invalid measures document: rule r1: 1 failing records listed, more than "
+     "failing_total 0"),
+    (lambda ms: ms.append(ms[0]), 1,
+     "invalid measures document: rule r1 is listed twice"),
+    (lambda ms: ms.pop(0), 5, "report and measures disagree on rule 'r1'"),
+    (lambda ms: ms.pop(), 5, "report and measures disagree on rule 'r3'"),
+    (lambda ms: ms[0].update(a=4, failing_total=0, failing=[]), 5,
+     "report and measures disagree on rule 'r1'"),
+    (lambda ms: ms.reverse(), 5, "report and measures disagree on rule 'r1'"),
+    (lambda ms: ms.append(dict(ms[1], rule_id="r9")), 5,
+     "report and measures disagree on rule 'r9'"),
+], ids=["edited-total", "a-above-b", "more-records-than-total", "repeated",
+        "first-deleted", "last-deleted", "other-counts", "reordered", "rule-added"])
+def test_measures_that_disagree_with_their_report_are_refused(workspace, capsys, edit,
+                                                              code, message):
+    """A measures document states consistent counts (0 <= a <= b, failing_total
+    = b - a, no more records than failing_total; exit 1), and the report's
+    rules in its order with its (a, b) (exit 5): the manifests would otherwise
+    state one rule's total against another's records, or silently drop a
+    rule."""
+    _evaluate(workspace)
+    doc = canonical.loads((workspace / "out" / "measures.json").read_text())
+    edit(doc["measures"])
+    (workspace / "measures.json").write_text(canonical.dumps(doc))
+    _improve_refused(workspace, capsys, code, message)
 
 
 # --------------------------------------------------------------------------
@@ -637,6 +699,16 @@ def test_document_commands_import_no_evaluation_layer(registry_outputs, tmp_path
     assert exit_code == code
     assert {"dqeval.reporting", "dqeval.scoring"} <= modules
     assert modules & _EVALUATION_LAYERS == set()
+
+
+def test_synth_imports_no_engine_or_scoring(tmp_path):
+    """synth writes a snapshot and its oracle: it evaluates and scores
+    nothing, so it loads neither layer."""
+    exit_code, modules = _modules_after(["synth", "--scenario", "travel-v1",
+                                         "--out", str(tmp_path / "s")])
+    assert exit_code == 0
+    assert "dqeval.synthkit" in modules
+    assert modules & {"dqeval.engine", "dqeval.scoring"} == set()
 
 
 def test_version_imports_only_the_shell():

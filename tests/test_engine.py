@@ -22,7 +22,7 @@ from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import eval_all, eval_rule
 from dqeval.errors import EvalError
-from dqeval.reporting import serialize_measures
+from dqeval.reporting import RuleMeasure, serialize_measures
 from dqeval.rules import KIND_NAMES, KINDS, parse_ruleset
 from dqeval.scenarios import SCENARIOS, build_scenario
 from engine_reference import reference_counts
@@ -535,15 +535,18 @@ def _row(t=None, d=None, i=None, b=None, at=None) -> tuple:
        main=st.lists(_ROW, max_size=30), ref=st.lists(_ROW, max_size=10),
        cap=st.sampled_from([0, 1, 3, 10**6]))
 def test_distinct_value_path_matches_per_row_reference(body, pattern, main, ref, cap):
-    """Every kind's (A, B, failing) matches the per-row reference."""
+    """Every kind's measure matches the per-row reference, its failing pairs
+    in (entity, ordinal) order and capped."""
     rs = parse_ruleset(make_ruleset([body], format_classes={"c": pattern}))
     entities = {"m": _entity("m", main), "r": _entity("r", ref)}
     repo = Repository(SchemaCatalog(tuple(e.schema for e in entities.values())),
                       entities, "fp")
     r = rs.rules[0]
     with mock.patch.object(engine, "DEFAULT_FAILING_CAP", cap):
-        expected = engine._cap_raw(*reference_counts(r, repo, rs))
-        assert engine._eval_counts(r, repo, rs) == expected
+        measure = eval_rule(r, repo, rs)
+    a, b, failing = reference_counts(r, repo, rs)
+    failing.sort(key=lambda pair: (pair[0], -1 if pair[1] is None else pair[1]))
+    assert measure == RuleMeasure(r.id, a, b, failing[:cap], len(failing))
 
 
 # --------------------------------------------------------------------------
@@ -561,7 +564,7 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
                                        monkeypatch):
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
-    monkeypatch.setattr(engine, "_eval_counts", _die)
+    monkeypatch.setattr(engine, "eval_rule", _die)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, 10)
     started = time.monotonic()

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import canonical_reference as reference
 from conftest import dumps, make_ruleset, reference_record_writer, rule
-from dqeval import __version__, canonical, engine, reporting
+from dqeval import __version__, canonical, engine
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository, RowView,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import eval_all
@@ -22,8 +22,8 @@ from dqeval.host import write_atomic
 from dqeval.reporting import (build_improvement, build_report, compare,
                               parse_measures, parse_report, record_writer,
                               render_comparison, render_report,
-                              serialize_comparison, serialize_measures,
-                              serialize_report, write_improvement)
+                              serialize_measures, serialize_report,
+                              write_improvement)
 from dqeval.rules import parse_ruleset, validate_ruleset
 from dqeval.scenarios import build_scenario
 from dqeval.scoring import default_config, score_all
@@ -42,17 +42,17 @@ def table3_report(person_snapshot, table3_ruleset):
 
 def test_report_carries_fingerprints_and_scope(table3_report, person_snapshot):
     report, ms = table3_report
-    assert report.metadata.snapshot_fingerprint == person_snapshot.fingerprint
-    assert report.metadata.ruleset_fingerprint == ms.ruleset_fingerprint
-    assert dict(report.entity_rows) == {"person": 4, "warning": 5}
-    assert dict(report.rule_counts)[Characteristic.ACCURACY] == 2
+    assert report["metadata"]["snapshot_fingerprint"] == person_snapshot.fingerprint
+    assert report["metadata"]["ruleset_fingerprint"] == ms.ruleset_fingerprint
+    assert report["scope"]["row_counts"] == {"person": 4, "warning": 5}
+    assert report["scope"]["rule_counts"]["Accuracy"] == 2
 
 
 def test_report_measures_render_ratio_4dp(table3_report):
     report, _ = table3_report
-    by_id = {m.rule_id: m for m in report.measures}
-    assert by_id["r1"].ratio == Decimal("0.7500")
-    assert by_id["r3"].ratio == Decimal("0.8000")
+    by_id = {m["rule_id"]: m for m in report["measures"]}
+    assert by_id["r1"]["ratio"] == Decimal("0.7500")
+    assert by_id["r3"]["ratio"] == Decimal("0.8000")
 
 
 def test_report_roundtrip(table3_report):
@@ -154,9 +154,9 @@ def test_canonical_serialization_is_stable(person_snapshot, table3_ruleset):
 
 def test_selector_expressions(table3_report):
     report, _ = table3_report
-    by_id = {m.rule_id: m for m in report.measures}
-    assert by_id["r1"].selector == "not regex_match(id, '^[0-9]{8}[A-Z]$')"
-    assert by_id["r3"].selector == \
+    by_id = {m["rule_id"]: m for m in report["measures"]}
+    assert by_id["r1"]["selector"] == "not regex_match(id, '^[0-9]{8}[A-Z]$')"
+    assert by_id["r3"]["selector"] == \
         "not in_set(type, 'IT GENERAL', 'SUPERCOMPUTATION', 'HR')"
 
 
@@ -168,7 +168,7 @@ def test_selector_null_for_cross_row_kinds(person_snapshot):
     ms = eval_all(rs, person_snapshot)
     report = build_report(rs, person_snapshot, ms, score_all(ms, rs),
                           default_config(), __version__)
-    assert all(m.selector is None for m in report.measures)
+    assert all(m["selector"] is None for m in report["measures"])
 
 
 def test_measures_document_roundtrip(table3_report):
@@ -274,10 +274,11 @@ def test_measures_document_matches_reference_emitter(rows, cap):
 
 
 def _measures_text(*records: str) -> str:
-    """A measures document whose one rule lists `records`, each JSON text."""
+    """A measures document whose one rule of B = 9 lists `records`, each JSON
+    text, as all of its failures."""
     return ('{"ruleset_fingerprint": "r", "snapshot_fingerprint": "s", "measures": '
-            '[{"rule_id": "x", "a": 0, "b": 9, "failing_total": %d, "failing": [%s]}]}'
-            % (len(records), ", ".join(records)))
+            '[{"rule_id": "x", "a": %d, "b": 9, "failing_total": %d, "failing": [%s]}]}'
+            % (9 - len(records), len(records), ", ".join(records)))
 
 
 def _record(row: str, key: str, entity: str = '"e"') -> str:
@@ -342,10 +343,10 @@ def test_parsed_keys_come_from_the_records(table3_report):
 def test_single_failure_manifest(table3_report, tmp_path: Path):
     report, ms = table3_report
     manifests = build_improvement(report, ms)
-    assert [(m.entity, m.property) for m in manifests] == [
-        ("person", Property.EXAC_SINT), ("warning", Property.EXAC_SEMAN)]
-    person_manifest = manifests[0]
-    assert person_manifest.rules[0].records == (("person", 2),)
+    assert [(m["entity"], m["property"]) for m in manifests] == [
+        ("person", "EXAC_SINT"), ("warning", "EXAC_SEMAN")]
+    assert canonical.loads(manifests[0]["rules"][0]["records"]) == \
+        [{"row": 2, "key": {"id": "1234"}}]
 
     paths = write_improvement(manifests, report, tmp_path / "out")
     written = json.loads((tmp_path / "out" / paths[0]).read_text())
@@ -367,13 +368,13 @@ def test_write_that_fails_partway_keeps_the_old_files(table3_report, tmp_path: P
     out = tmp_path / "out"
     write_improvement(manifests, report, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    real, calls = reporting.serialize_manifest, []
+    real, calls = canonical.dumps, []
 
-    def second_cannot_be_encoded(*args):  # past its first 100,000 characters
-        calls.append(args)
-        text = real(*args)
+    def second_cannot_be_encoded(doc):  # past its first 100,000 characters
+        calls.append(doc)
+        text = real(doc)
         return text[:1] + "x" * 100_000 + "\ud800" if len(calls) == 2 else text
-    monkeypatch.setattr(reporting, "serialize_manifest", second_cannot_be_encoded)
+    monkeypatch.setattr(canonical, "dumps", second_cannot_be_encoded)
     with pytest.raises(UnicodeEncodeError):
         write_improvement(manifests, report, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -415,7 +416,7 @@ def test_two_entities_same_property_two_manifests(person_snapshot):
     report = build_report(rs, person_snapshot, ms, score_all(ms, rs),
                           default_config(), __version__)
     manifests = build_improvement(report, ms)
-    assert [(m.entity, m.property.value) for m in manifests] == [
+    assert [(m["entity"], m["property"]) for m in manifests] == [
         ("person", "EXAC_SINT"), ("warning", "EXAC_SINT")]
 
 
@@ -444,12 +445,12 @@ def test_format_class_manifest_selectors(person_snapshot, extra, selectors):
     report = build_report(rs, person_snapshot, ms, score_all(ms, rs),
                           default_config(), __version__)
     manifests = build_improvement(report, ms)
-    assert {m.entity: m.rules[0].selector for m in manifests} == selectors
+    assert {m["entity"]: m["rules"][0]["selector"] for m in manifests} == selectors
     for m in manifests:
-        if m.rules[0].selector is not None:
-            entity = person_snapshot.entities[m.entity]
-            assert _selected_rows(m.rules[0].selector, entity, rs) == \
-                {row for _, row in m.rules[0].records}
+        if m["rules"][0]["selector"] is not None:
+            entity = person_snapshot.entities[m["entity"]]
+            assert _selected_rows(m["rules"][0]["selector"], entity, rs) == \
+                {r["row"] for r in canonical.loads(m["rules"][0]["records"])}
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +489,7 @@ _PROPERTY = {"range": "RAN_EXAC", "domain": "EXAC_SEMAN", "no_default": "COMP_VA
 def _selector_and_measure(rs):
     ms = eval_all(rs, _REPO)
     report = build_report(rs, _REPO, ms, score_all(ms, rs), default_config(), __version__)
-    return report.measures[0].selector, ms.measures[rs.rules[0].id]
+    return report["measures"][0]["selector"], ms.measures[rs.rules[0].id]
 
 
 @pytest.mark.parametrize("column, kind, params, selector", [
@@ -575,7 +576,7 @@ def test_fingerprint_mismatch_rejected(table3_report):
 def test_manifest_ref_totals_match_measures(table3_report):
     report, ms = table3_report
     manifests = build_improvement(report, ms)
-    listed = sum(len(r.records) for m in manifests for r in m.rules)
+    listed = sum(r["failing_listed"] for m in manifests for r in m["rules"])
     expected = sum(m.b - m.a for m in ms if m.b > 0)
     assert listed == expected
 
@@ -600,20 +601,20 @@ def test_compare_reports_deltas(person_snapshot, table3_ruleset):
     first = _report_with_levels(person_snapshot, table3_ruleset, "1", degrade=True)
     second = _report_with_levels(person_snapshot, table3_ruleset, "2", degrade=False)
     cmp_result = compare(first, second)
-    d = {p.property: p for p in cmp_result.properties}
-    assert d[Property.EXAC_SINT].value_delta == Decimal("75.0000")  # 0 -> 75
-    assert d[Property.EXAC_SINT].level_delta == 4 - 1
-    assert not cmp_result.regression
-    assert cmp_result.verdict_first is False and cmp_result.verdict_second is True
+    d = {p["property"]: p for p in cmp_result["properties"]}
+    assert d["EXAC_SINT"]["value_delta"] == Decimal("75.0000")  # 0 -> 75
+    assert d["EXAC_SINT"]["level_delta"] == 4 - 1
+    assert not cmp_result["regression"]
+    assert cmp_result["verdict_transition"] == {"first": False, "second": True}
 
 
 def test_compare_to_itself_is_all_zero(table3_report):
     report, _ = table3_report
     cmp_result = compare(report, report)
-    assert all(p.value_delta == 0 and p.level_delta == 0
-               for p in cmp_result.properties)
-    assert all(c.level_delta == 0 for c in cmp_result.characteristics)
-    assert not cmp_result.regression
+    assert all(p["value_delta"] == 0 and p["level_delta"] == 0
+               for p in cmp_result["properties"])
+    assert all(c["level_delta"] == 0 for c in cmp_result["characteristics"])
+    assert not cmp_result["regression"]
 
 
 def test_compare_antisymmetry(person_snapshot, table3_ruleset):
@@ -621,10 +622,10 @@ def test_compare_antisymmetry(person_snapshot, table3_ruleset):
     second = _report_with_levels(person_snapshot, table3_ruleset, "2", degrade=False)
     forward = compare(first, second)
     backward = compare(second, first)
-    for f, b in zip(forward.properties, backward.properties):
-        assert f.value_delta == -b.value_delta
-        assert f.level_delta == -b.level_delta
-    assert backward.regression  # degradation direction flags regression
+    for f, b in zip(forward["properties"], backward["properties"]):
+        assert f["value_delta"] == -b["value_delta"]
+        assert f["level_delta"] == -b["level_delta"]
+    assert backward["regression"]  # degradation direction flags regression
 
 
 def test_compare_missing_property_listed_removed(person_snapshot, table3_ruleset):
@@ -635,15 +636,13 @@ def test_compare_missing_property_listed_removed(person_snapshot, table3_ruleset
     narrow = build_report(rs_one, person_snapshot, ms, score_all(ms, rs_one),
                           default_config(), __version__)
     cmp_result = compare(full, narrow)
-    assert cmp_result.removed_properties == (Property.EXAC_SEMAN,)
-    assert [p.property for p in cmp_result.properties] == [Property.EXAC_SINT]
+    assert cmp_result["removed_properties"] == ["EXAC_SEMAN"]
+    assert [p["property"] for p in cmp_result["properties"]] == ["EXAC_SINT"]
 
 
 def test_compare_different_rulesets_rejected(table3_report, person_snapshot):
     report, _ = table3_report
-    other = dataclasses.replace(
-        report, metadata=dataclasses.replace(report.metadata,
-                                             ruleset_name="other-rules"))
+    other = dict(report, metadata=dict(report["metadata"], ruleset_name="other-rules"))
     with pytest.raises(ScopeMismatch):
         compare(report, other)
 
@@ -651,8 +650,8 @@ def test_compare_different_rulesets_rejected(table3_report, person_snapshot):
 def test_comparison_serialization_stable(person_snapshot, table3_ruleset):
     first = _report_with_levels(person_snapshot, table3_ruleset, "1", degrade=True)
     second = _report_with_levels(person_snapshot, table3_ruleset, "2", degrade=False)
-    assert serialize_comparison(compare(first, second)) == \
-        serialize_comparison(compare(first, second))
+    assert canonical.dumps(compare(first, second)) == \
+        canonical.dumps(compare(first, second))
 
 
 # --------------------------------------------------------------------------

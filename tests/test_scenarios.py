@@ -16,7 +16,6 @@ from dqeval.scenarios import (_PROFILES, _TEMPLATES, build_scenario, scenario_na
                               write_scenario)
 from dqeval.scoring import default_config, load_config, score_all
 from dqeval.synthkit import expected_vs_actual, generate
-from dqeval.taxonomy import Characteristic
 from dqeval import __version__, canonical
 from dqeval.cli import main
 
@@ -29,7 +28,7 @@ def _evaluate(name: str, tmp_path: Path):
     ms = eval_all(bundle.ruleset, repo)
     assert expected_vs_actual(expected, ms) == []
     result = score_all(ms, bundle.ruleset, default_config())
-    levels = {c.characteristic: c.level for c in result.characteristics}
+    levels = {c["characteristic"]: c["level"] for c in result["characteristics"]}
     return bundle, repo, ms, result, levels
 
 
@@ -66,16 +65,15 @@ def test_travel_entity_count_mirrors_scope():
 
 def test_school_first_evaluation_only_accuracy_below_3(tmp_path: Path):
     _, _, _, result, levels = _evaluate("school-v1", tmp_path)
-    assert levels[Characteristic.ACCURACY] == 2
-    assert all(lv >= 3 for c, lv in levels.items()
-               if c is not Characteristic.ACCURACY)
-    assert not result.eligible
+    assert levels["Accuracy"] == 2
+    assert all(lv >= 3 for c, lv in levels.items() if c != "Accuracy")
+    assert not result["verdict"]["eligible"]
 
 
 def test_school_second_evaluation_reaches_5(tmp_path: Path):
     _, _, _, result, levels = _evaluate("school-v2", tmp_path)
-    assert levels[Characteristic.ACCURACY] == 5
-    assert result.eligible
+    assert levels["Accuracy"] == 5
+    assert result["verdict"]["eligible"]
 
 
 def test_rulesets_share_ids_across_versions():
@@ -116,10 +114,10 @@ def test_travel_comparison_quotes_transitions(tmp_path: Path):
     second = build_report(bundle2.ruleset, repo2, ms2, result2,
                           default_config(), __version__)
     delta = compare(first, second)
-    by_char = {d.characteristic: d for d in delta.characteristics}
-    assert by_char[Characteristic.ACCURACY].level_delta == 4  # 1 -> 5
-    assert by_char[Characteristic.COMPLETENESS].level_delta == 2  # 2 -> 4
-    assert delta.verdict_first is False and delta.verdict_second is True
+    by_char = {d["characteristic"]: d for d in delta["characteristics"]}
+    assert by_char["Accuracy"]["level_delta"] == 4  # 1 -> 5
+    assert by_char["Completeness"]["level_delta"] == 2  # 2 -> 4
+    assert delta["verdict_transition"] == {"first": False, "second": True}
 
 
 # --------------------------------------------------------------------------
@@ -166,6 +164,50 @@ def test_pipeline_outputs_pinned(name: str, tmp_path: Path):
                      "--out", str(out / "improve")]) == 0
         digests.append(_pipeline_digest(out))
     assert digests == [_PIPELINE_DIGESTS[name]] * 2
+
+
+# SHA-256 of the text outputs: report.txt of `evaluate --format text` for each
+# scenario, and comparison.json and comparison.txt of `compare --out` from
+# each organization's v1 report to its v2 report. Like the pins above, the
+# report.txt digests change with dqeval.__version__.
+_REPORT_TEXT_DIGESTS = {
+    "travel-v1": "06af798cb7287335db0dbb1c2c9685b3911fe81c056edc2a99d1ecb67b27e47b",
+    "travel-v2": "ee20e88e298b291cdec46f22ba196ca40ffda4dd5d1c3a650239eeea52b3b7c1",
+    "registry-v1": "6fc2f8b91fd8f3bdc74b96c354ab92b953c639a55c4e591303d8f65864695866",
+    "registry-v2": "346d3ad22647b54066bba02592c5d554a9c006dbe5dfc2804bea5064502143d4",
+    "school-v1": "5f293eaf77ab9a4d015603224e541c61f90819ee8422a2f151f3be164b230d99",
+    "school-v2": "d429ad8f7da812181e0d43130aa5b2b08ffe2159ad2673b7eb92746d7452c307",
+}
+_COMPARISON_DIGESTS = {  # (comparison.json, comparison.txt)
+    "travel": ("b715f6d29abce6089744dbdbfa357629b3bcaa97c539665481264cb8976f1642",
+               "4a5e16f5cbef6f72b81f66dbe70283a1c0b5797f162cc5f11ca8d1ff7a47ed0f"),
+    "registry": ("e8e0ef39f3c4680b1dcc0bf34397835a36fc9f976a6fcef618716d7c7c4e32d6",
+                 "b822dc149c86531515b1fcdaad9c124b3a66805f0565b632bb96678155bb387e"),
+    "school": ("c48af5d269e05f172114798c0221b26a1463de8ed3cb35b62163ecaf1c185938",
+               "c48db9da00caf1ef29aeafdf2c4f822d6220e0fef6d40d9bba538ee6d0eddef7"),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("org", sorted(_COMPARISON_DIGESTS))
+def test_text_reports_and_comparison_pinned(org: str, tmp_path: Path):
+    """evaluate --format text on v1 and v2, then compare --out from v1 to v2,
+    write the recorded bytes."""
+    reports = []
+    for name in (f"{org}-v1", f"{org}-v2"):
+        s, out = tmp_path / name, tmp_path / name / "out"
+        assert main(["synth", "--scenario", name, "--out", str(s)]) == 0
+        assert main(["evaluate", "--rules", str(s / "rules.json"),
+                     "--schema", str(s / "schema.json"), "--data", str(s / "snapshot"),
+                     "--out", str(out), "--format", "text"]) == 0
+        assert _sha256(out / "report.txt") == _REPORT_TEXT_DIGESTS[name]
+        reports.append(str(out / "report.json"))
+    assert main(["compare", *reports, "--out", str(tmp_path / "cmp")]) == 0
+    assert (_sha256(tmp_path / "cmp" / "comparison.json"),
+            _sha256(tmp_path / "cmp" / "comparison.txt")) == _COMPARISON_DIGESTS[org]
 
 
 # A --config that moves every scoring step off its default: macro

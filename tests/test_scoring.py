@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 
 from conftest import make_ruleset, rule
 from dqeval.errors import NothingEvaluated, OutOfRange, ParseError
-from dqeval.reporting import (CharacteristicReport, MeasureSet, PropertyReport,
-                              RuleMeasure)
+from dqeval.reporting import MeasureSet, RuleMeasure
 from dqeval.rules import parse_ruleset
 from dqeval.scoring import (LevelThresholds, ProfilingTable,
                             certification_eligibility, default_config,
                             default_profiling_table, default_thresholds,
                             load_config, make_profile, profile_to_level,
                             property_value, score_all, value_to_level)
-from dqeval.taxonomy import Characteristic, Property
+from dqeval.taxonomy import Characteristic
 
 
 def _m(rule_id: str, a: int, b: int) -> RuleMeasure:
@@ -156,8 +155,10 @@ def test_profile_improvement_never_lowers_level(levels, which):
 # --------------------------------------------------------------------------
 # verdict
 
-def _char(c: Characteristic, level: int | None) -> CharacteristicReport:
-    return CharacteristicReport(c, (0, 0, 0, 0, 0), level, (), ())
+def _char(c: Characteristic, level: int | None) -> dict:
+    """A report's characteristics member, as certification_eligibility reads it."""
+    return {"characteristic": c.value, "profile": [0, 0, 0, 0, 0], "level": level,
+            "strengths": [], "weaknesses": []}
 
 
 def test_two_characteristics_below_threshold():
@@ -168,25 +169,24 @@ def test_two_characteristics_below_threshold():
         _char(Characteristic.CREDIBILITY, 5),
         _char(Characteristic.CURRENTNESS, 5),
     ]
-    eligible, reasons = certification_eligibility(results)
-    assert not eligible
-    assert reasons == ((Characteristic.ACCURACY, 1), (Characteristic.CONSISTENCY, 1))
+    assert certification_eligibility(results) == {"eligible": False, "reasons": [
+        {"characteristic": "Accuracy", "level": 1},
+        {"characteristic": "Consistency", "level": 1}]}
 
 
 def test_all_fives_eligible():
     assert certification_eligibility([_char(c, 5) for c in Characteristic]) == \
-        (True, ())
+        {"eligible": True, "reasons": []}
 
 
 def test_all_threes_eligible():
-    assert certification_eligibility([_char(c, 3) for c in Characteristic])[0]
+    assert certification_eligibility([_char(c, 3) for c in Characteristic])["eligible"]
 
 
 def test_not_evaluated_excluded():
-    eligible, _ = certification_eligibility([
+    assert certification_eligibility([
         _char(Characteristic.ACCURACY, 3),
-        _char(Characteristic.CURRENTNESS, None)])
-    assert eligible
+        _char(Characteristic.CURRENTNESS, None)])["eligible"]
 
 
 def test_nothing_evaluated_raises():
@@ -197,7 +197,7 @@ def test_nothing_evaluated_raises():
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=5))
 def test_verdict_iff_min_level_at_least_3(levels):
     results = [_char(c, lv) for c, lv in zip(Characteristic, levels)]
-    assert certification_eligibility(results)[0] == (min(levels) >= 3)
+    assert certification_eligibility(results)["eligible"] == (min(levels) >= 3)
 
 
 # --------------------------------------------------------------------------
@@ -237,15 +237,17 @@ def _score_single_property(value_pct: int):
 
 def test_single_property_value_60_gives_level_3():
     result = _score_single_property(60)
-    assert result.properties == (
-        PropertyReport(Property.EXAC_SINT, Decimal("60.0000"), 3, 60, 100, 1),)
-    assert result.characteristics[0].level == 3
-    assert result.eligible
+    assert result["properties"] == [{
+        "property": "EXAC_SINT", "characteristic": "Accuracy",
+        "value": Decimal("60.0000"), "level": 3, "sum_a": 60, "sum_b": 100,
+        "rule_count": 1}]
+    assert result["characteristics"][0]["level"] == 3
+    assert result["verdict"]["eligible"]
 
 
 def test_all_compliant_gives_level_5():
     result = _score_single_property(100)
-    assert result.characteristics[0].level == 5
+    assert result["characteristics"][0]["level"] == 5
 
 
 def test_strengths_and_weaknesses_cut():
@@ -255,12 +257,11 @@ def test_strengths_and_weaknesses_cut():
     ]))
     ms = MeasureSet({"hi": _m("hi", 90, 100), "lo": _m("lo", 10, 100)}, "rf", "sf")
     result = score_all(ms, rs, default_config())
-    acc = result.characteristics[0]
-    assert acc.strengths == (Property.EXAC_SINT,)
-    assert acc.weaknesses == (Property.RAN_EXAC,)
+    acc = result["characteristics"][0]
+    assert acc["strengths"] == ["EXAC_SINT"]
+    assert acc["weaknesses"] == ["RAN_EXAC"]
 
 
 def test_characteristic_without_rules_absent():
     result = _score_single_property(50)
-    assert [c.characteristic for c in result.characteristics] == \
-        [Characteristic.ACCURACY]
+    assert [c["characteristic"] for c in result["characteristics"]] == ["Accuracy"]
