@@ -5,13 +5,20 @@ null subjects when skip_null, minus rows failing a freshness `condition`;
 entity-level kinds have B = 1; format_class sums rows over all its targets),
 `failing` holds the (entity, ordinal) pair of every applicable item failing
 the check, in that order (ordinal None for entity-level kinds, at most
-DEFAULT_FAILING_CAP pairs), and A = B - failing_total for every kind. B = 0
-means the rule is not applicable and the ratio is undefined. Results are
-independent of evaluation order, so rules may be evaluated in parallel; the
-repository is immutable throughout. A process pool is started only when
-the evaluation's estimated serial cost, worked out from sizes before
-anything is evaluated, is large enough to pay for the pool; otherwise the
-rules run serially, with the same results.
+DEFAULT_FAILING_CAP pairs), and A = B - failing_total for every kind. An
+evaluator gives one target's pairs in ordinal order, so only the pairs of a
+rule with several targets (a format_class over several columns or with
+extra targets, a composite unique key, a predicate over several columns)
+are sorted. B = 0 means the rule is not applicable and the ratio is
+undefined. Results are independent of evaluation order, so rules may be
+evaluated in parallel; the repository is immutable throughout. A process
+pool is started only when the evaluation's estimated serial cost, worked
+out from sizes before anything is evaluated, is large enough to pay for
+the pool; otherwise the rules run serially, with the same results.
+
+Row expressions (`where`, predicate, freshness `condition`) are compiled
+once per rule and entity into closures over the entity's columns
+(`expr.compiled`), with `expr.evaluate`'s semantics.
 
 The eight per-value kinds (syntax, range, domain, not_null, no_default,
 foreign_key, format_class, freshness) cost one check per distinct value of
@@ -31,9 +38,9 @@ from collections.abc import Callable
 from datetime import timedelta
 from itertools import compress
 
-from .dataset import Entity, Repository, RowView
+from .dataset import Entity, Repository
 from .errors import EvalError, UnknownColumn
-from .expr import evaluate, node_count
+from .expr import compiled, node_count
 from .host import usable_cpus
 from .reporting import MeasureSet, RuleMeasure
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
@@ -50,9 +57,10 @@ DEFAULT_FAILING_CAP = 100_000
 
 def _truths(expr, entity: Entity, rs: RuleSet, rows) -> list[bool]:
     """Whether the row expression is true on each of `rows`, in order: the one
-    place the engine evaluates `where`, freshness `condition` and predicate."""
-    ref = rs.reference_time
-    return [evaluate(expr, RowView(entity, i), ref) is True for i in rows]
+    place the engine evaluates `where`, freshness `condition` and predicate,
+    each compiled once per rule and entity."""
+    f = compiled(expr, entity.column, rs.reference_time)
+    return [v is True for v in map(f, rows)]
 
 
 def _applicable_rows(rule: Rule, entity: Entity, rs: RuleSet,
@@ -243,7 +251,8 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
         b, failing = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
-    failing.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
+    if len(rule.targets) > 1:  # one target's pairs come out in ordinal order
+        failing.sort(key=lambda item: (item[0], -1 if item[1] is None else item[1]))
     total = len(failing)
     if total > DEFAULT_FAILING_CAP:
         failing = failing[:DEFAULT_FAILING_CAP]
@@ -262,10 +271,12 @@ POOL_BREAK_EVEN_NS = 150_000_000
 # The cost model of _serial_costs_ns, fitted to the per-rule times of
 # eval_rule (best of 3, same host) on perfbench's inputs: scan (60k rows,
 # per-value rules at 56-75 ns per row), registry (813 rules of 100 rows at
-# 11-40 us each, most of it per rule) and rowexpr (68k rows; expressions at
-# 670-1200 ns per row and node, unique keys at about 1 us per row).
+# 11-40 us each, most of it per rule) and rowexpr (68k rows; unique keys at
+# about 1 us per row). Compiled expressions (best of 5) cost 76-460 ns per
+# row and node on rowexpr, 224 ns over all its 3.5M, and a median 243 ns
+# beyond the per-rule cost on registry's 163 predicates.
 _RULE_NS = 25_000            # per rule: bind the check, build the measure
-_NODE_NS = 750               # per row of the rule's entity and expression node
+_NODE_NS = 250               # per row of the rule's entity and expression node
 _ROW_NS = {                  # per row of each target
     **dict.fromkeys(_VALUE_CHECKS, 65),  # one set lookup per cell
     Unique: 1_000,           # build the key tuple, count it, look it up

@@ -13,12 +13,18 @@ Grammar (EBNF) is documented in docs/expression-language.md.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      InvalidOperation)
+
+try:
+    from re import _parser as _regex_parser  # the parser re.compile uses
+except ImportError:  # Python 3.10
+    import sre_parse as _regex_parser
 
 from .canonical import MAX_NUMBER_DIGITS, number_out_of_range
 from .errors import ParseError
@@ -27,7 +33,8 @@ from .values import format_timestamp, parse_timestamp, value_type
 __all__ = [
     "Expr", "Literal", "Column", "Compare", "And", "Or", "Not", "Arith",
     "Neg", "Call", "parse_expr", "unparse", "typecheck", "evaluate",
-    "columns_referenced", "node_count", "validate_pattern", "ExprTypeError",
+    "compiled", "columns_referenced", "node_count", "validate_pattern",
+    "ExprTypeError",
 ]
 
 KEYWORDS = {"and", "or", "not", "true", "false", "null", "ts"}
@@ -100,10 +107,39 @@ class Call(Expr):
 # Regex dialect guard
 
 _BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=")
+_REPEATS = {_regex_parser.MAX_REPEAT, _regex_parser.MIN_REPEAT,
+            getattr(_regex_parser, "POSSESSIVE_REPEAT", None)}  # a++: Python 3.11+
 
 
+def _inner_patterns(av):
+    """The patterns inside one parsed item's argument: a group's, an
+    assertion's, or each branch of an alternation."""
+    if isinstance(av, _regex_parser.SubPattern):
+        yield av
+    elif isinstance(av, (tuple, list)):
+        for x in av:
+            yield from _inner_patterns(x)
+
+
+def _star_height(items) -> int:
+    """How deeply unbounded quantifiers (*, +, {n,}) nest in a parsed pattern."""
+    height = 0
+    for op, av in items:
+        if op in _REPEATS:
+            _, most, body = av
+            height = max(height, (most == _regex_parser.MAXREPEAT) + _star_height(body))
+        else:
+            height = max([height, *map(_star_height, _inner_patterns(av))])
+    return height
+
+
+@functools.lru_cache(maxsize=256)  # a ruleset repeats its few patterns
 def validate_pattern(pattern: str) -> None:
-    """Reject backreferences and uncompilable patterns.
+    """Reject backreferences, uncompilable patterns, and an unbounded
+    quantifier over a group that holds another, such as `(a+)+`: a
+    backtracking matcher can take time exponential in the text's length to
+    fail on one (Davis et al., The Impact of Regular Expression Denial of
+    Service (ReDoS) in Practice, ESEC/FSE 2018).
 
     The portable dialect allows character classes, quantifiers, anchors,
     alternation, and grouping only.
@@ -114,6 +150,9 @@ def validate_pattern(pattern: str) -> None:
         re.compile(pattern)
     except re.error as exc:
         raise ValueError(f"invalid pattern {pattern!r}: {exc}") from None
+    if _star_height(_regex_parser.parse(pattern)) > 1:
+        raise ValueError(f"pattern {pattern!r} nests unbounded quantifiers, "
+                         "which can take exponential time to match")
 
 
 # --------------------------------------------------------------------------
@@ -647,3 +686,106 @@ def _eval_call(e: Call, row, reference_time: datetime):
             if a is None:
                 return None
     return _FUNCS[e.func].impl(*args)
+
+
+# --------------------------------------------------------------------------
+# Compilation: each expression once, into closures over its columns
+
+def compiled(e: Expr, column, reference_time: datetime):
+    """The function f(i) giving evaluate's value of `e` on row i, where
+    `column(name)` is that column's list of cells. The tree is walked once:
+    each Column binds its list, a regex_match pattern is compiled and an
+    in_set of literal members bound to their tuple here, not per row. Feeley
+    and Lapalme, Using Closures for Code Generation, Computer Languages
+    12(1), 1987."""
+    def sub(x):
+        return compiled(x, column, reference_time)
+
+    if isinstance(e, Literal):
+        value = e.value
+        return lambda i: value
+    if isinstance(e, Column):
+        return column(e.name).__getitem__
+    if isinstance(e, And):
+        left, right = sub(e.left), sub(e.right)
+
+        def conjunction(i):
+            a = left(i)
+            if a is False:
+                return False
+            b = right(i)
+            if b is False:
+                return False
+            return None if a is None or b is None else True
+        return conjunction
+    if isinstance(e, Or):
+        left, right = sub(e.left), sub(e.right)
+
+        def disjunction(i):
+            a = left(i)
+            if a is True:
+                return True
+            b = right(i)
+            if b is True:
+                return True
+            return None if a is None or b is None else False
+        return disjunction
+    if isinstance(e, Not):
+        operand = sub(e.operand)
+        return lambda i: None if (v := operand(i)) is None else not v
+    if isinstance(e, Neg):
+        operand = sub(e.operand)
+        return lambda i: None if (v := operand(i)) is None else _negate(v)
+    if isinstance(e, Compare):
+        op, left = _COMPARE[e.op], sub(e.left)
+        if isinstance(e.right, Literal) and e.right.value is not None:
+            b = e.right.value  # the common `column < literal`, one call per row
+            return lambda i: None if (a := left(i)) is None else op(a, b)
+        right = sub(e.right)
+
+        def comparison(i):
+            a, b = left(i), right(i)
+            return None if a is None or b is None else op(a, b)
+        return comparison
+    if isinstance(e, Arith):
+        op, left, right = _ARITH[e.op], sub(e.left), sub(e.right)
+
+        def arithmetic(i):
+            a, b = left(i), right(i)
+            if a is None or b is None:
+                return None
+            try:
+                return op(a, b)
+            except (ZeroDivisionError, InvalidOperation):
+                return None  # arithmetic faults are data conditions, not errors
+        return arithmetic
+    if isinstance(e, Call):
+        return _compiled_call(e, list(map(sub, e.args)), reference_time)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compiled_call(e: Call, args: list, reference_time: datetime):
+    impl = _FUNCS[e.func].impl
+    if e.func == "in_set":  # null members never match, so _in_set sees them
+        subject = args[0]
+        if all(isinstance(m, Literal) for m in e.args[1:]):
+            members = tuple(m.value for m in e.args[1:])
+            return lambda i: impl(subject(i), *members)
+        return lambda i: impl(*[a(i) for a in args])
+    if e.func == "regex_match":
+        match = re.compile(e.args[1].value).fullmatch
+        text = args[0]
+        return lambda i: None if (t := text(i)) is None else match(t) is not None
+    if e.func == "age_days":  # age_days(t) is date_diff_days(reference_time, t)
+        args.insert(0, lambda i: reference_time)
+    if len(args) == 1:
+        [arg] = args
+        return lambda i: None if (v := arg(i)) is None else impl(v)
+
+    def call(i):
+        values = [a(i) for a in args]
+        for v in values:  # by identity, as in _eval_call
+            if v is None:
+                return None
+        return impl(*values)
+    return call

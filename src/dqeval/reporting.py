@@ -167,6 +167,11 @@ def parse_report(text: str) -> dict:
         metadata["config"] = config.to_json()
         row_counts = data["scope"]["row_counts"]
         measures = list(map(_measure, data["measures"]))
+        seen: set[str] = set()
+        for rule_id, *_ in measures:
+            if rule_id in seen:
+                raise ValueError(f"rule {rule_id} is listed twice")
+            seen.add(rule_id)
         report = _report(metadata, {n: _int(row_counts, n) for n in sorted(row_counts)},
                          measures, score([(prop, a, b) for _, _, prop, _, a, b, _, _
                                           in measures], config))

@@ -348,6 +348,25 @@ def test_report_measures_that_are_not_counts_exit_1(workspace, capsys, first, co
     _refused_by_every_reader(workspace, capsys, message)
 
 
+def test_report_listing_a_rule_twice_exits_1(workspace, capsys):
+    """The person report with r1 listed a second time, as 0 of 4, and every
+    derived figure written for the doubled list: evaluate never lists a rule
+    twice, and certify must not score one twice."""
+    from dqeval.reporting import _measure, _report
+    from dqeval.scoring import load_config, score
+    _evaluate(workspace)
+    doc = canonical.loads((workspace / "out" / "report.json").read_text())
+    first = doc["measures"][0]
+    measures = [*map(_measure, doc["measures"]),
+                _measure(dict(first, a=0, failing_total=first["b"]))]
+    config = load_config(canonical.dumps(doc["metadata"]["config"]))
+    doubled = _report(doc["metadata"], doc["scope"]["row_counts"], measures,
+                      score([(p, a, b) for _, _, p, _, a, b, _, _ in measures], config))
+    assert doubled["verdict"]["eligible"] is True
+    (workspace / "report.json").write_text(canonical.dumps(doubled))
+    _refused_by_every_reader(workspace, capsys, "rule r1 is listed twice")
+
+
 @pytest.fixture(scope="module")
 def travel_outputs(tmp_path_factory) -> Path:
     """travel-v1 with its evaluate outputs in `out`: not eligible, Accuracy at
@@ -989,6 +1008,38 @@ def test_entity_name_outside_its_directory_exits_3(workspace, tmp_path, capsys,
     assert capsys.readouterr().err == (
         "error: entity name '../outside' is not a plain file name "
         "(no '/', '\\', NUL, '.' or '..') (entities[2].name)\n")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "synth"])
+@pytest.mark.parametrize("body, format_classes, context", [
+    (rule("r", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "^(a+)+$"}), {},
+     "rules[0] (id 'r').params.pattern"),
+    (rule("r", "person", ["id"], "CONS_FORM", "format_class", {"class": "c"}),
+     {"c": "^(a+)+$"}, "$.format_classes.c"),
+    (rule("r", "person", [], "CONS_SEMAN", "predicate",
+          {"expr": "regex_match(id, '^(a+)+$')"}), {},
+     "rules[0] (id 'r').params.expr"),
+], ids=["syntax", "format-class", "regex-match"])
+def test_catastrophic_pattern_exits_3(workspace, capsys, command, body,
+                                      format_classes, context):
+    """`^(a+)+$` takes seconds to fail on 25 characters; every command that
+    reads the ruleset refuses it before reading data or writing a file."""
+    (workspace / "rules.json").write_text(make_ruleset([body],
+                                                       format_classes=format_classes))
+    (workspace / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"person": {"rows": 1, "columns": {}}}}))
+    files = ["--rules", str(workspace / "rules.json"),
+             "--schema", str(workspace / "schema.json")]
+    argv = {"validate": ["validate", *files],
+            "evaluate": ["evaluate", *files, "--data", str(workspace / "snapshot"),
+                         "--out", str(workspace / "out")],
+            "synth": ["synth", "--spec", str(workspace / "spec.json"), *files,
+                      "--out", str(workspace / "out")]}[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: pattern '^(a+)+$' nests unbounded quantifiers, which can take "
+        f"exponential time to match ({context})\n")
     assert not (workspace / "out").exists()
 
 

@@ -230,6 +230,29 @@ def test_format_class_sums_targets(person_snapshot):
     assert m.a == 9
 
 
+@pytest.mark.parametrize("columns, extra", [(["t"], [["a", "t"]]), (["t", "u"], [])],
+                         ids=["two-entities", "two-columns"])
+def test_multi_target_pairs_in_entity_ordinal_order(columns, extra):
+    """A format_class over targets scanned one after the other lists its
+    pairs in (entity, ordinal) order, as the per-row reference gives them
+    once sorted: entity z's own column before a's, or column t's failures
+    before u's."""
+    text = lambda name: ColumnSchema(name, "text", True)  # noqa: E731
+    z = Entity(EntitySchema("z", (text("t"), text("u"))),
+               {"t": ["1", "x", "2", "y"], "u": ["x", "3", "y", "4"]})
+    a = Entity(EntitySchema("a", (text("t"),)), {"t": ["x", "5", "y"]})
+    repo = Repository(SchemaCatalog((z.schema, a.schema)), {"z": z, "a": a}, "fp")
+    rs = parse_ruleset(make_ruleset(
+        [rule("r", "z", columns, "CONS_FORM", "format_class",
+              {"class": "digits", "extra_targets": extra})],
+        format_classes={"digits": "^[0-9]+$"}))
+    _, b, raw = reference_counts(rs.rules[0], repo, rs)
+    ordered = sorted(raw, key=lambda pair: (pair[0], pair[1]))
+    assert raw != ordered  # scanned target by target, out of order
+    assert eval_rule(rs.rules[0], repo, rs) == RuleMeasure("r", b - len(raw), b,
+                                                          ordered, len(raw))
+
+
 def test_failing_cap_keeps_true_total(person_snapshot, table3_ruleset, monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_FAILING_CAP", 0)
     m = eval_rule(table3_ruleset.rules[1], person_snapshot, table3_ruleset)

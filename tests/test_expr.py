@@ -6,14 +6,14 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import expr_reference as reference
 from dqeval.errors import ParseError
 from dqeval.expr import (_ARITH, _COMPARE, _FUNCS, And, Arith, Call, Column,
                          Compare, ExprTypeError, Literal, Neg, Not, Or,
-                         columns_referenced, evaluate, parse_expr, typecheck,
-                         unparse, validate_pattern)
+                         columns_referenced, compiled, evaluate, parse_expr,
+                         typecheck, unparse, validate_pattern)
 
 REF = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
@@ -97,6 +97,30 @@ def test_backreference_rejected():
         validate_pattern(r"(a)\1")
     with pytest.raises(ParseError):
         parse_expr(r"regex_match(name, '(a)\1')")
+
+
+@pytest.mark.parametrize("pattern", ["^(a+)+$", "(x*)*y", r"^(\d+)*$"])
+def test_nested_unbounded_quantifiers_rejected(pattern):
+    with pytest.raises(ValueError, match="nests unbounded quantifiers"):
+        validate_pattern(pattern)
+    with pytest.raises(ParseError, match="nests unbounded quantifiers"):
+        parse_expr(f"regex_match(name, '{pattern}')")
+
+
+def test_bundled_and_fixture_patterns_pass():
+    """Criterion 8's octet pattern, a bounded quantifier over a group, and
+    every pattern the bundled scenarios and the test fixtures use."""
+    from dqeval.scenarios import SCENARIOS, build_scenario
+    octet = "(25[0-5]|2[0-4][0-9]|[01]?[0-9][0-9]?)"
+    bundled = {r.kind.pattern for name in SCENARIOS
+               for r in build_scenario(name).ruleset.rules
+               if hasattr(r.kind, "pattern")}
+    assert "^[A-Z]{2}[0-9]{6}$" in bundled
+    fixtures = {"^[0-9]{8}[A-Z]$", "^[0-9A-Za-z]+$", "^S[0-9]{4}$", "^F[0-9]{4}$",
+                "^[0-9.]+$", "^a+$", "^[0-9]*$", "^.*$", ".*", "^$", "^[A-Z ]+$",
+                "^C[0-9]+$", "(a+){3}", "(ab)*", "a*b*c+", *_PATTERNS}
+    for pattern in {f"^{octet}(\\.{octet}){{3}}$", *bundled, *fixtures}:
+        validate_pattern(pattern)
 
 
 def test_unparsed_tail_is_error():
@@ -447,6 +471,33 @@ def test_evaluate_matches_reference(tree, row):
     got = evaluate(tree, row, REF)
     want = reference.evaluate(tree, row, REF)
     assert repr(got) == repr(want)  # value and type, Decimal exponent included
+
+
+def _cells(**values) -> dict:
+    return {c: values.get(c) for c in TYPED}
+
+
+# Pinned: a false `or` false, a comparison with null, `%` against a negative
+# divisor, age_days, and an in_set of literal members, one of them null.
+@example(Or(Compare("<", Column("i1"), Literal(0)), Literal(False)), [_cells(i1=5)])
+@example(Compare("=", Column("t1"), Literal(None)), [_cells(t1="a"), _cells()])
+@example(Compare("=", Arith("%", Column("i1"), Literal(-2)), Literal(1)),
+         [_cells(i1=7), _cells(i1=-7), _cells(i1=0)])
+@example(Compare("<", Call("age_days", (Column("s1"),)), Literal(2)),
+         [_cells(s1=datetime(2024, 5, 30, 12, 0, tzinfo=timezone.utc)), _cells()])
+@example(Call("in_set", (Column("d1"), Literal(None), Literal(3),
+                         Literal(Decimal("1.10")))),
+         [_cells(d1=Decimal("3")), _cells(d1=Decimal("1.1")), _cells(d1=Decimal("0"))])
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(["boolean", "boolean", "integer", "decimal", "text"])
+       .flatmap(typed_trees),
+       st.lists(rows, min_size=1, max_size=4))
+def test_compiled_matches_evaluate(tree, table):
+    """The compiled expression gives evaluate's value, and type, on every row."""
+    columns = {c: [row[c] for row in table] for c in TYPED}
+    f = compiled(tree, columns.__getitem__, REF)
+    assert repr([f(i) for i in range(len(table))]) == \
+        repr([evaluate(tree, row, REF) for row in table])
 
 
 def test_docs_name_exactly_the_functions():

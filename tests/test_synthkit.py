@@ -233,6 +233,30 @@ def test_violating_value_that_passes_rejected():
         generate(spec, catalog, rs, None)
 
 
+def test_predicate_verification_calls_the_reference_evaluator(tmp_path: Path,
+                                                              monkeypatch):
+    """Synth checks each generated row of a predicate rule through
+    expr.evaluate, the reference semantics, and never through the compiled
+    closures the engine runs: an oracle sharing the engine's code would
+    check nothing."""
+    from dqeval import expr
+    calls = []
+
+    def counted(e, row, reference_time):
+        calls.append(e)
+        return expr.evaluate(e, row, reference_time)
+
+    monkeypatch.setattr(synthkit, "evaluate", counted)
+    monkeypatch.setattr(expr, "compiled", None)
+    rs = parse_ruleset(make_ruleset([rule("p", "item", [], "CONS_SEMAN", "predicate",
+                                          {"expr": "qty <= 50"})]))
+    spec = _spec(rows=40, violations=[ViolationPlan("p", Decimal("0.25"),
+                                                    (("qty", 99),))])
+    expected = generate(spec, load_catalog(json.dumps(SCHEMA)), rs, tmp_path)
+    assert expected.measures == (("p", 30, 40),)
+    assert calls == [rs.rules[0].kind.expr] * 40
+
+
 def test_expected_roundtrip_and_discrepancies(tmp_path: Path):
     catalog = load_catalog(json.dumps(SCHEMA))
     from dqeval.rules import parse_ruleset
