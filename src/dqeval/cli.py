@@ -72,7 +72,6 @@ def _parse_name_list(raw: str | None, parser_fn, what: str):
 
 
 def _filter_rules(rs, chars, props):
-    import dataclasses
     rules = rs.rules
     if chars is not None:
         rules = tuple(r for r in rules if r.characteristic in chars)
@@ -81,7 +80,7 @@ def _filter_rules(rs, chars, props):
     if not rules:
         raise _CliError("no rules left after applying the characteristic/property "
                         "filters", EXIT_VALIDATION)
-    return dataclasses.replace(rs, rules=rules)
+    return rs.replace(rules=rules)
 
 
 def _scoring_config(args):

@@ -21,7 +21,6 @@ import codecs
 import hashlib
 import os
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, repeat
@@ -29,21 +28,19 @@ from pathlib import Path
 
 from . import canonical
 from .errors import LoadError, ParseError, UnknownColumn
-from .host import plain_name, write_atomic
+from .host import Record, plain_name, write_atomic
 from .values import DATATYPES, format_cell, parse_cell
 
 _NULL_TOKEN = "\\N"
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(Record):
     name: str
     datatype: str
     nullable: bool = False
 
 
-@dataclass(frozen=True)
-class EntitySchema:
+class EntitySchema(Record):
     name: str
     columns: tuple[ColumnSchema, ...]
     key: tuple[str, ...] = ()
@@ -58,8 +55,7 @@ class EntitySchema:
         return [c.name for c in self.columns]
 
 
-@dataclass(frozen=True)
-class SchemaCatalog:
+class SchemaCatalog(Record):
     entities: tuple[EntitySchema, ...]
 
     def get(self, name: str) -> EntitySchema | None:
@@ -510,8 +506,7 @@ def serialize_entity(entity: Entity) -> str:
 # --------------------------------------------------------------------------
 # Repository
 
-@dataclass(frozen=True)
-class Repository:
+class Repository(Record):
     catalog: SchemaCatalog
     entities: dict[str, Entity]
     fingerprint: str

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      InvalidOperation)
@@ -28,6 +27,7 @@ except ImportError:  # Python 3.10
 
 from .canonical import MAX_NUMBER_DIGITS, number_out_of_range
 from .errors import ParseError
+from .host import Record
 from .values import format_timestamp, parse_timestamp, value_type
 
 __all__ = [
@@ -47,57 +47,48 @@ class ExprTypeError(ValueError):
 # --------------------------------------------------------------------------
 # AST
 
-class Expr:
-    __slots__ = ()
+class Expr(Record):
+    """A node of an expression tree."""
 
 
-@dataclass(frozen=True)
 class Literal(Expr):
     value: object  # None | str | int | Decimal | bool | datetime
 
 
-@dataclass(frozen=True)
 class Column(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Compare(Expr):
     op: str  # = != < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Or(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
 class Arith(Expr):
     op: str  # + - * / %
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     func: str
     args: tuple[Expr, ...]
@@ -228,8 +219,7 @@ def _in_set(value, *members) -> bool | None:
     return any(type(m) is type(value) and value == m for m in members)
 
 
-@dataclass(frozen=True)
-class _Func:
+class _Func(Record):
     lo: int  # fewest arguments
     hi: int  # most arguments
     params: tuple[tuple[str, ...], ...]  # allowed datatypes per argument; later ones any
@@ -265,8 +255,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     pos: int
@@ -597,7 +586,8 @@ def _typecheck_call(e: Call, columns: dict[str, str]) -> str:
 
 
 def _children(e: Expr):
-    for value in vars(e).values():  # child nodes, and Call's tuple of them
+    for field in e._fields:  # child nodes, and Call's tuple of them
+        value = getattr(e, field)
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, Expr):
                 yield child

@@ -13,7 +13,6 @@ cross-entity kinds rely on the explicit record refs).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from itertools import zip_longest
@@ -22,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import canonical
 from .errors import DqError, FingerprintMismatch, ParseError, ScopeMismatch
-from .host import plain_name, write_atomic
+from .host import Record, plain_name, write_atomic
 from .taxonomy import Characteristic, parse_property
 from .values import format_timestamp, parse_timestamp
 
@@ -248,14 +247,14 @@ def record_writer(record_key: Callable[[str, int], dict], level: int,
 # Base measures and their document (full failing records; feeds the
 # improvement manifests)
 
-@dataclass(frozen=True)
-class RuleMeasure:
+class RuleMeasure(Record):
     rule_id: str
     a: int
     b: int
     failing: list[tuple[str, int | None]]  # (entity, ordinal); None: entity-level
     failing_total: int
-    elapsed: float = field(compare=False, default=0.0)
+    elapsed: float = 0.0
+    _uncompared = ("elapsed",)
 
     @property
     def ratio(self) -> Fraction | None:
@@ -267,15 +266,14 @@ def _no_keys(entity: str, row: int) -> dict:
     raise LookupError(f"no record keys for {entity} row {row}")
 
 
-@dataclass(frozen=True)
-class MeasureSet:
+class MeasureSet(Record):
     measures: dict[str, RuleMeasure]  # rule id → measure, in document order
     ruleset_fingerprint: str
     snapshot_fingerprint: str
     # (entity, row) → the record's key, column name → value: the repository's
     # key columns for an evaluated set, the parsed records for a parsed one
-    record_key: Callable[[str, int], dict] = field(
-        default=_no_keys, compare=False, repr=False)
+    record_key: Callable[[str, int], dict] = _no_keys
+    _uncompared = _unshown = ("record_key",)
 
     def __iter__(self):
         return iter(self.measures.values())

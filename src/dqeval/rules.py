@@ -10,12 +10,12 @@ docs/file-formats.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from decimal import Decimal
 
 from . import canonical
 from .errors import ParseError
+from .host import Record
 from .expr import (Expr, ExprTypeError, Literal, columns_referenced, comparable,
                    parse_expr, typecheck, unparse, validate_pattern)
 from .taxonomy import Characteristic, Property, parse_property
@@ -30,20 +30,17 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Each kind class is the one definition of its kind: `name` is its document
 # name, `properties` the properties it may be categorized under, and `arity`
 # what `columns` must hold ("one" column, "none", or "some": at least one).
-# Its fields are its params, named alike unless the field's metadata gives
-# another "param" name (None: not a param); "ref" marks an "entity.column"
-# reference.
+# Its fields are its params, named alike unless its `param_names` gives
+# another name (None: not a param); its `refs` are "entity.column" references.
 
-@dataclass(frozen=True)
-class Syntax:
+class Syntax(Record):
     pattern: str
     name = "syntax"
     properties = (Property.EXAC_SINT, Property.CONS_FORM)
     arity = "one"
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Record):
     min: object = None
     max: object = None
     min_inclusive: bool = True
@@ -53,67 +50,63 @@ class Range:
     arity = "one"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     allowed: tuple = ()
-    reference: tuple[str, str] | None = field(default=None, metadata={"ref": True})
+    reference: tuple[str, str] | None = None
     name = "domain"
     properties = (Property.EXAC_SEMAN, Property.CRED_VAL_DAT)
     arity = "one"
+    refs = ("reference",)
 
 
-@dataclass(frozen=True)
-class NotNull:
+class NotNull(Record):
     name = "not_null"
     properties = (Property.COMP_REG, Property.COMP_VAL_ESP)
     arity = "one"
 
 
-@dataclass(frozen=True)
-class NoDefault:
+class NoDefault(Record):
     placeholders: tuple = ()
     name = "no_default"
     properties = (Property.COMP_VAL_ESP,)
     arity = "one"
 
 
-@dataclass(frozen=True)
-class Unique:
+class Unique(Record):
     key: tuple[str, ...] = ()
     name = "unique"
     properties = (Property.FAL_COMP_FICH, Property.RIES_INCO)
     arity = "none"
 
 
-@dataclass(frozen=True)
-class MinCount:
+class MinCount(Record):
     threshold: int = 0
     name = "min_count"
     properties = (Property.COMP_FICH,)
     arity = "none"
 
 
-@dataclass(frozen=True)
-class ForeignKey:
-    referenced: tuple[str, str] = field(default=("", ""), metadata={"ref": True})
+class ForeignKey(Record):
+    referenced: tuple[str, str] = ("", "")
     name = "foreign_key"
     properties = (Property.INT_REF,)
     arity = "one"
+    refs = ("referenced",)
 
 
-@dataclass(frozen=True)
-class FormatClass:
-    class_name: str = field(default="", metadata={"param": "class"})
-    # resolved from the ruleset's format_classes, not written in the document
-    pattern: str = field(default="", metadata={"param": None})
+class FormatClass(Record):
+    class_name: str = ""
+    pattern: str = ""
     extra_targets: tuple[tuple[str, str], ...] = ()
     name = "format_class"
     properties = (Property.CONS_FORM,)
     arity = "some"
+    # the pattern is resolved from the ruleset's format_classes, not written
+    # in the document
+    param_names = {"class_name": "class", "pattern": None}
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record):
     expr: Expr = None
     name = "predicate"
     properties = (Property.CONS_SEMAN, Property.CRED_VAL_DAT, Property.CRED_FUEN,
@@ -121,23 +114,23 @@ class Predicate:
     arity = "none"
 
 
-@dataclass(frozen=True)
-class Freshness:
+class Freshness(Record):
     timestamp_column: str = ""
-    max_age_days: Decimal = field(default=Decimal(0), metadata={"param": "max_age"})
+    max_age_days: Decimal = Decimal(0)
     condition: Expr | None = None
     name = "freshness"
     properties = (Property.CONV_ACT,)
     arity = "none"
+    param_names = {"max_age_days": "max_age"}
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Frequency(Record):
     timestamp_column: str = ""
-    max_gap_days: Decimal = field(default=Decimal(0), metadata={"param": "max_gap"})
+    max_gap_days: Decimal = Decimal(0)
     name = "frequency"
     properties = (Property.FREC_ACT,)
     arity = "none"
+    param_names = {"max_gap_days": "max_gap"}
 
 
 KINDS: dict[str, type] = {k.name: k for k in (
@@ -145,15 +138,19 @@ KINDS: dict[str, type] = {k.name: k for k in (
     FormatClass, Predicate, Freshness, Frequency)}
 KIND_NAMES = tuple(KINDS)
 
-# Per kind: (field, param name, is an "entity.column" reference), field order.
-_PARAMS: dict[type, tuple[tuple[str, str, bool], ...]] = {
-    k: tuple((f.name, f.metadata.get("param", f.name), f.metadata.get("ref", False))
-             for f in fields(k) if f.metadata.get("param", f.name) is not None)
-    for k in KINDS.values()}
+
+def _params(kind: type) -> tuple[tuple[str, str, bool], ...]:
+    """(field, param name, is an "entity.column" reference), in field order."""
+    names = getattr(kind, "param_names", {})
+    refs = getattr(kind, "refs", ())
+    return tuple((f, names.get(f, f), f in refs)
+                 for f in kind._fields if names.get(f, f) is not None)
 
 
-@dataclass(frozen=True)
-class Rule:
+_PARAMS = {k: _params(k) for k in KINDS.values()}
+
+
+class Rule(Record):
     id: str
     entity: str
     columns: tuple[str, ...]
@@ -248,8 +245,7 @@ class Rule:
         return body
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     name: str
     version: str
     reference_time: datetime
@@ -257,8 +253,7 @@ class RuleSet:
     format_classes: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     level: str  # ERROR | WARNING
     rule_id: str | None
     message: str

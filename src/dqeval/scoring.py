@@ -15,12 +15,12 @@ verdict members as the document holds them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import NothingEvaluated, OutOfRange, ParseError
+from .host import Record
 from . import canonical
 from .reporting import _render_value
 from .taxonomy import Characteristic, Property, parse_characteristic
@@ -44,8 +44,7 @@ _BASE_CAPS = (
 )
 
 
-@dataclass(frozen=True)
-class LevelThresholds:
+class LevelThresholds(Record):
     """Four strictly increasing boundaries t1<t2<t3<t4 inside (0, 100)."""
     boundaries: tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -67,8 +66,7 @@ def default_thresholds() -> LevelThresholds:
     return LevelThresholds.of(*DEFAULT_THRESHOLDS)
 
 
-@dataclass(frozen=True)
-class ProfilingTable:
+class ProfilingTable(Record):
     """Per-range caps. caps[r][l-1] bounds the cumulative count of properties
     at level <= l for the range to be satisfied; None means unbounded.
     Range 0 is unconditional and must carry no caps."""
@@ -183,8 +181,7 @@ def certification_eligibility(characteristics: list[dict]) -> dict:
 # --------------------------------------------------------------------------
 # Configuration
 
-@dataclass(frozen=True)
-class ScoringConfig:
+class ScoringConfig(Record):
     thresholds: LevelThresholds
     profiles: tuple[tuple[Characteristic, ProfilingTable], ...] = ()
     aggregation: str = "micro"

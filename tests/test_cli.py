@@ -677,9 +677,9 @@ def registry_outputs(tmp_path_factory) -> Path:
     return s
 
 
-def _modules_after(argv: list[str]) -> tuple[int, set[str]]:
-    """main(argv)'s exit code in a fresh interpreter, and the dqeval modules
-    it has imported by then."""
+def _modules_after(argv: list[str], prefix: str = "dqeval") -> tuple[int, set[str]]:
+    """main(argv)'s exit code in a fresh interpreter, and the modules named
+    with prefix that it has imported by then."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
@@ -688,7 +688,7 @@ def _modules_after(argv: list[str]) -> tuple[int, set[str]]:
         f"    code = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('dqeval')))\n")
+        f"print(code, *sorted(m for m in sys.modules if m.startswith({prefix!r})))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
@@ -742,6 +742,30 @@ def test_validate_imports_no_engine_scoring_or_reporting(registry_outputs):
     assert exit_code == 0
     assert "dqeval.rules" in modules
     assert modules & {"dqeval.engine", "dqeval.scoring", "dqeval.reporting"} == set()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate", "improve", "certify",
+                                     "compare"])
+def test_commands_import_neither_dataclasses_nor_inspect(registry_outputs, tmp_path,
+                                                         command):
+    """The records of every layer are host.Record subclasses: defining them
+    as dataclasses, with dataclasses and inspect imported for them, cost
+    every start-up of dq evaluate about 33 ms of import time."""
+    s, out = registry_outputs, registry_outputs / "out"
+    argv = {"evaluate": ["evaluate", "--rules", str(s / "rules.json"), "--schema",
+                         str(s / "schema.json"), "--data", str(s / "snapshot"),
+                         "--out", str(tmp_path / "e"), "--jobs", "1"],
+            "validate": ["validate", "--rules", str(s / "rules.json"),
+                         "--schema", str(s / "schema.json")],
+            "improve": ["improve", "--report", str(out / "report.json"), "--measures",
+                        str(out / "measures.json"), "--out", str(tmp_path / "m")],
+            "certify": ["certify", str(out / "report.json")],
+            "compare": ["compare", str(out / "report.json"), str(out / "report.json"),
+                        "--out", str(tmp_path / "c")]}[command]
+    exit_code, modules = _modules_after(argv, prefix="")
+    assert exit_code == (2 if command == "certify" else 0)
+    assert "dqeval.host" in modules
+    assert modules & {"dataclasses", "inspect"} == set()
 
 
 # --------------------------------------------------------------------------

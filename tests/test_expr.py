@@ -366,23 +366,34 @@ def _leaf(draw, t: str):
     return Column(draw(st.sampled_from(_BY_TYPE[t])))
 
 
+# operands where `and`/`or`, and the sign of a remainder, are decided
+_FALSY = st.sampled_from([Literal(False), Not(Literal(True)), Literal(None),
+                          Column("b1"), Not(Column("b1"))])
+_NEGATIVE = st.sampled_from([-2, -3, -7]).map(Literal) | st.just(Neg(Column("i2")))
+
+
 @st.composite
 def typed_trees(draw, t: str = "boolean", depth: int = 0):
     """A well-typed expression of datatype t, using every operator and
-    function; a null operand may make it null, or integer arithmetic decimal."""
+    function; a null operand may make it null, or integer arithmetic decimal.
+    Connectives are drawn often, over operands that are often false or null,
+    and `/` and `%` often over a negative divisor: the cases where
+    three-valued logic and the remainder's sign show."""
     if depth >= 3 or draw(st.integers(0, 3)) == 0:
         return _leaf(draw, t)
     sub = lambda u: typed_trees(u, depth + 1)  # noqa: E731
     numeric = st.sampled_from(["integer", "decimal"])
     if t == "boolean":
-        choice = draw(st.integers(-2, 5))
+        choice = draw(st.integers(-2, 8))
         if choice <= 0:
             op = draw(st.sampled_from(sorted(_COMPARE)))
             u = draw(st.sampled_from(_ORDERED + ["boolean"] * (op in ("=", "!="))))
             v = draw(numeric) if u in ("integer", "decimal") else u
             return Compare(op, draw(sub(u)), draw(sub(v)))
-        if choice == 1:
-            return draw(st.sampled_from([And, Or]))(draw(sub("boolean")), draw(sub("boolean")))
+        if choice in (1, 6, 7, 8):  # an operand is falsy two times in three
+            operands = [draw(_FALSY) if draw(st.integers(0, 2)) else draw(sub("boolean"))
+                        for _ in range(2)]
+            return draw(st.sampled_from([And, Or]))(*operands)
         if choice == 2:
             return Not(draw(sub("boolean")))
         if choice == 3:
@@ -396,12 +407,16 @@ def typed_trees(draw, t: str = "boolean", depth: int = 0):
             Literal(None) if m == "null" else draw(sub(m))
             for m in draw(st.lists(members, min_size=n, max_size=n))))
     if t in ("integer", "decimal"):
-        choice = draw(st.integers(0, 3))
-        if choice == 0:
-            op = draw(st.sampled_from(sorted(_ARITH)))
-            if t == "integer" and op != "/":
-                return Arith(op, draw(sub("integer")), draw(sub("integer")))
-            return Arith(op, draw(sub(draw(numeric))), draw(sub(draw(numeric))))
+        choice = draw(st.integers(0, 4))
+        if choice in (0, 4):
+            op = draw(st.sampled_from(["/", "%"]) | st.sampled_from(sorted(_ARITH)))
+            u, v = (("integer", "integer") if t == "integer" and op != "/"
+                    else (draw(numeric), draw(numeric)))
+            if op == "%" and draw(st.booleans()):
+                u = v = "integer"  # the remainder's sign shows on integers
+            if op in ("/", "%") and draw(st.integers(0, 2)):  # two times in three
+                return Arith(op, draw(sub(u)), draw(_NEGATIVE))
+            return Arith(op, draw(sub(u)), draw(sub(v)))
         if choice == 1:
             return draw(st.sampled_from([Neg, lambda x: Call("abs", (x,))]))(draw(sub(t)))
         if t == "integer":
@@ -488,7 +503,7 @@ def _cells(**values) -> dict:
 @example(Call("in_set", (Column("d1"), Literal(None), Literal(3),
                          Literal(Decimal("1.10")))),
          [_cells(d1=Decimal("3")), _cells(d1=Decimal("1.1")), _cells(d1=Decimal("0"))])
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1200, deadline=None)
 @given(st.sampled_from(["boolean", "boolean", "integer", "decimal", "text"])
        .flatmap(typed_trees),
        st.lists(rows, min_size=1, max_size=4))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from datetime import datetime, timedelta, timezone
@@ -568,7 +567,7 @@ def test_selector_selects_failing_non_null_rows(body):
 
 def test_fingerprint_mismatch_rejected(table3_report):
     report, ms = table3_report
-    tampered = dataclasses.replace(ms, snapshot_fingerprint="deadbeef")
+    tampered = ms.replace(snapshot_fingerprint="deadbeef")
     with pytest.raises(FingerprintMismatch):
         build_improvement(report, tampered)
 
@@ -588,10 +587,9 @@ def _report_with_levels(person_snapshot, table3_ruleset, version: str,
                         degrade: bool):
     ms = eval_all(table3_ruleset, person_snapshot)
     if degrade:
-        measures = {rid: dataclasses.replace(m, a=m.a // 4)
-                    for rid, m in ms.measures.items()}
-        ms = dataclasses.replace(ms, measures=measures)
-    rs = dataclasses.replace(table3_ruleset, version=version)
+        measures = {rid: m.replace(a=m.a // 4) for rid, m in ms.measures.items()}
+        ms = ms.replace(measures=measures)
+    rs = table3_ruleset.replace(version=version)
     result = score_all(ms, rs, default_config())
     return build_report(rs, person_snapshot, ms, result, default_config(),
                         __version__)
@@ -630,8 +628,7 @@ def test_compare_antisymmetry(person_snapshot, table3_ruleset):
 
 def test_compare_missing_property_listed_removed(person_snapshot, table3_ruleset):
     full = _report_with_levels(person_snapshot, table3_ruleset, "1", degrade=False)
-    rs_one = dataclasses.replace(table3_ruleset, rules=table3_ruleset.rules[:1],
-                                 version="2")
+    rs_one = table3_ruleset.replace(rules=table3_ruleset.rules[:1], version="2")
     ms = eval_all(rs_one, person_snapshot)
     narrow = build_report(rs_one, person_snapshot, ms, score_all(ms, rs_one),
                           default_config(), __version__)

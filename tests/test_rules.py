@@ -579,3 +579,28 @@ def test_rule_targets_and_reference(kind, columns, params, targets, reference):
 
 def test_rule_target_cases_cover_every_kind():
     assert {case[0] for case in _TARGET_CASES} == set(KINDS)
+
+
+def test_params_table():
+    """Each kind's params, in the field order that serialize_ruleset writes
+    them in, and so the ruleset fingerprint follows."""
+    assert {k.name: v for k, v in _PARAMS.items()} == {
+        "syntax": (("pattern", "pattern", False),),
+        "range": (("min", "min", False), ("max", "max", False),
+                  ("min_inclusive", "min_inclusive", False),
+                  ("max_inclusive", "max_inclusive", False)),
+        "domain": (("allowed", "allowed", False), ("reference", "reference", True)),
+        "not_null": (),
+        "no_default": (("placeholders", "placeholders", False),),
+        "unique": (("key", "key", False),),
+        "min_count": (("threshold", "threshold", False),),
+        "foreign_key": (("referenced", "referenced", True),),
+        "format_class": (("class_name", "class", False),
+                         ("extra_targets", "extra_targets", False)),
+        "predicate": (("expr", "expr", False),),
+        "freshness": (("timestamp_column", "timestamp_column", False),
+                      ("max_age_days", "max_age", False),
+                      ("condition", "condition", False)),
+        "frequency": (("timestamp_column", "timestamp_column", False),
+                      ("max_gap_days", "max_gap", False)),
+    }

@@ -269,10 +269,8 @@ def test_expected_roundtrip_and_discrepancies(tmp_path: Path):
     assert expected_vs_actual(expected, ms) == []
 
     # hand-corrupt one count
-    import dataclasses
-    bad = dataclasses.replace(ms.measures["syn"], a=ms.measures["syn"].a - 1)
-    corrupted = dataclasses.replace(
-        ms, measures=dict(ms.measures, syn=bad))
+    bad = ms.measures["syn"].replace(a=ms.measures["syn"].a - 1)
+    corrupted = ms.replace(measures=dict(ms.measures, syn=bad))
     disc = expected_vs_actual(expected, corrupted)
     assert len(disc) == 1 and disc[0].rule_id == "syn"
 
