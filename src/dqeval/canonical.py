@@ -123,14 +123,19 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
+_TOO_DEEP = "arrays and objects nest deeper than the decoder's recursion allows"
+
+
 def loads(text: str):
     """Parse JSON keeping decimals exact (floats become Decimal). A number
-    whose exponent is beyond Decimal's limits is a ValueError, as malformed
-    JSON is."""
+    whose exponent is beyond Decimal's limits, or arrays and objects nested
+    too deeply to decode, are a ValueError, as malformed JSON is."""
     try:
         return json.loads(text, parse_float=Decimal)
     except InvalidOperation:
         raise ValueError("a number's exponent is out of range") from None
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 # The most digits a number in an input document or expression may have
@@ -165,14 +170,16 @@ def _document_decimal(literal: str) -> Decimal:
 
 def load_document(text: str):
     """`loads` for input documents: malformed JSON is a ParseError naming its
-    line and column, and so is a number too long to write out in full (see
-    MAX_NUMBER_DIGITS)."""
+    line and column, a number too long to write out in full (see
+    MAX_NUMBER_DIGITS) is one, and so is nesting too deep to decode."""
     try:
         return json.loads(text, parse_int=_document_int,
                           parse_float=_document_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
                          column=exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"malformed JSON: {_TOO_DEEP}") from None
 
 
 def sha256_text(text: str) -> str:

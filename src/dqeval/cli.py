@@ -134,10 +134,7 @@ def cmd_evaluate(args) -> int:
     except LoadError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from None
 
-    try:
-        ms = eval_all(rs, repo, jobs=args.jobs)
-    except EvalError as exc:
-        raise _CliError(str(exc), EXIT_EVAL) from None
+    ms = eval_all(rs, repo, jobs=args.jobs)
     try:
         result = score_all(ms, rs, config)
     except NothingEvaluated as exc:

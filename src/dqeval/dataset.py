@@ -310,17 +310,13 @@ def _split_block(records: list[str], quoted: bool, n_cols: int, first_row: int):
     if not quoted and set(map(str.count, records, repeat(","))) == {n_cols - 1}:
         fields = ",".join(records).split(",")
         return [fields[j::n_cols] for j in range(n_cols)], None
-    if quoted:
-        rows = []
-        try:
-            for record in records:
-                rows.append(_split(record))
-        except LoadError as exc:
-            error = exc
-        else:
-            error = None
+    rows = []
+    try:
+        for record in records:
+            rows.append(_split(record))
+    except LoadError as exc:
+        error = exc
     else:
-        rows = [record.split(",") for record in records]
         error = None
     if set(map(len, rows)) - {n_cols}:
         for i, fields in enumerate(rows):

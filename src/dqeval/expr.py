@@ -34,10 +34,16 @@ __all__ = [
     "Expr", "Literal", "Column", "Compare", "And", "Or", "Not", "Arith",
     "Neg", "Call", "parse_expr", "unparse", "typecheck", "evaluate",
     "compiled", "columns_referenced", "node_count", "validate_pattern",
-    "ExprTypeError",
+    "ExprTypeError", "MAX_EXPR_DEPTH",
 ]
 
 KEYWORDS = {"and", "or", "not", "true", "false", "null", "ts"}
+
+# How deeply an expression's tree, and its parentheses, prefix operators,
+# call arguments and operands, may nest: the parser and every walk over a
+# tree recurse a few frames per level, and Python's stack holds about a
+# thousand.
+MAX_EXPR_DEPTH = 100
 
 
 class ExprTypeError(ValueError):
@@ -68,11 +74,13 @@ class Compare(Expr):
 class And(Expr):
     left: Expr
     right: Expr
+    op = "and"  # not annotated: the operator's text, as Compare and Arith hold it
 
 
 class Or(Expr):
     left: Expr
     right: Expr
+    op = "or"
 
 
 class Not(Expr):
@@ -188,6 +196,15 @@ _ARITH = {"+": _exact(operator.add, _EXACT.add),
           "*": _exact(operator.mul, _EXACT.multiply),
           "/": _divide, "%": _exact(_int_mod, _EXACT.remainder)}
 
+# Precedence levels, loosest first; and each binary operator's level and the
+# node it builds from its two operands. The parser and the unparser read
+# precedence from these alone.
+_LEVEL = {"or": 1, "and": 2, "not": 3, "cmp": 4, "sum": 5, "term": 6, "neg": 7, "atom": 8}
+_BINARY = {"or": (_LEVEL["or"], Or), "and": (_LEVEL["and"], And),
+           **{op: (_LEVEL["cmp"], functools.partial(Compare, op)) for op in _COMPARE},
+           **{op: (_LEVEL["sum" if op in "+-" else "term"], functools.partial(Arith, op))
+              for op in _ARITH}}
+
 
 def _substr(text: str, start: int, length: int | None = None) -> str:
     start = max(start, 1) - 1  # 1-based start, clamped
@@ -285,6 +302,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.nesting = -1  # of expr() calls: the whole expression is at 0
 
     @property
     def tok(self) -> _Token:
@@ -300,69 +318,50 @@ class _Parser:
                          column=self.tok.pos + 1)
 
     def expect_op(self, text: str) -> None:
-        if self.tok.kind != "op" or self.tok.text != text:
+        if not self.at_op(text):
             self.fail(f"expected {text!r}")
         self.advance()
 
-    def at_op(self, *texts: str) -> bool:
-        return self.tok.kind == "op" and self.tok.text in texts
+    def at_op(self, text: str) -> bool:
+        return self.tok.kind == "op" and self.tok.text == text
 
     def at_keyword(self, word: str) -> bool:
         return self.tok.kind == "ident" and self.tok.text == word
 
-    # precedence climbing, lowest first
     def parse(self) -> Expr:
-        e = self.or_expr()
+        e = self.expr(_LEVEL["or"])
         if self.tok.kind != "eof":
             self.fail(f"unparsed input starting at {self.tok.text!r}")
+        # a tree deeper than the limit needs more operator tokens than that
+        if len(self.tokens) > MAX_EXPR_DEPTH and _depth(e) > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels "
+                             f"in expression {self.source!r}", column=1)
         return e
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.at_keyword("or"):
+    def expr(self, level: int) -> Expr:
+        """The longest expression from here whose operators are at `level` or
+        above: a prefix `not` or `-`, or a primary, then binary operators by
+        precedence climbing over _BINARY (Pratt, Top Down Operator
+        Precedence, POPL 1973)."""
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        below = _LEVEL["atom"]  # operators that may follow: those below this level
+        if level <= _LEVEL["not"] and self.at_keyword("not"):
             self.advance()
-            e = Or(e, self.and_expr())
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.not_expr()
-        while self.at_keyword("and"):
+            left, below = Not(self.expr(_LEVEL["not"])), _LEVEL["not"] + 1
+        elif self.at_op("-"):
             self.advance()
-            e = And(e, self.not_expr())
-        return e
-
-    def not_expr(self) -> Expr:
-        if self.at_keyword("not"):
+            left = Neg(self.expr(_LEVEL["neg"]))
+        else:
+            left = self.primary()
+        while (binary := _BINARY.get(self.tok.text)) and level <= binary[0] < below:
             self.advance()
-            return Not(self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        e = self.sum_expr()
-        if self.at_op(*_COMPARE):
-            op = self.advance().text
-            return Compare(op, e, self.sum_expr())
-        return e
-
-    def sum_expr(self) -> Expr:
-        e = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            e = Arith(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.at_op("*", "/", "%"):
-            op = self.advance().text
-            e = Arith(op, e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.factor())
-        return self.primary()
+            p, build = binary
+            left = build(left, self.expr(p + 1))  # left-associative
+            below = p if p == _LEVEL["cmp"] else p + 1  # comparisons do not chain
+        self.nesting -= 1
+        return left
 
     def primary(self) -> Expr:
         t = self.tok
@@ -377,7 +376,7 @@ class _Parser:
             return Literal(t.text[1:-1].replace("''", "'"))
         if t.kind == "op" and t.text == "(":
             self.advance()
-            e = self.or_expr()
+            e = self.expr(_LEVEL["or"])
             self.expect_op(")")
             return e
         if t.kind == "ident":
@@ -417,10 +416,10 @@ class _Parser:
         self.expect_op("(")
         args: list[Expr] = []
         if not self.at_op(")"):
-            args.append(self.or_expr())
+            args.append(self.expr(_LEVEL["or"]))
             while self.at_op(","):
                 self.advance()
-                args.append(self.or_expr())
+                args.append(self.expr(_LEVEL["or"]))
         self.expect_op(")")
         if not (func.lo <= len(args) <= func.hi):
             expected = str(func.lo) if func.lo == func.hi else f"{func.lo}..{func.hi}"
@@ -445,9 +444,6 @@ def parse_expr(source: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # Unparser (canonical text; parse(unparse(e)) == e)
-
-_LEVEL = {"or": 1, "and": 2, "not": 3, "cmp": 4, "sum": 5, "term": 6, "neg": 7, "atom": 8}
-
 
 def _quote(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
@@ -476,22 +472,13 @@ def _unparse(e: Expr) -> tuple[str, int]:
         return f"{e.func}({args})", _LEVEL["atom"]
     if isinstance(e, Neg):
         return "-" + _wrap(e.operand, _LEVEL["neg"]), _LEVEL["neg"]
-    if isinstance(e, Arith):
-        lvl = _LEVEL["term"] if e.op in "*/%" else _LEVEL["sum"]
-        left = _wrap(e.left, lvl)
-        right = _wrap(e.right, lvl + 1)  # left-assoc: parenthesize equal-level right
-        return f"{left} {e.op} {right}", lvl
-    if isinstance(e, Compare):
-        lvl = _LEVEL["cmp"]
-        return f"{_wrap(e.left, lvl + 1)} {e.op} {_wrap(e.right, lvl + 1)}", lvl
     if isinstance(e, Not):
         return "not " + _wrap(e.operand, _LEVEL["not"]), _LEVEL["not"]
-    if isinstance(e, And):
-        lvl = _LEVEL["and"]
-        return f"{_wrap(e.left, lvl)} and {_wrap(e.right, lvl + 1)}", lvl
-    if isinstance(e, Or):
-        lvl = _LEVEL["or"]
-        return f"{_wrap(e.left, lvl)} or {_wrap(e.right, lvl + 1)}", lvl
+    if isinstance(e, (Or, And, Compare, Arith)):
+        lvl = _BINARY[e.op][0]
+        left = _wrap(e.left, lvl + (lvl == _LEVEL["cmp"]))  # comparisons do not chain
+        right = _wrap(e.right, lvl + 1)  # left-assoc: parenthesize equal-level right
+        return f"{left} {e.op} {right}", lvl
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -602,6 +589,17 @@ def columns_referenced(e: Expr) -> set[str]:
     for child in _children(e):
         out |= columns_referenced(child)
     return out
+
+
+def _depth(e: Expr) -> int:
+    """How many levels below its root the tree reaches, counted level by
+    level: a recursive walk would exhaust the stack on the trees this
+    bounds."""
+    depth, level = 0, list(_children(e))
+    while level:
+        depth += 1
+        level = [c for n in level for c in _children(n)]
+    return depth
 
 
 def node_count(e: Expr) -> int:

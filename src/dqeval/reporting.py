@@ -256,11 +256,6 @@ class RuleMeasure(Record):
     elapsed: float = 0.0
     _uncompared = ("elapsed",)
 
-    @property
-    def ratio(self) -> Fraction | None:
-        """Exact compliance ratio A/B, or None when not applicable (B = 0)."""
-        return None if self.b == 0 else Fraction(self.a, self.b)
-
 
 def _no_keys(entity: str, row: int) -> dict:
     raise LookupError(f"no record keys for {entity} row {row}")

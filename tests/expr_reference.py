@@ -1,11 +1,13 @@
-"""The row-expression checker and interpreter as they were before the
-function and operator tables: one if-branch per function and per operator.
+"""The row-expression parser as it was before the precedence table: one
+recursive-descent method per precedence level; and the checker and
+interpreter as they were before the function and operator tables: one
+if-branch per function and per operator.
 
 Kept verbatim as a test oracle for `dqeval.expr` (see the properties in
-tests/test_expr.py), with two changes: integer `%` takes the dividend's sign,
-as decimal `%` and SQL `MOD` do; and `+ - * %`, unary minus and `abs` run in
-a context that never rounds, so only `/` and the day differences round to 28
-digits. Do not import this from `src/`.
+tests/test_expr.py), with two changes to the interpreter: integer `%` takes
+the dividend's sign, as decimal `%` and SQL `MOD` do; and `+ - * %`, unary
+minus and `abs` run in a context that never rounds, so only `/` and the day
+differences round to 28 digits. Do not import this from `src/`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,179 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      InvalidOperation, localcontext)
 from fractions import Fraction
 
-from dqeval.expr import (And, Arith, Call, Column, Compare, Expr, ExprTypeError,
-                         Literal, Neg, Not, Or)
-from dqeval.values import value_type
+from dqeval.errors import ParseError
+from dqeval.expr import (_COMPARE, _FUNCS, KEYWORDS, And, Arith, Call, Column,
+                         Compare, Expr, ExprTypeError, Literal, Neg, Not, Or,
+                         _tokenize, _Token, validate_pattern)
+from dqeval.values import parse_timestamp, value_type
 
 _SECONDS_PER_DAY = Decimal(86400)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+# --------------------------------------------------------------------------
+# Parsing
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.i = 0
+
+    @property
+    def tok(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def fail(self, message: str):
+        raise ParseError(f"{message} in expression {self.source!r}",
+                         column=self.tok.pos + 1)
+
+    def expect_op(self, text: str) -> None:
+        if self.tok.kind != "op" or self.tok.text != text:
+            self.fail(f"expected {text!r}")
+        self.advance()
+
+    def at_op(self, *texts: str) -> bool:
+        return self.tok.kind == "op" and self.tok.text in texts
+
+    def at_keyword(self, word: str) -> bool:
+        return self.tok.kind == "ident" and self.tok.text == word
+
+    # precedence climbing, lowest first
+    def parse(self) -> Expr:
+        e = self.or_expr()
+        if self.tok.kind != "eof":
+            self.fail(f"unparsed input starting at {self.tok.text!r}")
+        return e
+
+    def or_expr(self) -> Expr:
+        e = self.and_expr()
+        while self.at_keyword("or"):
+            self.advance()
+            e = Or(e, self.and_expr())
+        return e
+
+    def and_expr(self) -> Expr:
+        e = self.not_expr()
+        while self.at_keyword("and"):
+            self.advance()
+            e = And(e, self.not_expr())
+        return e
+
+    def not_expr(self) -> Expr:
+        if self.at_keyword("not"):
+            self.advance()
+            return Not(self.not_expr())
+        return self.comparison()
+
+    def comparison(self) -> Expr:
+        e = self.sum_expr()
+        if self.at_op(*_COMPARE):
+            op = self.advance().text
+            return Compare(op, e, self.sum_expr())
+        return e
+
+    def sum_expr(self) -> Expr:
+        e = self.term()
+        while self.at_op("+", "-"):
+            op = self.advance().text
+            e = Arith(op, e, self.term())
+        return e
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while self.at_op("*", "/", "%"):
+            op = self.advance().text
+            e = Arith(op, e, self.factor())
+        return e
+
+    def factor(self) -> Expr:
+        if self.at_op("-"):
+            self.advance()
+            return Neg(self.factor())
+        return self.primary()
+
+    def primary(self) -> Expr:
+        t = self.tok
+        if t.kind == "int":
+            self.advance()
+            return Literal(int(t.text))
+        if t.kind == "decimal":
+            self.advance()
+            return Literal(Decimal(t.text))
+        if t.kind == "string":
+            self.advance()
+            return Literal(t.text[1:-1].replace("''", "'"))
+        if t.kind == "op" and t.text == "(":
+            self.advance()
+            e = self.or_expr()
+            self.expect_op(")")
+            return e
+        if t.kind == "ident":
+            word = t.text
+            if word == "true":
+                self.advance()
+                return Literal(True)
+            if word == "false":
+                self.advance()
+                return Literal(False)
+            if word == "null":
+                self.advance()
+                return Literal(None)
+            if word == "ts":
+                self.advance()
+                if self.tok.kind != "string":
+                    self.fail("expected quoted timestamp after ts")
+                raw = self.advance().text[1:-1].replace("''", "'")
+                try:
+                    return Literal(parse_timestamp(raw))
+                except ValueError as exc:
+                    raise ParseError(str(exc), column=t.pos + 1) from None
+            if word in KEYWORDS:
+                self.fail(f"keyword {word!r} cannot be used here")
+            self.advance()
+            if self.at_op("("):
+                return self.call(word, t.pos)
+            return Column(word)
+        self.fail(f"unexpected token {t.text!r}" if t.kind != "eof"
+                  else "unexpected end of expression")
+
+    def call(self, name: str, pos: int) -> Expr:
+        func = _FUNCS.get(name)
+        if func is None:
+            raise ParseError(f"unknown function {name!r} in expression {self.source!r}",
+                             column=pos + 1)
+        self.expect_op("(")
+        args: list[Expr] = []
+        if not self.at_op(")"):
+            args.append(self.or_expr())
+            while self.at_op(","):
+                self.advance()
+                args.append(self.or_expr())
+        self.expect_op(")")
+        if not (func.lo <= len(args) <= func.hi):
+            expected = str(func.lo) if func.lo == func.hi else f"{func.lo}..{func.hi}"
+            raise ParseError(f"{name} takes {expected} argument(s), got {len(args)}"
+                             f" in expression {self.source!r}", column=pos + 1)
+        if name == "regex_match":
+            pat = args[1]
+            if not (isinstance(pat, Literal) and isinstance(pat.value, str)):
+                raise ParseError("regex_match pattern must be a text literal in "
+                                 f"expression {self.source!r}", column=pos + 1)
+            try:
+                validate_pattern(pat.value)
+            except ValueError as exc:
+                raise ParseError(str(exc), column=pos + 1) from None
+        return Call(name, tuple(args))
+
+
+def parse_expr(source: str) -> Expr:
+    return _Parser(source).parse()
 
 
 # --------------------------------------------------------------------------

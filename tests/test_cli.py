@@ -11,7 +11,8 @@ import pytest
 
 from conftest import (PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, growing_reader,
                       make_ruleset, rule)
-from dqeval import __version__, canonical
+from dqeval import __version__, canonical, engine
+from dqeval.errors import EvalError
 from dqeval.cli import build_parser, main
 from dqeval.scenarios import write_scenario
 
@@ -83,6 +84,17 @@ def test_evaluate_exit_0_even_when_quality_poor(workspace):
         rule("r", "person", ["id"], "EXAC_SINT", "syntax",
              {"pattern": "^NEVER$"})]))
     assert _evaluate(workspace) == 0
+
+
+def test_evaluate_error_exits_4(workspace, capsys, monkeypatch):
+    """An evaluation error is printed once and exits 4, before any output
+    is written."""
+    def fail(*args, **kwargs):
+        raise EvalError("rule 'r1': worker died")
+    monkeypatch.setattr(engine, "eval_all", fail)
+    assert _evaluate(workspace) == 4
+    assert capsys.readouterr().err == "error: rule 'r1': worker died\n"
+    assert not (workspace / "out" / "report.json").exists()
 
 
 def test_evaluate_chars_filter(workspace):
@@ -231,6 +243,45 @@ def test_number_beyond_decimal_limits_is_an_input_error(workspace, capsys):
     (workspace / "config.json").write_text('{"thresholds": [20, 40, 70, %s]}' % huge)
     assert _evaluate(workspace, "--config", str(workspace / "config.json")) == 3
     assert capsys.readouterr().err == f"error: malformed config: number {huge} {_OUT_OF_RANGE}\n"
+
+
+_TOO_DEEP = "arrays and objects nest deeper than the decoder's recursion allows"
+
+
+@pytest.mark.parametrize("document, code, message", [
+    ("rules", 3, f"malformed JSON: {_TOO_DEEP}"),
+    ("schema", 3, f"malformed JSON: {_TOO_DEEP}"),
+    ("config", 3, f"malformed config: malformed JSON: {_TOO_DEEP}"),
+    ("certify-report", 1, f"malformed report: {_TOO_DEEP}"),
+    ("compare-report", 1, f"malformed report: {_TOO_DEEP}"),
+    ("improve-report", 1, f"malformed report: {_TOO_DEEP}"),
+    ("improve-measures", 1, f"invalid measures document: {_TOO_DEEP}"),
+])
+def test_json_nested_too_deep_is_an_input_error(workspace, capsys, document, code,
+                                                message):
+    """100,000 nested arrays exhaust the JSON decoder's recursion: every
+    document a command reads refuses them with a message, not a traceback."""
+    _evaluate(workspace)
+    deep, out = str(workspace / "deep.json"), workspace / "out"
+    (workspace / "deep.json").write_text("[" * 100_000)
+    rules, schema = str(workspace / "rules.json"), str(workspace / "schema.json")
+    report, measures = str(out / "report.json"), str(out / "measures.json")
+    argv = {
+        "rules": ["validate", "--rules", deep, "--schema", schema],
+        "schema": ["validate", "--rules", rules, "--schema", deep],
+        "config": ["evaluate", "--rules", rules, "--schema", schema, "--data",
+                   str(workspace / "snapshot"), "--out", str(workspace / "o2"),
+                   "--config", deep],
+        "certify-report": ["certify", deep],
+        "compare-report": ["compare", report, deep],
+        "improve-report": ["improve", "--report", deep, "--measures", measures,
+                           "--out", str(workspace / "m")],
+        "improve-measures": ["improve", "--report", report, "--measures", deep,
+                             "--out", str(workspace / "m")],
+    }[document]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_number_beyond_bounds_exits_3_at_once(workspace):
@@ -1064,6 +1115,32 @@ def test_catastrophic_pattern_exits_3(workspace, capsys, command, body,
     assert capsys.readouterr().err == (
         "error: pattern '^(a+)+$' nests unbounded quantifiers, which can take "
         f"exponential time to match ({context})\n")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "synth"])
+@pytest.mark.parametrize("source", ["(" * 130 + "age > 0" + ")" * 130,
+                                    " + ".join(["age"] * 1000) + " > 0"],
+                         ids=["130-parentheses", "1000-term-sum"])
+def test_expression_nested_too_deep_exits_3(workspace, capsys, command, source):
+    """Parentheses nested 130 deep once exhausted the parser's recursion,
+    and a 1000-term sum every walk over its tree: each is refused while the
+    ruleset is read, naming the limit."""
+    (workspace / "rules.json").write_text(make_ruleset(
+        [rule("p", "person", [], "CONS_SEMAN", "predicate", {"expr": source})]))
+    (workspace / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"person": {"rows": 1, "columns": {}}}}))
+    files = ["--rules", str(workspace / "rules.json"),
+             "--schema", str(workspace / "schema.json")]
+    argv = {"validate": ["validate", *files],
+            "evaluate": ["evaluate", *files, "--data", str(workspace / "snapshot"),
+                         "--out", str(workspace / "out")],
+            "synth": ["synth", "--spec", str(workspace / "spec.json"), *files,
+                      "--out", str(workspace / "out")]}[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: expression nests deeper than 100 levels in expression {source!r} "
+        "(rules[0] (id 'p').params.expr)\n")
     assert not (workspace / "out").exists()
 
 

@@ -9,7 +9,6 @@ import sys
 import time
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -50,7 +49,6 @@ def _measure(document: str, repo, rule_index: int = 0):
 def test_syntax_over_person_ids(person_snapshot, table3_ruleset):
     m = eval_rule(table3_ruleset.rules[0], person_snapshot, table3_ruleset)
     assert (m.a, m.b) == (3, 4)
-    assert m.ratio == Fraction(3, 4)
     assert m.failing == [("person", 2)]
     assert _written(table3_ruleset, person_snapshot)[0] == [
         {"entity": "person", "row": 2, "key": {"id": "1234"}}]
@@ -78,7 +76,6 @@ def test_empty_entity_not_applicable(person_catalog, tmp_path: Path):
         m, _ = _measure(make_ruleset([rule("r", "person", cols, prop, kind,
                                            params)]), repo)
         assert (m.a, m.b) == (0, 0)
-        assert m.ratio is None and m.b == 0
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import expr_reference as reference
 from dqeval.errors import ParseError
-from dqeval.expr import (_ARITH, _COMPARE, _FUNCS, And, Arith, Call, Column,
-                         Compare, ExprTypeError, Literal, Neg, Not, Or,
-                         columns_referenced, compiled, evaluate, parse_expr,
-                         typecheck, unparse, validate_pattern)
+from dqeval.expr import (_ARITH, _COMPARE, _FUNCS, MAX_EXPR_DEPTH, And, Arith,
+                         Call, Column, Compare, ExprTypeError, Literal, Neg, Not,
+                         Or, columns_referenced, compiled, evaluate, node_count,
+                         parse_expr, typecheck, unparse, validate_pattern)
 
 REF = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
@@ -131,6 +131,69 @@ def test_unparsed_tail_is_error():
 def test_keyword_cannot_be_column():
     with pytest.raises(ParseError):
         parse_expr("not")
+
+
+# the precedence table against the recursive-descent parser it replaced
+# (tests/expr_reference.py), on token strings valid and invalid
+
+_TOKENS = ["a", "b", "1", "2.5", "'x'", "ts'2024-01-01T00:00:00Z'", "ts'bad'",
+           "true", "null", "and", "or", "not", "=", "!=", "<", ">=", "+", "-", "*",
+           "/", "%", "(", ")", ",", "abs", "in_set", "regex_match", "nofunc", "$",
+           "ts"]
+
+
+def _parsed(parse, source: str):
+    """The tree, or the ParseError's message and column."""
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc), exc.column
+
+
+@example("'x' or 'x' >= ts'2024-01-01T00:00:00Z' < 'x'")
+@example("a < b < c")
+@example("not a = b = c")
+@example("a = not b")
+@example("- not a")
+@example("1 + 2 3")
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=12).map(" ".join))
+def test_parse_matches_reference(source):
+    outcome = _parsed(parse_expr, source)
+    assert outcome == _parsed(reference.parse_expr, source)
+    if not isinstance(outcome, tuple):
+        assert parse_expr(unparse(outcome)) == outcome
+
+
+# Each shape nests `n` levels deep: as parentheses, as a chain of prefix
+# operators, as a left-deep chain of `+`, and as calls; with its value on
+# i1 = 3, b1 = true, and its node count at the limit.
+_NESTED = {
+    "parentheses": (lambda n: "(" * n + "i1" + ")" * n, 3, 1),
+    "not": (lambda n: "not " * n + "b1", True, 101),
+    "minus": (lambda n: "- " * n + "i1", 3, 101),
+    "left-deep": (lambda n: " + ".join(["i1"] * (n + 1)), 303, 201),
+    "calls": (lambda n: "abs(" * n + "i1" + ")" * n, 3, 101),
+}
+
+
+@pytest.mark.parametrize("shape", _NESTED)
+def test_nesting_at_the_limit_is_accepted(shape):
+    build, value, nodes = _NESTED[shape]
+    e = parse_expr(build(MAX_EXPR_DEPTH))
+    assert parse_expr(unparse(e)) == e
+    assert node_count(e) == nodes
+    typecheck(e, TYPED)
+    row = {"i1": 3, "b1": True}
+    assert evaluate(e, row, REF) == value
+    assert compiled(e, lambda name: [row[name]], REF)(0) == value
+
+
+@pytest.mark.parametrize("shape", _NESTED)
+def test_nesting_beyond_the_limit_is_refused(shape):
+    build = _NESTED[shape][0]
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_EXPR_DEPTH} levels"):
+        parse_expr(build(MAX_EXPR_DEPTH + 1))
 
 
 # --------------------------------------------------------------------------
