@@ -141,20 +141,15 @@ def _freshness_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     return lambda v: v is not None and v >= cutoff
 
 
+# Each per-value kind's builder of its pass/fail test on `entity`, a pure
+# function of the value: literals coerced, regex compiled, reference set and
+# freshness cutoff built once.
 _VALUE_CHECKS = {
     Syntax: _pattern_check, FormatClass: _pattern_check, Range: _range_check,
     Domain: _domain_check, NotNull: _not_null_check,
     NoDefault: _no_default_check, ForeignKey: _domain_check,
     Freshness: _freshness_check,
 }
-
-
-def value_check(rule: Rule, entity: Entity, rs: RuleSet,
-                repo: Repository) -> Callable[[object], bool]:
-    """The pass/fail test of one per-value rule on `entity`, a pure function of
-    the value: literals coerced, regex compiled, reference set and freshness
-    cutoff built once."""
-    return _VALUE_CHECKS[type(rule.kind)](rule, entity, rs, repo)
 
 
 def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
@@ -173,7 +168,7 @@ def _scan_column(rule: Rule, entity: Entity, rs: RuleSet, column: str, check):
 
 def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     """The per-value kinds over the rule's (entity, column) targets."""
-    check = value_check(rule, entity, rs, repo)
+    check = _VALUE_CHECKS[type(rule.kind)](rule, entity, rs, repo)
     b = 0
     raw: list[tuple[str, int | None]] = []
     for ent_name, column in rule.targets:

@@ -10,9 +10,10 @@ class DqError(Exception):
 class ParseError(DqError):
     """Malformed rules document, schema catalog, or expression text.
 
-    `line`/`column` are set when the underlying decoder knows them (JSON
-    syntax errors, expression tokenizer); `context` is a path such as
-    ``rules[3].property`` for errors found after decoding.
+    `line`/`column` are set when the underlying decoder knows them: both
+    for JSON syntax errors, the 1-based column alone for expression text;
+    `context` is a path such as ``rules[3].property`` for errors found after
+    decoding.
     """
 
     def __init__(self, message: str, *, line: int | None = None,
@@ -24,11 +25,10 @@ class ParseError(DqError):
         super().__init__(str(self))
 
     def __str__(self) -> str:
-        loc = ""
-        if self.line is not None:
-            loc = f" at line {self.line}"
-            if self.column is not None:
-                loc += f", column {self.column}"
+        parts = [] if self.line is None else [f"line {self.line}"]
+        if self.column is not None:
+            parts.append(f"column {self.column}")
+        loc = f" at {', '.join(parts)}" if parts else ""
         ctx = f" ({self.context})" if self.context else ""
         return f"{self.message}{loc}{ctx}"
 

@@ -75,12 +75,14 @@ class And(Expr):
     left: Expr
     right: Expr
     op = "and"  # not annotated: the operator's text, as Compare and Arith hold it
+    settles = False  # not annotated: the operand value that decides the result alone
 
 
 class Or(Expr):
     left: Expr
     right: Expr
     op = "or"
+    settles = True
 
 
 class Not(Expr):
@@ -195,6 +197,8 @@ _ARITH = {"+": _exact(operator.add, _EXACT.add),
           "-": _exact(operator.sub, _EXACT.subtract),
           "*": _exact(operator.mul, _EXACT.multiply),
           "/": _divide, "%": _exact(_int_mod, _EXACT.remainder)}
+_OPERATORS = {**_COMPARE, **_ARITH}
+_PREFIX = {Not: operator.not_, Neg: _negate}
 
 # Precedence levels, loosest first; and each binary operator's level and the
 # node it builds from its two operands. The parser and the unparser read
@@ -619,46 +623,26 @@ def evaluate(e: Expr, row, reference_time: datetime):
         return e.value
     if isinstance(e, Column):
         return row[e.name]
-    if isinstance(e, And):
+    if isinstance(e, (And, Or)):  # three-valued: a settling side decides, else a null one
+        settles = e.settles
         left = evaluate(e.left, row, reference_time)
-        if left is False:
-            return False
+        if left is settles:
+            return settles
         right = evaluate(e.right, row, reference_time)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if isinstance(e, Or):
-        left = evaluate(e.left, row, reference_time)
-        if left is True:
-            return True
-        right = evaluate(e.right, row, reference_time)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    if isinstance(e, Not):
+        if right is settles:
+            return settles
+        return None if left is None or right is None else not settles
+    if type(e) in _PREFIX:
         v = evaluate(e.operand, row, reference_time)
-        return None if v is None else not v
-    if isinstance(e, Compare):
-        left = evaluate(e.left, row, reference_time)
-        right = evaluate(e.right, row, reference_time)
-        if left is None or right is None:
-            return None
-        return _COMPARE[e.op](left, right)
-    if isinstance(e, Neg):
-        v = evaluate(e.operand, row, reference_time)
-        return None if v is None else _negate(v)
-    if isinstance(e, Arith):
+        return None if v is None else _PREFIX[type(e)](v)
+    if isinstance(e, (Compare, Arith)):
         left = evaluate(e.left, row, reference_time)
         right = evaluate(e.right, row, reference_time)
         if left is None or right is None:
             return None
         try:
-            return _ARITH[e.op](left, right)
-        except (ZeroDivisionError, InvalidOperation):
+            return _OPERATORS[e.op](left, right)
+        except (ZeroDivisionError, InvalidOperation):  # never a comparison: no NaNs
             return None  # arithmetic faults are data conditions, not errors
     if isinstance(e, Call):
         return _eval_call(e, row, reference_time)
@@ -694,51 +678,30 @@ def compiled(e: Expr, column, reference_time: datetime):
         return lambda i: value
     if isinstance(e, Column):
         return column(e.name).__getitem__
-    if isinstance(e, And):
-        left, right = sub(e.left), sub(e.right)
+    if isinstance(e, (And, Or)):
+        settles, left, right = e.settles, sub(e.left), sub(e.right)
 
-        def conjunction(i):
+        def connective(i):
             a = left(i)
-            if a is False:
-                return False
+            if a is settles:
+                return settles
             b = right(i)
-            if b is False:
-                return False
-            return None if a is None or b is None else True
-        return conjunction
-    if isinstance(e, Or):
-        left, right = sub(e.left), sub(e.right)
-
-        def disjunction(i):
-            a = left(i)
-            if a is True:
-                return True
-            b = right(i)
-            if b is True:
-                return True
-            return None if a is None or b is None else False
-        return disjunction
-    if isinstance(e, Not):
-        operand = sub(e.operand)
-        return lambda i: None if (v := operand(i)) is None else not v
-    if isinstance(e, Neg):
-        operand = sub(e.operand)
-        return lambda i: None if (v := operand(i)) is None else _negate(v)
-    if isinstance(e, Compare):
-        op, left = _COMPARE[e.op], sub(e.left)
-        if isinstance(e.right, Literal) and e.right.value is not None:
+            if b is settles:
+                return settles
+            return None if a is None or b is None else not settles
+        return connective
+    if type(e) in _PREFIX:
+        op, operand = _PREFIX[type(e)], sub(e.operand)
+        return lambda i: None if (v := operand(i)) is None else op(v)
+    if isinstance(e, (Compare, Arith)):
+        op, left = _OPERATORS[e.op], sub(e.left)
+        if isinstance(e, Compare) and isinstance(e.right, Literal) \
+                and e.right.value is not None:
             b = e.right.value  # the common `column < literal`, one call per row
             return lambda i: None if (a := left(i)) is None else op(a, b)
         right = sub(e.right)
 
-        def comparison(i):
-            a, b = left(i), right(i)
-            return None if a is None or b is None else op(a, b)
-        return comparison
-    if isinstance(e, Arith):
-        op, left, right = _ARITH[e.op], sub(e.left), sub(e.right)
-
-        def arithmetic(i):
+        def strict(i):
             a, b = left(i), right(i)
             if a is None or b is None:
                 return None
@@ -746,7 +709,7 @@ def compiled(e: Expr, column, reference_time: datetime):
                 return op(a, b)
             except (ZeroDivisionError, InvalidOperation):
                 return None  # arithmetic faults are data conditions, not errors
-        return arithmetic
+        return strict
     if isinstance(e, Call):
         return _compiled_call(e, list(map(sub, e.args)), reference_time)
     raise TypeError(f"not an expression node: {e!r}")

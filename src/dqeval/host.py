@@ -33,8 +33,8 @@ class _RecordType(type):
 
 
 class Record(metaclass=_RecordType):
-    """An immutable value with named fields, as a frozen dataclass gives, at
-    a fraction of a dataclass's cost to define.
+    """An immutable, slotted value with named fields, defined at a fraction
+    of the cost of the standard library's frozen record classes.
 
     A subclass states its fields as annotations, with defaults as class-level
     values: `name: str` or `nullable: bool = False`. Instances take their

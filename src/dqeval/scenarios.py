@@ -14,12 +14,11 @@ version string and the violation plans differ.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 from .dataset import ColumnSchema, EntitySchema, SchemaCatalog, serialize_catalog
-from .host import write_atomic
+from .host import Record, write_atomic
 from .rules import KINDS, RuleSet, parse_ruleset, serialize_ruleset
 from .synthkit import (ColumnGen, EntityPlan, ExpectedMeasures, SynthSpec,
                        ViolationPlan, generate)
@@ -31,16 +30,14 @@ SCENARIOS = ("travel-v1", "travel-v2", "registry-v1", "registry-v2",
              "school-v1", "school-v2")
 
 
-@dataclass(frozen=True)
-class PropertyPlan:
+class PropertyPlan(Record):
     property: str
     kinds: tuple[tuple[str, int], ...]  # (kind template, rule count)
     rates: dict  # version -> violation rate (row-scoped kinds)
     fail_counts: dict | None = None  # version -> failing rule count (binary kinds)
 
 
-@dataclass(frozen=True)
-class OrgProfile:
+class OrgProfile(Record):
     org: str
     fact_entities: int
     rows: int
@@ -176,8 +173,7 @@ _TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioBundle:
+class ScenarioBundle(Record):
     name: str
     catalog: SchemaCatalog
     ruleset: RuleSet

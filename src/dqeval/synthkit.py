@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, count
@@ -38,7 +37,7 @@ from . import canonical
 from .dataset import Entity, RowView, SchemaCatalog, write_entity
 from .errors import ConflictingPlan, InvalidRuleset, ParseError, SynthError
 from .expr import columns_referenced, evaluate
-from .host import write_atomic
+from .host import Record, write_atomic
 from .reporting import MeasureSet
 from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
@@ -50,8 +49,7 @@ GENERATOR_KINDS = ("serial", "choice", "int_uniform", "decimal_uniform",
                    "timestamp_uniform", "timestamp_spaced", "const")
 
 
-@dataclass(frozen=True)
-class ColumnGen:
+class ColumnGen(Record):
     kind: str
     params: tuple  # frozen (key, value) pairs
     null_rate: Decimal = Decimal(0)
@@ -63,22 +61,19 @@ class ColumnGen:
         return default
 
 
-@dataclass(frozen=True)
-class EntityPlan:
+class EntityPlan(Record):
     rows: int
     columns: tuple[tuple[str, ColumnGen], ...]
 
 
-@dataclass(frozen=True)
-class ViolationPlan:
+class ViolationPlan(Record):
     rule_id: str
     rate: Decimal
     violating: tuple = ()  # explicit violating values (or (column, value) pairs
     #                        for predicate plans)
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Record):
     seed: int
     entities: tuple[tuple[str, EntityPlan], ...]
     violations: tuple[ViolationPlan, ...]
@@ -90,13 +85,11 @@ class SynthSpec:
         return None
 
 
-@dataclass(frozen=True)
-class ExpectedMeasures:
+class ExpectedMeasures(Record):
     measures: tuple[tuple[str, int, int], ...]  # (rule_id, a, b)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     rule_id: str
     expected: tuple[int, int] | None
     actual: tuple[int, int] | None

@@ -796,7 +796,7 @@ def test_validate_imports_no_engine_scoring_or_reporting(registry_outputs):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "validate", "improve", "certify",
-                                     "compare"])
+                                     "compare", "synth"])
 def test_commands_import_neither_dataclasses_nor_inspect(registry_outputs, tmp_path,
                                                          command):
     """The records of every layer are host.Record subclasses: defining them
@@ -806,6 +806,7 @@ def test_commands_import_neither_dataclasses_nor_inspect(registry_outputs, tmp_p
     argv = {"evaluate": ["evaluate", "--rules", str(s / "rules.json"), "--schema",
                          str(s / "schema.json"), "--data", str(s / "snapshot"),
                          "--out", str(tmp_path / "e"), "--jobs", "1"],
+            "synth": ["synth", "--scenario", "registry-v1", "--out", str(tmp_path / "s")],
             "validate": ["validate", "--rules", str(s / "rules.json"),
                          "--schema", str(s / "schema.json")],
             "improve": ["improve", "--report", str(out / "report.json"), "--measures",
@@ -1087,17 +1088,17 @@ def test_entity_name_outside_its_directory_exits_3(workspace, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["validate", "evaluate", "synth"])
-@pytest.mark.parametrize("body, format_classes, context", [
+@pytest.mark.parametrize("body, format_classes, where", [
     (rule("r", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "^(a+)+$"}), {},
-     "rules[0] (id 'r').params.pattern"),
+     "(rules[0] (id 'r').params.pattern)"),
     (rule("r", "person", ["id"], "CONS_FORM", "format_class", {"class": "c"}),
-     {"c": "^(a+)+$"}, "$.format_classes.c"),
+     {"c": "^(a+)+$"}, "($.format_classes.c)"),
     (rule("r", "person", [], "CONS_SEMAN", "predicate",
           {"expr": "regex_match(id, '^(a+)+$')"}), {},
-     "rules[0] (id 'r').params.expr"),
+     "at column 1 (rules[0] (id 'r').params.expr)"),
 ], ids=["syntax", "format-class", "regex-match"])
 def test_catastrophic_pattern_exits_3(workspace, capsys, command, body,
-                                      format_classes, context):
+                                      format_classes, where):
     """`^(a+)+$` takes seconds to fail on 25 characters; every command that
     reads the ruleset refuses it before reading data or writing a file."""
     (workspace / "rules.json").write_text(make_ruleset([body],
@@ -1114,18 +1115,19 @@ def test_catastrophic_pattern_exits_3(workspace, capsys, command, body,
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         "error: pattern '^(a+)+$' nests unbounded quantifiers, which can take "
-        f"exponential time to match ({context})\n")
+        f"exponential time to match {where}\n")
     assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "evaluate", "synth"])
-@pytest.mark.parametrize("source", ["(" * 130 + "age > 0" + ")" * 130,
-                                    " + ".join(["age"] * 1000) + " > 0"],
+@pytest.mark.parametrize("source, column", [("(" * 130 + "age > 0" + ")" * 130, 102),
+                                            (" + ".join(["age"] * 1000) + " > 0", 1)],
                          ids=["130-parentheses", "1000-term-sum"])
-def test_expression_nested_too_deep_exits_3(workspace, capsys, command, source):
+def test_expression_nested_too_deep_exits_3(workspace, capsys, command, source, column):
     """Parentheses nested 130 deep once exhausted the parser's recursion,
     and a 1000-term sum every walk over its tree: each is refused while the
-    ruleset is read, naming the limit."""
+    ruleset is read, naming the limit and the column: the parenthesis that
+    crosses it, or the whole expression's first."""
     (workspace / "rules.json").write_text(make_ruleset(
         [rule("p", "person", [], "CONS_SEMAN", "predicate", {"expr": source})]))
     (workspace / "spec.json").write_text(json.dumps(
@@ -1140,8 +1142,26 @@ def test_expression_nested_too_deep_exits_3(workspace, capsys, command, source):
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         f"error: expression nests deeper than 100 levels in expression {source!r} "
-        "(rules[0] (id 'p').params.expr)\n")
+        f"at column {column} (rules[0] (id 'p').params.expr)\n")
     assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("source, message", [
+    ("a < < 3", "unexpected token '<' in expression 'a < < 3' at column 5"),
+    ("age > 0 $", "unexpected character '$' in expression at column 9"),
+    ("abs(age", "expected ')' in expression 'abs(age' at column 8"),
+    ("age > 0 and size(id) > 1",
+     "unknown function 'size' in expression 'age > 0 and size(id) > 1' at column 13"),
+])
+def test_expression_syntax_error_names_its_column(workspace, capsys, source, message):
+    """dq validate points at the 1-based column where the expression text
+    goes wrong: the offending token, or one past the end."""
+    (workspace / "rules.json").write_text(make_ruleset(
+        [rule("p", "person", [], "CONS_SEMAN", "predicate", {"expr": source})]))
+    assert main(["validate", "--rules", str(workspace / "rules.json"),
+                 "--schema", str(workspace / "schema.json")]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {message} (rules[0] (id 'p').params.expr)\n"
 
 
 def test_evaluate_below_break_even_forks_nothing(tmp_path):

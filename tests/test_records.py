@@ -1,5 +1,5 @@
 """`host.Record` against the frozen dataclass each record class was: for
-every record class of the evaluation layers, a dataclass with the same fields
+every record class of the package, a dataclass with the same fields
 and defaults, built by `dataclasses.make_dataclass`, is the reference for
 construction, `==`, `hash`, `repr`, immutability, `replace` and pickling."""
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqeval import dataset, expr, reporting, rules, scoring
+from dqeval import dataset, expr, reporting, rules, scenarios, scoring, synthkit
 from dqeval.expr import And, Column, Literal, Or
 from dqeval.host import Record
 from dqeval.reporting import MeasureSet, RuleMeasure
@@ -66,6 +66,15 @@ SIGNATURES = [
     (scoring.ProfilingTable, "caps", {}),
     (scoring.ScoringConfig, "thresholds profiles aggregation",
      {"profiles": (), "aggregation": "micro"}),
+    (synthkit.ColumnGen, "kind params null_rate", {"null_rate": Decimal(0)}),
+    (synthkit.EntityPlan, "rows columns", {}),
+    (synthkit.ViolationPlan, "rule_id rate violating", {"violating": ()}),
+    (synthkit.SynthSpec, "seed entities violations", {}),
+    (synthkit.ExpectedMeasures, "measures", {}),
+    (synthkit.Discrepancy, "rule_id expected actual", {}),
+    (scenarios.PropertyPlan, "property kinds rates fail_counts", {"fail_counts": None}),
+    (scenarios.OrgProfile, "org fact_entities rows plans", {}),
+    (scenarios.ScenarioBundle, "name catalog ruleset spec", {}),
 ]
 UNCOMPARED = {(RuleMeasure, "elapsed"), (MeasureSet, "record_key")}
 UNSHOWN = {(MeasureSet, "record_key")}
@@ -91,13 +100,14 @@ REFERENCES = {cls: _reference(cls, names, defaults)
 
 
 def test_every_record_class_is_listed():
-    """The table covers each Record subclass of the evaluation layers."""
-    found = {obj for module in (dataset, expr, reporting, rules, scoring)
+    """The table covers each Record subclass of the package."""
+    found = {obj for module in (dataset, expr, reporting, rules, scenarios, scoring,
+                                synthkit)
              for obj in vars(module).values()
              if isinstance(obj, type) and issubclass(obj, Record)
              and obj.__module__ == module.__name__}
     assert found - {expr.Expr} == {cls for cls, _, _ in SIGNATURES}
-    assert len(SIGNATURES) == 35
+    assert len(SIGNATURES) == 44
 
 
 @pytest.mark.parametrize("cls, names, defaults", SIGNATURES,
