@@ -288,8 +288,8 @@ def _tokenize(source: str) -> list[_Token]:
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r} in expression",
-                             column=pos + 1)
+            raise ParseError(f"unexpected character {source[pos]!r} in expression "
+                             f"{source!r}", column=pos + 1)
         kind = m.lastgroup
         if kind in ("int", "decimal") and MAX_NUMBER_DIGITS < max(
                 map(len, m.group().split("."))):

@@ -30,7 +30,7 @@ import random
 import re
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import compress, count
+from itertools import compress, count, repeat
 from pathlib import Path
 
 from . import canonical
@@ -43,7 +43,7 @@ from .rules import (Domain, ForeignKey, FormatClass, Frequency, Freshness,
                     MinCount, NoDefault, NotNull, Predicate, Range, Rule,
                     RuleSet, Syntax, Unique, days_to_timedelta,
                     parse_duration_days, validate_ruleset)
-from .values import coerce_literal
+from .values import DECIMAL_PLACES, coerce_literal
 
 GENERATOR_KINDS = ("serial", "choice", "int_uniform", "decimal_uniform",
                    "timestamp_uniform", "timestamp_spaced", "const")
@@ -188,16 +188,34 @@ def _freeze_param(v):
 # --------------------------------------------------------------------------
 # Column generators
 
+def _draws(rng: random.Random, seq, n: int) -> list:
+    """[rng.choice(seq) for _ in range(n)], leaving rng in the same state.
+
+    CPython's choice(seq) is seq[r] for the first getrandbits(k) result r
+    below len(seq), k = len(seq).bit_length(), so the accepted results of
+    one run of getrandbits(k) calls are the choices in order. Each batch
+    asks for as many calls as values are missing, and so never draws past
+    where the n-th choice stops. seq must not be empty.
+    """
+    size = len(seq)
+    k = size.bit_length()
+    values: list = []
+    while len(values) < n:
+        values += map(seq.__getitem__, filter(size.__gt__, map(
+            rng.getrandbits, repeat(k, n - len(values)))))
+    return values
+
+
 def _generate_column(gen: ColumnGen, datatype: str, n: int,
                      rng: random.Random, context: str) -> list:
-    # choice(pool) draws what pool[randrange(len(pool))] draws, and
-    # choice(range(a, b + 1)) what randint(a, b) draws: one value below the
-    # length each, so the stream is the same with fewer calls per cell.
-    choice = rng.choice
+    # Drawn cells are _draws' choices from a pool or a range, and
+    # choice(range(min, max + 1)) draws what randint(min, max) draws.
     kind = gen.kind
     if kind == "serial":
         if datatype == "integer":
             start = gen.param("start", 0)
+            if type(start) is not int:
+                raise SynthError(f"{context}: serial start must be an integer")
             values = [start + i for i in range(n)]
         elif datatype == "text":
             fmt = gen.param("format")
@@ -211,32 +229,33 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
         pool = gen.param("values")
         if not isinstance(pool, tuple) or not pool:
             raise SynthError(f"{context}: choice needs a non-empty values pool")
-        coerced = [_coerce(v, datatype, context) for v in pool]
-        values = [choice(coerced) for _ in range(n)]
+        values = _draws(rng, [_coerce(v, datatype, context) for v in pool], n)
     elif kind == "int_uniform":
         lo, hi = gen.param("min"), gen.param("max")
-        if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
+        if type(lo) is not int or type(hi) is not int or lo > hi:
             raise SynthError(f"{context}: int_uniform needs integer min <= max")
-        draws = range(lo, hi + 1)
-        values = [choice(draws) for _ in range(n)]
+        values = _draws(rng, range(lo, hi + 1), n)
     elif kind == "decimal_uniform":
         places = gen.param("places", 2)
+        if type(places) is not int or not 0 <= places <= DECIMAL_PLACES:
+            raise SynthError(f"{context}: decimal_uniform places must be an "
+                             f"integer from 0 to {DECIMAL_PLACES}")
         lo = _coerce(gen.param("min"), "decimal", context)
         hi = _coerce(gen.param("max"), "decimal", context)
         if lo > hi:
             raise SynthError(f"{context}: decimal_uniform needs min <= max")
         units = int(((hi - lo) * (10 ** places)).to_integral_value())
         quantum = Decimal(1).scaleb(-places)
-        draws = range(units + 1)
-        values = [lo + choice(draws) * quantum for _ in range(n)]
+        values = list(map(lo.__add__, map(quantum.__mul__,
+                                          _draws(rng, range(units + 1), n))))
     elif kind == "timestamp_uniform":
         start = _coerce(gen.param("start"), "timestamp", context)
         end = _coerce(gen.param("end"), "timestamp", context)
         if start > end:
             raise SynthError(f"{context}: timestamp_uniform needs start <= end")
         span = int((end - start).total_seconds())
-        draws = range(span + 1)
-        values = [start + timedelta(seconds=choice(draws)) for _ in range(n)]
+        values = list(map(start.__add__, map(timedelta, repeat(0),  # 0 days, s seconds
+                                             _draws(rng, range(span + 1), n))))
     elif kind == "timestamp_spaced":
         start = _coerce(gen.param("start"), "timestamp", context)
         step = parse_duration_days(gen.param("step"), context)

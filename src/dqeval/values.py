@@ -16,7 +16,8 @@ DATATYPES = ("text", "integer", "decimal", "boolean", "timestamp")
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 # decimal point '.', no thousands separators, at most 12 fractional digits
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]{1,12})?$")
+DECIMAL_PLACES = 12
+_DECIMAL_RE = re.compile(rf"^[+-]?[0-9]+(\.[0-9]{{1,{DECIMAL_PLACES}}})?$")
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -90,6 +91,8 @@ def format_cell(value, datatype: str) -> str:
         return "true" if value else "false"
     if datatype == "timestamp":
         return format_timestamp(value)
+    if isinstance(value, Decimal):  # positional: str() may write 1E-7
+        return format(value, "f")
     return str(value)
 
 

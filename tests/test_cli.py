@@ -998,6 +998,67 @@ def test_synth_bad_plan_exits_3(tmp_path, capsys, body, violating, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+_GENERATOR_SCHEMA = {"entities": [{"name": "item", "columns": [
+    {"name": "n", "datatype": "integer", "nullable": False},
+    {"name": "amt", "datatype": "decimal", "nullable": False}]}]}
+_PLACES = "item.amt: decimal_uniform places must be an integer from 0 to 12"
+_START = "item.n: serial start must be an integer"
+_BOUNDS = "item.n: int_uniform needs integer min <= max"
+
+
+def _synth_generators(tmp_path: Path, column: str, params: dict) -> int:
+    """dq synth over an integer column n and a decimal column amt, with
+    params merged into one column's generator."""
+    columns = {"n": {"generator": "int_uniform", "min": 0, "max": 9},
+               "amt": {"generator": "decimal_uniform", "min": "0", "max": "1"}}
+    columns[column] = {**columns[column], **params}
+    (tmp_path / "rules.json").write_text(make_ruleset(
+        [rule("r", "item", ["n"], "COMP_REG", "not_null")]))
+    (tmp_path / "schema.json").write_text(json.dumps(_GENERATOR_SCHEMA))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"item": {"rows": 10, "columns": columns}}}))
+    return main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--schema", str(tmp_path / "schema.json"),
+                 "--rules", str(tmp_path / "rules.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("column, params, message", [
+    ("amt", {"places": -1}, _PLACES),
+    ("amt", {"places": "2"}, _PLACES),
+    ("amt", {"places": 1.5}, _PLACES),
+    ("amt", {"places": 3000}, _PLACES),
+    ("amt", {"places": 13}, _PLACES),
+    ("amt", {"places": True}, _PLACES),
+    ("n", {"generator": "serial", "start": "a"}, _START),
+    ("n", {"generator": "serial", "start": 1.5}, _START),
+    ("n", {"generator": "serial", "start": True}, _START),
+    ("n", {"min": True}, _BOUNDS),
+    ("n", {"max": 9.0}, _BOUNDS),
+], ids=["places-negative", "places-text", "places-fraction", "places-huge",
+        "places-13", "places-boolean", "start-text", "start-fraction",
+        "start-boolean", "min-boolean", "max-fraction"])
+def test_synth_generator_parameter_out_of_reach_exits_3(tmp_path, capsys, column,
+                                                       params, message):
+    """A generator parameter synth cannot honour is refused, naming the
+    column, before anything is written."""
+    assert _synth_generators(tmp_path, column, params) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("places", [0, 7, 12])
+def test_synth_decimal_places_snapshot_loads(tmp_path, places):
+    """Every accepted places count writes decimals that dq evaluate loads,
+    even below 1E-6, where str() would switch to exponent form."""
+    assert _synth_generators(tmp_path, "amt", {"max": "0.000001",
+                                               "places": places}) == 0
+    assert main(["evaluate", "--rules", str(tmp_path / "rules.json"),
+                 "--schema", str(tmp_path / "schema.json"),
+                 "--data", str(tmp_path / "out"),
+                 "--out", str(tmp_path / "report")]) == 0
+
+
 _OUT_OF_RANGE = "is out of range: at most 1000 digits before and after the decimal point"
 
 
@@ -1148,7 +1209,7 @@ def test_expression_nested_too_deep_exits_3(workspace, capsys, command, source, 
 
 @pytest.mark.parametrize("source, message", [
     ("a < < 3", "unexpected token '<' in expression 'a < < 3' at column 5"),
-    ("age > 0 $", "unexpected character '$' in expression at column 9"),
+    ("age > 0 $", "unexpected character '$' in expression 'age > 0 $' at column 9"),
     ("abs(age", "expected ')' in expression 'abs(age' at column 8"),
     ("age > 0 and size(id) > 1",
      "unknown function 'size' in expression 'age > 0 and size(id) > 1' at column 13"),

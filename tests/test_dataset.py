@@ -259,13 +259,17 @@ _text_cells = st.one_of(st.none(), st.text(
     alphabet=st.characters(whitelist_categories=("L", "N", "P", "Zs")),
     max_size=12))
 _int_cells = st.one_of(st.none(), st.integers(-10**9, 10**9))
-_decimal_cells = st.one_of(st.none(), st.integers(-10**6, 10**6).map(
-    lambda n: Decimal(n) / 100))
+# up to the loader's 12 places: str() would write some of these as 1E-7
+_decimal_cells = st.one_of(st.none(), st.builds(
+    Decimal.scaleb, st.integers(-10**6, 10**6).map(Decimal), st.integers(-12, 0)))
 _bool_cells = st.one_of(st.none(), st.booleans())
 _ts_cells = st.one_of(st.none(), st.integers(0, 10**9).map(
     lambda s: datetime.fromtimestamp(s, tz=timezone.utc)))
 
 
+@example([(None, None, Decimal("1E-7"), None, None),
+          (None, None, Decimal("-0E-12"), None, None),
+          (None, None, Decimal("1E+2"), None, None)])
 @given(st.lists(st.tuples(_text_cells, _int_cells, _decimal_cells, _bool_cells,
                           _ts_cells), max_size=30))
 def test_write_load_roundtrip(rows):

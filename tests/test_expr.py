@@ -540,6 +540,17 @@ def test_typecheck_and_columns_match_reference(tree):
     assert columns_referenced(tree) == reference.columns_referenced(tree)
 
 
+def _cells(**values) -> dict:
+    return {c: values.get(c) for c in TYPED}
+
+
+# Pinned: `and` of true and false, and of null and false; `not` of true and of
+# false. The operator tables that evaluate and compiled share are seen only
+# against the reference.
+@example(And(Compare(">", Column("i1"), Literal(0)), Literal(False)), _cells(i1=5))
+@example(And(Column("b1"), Compare("<", Column("i1"), Literal(0))), _cells(i1=5))
+@example(Not(Compare("=", Column("t1"), Literal("a"))), _cells(t1="a"))
+@example(Not(Column("b1")), _cells(b1=False))
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(["boolean", "boolean", "integer", "decimal", "text"])
        .flatmap(typed_trees),
@@ -549,10 +560,6 @@ def test_evaluate_matches_reference(tree, row):
     got = evaluate(tree, row, REF)
     want = reference.evaluate(tree, row, REF)
     assert repr(got) == repr(want)  # value and type, Decimal exponent included
-
-
-def _cells(**values) -> dict:
-    return {c: values.get(c) for c in TYPED}
 
 
 # Pinned: a false `or` false, a comparison with null, `%` against a negative

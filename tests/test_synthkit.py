@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import synthkit_reference as reference
 from conftest import make_ruleset, rule
@@ -289,6 +290,37 @@ def test_round_half_up():
     assert round_half_up(Decimal("0.5"), 1) == 1
     assert round_half_up(Decimal("0.005"), 100) == 1  # half rounds up
     assert round_half_up(Decimal(0), 100) == 0
+
+
+# pool lengths 1, 2**j - 1, 2**j and 2**j + 1 up to j = 40, past the 32 bits
+# one Mersenne Twister word gives, and any length in between
+_POOL_SIZES = (st.just(1)
+               | st.integers(1, 40).flatmap(
+                   lambda j: st.sampled_from([2**j - 1, 2**j, 2**j + 1]))
+               | st.integers(1, 2**41))
+
+
+@st.composite
+def _pools(draw):
+    size = draw(_POOL_SIZES)
+    if size <= 1000 and draw(st.booleans()):
+        return [f"v{i}" for i in range(size)]
+    start = draw(st.integers(-2**45, 2**45))
+    return range(start, start + size)
+
+
+@example(seed=0, pool=["a"], n=2000)
+@example(seed=1, pool=range(-7, 2**32 - 6), n=2000)
+@example(seed=2, pool=range(-2**40, 1), n=2000)
+@example(seed=3, pool=["a", "b", "c"], n=0)
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), pool=_pools(), n=st.integers(0, 2000))
+def test_draws_match_the_choice_loop(seed, pool, n):
+    """_draws gives the values of n Random.choice calls and leaves the
+    generator where they leave it."""
+    rng, by_choice = random.Random(seed), random.Random(seed)
+    assert synthkit._draws(rng, pool, n) == [by_choice.choice(pool) for _ in range(n)]
+    assert rng.getstate() == by_choice.getstate()
 
 
 def test_parse_synthspec_document():
