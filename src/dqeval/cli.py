@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -42,6 +43,17 @@ def _read(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {what} {path}: {exc.strerror or exc}",
+                        EXIT_USAGE) from None
+
+
+@contextmanager
+def _writing():
+    """Report an OSError from making output directories or writing output
+    files as `error: cannot write PATH: reason`."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CliError(f"cannot write {exc.filename}: {exc.strerror or exc}",
                         EXIT_USAGE) from None
 
 
@@ -142,11 +154,13 @@ def cmd_evaluate(args) -> int:
 
     report = build_report(rs, repo, ms, result, config, __version__)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "report.json", serialize_report(report))
-    write_atomic(out / "measures.json", serialize_measures(ms))
+    with _writing():
+        out.mkdir(parents=True, exist_ok=True)
+        write_atomic(out / "report.json", serialize_report(report))
+        write_atomic(out / "measures.json", serialize_measures(ms))
+        if args.format == "text":
+            write_atomic(out / "report.txt", render_report(report))
     if args.format == "text":
-        write_atomic(out / "report.txt", render_report(report))
         print(render_report(report))
     else:
         verdict = "ELIGIBLE" if report["verdict"]["eligible"] else "NOT ELIGIBLE"
@@ -183,7 +197,8 @@ def cmd_improve(args) -> int:
         manifests = build_improvement(report, ms)
     except FingerprintMismatch as exc:
         raise _CliError(str(exc), EXIT_MISMATCH) from None
-    paths = write_improvement(manifests, report, Path(args.out))
+    with _writing():
+        paths = write_improvement(manifests, report, Path(args.out))
     print(f"wrote {len(paths)} manifest(s) and index.json to {args.out}")
     return EXIT_OK
 
@@ -202,9 +217,10 @@ def cmd_compare(args) -> int:
         raise _CliError(str(exc), EXIT_MISMATCH) from None
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "comparison.json", canonical.dumps(result))
-        write_atomic(out / "comparison.txt", render_comparison(result))
+        with _writing():
+            out.mkdir(parents=True, exist_ok=True)
+            write_atomic(out / "comparison.json", canonical.dumps(result))
+            write_atomic(out / "comparison.txt", render_comparison(result))
     print(render_comparison(result))
     return EXIT_OK
 
@@ -218,7 +234,8 @@ def cmd_synth(args) -> int:
         if args.scenario not in scenarios.scenario_names():
             raise _CliError("unknown scenario; available: "
                             + ", ".join(scenarios.scenario_names()), EXIT_USAGE)
-        scenarios.write_scenario(args.scenario, out)
+        with _writing():
+            scenarios.write_scenario(args.scenario, out)
         print(f"wrote scenario {args.scenario} to {out}")
         return EXIT_OK
     if not (args.spec and args.schema and args.rules):
@@ -228,7 +245,8 @@ def cmd_synth(args) -> int:
         spec = synthkit.parse_synthspec(_read(args.spec, "synth spec"))
         rs = parse_ruleset(_read(args.rules, "rules file"))
         catalog = load_catalog(_read(args.schema, "schema file"))
-        synthkit.generate(spec, catalog, rs, out)
+        with _writing():
+            synthkit.generate(spec, catalog, rs, out)
     except InvalidRuleset as exc:  # the ERROR lines, as evaluate prints them
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,12 +7,15 @@ field reads as empty text, which is why loading uses its own quote-aware
 reader instead of the stdlib csv module. Loading reads each file once, in
 fixed-size chunks: it hashes the bytes it parses, for the snapshot
 fingerprint, and turns each chunk's complete records into columns a block at
-a time. A block without quotes whose records all hold the schema's number of
-fields is split once, as one text; a column whose keys are all in its cache
-of parsed values maps through the cache in one pass. Every other block, and
-every other column, takes the record-by-record and parse-what-is-new path,
-which also reports errors. Entities keep columns column-major and are never
-mutated after load, so concurrent readers need no locks.
+a time. A block without quotes is split once, as one text, with a sentinel
+field between records that shows whether each holds the schema's number of
+fields. A column whose keys are all in its cache of parsed values maps
+through the cache in one pass; a text column maps a block without quotes
+that brings new keys in one more pass, which also adds them to the cache,
+as such keys are their own values. Every other block, and every other
+column, takes the record-by-record and parse-what-is-new path, which also
+reports errors. Entities keep columns column-major and are never mutated
+after load, so concurrent readers need no locks.
 """
 
 from __future__ import annotations
@@ -298,18 +301,24 @@ def _split_block(records: list[str], quoted: bool, n_cols: int, first_row: int):
     does not split into n_cols fields; and that record's LoadError, or None.
     The records are rows first_row, first_row + 1, ...
 
-    A block without quotes whose every record holds n_cols - 1 commas is
-    split once, as one text, and column j is every n_cols-th field from j.
-    The count is taken per record: a record one field short next to one a
-    field long would pass a count over the whole block. Every other block is
-    split a record at a time and transposed, so that it fails at the
-    record, and with the message, that the reference loader gives.
+    A block without quotes is split once, as one text, with a "\n" field
+    between records: no such record holds a "\n", so these fields are the
+    separators. Every record holds n_cols fields iff the block splits into
+    R * (n_cols + 1) - 1 fields and every (n_cols + 1)-th field from n_cols
+    is a separator; column j is then every (n_cols + 1)-th field from j. The
+    total alone would pass a record one field short next to one a field
+    long. Every other block is split a record at a time and transposed, so
+    that it fails at the record, and with the message, that the reference
+    loader gives.
     """
     if not records:
         return [()] * n_cols, None
-    if not quoted and set(map(str.count, records, repeat(","))) == {n_cols - 1}:
-        fields = ",".join(records).split(",")
-        return [fields[j::n_cols] for j in range(n_cols)], None
+    if not quoted:
+        width = n_cols + 1
+        fields = ",\n,".join(records).split(",")
+        if (len(fields) == len(records) * width - 1
+                and fields[n_cols::width].count("\n") == len(records) - 1):
+            return [fields[j::width] for j in range(n_cols)], None
     rows = []
     try:
         for record in records:
@@ -349,17 +358,24 @@ def _parse_keys(keys: set, spec: ColumnSchema) -> tuple[dict, dict]:
 
 
 def _add_rows(cols: list, first_row: int, specs, caches: list[dict],
-              columns: list[list]) -> None:
+              columns: list[list], quoted: bool) -> None:
     """Append one block of field keys, given as columns, to the columns.
+    Only a quoted block, one that may hold quote characters, can hold the
+    keys of quoted nulls.
 
     A cache holds only keys that parsed (and a nullable column's nulls), so
     a column whose keys are all cached maps through it in one pass. At the
-    first key it lacks, the column drops what that pass appended and parses
-    only the keys its cache has not seen, once each. A column's first block
-    skips that pass, as its cache holds no more than the nulls. A block
-    whose new keys would take the cache past _DEDUP_CAP maps through a dict
-    of its own keys instead. The first cell that fails, in row order, raises
-    its LoadError.
+    first key it lacks, the column drops what that pass appended; a
+    column's first block skips that pass, as its cache holds no more than
+    the nulls. A text key of a block without quotes is its own value, so a
+    text column then maps such a block in a second pass that adds its new
+    keys to its cache, while the cache cannot pass _DEDUP_CAP; a null in a
+    non-nullable column shows as a null key in the cache after it. On a
+    block whose keys are all cached, that pass costs more than the lookup.
+    Any other column parses only the keys its cache has not seen, once
+    each. A block whose new keys would take the cache past _DEDUP_CAP maps
+    through a dict of its own keys instead. The first cell that fails, in
+    row order, raises its LoadError.
     """
     failure = None  # (row, column index, message) of the first failing cell
     for j, keys in enumerate(cols):
@@ -372,6 +388,14 @@ def _add_rows(cols: list, first_row: int, specs, caches: list[dict],
                 continue
             except KeyError:
                 del column[size:]
+        if (not quoted and specs[j].datatype == "text"
+                and len(cache) + len(keys) <= _DEDUP_CAP):
+            column.extend(map(cache.setdefault, keys, keys))
+            if specs[j].nullable or not ("" in cache or _NULL_TOKEN in cache):
+                continue
+            # a null where none may be: the block fails, at the row found below
+            cache.pop("", None)
+            cache.pop(_NULL_TOKEN, None)
         distinct = set(keys)
         values, errors = _parse_keys(distinct.difference(cache), specs[j])
         if errors:
@@ -430,7 +454,7 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
                                     f"columns {expected!r}", row=0)
                 for records, quoted in chain([(records[1:], quoted)], blocks):
                     cols, error = _split_block(records, quoted, len(specs), n_rows)
-                    _add_rows(cols, n_rows, specs, caches, columns)
+                    _add_rows(cols, n_rows, specs, caches, columns, quoted)
                     if error is not None:
                         raise error
                     n_rows += len(cols[0])

@@ -135,13 +135,19 @@ def write_atomic(path: Path, text: str) -> None:
     """Write text to path as UTF-8, through a temporary file in the same
     directory that then replaces path: a reader, or a run that fails or is
     killed partway, sees the old file or the new one, never part of either.
-    The temporary file is removed when the write fails."""
+    The temporary file is removed when the write fails; an OSError then
+    names path, not the temporary file."""
     path = Path(path)
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as file:
             file.write(text)
         os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
+    except BaseException as exc:
+        try:
+            temporary.unlink(missing_ok=True)
+        except OSError:  # path's directory is not one: there is no temporary
+            pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -14,10 +14,11 @@ from decimal import Decimal, InvalidOperation
 
 DATATYPES = ("text", "integer", "decimal", "boolean", "timestamp")
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+# matched whole: "$" would also match before a final newline
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 # decimal point '.', no thousands separators, at most 12 fractional digits
 DECIMAL_PLACES = 12
-_DECIMAL_RE = re.compile(rf"^[+-]?[0-9]+(\.[0-9]{{1,{DECIMAL_PLACES}}})?$")
+_DECIMAL_RE = re.compile(rf"[+-]?[0-9]+(\.[0-9]{{1,{DECIMAL_PLACES}}})?")
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -46,13 +47,13 @@ def format_timestamp(dt: datetime) -> str:
 
 
 def parse_integer(text: str) -> int:
-    if not _INT_RE.match(text):
+    if not _INT_RE.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 
 
 def parse_decimal(text: str) -> Decimal:
-    if not _DECIMAL_RE.match(text):
+    if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"invalid decimal {text!r}")
     try:
         return Decimal(text)
@@ -136,6 +137,9 @@ def coerce_literal(value, datatype: str):
         if isinstance(value, int):
             return Decimal(value)
         if isinstance(value, Decimal):
+            if value.as_tuple().exponent < -DECIMAL_PLACES:
+                raise ValueError(f"decimal literal {value:f} has more than "
+                                 f"{DECIMAL_PLACES} places after the point")
             return value
         if isinstance(value, str):
             return parse_decimal(value)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -599,6 +600,48 @@ def test_synth_missing_args_exits_1(tmp_path: Path):
     assert main(["synth", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["evaluate", "evaluate-report-directory",
+                                     "improve", "compare", "synth-scenario",
+                                     "synth-spec"])
+def test_unwritable_output_exits_1_naming_it(workspace, capsys, command):
+    """An output directory that runs through a regular file, or an output
+    file that is a directory, is `error: cannot write PATH: reason`, exit 1,
+    not a traceback."""
+    assert _evaluate(workspace) == 0
+    (workspace / "file").write_text("")
+    blocked, reason = workspace / "file" / "out", os.strerror(errno.ENOTDIR)
+    inputs = ["--rules", str(workspace / "rules.json"),
+              "--schema", str(workspace / "schema.json")]
+    report = str(workspace / "out" / "report.json")
+    if command == "evaluate-report-directory":
+        blocked, reason = workspace / "out2" / "report.json", os.strerror(errno.EISDIR)
+        blocked.mkdir(parents=True)
+    const = {"id": "00000000A", "ipaddress": "1.2.3.4", "age": 30,
+             "balance": "1.00", "active": True, "updated": "2024-05-01T00:00:00Z",
+             "wid": "w", "type": "HR", "person_id": "00000000A"}
+    (workspace / "spec.json").write_text(json.dumps({"seed": 1, "entities": {
+        e["name"]: {"rows": 1, "columns": {
+            c["name"]: {"generator": "const", "value": const[c["name"]]}
+            for c in e["columns"]}}
+        for e in PERSON_SCHEMA["entities"]}}))
+    argv = {
+        "evaluate": ["evaluate", *inputs, "--data", str(workspace / "snapshot"),
+                     "--out", str(blocked)],
+        "evaluate-report-directory": ["evaluate", *inputs, "--data",
+                                      str(workspace / "snapshot"),
+                                      "--out", str(blocked.parent)],
+        "improve": ["improve", "--report", report, "--measures",
+                    str(workspace / "out" / "measures.json"), "--out", str(blocked)],
+        "compare": ["compare", report, report, "--out", str(blocked)],
+        "synth-scenario": ["synth", "--scenario", "travel-v1", "--out", str(blocked)],
+        "synth-spec": ["synth", "--spec", str(workspace / "spec.json"), *inputs,
+                       "--out", str(blocked)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {blocked}: {reason}\n"
+
+
 def test_evaluate_props_filter(workspace):
     assert _evaluate(workspace, "--props", "EXAC_SEMAN") == 0
     report = json.loads((workspace / "out" / "report.json").read_text())
@@ -1035,9 +1078,11 @@ def _synth_generators(tmp_path: Path, column: str, params: dict) -> int:
     ("n", {"generator": "serial", "start": True}, _START),
     ("n", {"min": True}, _BOUNDS),
     ("n", {"max": 9.0}, _BOUNDS),
+    ("amt", {"min": 1e-13, "max": 1e-13}, "item.amt: decimal literal "
+     "0.0000000000001 has more than 12 places after the point"),
 ], ids=["places-negative", "places-text", "places-fraction", "places-huge",
         "places-13", "places-boolean", "start-text", "start-fraction",
-        "start-boolean", "min-boolean", "max-fraction"])
+        "start-boolean", "min-boolean", "max-fraction", "bounds-13-places"])
 def test_synth_generator_parameter_out_of_reach_exits_3(tmp_path, capsys, column,
                                                        params, message):
     """A generator parameter synth cannot honour is refused, naming the
@@ -1057,6 +1102,29 @@ def test_synth_decimal_places_snapshot_loads(tmp_path, places):
                  "--schema", str(tmp_path / "schema.json"),
                  "--data", str(tmp_path / "out"),
                  "--out", str(tmp_path / "report")]) == 0
+
+
+def test_decimal_literal_past_twelve_places_exits_3(tmp_path, capsys):
+    """A rule literal that no decimal cell can hold is a validation ERROR for
+    validate, evaluate and synth alike."""
+    error = ("ERROR r: range max: decimal literal 0.0000000000001 has more "
+             "than 12 places after the point")
+    (tmp_path / "rules.json").write_text(make_ruleset(
+        [rule("r", "item", ["amt"], "RAN_EXAC", "range", {"max": 1e-13})]))
+    (tmp_path / "schema.json").write_text(json.dumps(_GENERATOR_SCHEMA))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"item": {"rows": 4, "columns": {}}}}))
+    files = ["--rules", str(tmp_path / "rules.json"),
+             "--schema", str(tmp_path / "schema.json")]
+    assert main(["validate", *files]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == error
+    for argv in (["evaluate", *files, "--data", str(tmp_path / "snapshot"),
+                  "--out", str(tmp_path / "out")],
+                 ["synth", "--spec", str(tmp_path / "spec.json"), *files,
+                  "--out", str(tmp_path / "synth")]):
+        assert main(argv) == 3, argv[0]
+        assert capsys.readouterr().err == error + "\n", argv[0]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "synth").exists()
 
 
 _OUT_OF_RANGE = "is out of range: at most 1000 digits before and after the decimal point"

@@ -434,6 +434,19 @@ def _outcome(load, path: Path, schema: EntitySchema):
 @example((_WIDE, b"t,u,n,b\nx,y,1,true\nx,y,1,true\nx,y,abc,true\nx,,1,true\n"), 65536)
 # blocks of nulls only, which the pre-seeded keys map, next to a new key
 @example((_NARROW, b"t\n\n\\N\n\n\\N\nx\n\\N\n\n"), 65536)
+# a null in the non-nullable text column u once its cache is warm, alone
+# or before a bad integer in a later row
+@example((_WIDE, b"t,u,n,b\nx,y,1,true\nx,z,1,true\nx,y,1,true\nx,\\N,1,true\n"), 65536)
+@example((_WIDE, b"t,u,n,b\nx,y,1,true\nx,z,1,true\nx,,1,true\nx,y,abc,true\n"), 65536)
+# quoted "" and \N: text in both the nullable t and the non-nullable u
+@example((_WIDE, b't,u,n,b\n"","\\N",,true\n"\\N","",1,false\n,x,,true\n'), 65536)
+@example((_WIDE, b't,u,n,b\n"","\\N",,true\n"\\N","",1,false\n,x,,true\n'), 3)
+# the last record a field long, where the separators alone look right
+@example((_WIDE, b"t,u,n,b\nx,y,1,true\nx,y,1,true,9\n"), 65536)
+# an empty record next to one with twice the fields; next to one with three,
+# the block's total is right, and only the separators' places show it
+@example((_schema(("a", "text"), ("b", "text")), b"a,b\nx,y\n\nx,y,z,w\n"), 65536)
+@example((_schema(("a", "text"), ("b", "text")), b"a,b\nx,y\n\nx,y,z\n"), 65536)
 def test_streamed_load_matches_reference_at_every_chunk_size(file, cap):
     """Every chunk size from 1 byte to past the file's end splits multi-byte
     characters, quoted fields and CRLF pairs somewhere, and puts a record in a
@@ -470,6 +483,43 @@ def test_dedup_cap_bounds_a_columns_cache(tmp_path: Path):
         entity = load_entity(path, schema)
     assert entity.column("n") == [i % 7 for i in range(40)]
     assert max(len(c) for c in caches[-1]) <= 4
+
+
+def test_dedup_cap_bounds_a_text_columns_cache(tmp_path: Path):
+    """The same for text columns, which add their new keys to their caches
+    in the pass that maps them: no cache ever holds more than the cap."""
+    schema = _schema(("s", "text"), ("t", "text", True))
+    path = tmp_path / "t.csv"
+    path.write_text("s,t\n" + "".join(f"v{i % 7},{i % 3 or ''}\n" for i in range(40)))
+    sizes = []
+    real = dataset._add_rows
+
+    def add_rows(*args):
+        real(*args)
+        sizes.append(max(map(len, args[3])))  # the largest cache after the block
+
+    with mock.patch.object(dataset, "_DEDUP_CAP", 4), \
+            mock.patch.object(dataset, "_CHUNK_BYTES", 6), \
+            mock.patch.object(dataset, "_add_rows", add_rows):
+        entity = load_entity(path, schema)
+    assert entity.column("s") == [f"v{i % 7}" for i in range(40)]
+    assert entity.column("t") == [str(i % 3) if i % 3 else None for i in range(40)]
+    assert len(sizes) > 7 and max(sizes) <= 4
+
+
+@pytest.mark.parametrize("text, message, row, column", [
+    ('n,d\n"12\n",1.5\n7,2.25\n', "invalid integer '12\\n'", 0, "n"),
+    ('n,d\n12,1.5\n7,"2.25\n"\n', "invalid decimal '2.25\\n'", 1, "d"),
+    ('n,d\n12,1.5\n" 7",2.25\n', "invalid integer ' 7'", 1, "n"),
+], ids=["integer-newline", "decimal-newline", "integer-space"])
+def test_number_cells_match_whole(tmp_path: Path, text, message, row, column):
+    """An integer or decimal field must match its grammar whole: a final
+    newline inside quotes is not dropped."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(LoadError) as exc:
+        load_entity(path, _schema(("n", "integer"), ("d", "decimal")))
+    assert (exc.value.message, exc.value.row, exc.value.column) == (message, row, column)
 
 
 @pytest.mark.parametrize("extra", [b"40\n", b"40,"], ids=["record", "bad-record"])

@@ -391,6 +391,20 @@ def test_write_atomic_replaces_whole_or_not_at_all(tmp_path: Path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "report.json"]
 
 
+@pytest.mark.parametrize("where, error", [
+    ("dir", IsADirectoryError), ("file/report.json", NotADirectoryError),
+    ("absent/report.json", FileNotFoundError)])
+def test_write_atomic_error_names_the_target(tmp_path: Path, where, error):
+    """A failed write raises an OSError naming the file asked for, not the
+    temporary file, and leaves nothing behind."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    with pytest.raises(error) as exc:
+        write_atomic(tmp_path / where, "text")
+    assert exc.value.filename == str(tmp_path / where)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
 def test_zero_failures_empty_manifest_set(person_snapshot, tmp_path: Path):
     rs = parse_ruleset(make_ruleset([
         rule("ok", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": ".*"})]))
