@@ -2,9 +2,11 @@
 
 Exit codes: 0 ok/eligible, 1 usage or I/O error, 2 not eligible (certify
 only), 3 validation errors, 4 internal evaluation error, 5 input mismatch
-(fingerprints or comparison scope). Quality outcomes are data, not errors:
-`evaluate` exits 0 however poor the levels; only `certify` encodes the
-verdict in its exit status.
+(fingerprints or comparison scope). One status depends on the file: a
+malformed report or measures file, which dq wrote itself, exits 1, and a
+malformed rules, schema, config or spec file exits 3. Quality outcomes are
+data, not errors: `evaluate` exits 0 however poor the levels; only
+`certify` encodes the verdict in its exit status.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (DqError, EvalError, FingerprintMismatch, InvalidRuleset,
-                     LoadError, NothingEvaluated, ParseError, ScopeMismatch,
-                     SynthError)
+                     NothingEvaluated, ParseError, ScopeMismatch, SynthError)
 from .host import usable_cpus, write_atomic
 
 # Each command imports the layers it runs, inside its cmd_* function: every
@@ -30,6 +31,19 @@ EXIT_NOT_ELIGIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_EVAL = 4
 EXIT_MISMATCH = 5
+
+# Each error's exit status: main returns the status of the first entry whose
+# class the error is an instance of. Only the documents dq writes itself
+# (_read_own) map a ParseError elsewhere.
+_EXIT_STATUS = (
+    (ParseError, EXIT_VALIDATION),
+    (SynthError, EXIT_VALIDATION),  # ConflictingPlan and InvalidRuleset too
+    (NothingEvaluated, EXIT_VALIDATION),
+    (EvalError, EXIT_EVAL),
+    (FingerprintMismatch, EXIT_MISMATCH),
+    (ScopeMismatch, EXIT_MISMATCH),
+    (DqError, EXIT_USAGE),
+)
 
 
 class _CliError(Exception):
@@ -44,6 +58,18 @@ def _read(path: str, what: str) -> str:
     except OSError as exc:
         raise _CliError(f"cannot read {what} {path}: {exc.strerror or exc}",
                         EXIT_USAGE) from None
+    except UnicodeDecodeError:
+        raise _CliError(f"cannot read {what} {path}: not valid UTF-8",
+                        EXIT_USAGE) from None
+
+
+def _read_own(parse, path: str, what: str):
+    """parse() the report or measures file dq wrote at path: a malformed one
+    is an input error, exit 1, where a malformed rules file is exit 3."""
+    try:
+        return parse(_read(path, what))
+    except ParseError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from None
 
 
 @contextmanager
@@ -60,12 +86,8 @@ def _writing():
 def _load_rules_and_schema(args):
     from .dataset import load_catalog
     from .rules import parse_ruleset
-    try:
-        rs = parse_ruleset(_read(args.rules, "rules file"))
-        catalog = load_catalog(_read(args.schema, "schema file"))
-    except ParseError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION) from None
-    return rs, catalog
+    return (parse_ruleset(_read(args.rules, "rules file")),
+            load_catalog(_read(args.schema, "schema file")))
 
 
 def _parse_name_list(raw: str | None, parser_fn, what: str):
@@ -98,10 +120,7 @@ def _filter_rules(rs, chars, props):
 def _scoring_config(args):
     from .scoring import default_config, load_config
     if getattr(args, "config", None):
-        try:
-            return load_config(_read(args.config, "config file"))
-        except ParseError as exc:
-            raise _CliError(str(exc), EXIT_VALIDATION) from None
+        return load_config(_read(args.config, "config file"))
     return default_config()
 
 
@@ -133,24 +152,14 @@ def cmd_evaluate(args) -> int:
     props = _parse_name_list(args.props, parse_property, "property")
     rs = _filter_rules(rs, chars, props)
 
-    diagnostics = validate_ruleset(rs, catalog)
-    errors = [d for d in diagnostics if d.level == "ERROR"]
+    errors = [d for d in validate_ruleset(rs, catalog) if d.level == "ERROR"]
     if errors:
-        for d in errors:
-            print(d, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InvalidRuleset("\n".join(map(str, errors)))
 
     config = _scoring_config(args)
-    try:
-        repo = load_snapshot(Path(args.data), catalog)
-    except LoadError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from None
-
+    repo = load_snapshot(Path(args.data), catalog)
     ms = eval_all(rs, repo, jobs=args.jobs)
-    try:
-        result = score_all(ms, rs, config)
-    except NothingEvaluated as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION) from None
+    result = score_all(ms, rs, config)
 
     report = build_report(rs, repo, ms, result, config, __version__)
     out = Path(args.out)
@@ -172,10 +181,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_certify(args) -> int:
     from .reporting import parse_report
-    try:
-        report = parse_report(_read(args.report, "report"))
-    except ParseError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from None
+    report = _read_own(parse_report, args.report, "report")
     if report["verdict"]["eligible"]:
         print("ELIGIBLE: every evaluated characteristic is at level 3 or higher")
         return EXIT_OK
@@ -188,15 +194,9 @@ def cmd_certify(args) -> int:
 def cmd_improve(args) -> int:
     from .reporting import (build_improvement, parse_measures, parse_report,
                             write_improvement)
-    try:
-        report = parse_report(_read(args.report, "report"))
-        ms = parse_measures(_read(args.measures, "measures file"))
-    except ParseError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from None
-    try:
-        manifests = build_improvement(report, ms)
-    except FingerprintMismatch as exc:
-        raise _CliError(str(exc), EXIT_MISMATCH) from None
+    report = _read_own(parse_report, args.report, "report")
+    ms = _read_own(parse_measures, args.measures, "measures file")
+    manifests = build_improvement(report, ms)
     with _writing():
         paths = write_improvement(manifests, report, Path(args.out))
     print(f"wrote {len(paths)} manifest(s) and index.json to {args.out}")
@@ -206,15 +206,9 @@ def cmd_improve(args) -> int:
 def cmd_compare(args) -> int:
     from . import canonical
     from .reporting import compare, parse_report, render_comparison
-    try:
-        first = parse_report(_read(args.first, "report"))
-        second = parse_report(_read(args.second, "report"))
-    except ParseError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from None
-    try:
-        result = compare(first, second)
-    except ScopeMismatch as exc:
-        raise _CliError(str(exc), EXIT_MISMATCH) from None
+    first = _read_own(parse_report, args.first, "report")
+    second = _read_own(parse_report, args.second, "report")
+    result = compare(first, second)
     if args.out:
         out = Path(args.out)
         with _writing():
@@ -227,8 +221,6 @@ def cmd_compare(args) -> int:
 
 def cmd_synth(args) -> int:
     from . import scenarios, synthkit
-    from .dataset import load_catalog
-    from .rules import parse_ruleset
     out = Path(args.out)
     if args.scenario:
         if args.scenario not in scenarios.scenario_names():
@@ -241,17 +233,10 @@ def cmd_synth(args) -> int:
     if not (args.spec and args.schema and args.rules):
         raise _CliError("synth needs either --scenario or all of "
                         "--spec/--schema/--rules", EXIT_USAGE)
-    try:
-        spec = synthkit.parse_synthspec(_read(args.spec, "synth spec"))
-        rs = parse_ruleset(_read(args.rules, "rules file"))
-        catalog = load_catalog(_read(args.schema, "schema file"))
-        with _writing():
-            synthkit.generate(spec, catalog, rs, out)
-    except InvalidRuleset as exc:  # the ERROR lines, as evaluate prints them
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ParseError, SynthError) as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION) from None
+    spec = synthkit.parse_synthspec(_read(args.spec, "synth spec"))
+    rs, catalog = _load_rules_and_schema(args)
+    with _writing():
+        synthkit.generate(spec, catalog, rs, out)
     print(f"wrote snapshot and expected_measures.json to {out}")
     return EXIT_OK
 
@@ -339,9 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DqError as exc:  # pipeline bugs and anything unmapped
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL if isinstance(exc, EvalError) else EXIT_USAGE
+    except DqError as exc:  # InvalidRuleset: ERROR lines, as validate prints them
+        print(exc if isinstance(exc, InvalidRuleset) else f"error: {exc}",
+              file=sys.stderr)
+        return next(code for cls, code in _EXIT_STATUS if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

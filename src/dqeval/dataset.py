@@ -113,7 +113,7 @@ def load_catalog(document: str) -> SchemaCatalog:
             columns.append(ColumnSchema(cname, dtype, nullable))
 
         key = raw.get("key", [])
-        if not isinstance(key, list):
+        if not isinstance(key, list) or not all(isinstance(kc, str) for kc in key):
             raise ParseError("key must be an array of column names", context=f"{ctx}.key")
         for kc in key:
             if kc not in col_names:

@@ -165,6 +165,8 @@ def parse_report(text: str) -> dict:
         config = load_config(canonical.dumps(md["config"]))
         metadata["config"] = config.to_json()
         row_counts = data["scope"]["row_counts"]
+        if type(row_counts) is not dict:
+            raise TypeError(f"row_counts must be an object, not {row_counts!r}")
         measures = list(map(_measure, data["measures"]))
         seen: set[str] = set()
         for rule_id, *_ in measures:

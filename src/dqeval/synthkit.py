@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, count, repeat
@@ -206,6 +207,14 @@ def _draws(rng: random.Random, seq, n: int) -> list:
     return values
 
 
+def _span(lo: int, hi: int, context: str, kind: str) -> range:
+    """range(lo, hi + 1), which _draws, like random.choice, can draw from
+    only while its length fits in a C ssize_t."""
+    if hi - lo >= sys.maxsize:
+        raise SynthError(f"{context}: {kind} range holds more than {sys.maxsize} values")
+    return range(lo, hi + 1)
+
+
 def _generate_column(gen: ColumnGen, datatype: str, n: int,
                      rng: random.Random, context: str) -> list:
     # Drawn cells are _draws' choices from a pool or a range, and
@@ -222,7 +231,12 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
             if not isinstance(fmt, str) or "{n" not in fmt:
                 raise SynthError(f"{context}: serial text generators need a "
                                  "format with an {n} placeholder")
-            values = [fmt.format(n=i) for i in range(n)]
+            try:
+                values = [fmt.format(n=i) for i in range(n)]
+            except (AttributeError, LookupError, OverflowError, TypeError,
+                    ValueError) as exc:
+                raise SynthError(f"{context}: serial format {fmt!r} cannot format a "
+                                 f"row number ({type(exc).__name__}: {exc})") from None
         else:
             raise SynthError(f"{context}: serial supports integer or text columns")
     elif kind == "choice":
@@ -234,7 +248,7 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
         lo, hi = gen.param("min"), gen.param("max")
         if type(lo) is not int or type(hi) is not int or lo > hi:
             raise SynthError(f"{context}: int_uniform needs integer min <= max")
-        values = _draws(rng, range(lo, hi + 1), n)
+        values = _draws(rng, _span(lo, hi, context, kind), n)
     elif kind == "decimal_uniform":
         places = gen.param("places", 2)
         if type(places) is not int or not 0 <= places <= DECIMAL_PLACES:
@@ -246,8 +260,8 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
             raise SynthError(f"{context}: decimal_uniform needs min <= max")
         units = int(((hi - lo) * (10 ** places)).to_integral_value())
         quantum = Decimal(1).scaleb(-places)
-        values = list(map(lo.__add__, map(quantum.__mul__,
-                                          _draws(rng, range(units + 1), n))))
+        values = list(map(lo.__add__, map(quantum.__mul__, _draws(
+            rng, _span(0, units, context, kind), n))))
     elif kind == "timestamp_uniform":
         start = _coerce(gen.param("start"), "timestamp", context)
         end = _coerce(gen.param("end"), "timestamp", context)

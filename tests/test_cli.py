@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import (PERSON_CSV, PERSON_SCHEMA, WARNING_CSV, growing_reader,
                       make_ruleset, rule)
-from dqeval import __version__, canonical, engine
+from dqeval import __version__, canonical, engine, errors
 from dqeval.errors import EvalError
 from dqeval.cli import build_parser, main
 from dqeval.scenarios import write_scenario
@@ -70,6 +71,28 @@ def test_validate_unreadable_file_exits_1(workspace, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["validate", "--rules", "bad.json", "--schema", "schema.json"], "rules file"),
+    (["validate", "--rules", "rules.json", "--schema", "bad.json"], "schema file"),
+    (["evaluate", "--rules", "rules.json", "--schema", "schema.json", "--data",
+      "snapshot", "--out", "out", "--config", "bad.json"], "config file"),
+    (["certify", "bad.json"], "report"),
+    (["improve", "--report", "out/report.json", "--measures", "bad.json", "--out",
+      "manifests"], "measures file"),
+    (["synth", "--spec", "bad.json", "--schema", "schema.json", "--rules",
+      "rules.json", "--out", "synth"], "synth spec"),
+], ids=["rules", "schema", "config", "report", "measures", "synth-spec"])
+def test_input_document_not_utf8_exits_1(workspace, capsys, monkeypatch, argv, what):
+    """An input document that is not UTF-8 is named, exit 1, as an unreadable
+    one is."""
+    _evaluate(workspace)
+    (workspace / "bad.json").write_bytes(b"\xff\xfe{}")
+    monkeypatch.chdir(workspace)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot read {what} bad.json: not valid UTF-8\n"
+
+
 # --------------------------------------------------------------------------
 # evaluate
 
@@ -96,6 +119,42 @@ def test_evaluate_error_exits_4(workspace, capsys, monkeypatch):
     assert _evaluate(workspace) == 4
     assert capsys.readouterr().err == "error: rule 'r1': worker died\n"
     assert not (workspace / "out" / "report.json").exists()
+
+
+# Every error class's exit status, as README's CLI summary documents it.
+_STATUS = {"DqError": 1, "ParseError": 3, "LoadError": 1, "UnknownColumn": 1,
+           "EvalError": 4, "OutOfRange": 1, "NothingEvaluated": 3,
+           "FingerprintMismatch": 5, "ScopeMismatch": 5, "SynthError": 3,
+           "ConflictingPlan": 3, "InvalidRuleset": 3}
+
+
+@pytest.mark.parametrize("name", list(_STATUS))
+def test_each_error_class_exits_with_its_status(workspace, capsys, monkeypatch, name):
+    """An error raised inside a command exits with its class's status and
+    one `error: message` line; InvalidRuleset's message, its ERROR lines, is
+    printed as it is."""
+    cls = getattr(errors, name)
+
+    def fail(*args, **kwargs):
+        raise cls("what went wrong")
+    monkeypatch.setattr(engine, "eval_all", fail)
+    assert _evaluate(workspace) == _STATUS[name]
+    prefix = "" if cls is errors.InvalidRuleset else "error: "
+    assert capsys.readouterr().err == f"{prefix}what went wrong\n"
+    assert not (workspace / "out").exists()
+
+
+def test_every_error_class_has_a_documented_status():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    summary = readme.split("## CLI summary", 1)[1].split("\n## ", 1)[0]
+    cells = [row.rsplit("|", 2)[1] for row in summary.splitlines()
+             if row.startswith("| `dq")]
+    documented = {int(code) for code in re.findall(r"(\d) [a-z]", "".join(cells))
+                  + re.findall(r"exit (\d)", summary)}
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.DqError)}
+    assert classes == set(_STATUS)
+    assert set(_STATUS.values()) <= documented
 
 
 def test_evaluate_chars_filter(workspace):
@@ -340,6 +399,7 @@ def _differs(stated: str, derived: str) -> str:
     (("characteristics", 0, "profile"), [0, 0, 0, 2], _differs("2", "2,")),
     (("characteristics", 0, "profile"), [0, 0, 0, 2, "0"], _differs('"0"', "0")),
     (("scope", "row_counts", "person"), "4", "person must be an integer, not '4'"),
+    (("scope", "row_counts"), [1], "row_counts must be an object, not [1]"),
     (("scope", "rule_counts", "Accuracy"), True,
      _differs('"Accuracy": true,', '"Accuracy": 2,')),
     (("verdict", "eligible"), "false",
@@ -350,6 +410,7 @@ def _differs(stated: str, derived: str) -> str:
         "characteristic-level-decimal", "reason-level-text", "a-bool", "b-text",
         "failing-total-null", "sum-a-decimal", "sum-b-bool", "rule-count-text",
         "profile-four", "profile-text-member", "scope-row-count-text",
+        "scope-row-counts-array",
         "scope-rule-count-bool", "eligible-text", "config-echo-aggregation"])
 def test_report_numbers_of_the_wrong_type_exit_1(workspace, capsys, path, value, message):
     """certify, compare and improve refuse a report whose inputs are not of
@@ -1043,17 +1104,20 @@ def test_synth_bad_plan_exits_3(tmp_path, capsys, body, violating, message):
 
 _GENERATOR_SCHEMA = {"entities": [{"name": "item", "columns": [
     {"name": "n", "datatype": "integer", "nullable": False},
-    {"name": "amt", "datatype": "decimal", "nullable": False}]}]}
+    {"name": "amt", "datatype": "decimal", "nullable": False},
+    {"name": "code", "datatype": "text", "nullable": False}]}]}
 _PLACES = "item.amt: decimal_uniform places must be an integer from 0 to 12"
 _START = "item.n: serial start must be an integer"
 _BOUNDS = "item.n: int_uniform needs integer min <= max"
+_FORMAT = "item.code: serial format {!r} cannot format a row number ({})"
 
 
 def _synth_generators(tmp_path: Path, column: str, params: dict) -> int:
-    """dq synth over an integer column n and a decimal column amt, with
-    params merged into one column's generator."""
+    """dq synth over an integer column n, a decimal column amt and a text
+    column code, with params merged into one column's generator."""
     columns = {"n": {"generator": "int_uniform", "min": 0, "max": 9},
-               "amt": {"generator": "decimal_uniform", "min": "0", "max": "1"}}
+               "amt": {"generator": "decimal_uniform", "min": "0", "max": "1"},
+               "code": {"generator": "serial", "format": "K{n}"}}
     columns[column] = {**columns[column], **params}
     (tmp_path / "rules.json").write_text(make_ruleset(
         [rule("r", "item", ["n"], "COMP_REG", "not_null")]))
@@ -1080,9 +1144,20 @@ def _synth_generators(tmp_path: Path, column: str, params: dict) -> int:
     ("n", {"max": 9.0}, _BOUNDS),
     ("amt", {"min": 1e-13, "max": 1e-13}, "item.amt: decimal literal "
      "0.0000000000001 has more than 12 places after the point"),
+    ("code", {"format": "K{n}{m}"}, _FORMAT.format("K{n}{m}", "KeyError: 'm'")),
+    ("code", {"format": "K{n:q}"}, _FORMAT.format(
+        "K{n:q}", "ValueError: Unknown format code 'q' for object of type 'int'")),
+    ("n", {"min": 0, "max": 10 ** 53},
+     f"item.n: int_uniform range holds more than {sys.maxsize} values"),
+    ("n", {"min": 0, "max": sys.maxsize},
+     f"item.n: int_uniform range holds more than {sys.maxsize} values"),
+    ("amt", {"max": 1e30, "places": 2},
+     f"item.amt: decimal_uniform range holds more than {sys.maxsize} values"),
 ], ids=["places-negative", "places-text", "places-fraction", "places-huge",
         "places-13", "places-boolean", "start-text", "start-fraction",
-        "start-boolean", "min-boolean", "max-fraction", "bounds-13-places"])
+        "start-boolean", "min-boolean", "max-fraction", "bounds-13-places",
+        "format-unknown-field", "format-unknown-code", "int-range-huge",
+        "int-range-past-maxsize", "decimal-range-huge"])
 def test_synth_generator_parameter_out_of_reach_exits_3(tmp_path, capsys, column,
                                                        params, message):
     """A generator parameter synth cannot honour is refused, naming the
@@ -1102,6 +1177,12 @@ def test_synth_decimal_places_snapshot_loads(tmp_path, places):
                  "--schema", str(tmp_path / "schema.json"),
                  "--data", str(tmp_path / "out"),
                  "--out", str(tmp_path / "report")]) == 0
+
+
+def test_synth_widest_int_range_draws(tmp_path):
+    """A range of sys.maxsize values is the widest one random.choice, and
+    so synth, can draw from."""
+    assert _synth_generators(tmp_path, "n", {"min": 1, "max": sys.maxsize}) == 0
 
 
 def test_decimal_literal_past_twelve_places_exits_3(tmp_path, capsys):

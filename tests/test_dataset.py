@@ -45,6 +45,15 @@ def test_key_must_reference_existing_column():
         load_catalog(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", [[["id"]], [{"name": "id"}], [1]])
+def test_key_entries_must_be_column_names(key):
+    doc = {"entities": [{"name": "e", "columns": [
+        {"name": "id", "datatype": "text"}], "key": key}]}
+    with pytest.raises(ParseError, match="key must be an array of column names") as exc:
+        load_catalog(json.dumps(doc))
+    assert exc.value.context == "entities[0].key"
+
+
 @pytest.mark.parametrize("name", ["../outside", "a/b", "/abs", "a\\b", "a\0b",
                                   ".", ".."])
 def test_entity_name_must_be_a_plain_file_name(name):
