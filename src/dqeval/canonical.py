@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -31,41 +32,45 @@ class Raw(str):
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(level: int) -> tuple[str, str, str]:
+def layout(level: int) -> tuple[str, str, str]:
     """(first lead, separator lead, closing pad) of a container at one depth."""
     inner = "\n" + "  " * (level + 1)
     return inner, "," + inner, "\n" + "  " * level
 
 
-def _leaf(obj) -> str | None:
-    """Text of a non-container value, or None for a dict, list or tuple.
+def _finite(value: Decimal) -> str:
+    if not value.is_finite():
+        raise ValueError(f"non-finite decimal {value} cannot be serialized")
+    return str(value)
 
-    The general path: exact str, int, None, bool and finite Decimal children
-    never get here, the container loops write those inline.
-    """
-    if obj is None:
-        return "null"
-    elif obj is True:
-        return "true"
-    elif obj is False:
-        return "false"
-    elif isinstance(obj, int):
-        return str(obj)
-    elif isinstance(obj, Decimal):
-        if not obj.is_finite():
-            raise ValueError(f"non-finite decimal {obj} cannot be serialized")
-        return str(obj)
-    elif isinstance(obj, float):
-        # floats are never produced by the pipeline; refuse silently lossy output
-        raise TypeError("float values are not allowed in canonical documents")
-    elif isinstance(obj, Raw):
-        return obj
-    elif isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    elif isinstance(obj, datetime):
-        return json.dumps(format_timestamp(obj))
-    elif isinstance(obj, (dict, list, tuple)):
-        return None
+
+def _refuse_float(value):
+    # floats are never produced by the pipeline; refuse silently lossy output
+    raise TypeError("float values are not allowed in canonical documents")
+
+
+def _container(value) -> None:
+    """None: _emit writes the members of a dict, list or tuple."""
+
+
+# Each value type's JSON text; None for a container. A value of a type not
+# listed is written as its nearest listed base (see scalar).
+_TEXT = {
+    str: _encode_str, Raw: str, int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null",
+    Decimal: _finite,
+    datetime: lambda value: _encode_str(format_timestamp(value)),
+    float: _refuse_float,
+    dict: _container, list: _container, tuple: _container,
+}
+
+
+def scalar(obj) -> str | None:
+    """The JSON text of a non-container value, or None for a dict, list or
+    tuple: the table's entry for the first of its type's bases listed."""
+    for base in type(obj).__mro__:
+        if base in _TEXT:
+            return _TEXT[base](obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -76,7 +81,8 @@ def _emit(obj, out: list[str], level: int) -> None:
         out.append("{}" if keyed else "[]")
         return
     append = out.append
-    lead, sep, close = _layout(level)
+    text_of = _TEXT.get
+    lead, sep, close = layout(level)
     append("{" if keyed else "[")
     for item in (obj.items() if keyed else obj):
         if keyed:
@@ -88,33 +94,19 @@ def _emit(obj, out: list[str], level: int) -> None:
             value = item
             head = lead
         lead = sep
-        t = type(value)
-        if t is str:
-            append(head + _encode_str(value))
-        elif t is int:
-            append(head + str(value))
-        elif value is None:
-            append(head + "null")
-        elif t is bool:
-            append(head + ("true" if value else "false"))
-        elif t is Decimal and value.is_finite():
-            append(head + str(value))
-        elif t is dict or t is list or t is tuple:
+        t = type(value)  # most members are str: those skip the lookup
+        text = _encode_str(value) if t is str else text_of(t, scalar)(value)
+        if text is None:
             append(head)
             _emit(value, out, level + 1)
         else:
-            text = _leaf(value)
-            if text is None:
-                append(head)
-                _emit(value, out, level + 1)
-            else:
-                append(head + text)
+            append(head + text)
     append(close + ("}" if keyed else "]"))
 
 
 def dumps(obj) -> str:
     """Serialize to canonical JSON text, two-space indented (trailing newline included)."""
-    text = _leaf(obj)
+    text = scalar(obj)
     if text is not None:
         return text + "\n"
     out: list[str] = []
@@ -168,18 +160,47 @@ def _document_decimal(literal: str) -> Decimal:
     return value
 
 
+# A UTF-16 surrogate, which UTF-8 cannot encode: in a str, always a lone one.
+SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _lone_surrogate(data) -> re.Match | None:
+    """A lone surrogate in the keys or strings of a decoded document, if any."""
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if type(item) is dict:
+            stack += item
+            stack += item.values()
+        elif type(item) is list:
+            stack += item
+        elif type(item) is str and (found := SURROGATE.search(item)):
+            return found
+    return None
+
+
 def load_document(text: str):
     """`loads` for input documents: malformed JSON is a ParseError naming its
     line and column, a number too long to write out in full (see
-    MAX_NUMBER_DIGITS) is one, and so is nesting too deep to decode."""
+    MAX_NUMBER_DIGITS) is one, and so is nesting too deep to decode, or a
+    key or string holding a lone UTF-16 surrogate, which UTF-8 cannot encode."""
     try:
-        return json.loads(text, parse_int=_document_int,
+        data = json.loads(text, parse_int=_document_int,
                           parse_float=_document_decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno,
                          column=exc.colno) from None
     except RecursionError:
         raise ParseError(f"malformed JSON: {_TOO_DEEP}") from None
+    # a surrogate in the text is in a string; the walk runs only where an
+    # escape may have decoded to one (an escaped pair decodes to one character)
+    lone = (not text.isascii() and SURROGATE.search(text)
+            or _SURROGATE_ESCAPE.search(text) and _lone_surrogate(data))
+    if lone:
+        raise ParseError(f"a string holds the lone surrogate U+{ord(lone.group()):04X}, "
+                         "which UTF-8 cannot encode")
+    return data
 
 
 def sha256_text(text: str) -> str:

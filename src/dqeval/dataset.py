@@ -519,7 +519,7 @@ def write_entity(entity: Entity, path: Path) -> None:
 def serialize_entity(entity: Entity) -> str:
     specs = entity.schema.columns
     cols = [_column_fields(entity.column(c.name), c.datatype) for c in specs]
-    return "\n".join([",".join(c.name for c in specs),
+    return "\n".join([",".join(_encode_field(c.name, "text") for c in specs),
                       *map(",".join, zip(*cols)), ""])
 
 

@@ -196,15 +196,6 @@ def parse_report(text: str) -> dict:
 _RECORDS_LEVEL = 3
 
 
-def _key_value(value) -> str:
-    t = type(value)
-    if t is str:
-        return canonical._encode_str(value)
-    if t is int:
-        return str(value)
-    return canonical._leaf(value)
-
-
 def record_writer(record_key: Callable[[str, int], dict], level: int,
                   with_entity: bool) -> Callable[[list], canonical.Raw]:
     """A writer of failing-record lists at `level`: from (entity, row) pairs it
@@ -212,21 +203,22 @@ def record_writer(record_key: Callable[[str, int], dict], level: int,
     ("entity" only when with_entity), without building the dicts. An
     entity-level record (row None) has an empty key. One row fails many rules,
     so each (entity, row)'s text is made once per writer."""
-    lead, sep, close = canonical._layout(level)
-    member, member_sep, record_close = canonical._layout(level + 1)
-    key_lead, key_sep, key_close = canonical._layout(level + 2)
+    lead, sep, close = canonical.layout(level)
+    member, member_sep, record_close = canonical.layout(level + 1)
+    key_lead, key_sep, key_close = canonical.layout(level + 2)
+    scalar = canonical.scalar
     texts: dict[tuple[str, int | None], str] = {}
 
     def record(pair: tuple[str, int | None]) -> str:
         entity, row = pair
         head = "{" + member
         if with_entity:
-            head += f'"entity": {canonical._encode_str(entity)}{member_sep}'
+            head += f'"entity": {scalar(entity)}{member_sep}'
         if row is None:
             row_text, key_text = "null", "{}"
         else:
             key = record_key(entity, row)
-            members = key_sep.join(f"{canonical._encode_str(name)}: {_key_value(v)}"
+            members = key_sep.join(f"{scalar(name)}: {scalar(v)}"
                                    for name, v in key.items())
             row_text = str(row)
             key_text = "{" + key_lead + members + key_close + "}" if key else "{}"
@@ -328,7 +320,7 @@ def parse_measures(text: str) -> MeasureSet:
                         raise ValueError(f"invalid failing record {r!r}")
                 else:
                     first = texts.get(pair) or texts.setdefault(pair, repr(known))
-                    if known != key or repr(key) != first:
+                    if repr(key) != first:
                         raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
                                          f"{known!r} and {key!r}")
                 failing.append(pair)

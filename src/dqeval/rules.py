@@ -406,7 +406,7 @@ def _parse_kind(kind_name: str, params: dict, format_classes: dict[str, str],
 
     if kind is MinCount:
         threshold = _want(params, "threshold", int, ctx)
-        if isinstance(threshold, bool) or threshold < 0:
+        if threshold < 0:
             raise ParseError("min_count threshold must be a non-negative integer",
                              context=ctx)
         return MinCount(threshold)

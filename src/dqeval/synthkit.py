@@ -237,6 +237,12 @@ def _generate_column(gen: ColumnGen, datatype: str, n: int,
                     ValueError) as exc:
                 raise SynthError(f"{context}: serial format {fmt!r} cannot format a "
                                  f"row number ({type(exc).__name__}: {exc})") from None
+            text = "".join(values)
+            if not text.isascii() and canonical.SURROGATE.search(text):
+                row = next(i for i, v in enumerate(values)
+                           if canonical.SURROGATE.search(v))
+                raise SynthError(f"{context}: serial format {fmt!r} writes a lone "
+                                 f"surrogate at row {row}, which UTF-8 cannot encode")
         else:
             raise SynthError(f"{context}: serial supports integer or text columns")
     elif kind == "choice":

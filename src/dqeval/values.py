@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 DATATYPES = ("text", "integer", "decimal", "boolean", "timestamp")
 
@@ -55,10 +55,7 @@ def parse_integer(text: str) -> int:
 def parse_decimal(text: str) -> Decimal:
     if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"invalid decimal {text!r}")
-    try:
-        return Decimal(text)
-    except InvalidOperation:  # pragma: no cover - regex already guards
-        raise ValueError(f"invalid decimal {text!r}") from None
+    return Decimal(text)
 
 
 def parse_boolean(text: str) -> bool:

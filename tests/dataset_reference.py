@@ -31,7 +31,7 @@ def _encode_field(value, datatype: str) -> str:
 def serialize_entity(entity: Entity) -> str:
     specs = entity.schema.columns
     cols = [entity.column(c.name) for c in specs]
-    lines = [",".join(c.name for c in specs)]
+    lines = [",".join(_encode_field(c.name, "text") for c in specs)]
     for i in range(entity.n_rows):
         lines.append(",".join(_encode_field(col[i], spec.datatype)
                               for col, spec in zip(cols, specs)))

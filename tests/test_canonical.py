@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -64,6 +65,40 @@ def _documents(leaf):
 @given(_documents(leaves))
 def test_dumps_matches_reference(doc):
     assert canonical.dumps(doc) == reference.dumps(doc)
+
+
+class _Items(list):
+    pass
+
+
+class _Stamp(datetime):
+    pass
+
+
+def _raw(value, level: int) -> canonical.Raw:
+    """value's reference text, laid out for a member at depth `level`."""
+    return canonical.Raw(reference.dumps(value)[:-1].replace("\n", "\n" + "  " * level))
+
+
+_STAMP = _Stamp(2024, 1, 2, 3, 4, 5, 60, tzinfo=timezone(timedelta(hours=-3)))
+_NESTED = {"k": [1, {"é": Decimal("1.50"), "t": None}], "s": "x", "e": []}
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (OrderedDict([("b", 1), ("a", OrderedDict(c=[True]))]), None),
+    (_Items([1, _Items(["x", _Items()]), {"l": _Items([None])}]), None),
+    (_STAMP, None),
+    ([_STAMP, {"at": _STAMP}], None),
+    ([1, True, 0, False, -1, [False, 2]], None),
+    (_raw(_NESTED, 0), _NESTED),
+    ({"a": [_raw(_NESTED, 2), _raw("q", 2)], "n": canonical.Raw("true")},
+     {"a": [_NESTED, "q"], "n": True}),
+], ids=["ordered-dict", "list-subclass", "datetime-subclass", "datetime-subclass-nested",
+        "bools-among-ints", "raw", "raw-nested"])
+def test_types_the_strategy_does_not_draw_match_reference(ours, theirs):
+    """A subclass of a listed type is written as that type; Raw is written as
+    it is, where the reference writes the value it stands for."""
+    assert canonical.dumps(ours) == reference.dumps(ours if theirs is None else theirs)
 
 
 _BAD = [1.5, float("nan"), Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),

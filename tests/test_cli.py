@@ -344,6 +344,33 @@ def test_json_nested_too_deep_is_an_input_error(workspace, capsys, document, cod
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_LONE_SURROGATE = ("error: a string holds the lone surrogate U+D800, which UTF-8 "
+                   "cannot encode\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_lone_surrogate_in_rules_exits_3(workspace, capsys, command):
+    """A JSON escape of a lone UTF-16 surrogate decodes, but no output could
+    hold it as UTF-8: the document is refused when read."""
+    (workspace / "rules.json").write_text(make_ruleset([
+        rule("r3", "warning", ["type"], "EXAC_SEMAN", "domain",
+             {"allowed": ["HR", "\ud800"]})]))
+    argv = ["validate", "--rules", str(workspace / "rules.json"),
+            "--schema", str(workspace / "schema.json")]
+    assert (main(argv) if command == "validate" else _evaluate(workspace)) == 3
+    assert capsys.readouterr().err == _LONE_SURROGATE
+    assert not (workspace / "out").exists()
+
+
+def test_surrogate_pair_escape_still_loads(workspace, capsys):
+    (workspace / "rules.json").write_text(make_ruleset([
+        rule("r3", "warning", ["type"], "EXAC_SEMAN", "domain",
+             {"allowed": ["HR", "\U0001F600"]})]))
+    assert "\\ud83d\\ude00" in (workspace / "rules.json").read_text()
+    assert _evaluate(workspace) == 0
+    assert "\U0001F600" in (workspace / "out" / "report.json").read_text("utf-8")
+
+
 def test_config_number_beyond_bounds_exits_3_at_once(workspace):
     """A config threshold too long to write out in full is refused while the
     config is read, before any exact arithmetic on it."""
@@ -655,6 +682,60 @@ def test_synth_spec_mode(workspace, tmp_path: Path):
     expected = json.loads(
         (tmp_path / "gen" / "expected_measures.json").read_text())
     assert expected["rules"]["r1"] == {"a": 10, "b": 20}
+
+
+_CODE_SCHEMA = {"entities": [{"name": "item", "columns": [
+    {"name": "code", "datatype": "text", "nullable": False}]}]}
+
+
+def _synth_codes(tmp_path: Path, column: dict, rows: int) -> int:
+    (tmp_path / "schema.json").write_text(json.dumps(_CODE_SCHEMA))
+    (tmp_path / "rules.json").write_text(make_ruleset([
+        rule("n", "item", ["code"], "COMP_REG", "not_null")]))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"seed": 1, "entities": {"item": {"rows": rows, "columns": {"code": column}}}}))
+    return main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--schema", str(tmp_path / "schema.json"),
+                 "--rules", str(tmp_path / "rules.json"),
+                 "--out", str(tmp_path / "gen")])
+
+
+def test_synth_choice_of_a_lone_surrogate_exits_3(tmp_path: Path, capsys):
+    assert _synth_codes(tmp_path, {"generator": "choice", "values": ["\ud800"]}, 3) == 3
+    assert capsys.readouterr().err == _LONE_SURROGATE
+    assert not (tmp_path / "gen").exists()
+
+
+def test_synth_serial_format_writing_a_surrogate_exits_3(tmp_path: Path, capsys):
+    """{n:c} writes row 55,296 as U+D800, which UTF-8 cannot encode."""
+    column = {"generator": "serial", "format": "{n:c}"}
+    assert _synth_codes(tmp_path, column, 0xD800) == 0
+    capsys.readouterr()
+    assert _synth_codes(tmp_path, column, 0xD801) == 3
+    assert capsys.readouterr().err == (
+        "error: item.code: serial format '{n:c}' writes a lone surrogate at row "
+        "55296, which UTF-8 cannot encode\n")
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "x\ny", "a\rb", "\\N"])
+def test_synth_then_evaluate_column_names_that_need_quotes(tmp_path: Path, name):
+    """A column name is written in the header as a text cell is, so the
+    snapshot synth writes loads back."""
+    schema = {"entities": [{"name": "item", "columns": [
+        {"name": "id", "datatype": "text", "nullable": False},
+        {"name": name, "datatype": "text", "nullable": False}]}]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "rules.json").write_text(make_ruleset([
+        rule("n", "item", ["id"], "COMP_REG", "not_null")]))
+    (tmp_path / "spec.json").write_text(json.dumps({"seed": 1, "entities": {"item": {
+        "rows": 3, "columns": {"id": {"generator": "serial", "format": "i{n}"},
+                               name: {"generator": "const", "value": "v"}}}}}))
+    files = ["--schema", str(tmp_path / "schema.json"),
+             "--rules", str(tmp_path / "rules.json")]
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), *files,
+                 "--out", str(tmp_path / "gen")]) == 0
+    assert main(["evaluate", *files, "--data", str(tmp_path / "gen"),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_synth_missing_args_exits_1(tmp_path: Path):

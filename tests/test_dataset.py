@@ -299,6 +299,23 @@ def test_write_load_roundtrip(rows):
     assert serialize_entity(loaded) == text
 
 
+@example(["a,b", 'say "hi"', "x\ny", "a\rb", "\\N", "id"])
+@given(st.lists(st.text(alphabet='ab,"\n\r\\N é', min_size=1, max_size=6),
+                min_size=1, max_size=6, unique=True))
+def test_header_names_that_need_quotes_roundtrip(names):
+    """Column names are written as text cells are: quoted where a comma,
+    quote, CR, LF or the null token would otherwise change the header."""
+    import tempfile
+    schema = _schema(*((name, "text", True) for name in names))
+    entity = Entity(schema, {name: ["v", None] for name in names})
+    text = serialize_entity(entity)
+    assert text == dataset_reference.serialize_entity(entity)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        write_entity(entity, path)
+        assert load_entity(path, schema) == entity
+
+
 def test_single_nullable_column_null_rows_roundtrip(tmp_path: Path):
     schema = _schema(("t", "text", True))
     entity = Entity(schema, {"t": [None, "x", None]})

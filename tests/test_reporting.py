@@ -327,6 +327,14 @@ def test_parse_measures_refuses_records_it_cannot_write(records, message):
         parse_measures(_measures_text(*records))
 
 
+def test_parse_measures_accepts_a_key_repeated_alike():
+    key = '{"id": "a", "n": 1, "d": 1.50, "b": true, "z": null}'
+    ms = parse_measures(_measures_text(_record("1", key), _record("1", key)))
+    assert ms.measures["x"].failing == [("e", 1), ("e", 1)]
+    assert ms.record_key("e", 1) == {"id": "a", "n": 1, "d": Decimal("1.50"),
+                                     "b": True, "z": None}
+
+
 def test_parsed_keys_come_from_the_records(table3_report):
     _, ms = table3_report
     text = serialize_measures(ms)

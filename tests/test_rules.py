@@ -57,6 +57,14 @@ def test_undefined_format_class_rejected():
                  {"class": "nope"})]))
 
 
+@pytest.mark.parametrize("threshold", [True, False])
+def test_min_count_boolean_threshold_rejected(threshold):
+    with pytest.raises(ParseError, match="key 'threshold' has the wrong type"):
+        parse_ruleset(make_ruleset([
+            rule("1", "person", [], "COMP_REG", "min_count",
+                 {"threshold": threshold})]))
+
+
 def test_format_class_resolves_pattern():
     rs = parse_ruleset(make_ruleset(
         [rule("1", "person", ["id"], "CONS_FORM", "format_class",
