@@ -120,14 +120,17 @@ _TOO_DEEP = "arrays and objects nest deeper than the decoder's recursion allows"
 
 def loads(text: str):
     """Parse JSON keeping decimals exact (floats become Decimal). A number
-    whose exponent is beyond Decimal's limits, or arrays and objects nested
-    too deeply to decode, are a ValueError, as malformed JSON is."""
+    whose exponent is beyond Decimal's limits, arrays and objects nested
+    too deeply to decode, or a key or string holding a lone UTF-16
+    surrogate, are a ValueError, as malformed JSON is."""
     try:
-        return json.loads(text, parse_float=Decimal)
+        data = json.loads(text, parse_float=Decimal)
     except InvalidOperation:
         raise ValueError("a number's exponent is out of range") from None
     except RecursionError:
         raise ValueError(_TOO_DEEP) from None
+    _refuse_lone_surrogate(text, data, ValueError)
+    return data
 
 
 # The most digits a number in an input document or expression may have
@@ -180,6 +183,18 @@ def _lone_surrogate(data) -> re.Match | None:
     return None
 
 
+def _refuse_lone_surrogate(text: str, data, error: type[Exception]) -> None:
+    """Raise error if a key or string of data, decoded from text, holds a
+    lone surrogate. A surrogate in the text is in a string; the walk runs
+    only where an escape may have decoded to one (an escaped pair decodes to
+    one character)."""
+    lone = (not text.isascii() and SURROGATE.search(text)
+            or _SURROGATE_ESCAPE.search(text) and _lone_surrogate(data))
+    if lone:
+        raise error(f"a string holds the lone surrogate U+{ord(lone.group()):04X}, "
+                    "which UTF-8 cannot encode")
+
+
 def load_document(text: str):
     """`loads` for input documents: malformed JSON is a ParseError naming its
     line and column, a number too long to write out in full (see
@@ -193,13 +208,7 @@ def load_document(text: str):
                          column=exc.colno) from None
     except RecursionError:
         raise ParseError(f"malformed JSON: {_TOO_DEEP}") from None
-    # a surrogate in the text is in a string; the walk runs only where an
-    # escape may have decoded to one (an escaped pair decodes to one character)
-    lone = (not text.isascii() and SURROGATE.search(text)
-            or _SURROGATE_ESCAPE.search(text) and _lone_surrogate(data))
-    if lone:
-        raise ParseError(f"a string holds the lone surrogate U+{ord(lone.group()):04X}, "
-                         "which UTF-8 cannot encode")
+    _refuse_lone_surrogate(text, data, ParseError)
     return data
 
 

@@ -2,11 +2,12 @@
 
 Exit codes: 0 ok/eligible, 1 usage or I/O error, 2 not eligible (certify
 only), 3 validation errors, 4 internal evaluation error, 5 input mismatch
-(fingerprints or comparison scope). One status depends on the file: a
-malformed report or measures file, which dq wrote itself, exits 1, and a
-malformed rules, schema, config or spec file exits 3. Quality outcomes are
-data, not errors: `evaluate` exits 0 however poor the levels; only
-`certify` encodes the verdict in its exit status.
+(fingerprints or comparison scope). The class of an error alone decides
+its status, through one table, _EXIT_STATUS. One status depends on the
+file (_read_own): a malformed report or measures file, which dq wrote
+itself, exits 1, and a malformed rules, schema, config or spec file
+exits 3. Quality outcomes are data, not errors: `evaluate` exits 0 however
+poor the levels; only `certify` encodes the verdict in its exit status.
 """
 
 from __future__ import annotations
@@ -46,21 +47,13 @@ _EXIT_STATUS = (
 )
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _read(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot read {what} {path}: {exc.strerror or exc}",
-                        EXIT_USAGE) from None
+        raise DqError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise _CliError(f"cannot read {what} {path}: not valid UTF-8",
-                        EXIT_USAGE) from None
+        raise DqError(f"cannot read {what} {path}: not valid UTF-8") from None
 
 
 def _read_own(parse, path: str, what: str):
@@ -69,7 +62,7 @@ def _read_own(parse, path: str, what: str):
     try:
         return parse(_read(path, what))
     except ParseError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from None
+        raise DqError(str(exc)) from None
 
 
 @contextmanager
@@ -79,8 +72,7 @@ def _writing():
     try:
         yield
     except OSError as exc:
-        raise _CliError(f"cannot write {exc.filename}: {exc.strerror or exc}",
-                        EXIT_USAGE) from None
+        raise DqError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
 
 
 def _load_rules_and_schema(args):
@@ -101,7 +93,7 @@ def _parse_name_list(raw: str | None, parser_fn, what: str):
         try:
             names.append(parser_fn(token))
         except ValueError as exc:
-            raise _CliError(f"invalid {what}: {exc}", EXIT_USAGE) from None
+            raise DqError(f"invalid {what}: {exc}") from None
     return names or None
 
 
@@ -112,14 +104,14 @@ def _filter_rules(rs, chars, props):
     if props is not None:
         rules = tuple(r for r in rules if r.property in props)
     if not rules:
-        raise _CliError("no rules left after applying the characteristic/property "
-                        "filters", EXIT_VALIDATION)
+        raise NothingEvaluated("no rules left after applying the "
+                               "characteristic/property filters")
     return rs.replace(rules=rules)
 
 
 def _scoring_config(args):
     from .scoring import default_config, load_config
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(_read(args.config, "config file"))
     return default_config()
 
@@ -224,15 +216,14 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if args.scenario:
         if args.scenario not in scenarios.scenario_names():
-            raise _CliError("unknown scenario; available: "
-                            + ", ".join(scenarios.scenario_names()), EXIT_USAGE)
+            raise DqError("unknown scenario; available: "
+                          + ", ".join(scenarios.scenario_names()))
         with _writing():
             scenarios.write_scenario(args.scenario, out)
         print(f"wrote scenario {args.scenario} to {out}")
         return EXIT_OK
     if not (args.spec and args.schema and args.rules):
-        raise _CliError("synth needs either --scenario or all of "
-                        "--spec/--schema/--rules", EXIT_USAGE)
+        raise DqError("synth needs either --scenario or all of --spec/--schema/--rules")
     spec = synthkit.parse_synthspec(_read(args.spec, "synth spec"))
     rs, catalog = _load_rules_and_schema(args)
     with _writing():
@@ -321,9 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except DqError as exc:  # InvalidRuleset: ERROR lines, as validate prints them
         print(exc if isinstance(exc, InvalidRuleset) else f"error: {exc}",
               file=sys.stderr)

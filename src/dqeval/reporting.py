@@ -35,7 +35,8 @@ if TYPE_CHECKING:
 _FOUR_PLACES = Decimal("0.0001")
 
 
-def _render_value(value: Fraction | None) -> Decimal | None:
+def render_value(value: Fraction | None) -> Decimal | None:
+    """A value or ratio as report.json writes it: four places, half to even."""
     if value is None:
         return None
     return (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
@@ -70,7 +71,7 @@ def _report(metadata: dict, row_counts: dict[str, int],
                 "kind": kind,
                 "a": a,
                 "b": b,
-                "ratio": _render_value(Fraction(a, b)) if b else None,
+                "ratio": render_value(Fraction(a, b)) if b else None,
                 "failing_total": failing_total,
                 "selector": selector,
             }

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .errors import NothingEvaluated, OutOfRange, ParseError
 from .host import Record
 from . import canonical
-from .reporting import _render_value
+from .reporting import render_value
 from .taxonomy import Characteristic, Property, parse_characteristic
 
 if TYPE_CHECKING:
@@ -228,8 +228,7 @@ def load_config(document: str) -> ScoringConfig:
     if "thresholds" in data:
         raw = data["thresholds"]
         if not (isinstance(raw, list) and len(raw) == 4
-                and all(isinstance(t, (int, Decimal)) and not isinstance(t, bool)
-                        for t in raw)):
+                and all(type(t) in (int, Decimal) for t in raw)):
             raise ParseError("thresholds must be a list of four numbers")
         try:
             thresholds = LevelThresholds.of(*raw)
@@ -248,20 +247,12 @@ def load_config(document: str) -> ScoringConfig:
             if not (isinstance(rows, list) and len(rows) == 6
                     and all(isinstance(r, list) and len(r) == 4 for r in rows)):
                 raise ParseError(f"profile for {name} must be a 6x4 matrix")
-            caps = []
-            for row in rows:
-                caps_row = []
-                for cap in row:
-                    if cap is None:
-                        caps_row.append(None)
-                    elif isinstance(cap, int) and not isinstance(cap, bool):
-                        caps_row.append(cap)
-                    else:
-                        raise ParseError(f"profile caps must be integers or null, "
-                                         f"got {cap!r}")
-                caps.append(tuple(caps_row))
+            bad = [cap for row in rows for cap in row
+                   if cap is not None and type(cap) is not int]
+            if bad:
+                raise ParseError(f"profile caps must be integers or null, got {bad[0]!r}")
             try:
-                profiles.append((characteristic, ProfilingTable(tuple(caps))))
+                profiles.append((characteristic, ProfilingTable(tuple(map(tuple, rows)))))
             except ValueError as exc:
                 raise ParseError(f"profile for {name}: {exc}") from None
 
@@ -297,7 +288,7 @@ def score(items: Iterable[tuple[Property, int, int]],
         properties.append({
             "property": prop.value,
             "characteristic": prop.characteristic.value,
-            "value": _render_value(value),
+            "value": render_value(value),
             "level": level,
             "sum_a": sum(a for a, b in pairs if b > 0),
             "sum_b": sum(b for _, b in pairs),

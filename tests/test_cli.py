@@ -222,6 +222,36 @@ def test_evaluate_validation_error_exits_3(workspace, capsys):
     assert _evaluate(workspace) == 3
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["evaluate", "--chars", "Accuracy", "--props", "COMP_REG"], 3,
+     "no rules left after applying the characteristic/property filters"),
+    (["evaluate", "--rules", "nope.json"], 1,
+     "cannot read rules file nope.json: No such file or directory"),
+    (["evaluate", "--chars", "Velocity"], 1,
+     "invalid characteristic: unknown characteristic 'Velocity'; expected one of "
+     "Accuracy, Completeness, Consistency, Credibility, Currentness"),
+    (["synth", "--out", "o"], 1,
+     "synth needs either --scenario or all of --spec/--schema/--rules"),
+    (["synth", "--scenario", "nope", "--out", "o"], 1,
+     "unknown scenario; available: travel-v1, travel-v2, registry-v1, registry-v2, "
+     "school-v1, school-v2"),
+    (["certify", "nope.json"], 1, "cannot read report nope.json: No such file or directory"),
+], ids=["empty-filter", "unreadable-rules", "unknown-characteristic", "synth-no-input",
+        "unknown-scenario", "unreadable-report"])
+def test_refusal_exits_with_its_status_and_one_error_line(workspace, capsys, monkeypatch,
+                                                          argv, code, message):
+    """Refusals in the command shell itself: an empty rule filter is "nothing
+    evaluated", exit 3; the others are usage or I/O errors, exit 1. Each
+    prints one `error:` line and writes nothing."""
+    monkeypatch.chdir(workspace)
+    if argv[0] == "evaluate":
+        argv = ["evaluate", "--rules", "rules.json", "--schema", "schema.json",
+                "--data", "snapshot", "--out", "out", *argv[1:]]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (workspace / "out").exists() and not (workspace / "o").exists()
+
+
 # --------------------------------------------------------------------------
 # certify
 
@@ -369,6 +399,51 @@ def test_surrogate_pair_escape_still_loads(workspace, capsys):
     assert "\\ud83d\\ude00" in (workspace / "rules.json").read_text()
     assert _evaluate(workspace) == 0
     assert "\U0001F600" in (workspace / "out" / "report.json").read_text("utf-8")
+
+
+_SURROGATE = _LONE_SURROGATE.removeprefix("error: ").rstrip("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "report.json"],
+    ["compare", "out/report.json", "report.json"],
+    ["compare", "out/report.json", "report.json", "--out", "cmp"],
+    ["improve", "--report", "report.json", "--measures", "out/measures.json",
+     "--out", "manifests"],
+], ids=["certify", "compare", "compare-out", "improve"])
+def test_lone_surrogate_in_a_report_exits_1(workspace, capsys, monkeypatch, argv):
+    """A report that dq wrote, edited to hold a lone surrogate, is malformed:
+    no output could hold the text as UTF-8, and certify must not read it."""
+    _evaluate(workspace)
+    text = (workspace / "out" / "report.json").read_text()
+    (workspace / "report.json").write_text(
+        re.sub(r'("ruleset_name": "[^"]*)"', r'\1\\ud800"', text, count=1))
+    monkeypatch.chdir(workspace)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: malformed report: {_SURROGATE}\n")
+    assert not (workspace / "cmp").exists() and not (workspace / "manifests").exists()
+
+
+def test_lone_surrogate_in_measures_exits_1(workspace, capsys):
+    """A record key holding a lone surrogate is refused when the measures are
+    read, not when its manifest is written."""
+    _evaluate(workspace)
+    text = (workspace / "out" / "measures.json").read_text()
+    (workspace / "measures.json").write_text(text.replace('"1234"', '"\\ud8001234"'))
+    _improve_refused(workspace, capsys, 1, f"invalid measures document: {_SURROGATE}")
+
+
+def test_surrogate_pair_escape_in_measures_still_loads(workspace):
+    _evaluate(workspace)
+    text = (workspace / "out" / "measures.json").read_text()
+    (workspace / "measures.json").write_text(
+        text.replace('"1234"', '"\\ud83d\\ude001234"'))
+    assert main(["improve", "--report", str(workspace / "out" / "report.json"),
+                 "--measures", str(workspace / "measures.json"),
+                 "--out", str(workspace / "manifests")]) == 0
+    manifests = "".join(p.read_text("utf-8") for p in (workspace / "manifests").iterdir())
+    assert "\U0001F6001234" in manifests
 
 
 def test_config_number_beyond_bounds_exits_3_at_once(workspace):
