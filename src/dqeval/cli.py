@@ -132,8 +132,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .dataset import load_snapshot
-    from .engine import eval_all
+    from .engine import evaluate_snapshot
     from .reporting import (build_report, render_report, serialize_measures,
                             serialize_report)
     from .rules import validate_ruleset
@@ -149,18 +148,19 @@ def cmd_evaluate(args) -> int:
         raise InvalidRuleset("\n".join(map(str, errors)))
 
     config = _scoring_config(args)
-    repo = load_snapshot(Path(args.data), catalog)
-    ms = eval_all(rs, repo, jobs=args.jobs)
+    repo, ms = evaluate_snapshot(rs, Path(args.data), catalog, args.jobs)
     result = score_all(ms, rs, config)
 
     report = build_report(rs, repo, ms, result, config, __version__)
     out = Path(args.out)
-    with _writing():
+    with _writing():  # report.json, the entry point, last
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "report.json", serialize_report(report))
         write_atomic(out / "measures.json", serialize_measures(ms))
         if args.format == "text":
             write_atomic(out / "report.txt", render_report(report))
+        write_atomic(out / "report.json", serialize_report(report))
+        if args.format != "text":  # an earlier run's, beside this run's report
+            (out / "report.txt").unlink(missing_ok=True)
     if args.format == "text":
         print(render_report(report))
     else:

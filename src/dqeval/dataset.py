@@ -140,15 +140,21 @@ def serialize_catalog(catalog: SchemaCatalog) -> str:
 # Entities
 
 class Entity:
-    """One loaded table: column-major cells, ordinals 0..n-1 in file order."""
+    """One loaded table: column-major cells, ordinals 0..n-1 in file order.
+
+    An entity given `n_rows` and no columns holds only its size: one whose
+    rows were loaded and evaluated in row ranges by other processes."""
 
     __slots__ = ("name", "schema", "n_rows", "_columns")
 
-    def __init__(self, schema: EntitySchema, columns: dict[str, list]):
+    def __init__(self, schema: EntitySchema, columns: dict[str, list],
+                 n_rows: int | None = None):
         self.name = schema.name
         self.schema = schema
         self._columns = columns
-        self.n_rows = len(next(iter(columns.values()))) if columns else 0
+        if n_rows is None:
+            n_rows = len(next(iter(columns.values()))) if columns else 0
+        self.n_rows = n_rows
 
     def column(self, name: str) -> list:
         try:
@@ -158,7 +164,7 @@ class Entity:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Entity) and self.schema == other.schema
-                and self._columns == other._columns)
+                and self.n_rows == other.n_rows and self._columns == other._columns)
 
     def __repr__(self) -> str:
         return f"Entity({self.name!r}, rows={self.n_rows})"
@@ -197,11 +203,17 @@ def _field_text(key) -> str:
     return key[0] if key.__class__ is tuple else key
 
 
-def _decoded(file, digest):
-    """The file's text, one chunk at a time, after feeding each chunk's bytes
-    to `digest`. Raises UnicodeDecodeError where the bytes stop being UTF-8."""
+def _decoded(file, digest, stop=None):
+    """The file's text from its position to byte `stop`, or to its end, one
+    chunk at a time, after feeding each chunk's bytes to `digest`. Raises
+    UnicodeDecodeError where the bytes stop being UTF-8."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    for chunk in iter(partial(file.read, _CHUNK_BYTES), b""):
+    if stop is None:
+        read = partial(file.read, _CHUNK_BYTES)
+    else:
+        def read():
+            return file.read(min(_CHUNK_BYTES, stop - file.tell()))
+    for chunk in iter(read, b""):
         digest.update(chunk)
         yield decoder.decode(chunk)
     yield decoder.decode(b"", final=True)
@@ -422,17 +434,24 @@ def _stat(file) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-def _check_unchanged(file, before: tuple[int, int, int], path: Path) -> None:
+def _check_unchanged(file, before: tuple[int, int, int], path: Path,
+                     stop: int | None = None) -> None:
     """Refuse a file whose size, mtime or inode moved while it was read, or
-    whose bytes read are not its size."""
-    if _stat(file) != before or file.tell() != before[0]:
+    that was not read up to `stop`, or to its size."""
+    if _stat(file) != before or file.tell() != (before[0] if stop is None else stop):
         raise LoadError(f"snapshot file {path} changed while it was read")
 
 
-def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
+def _load(path: Path, schema: EntitySchema, start: int = 0,
+          stop: int | None = None) -> tuple[Entity, str]:
     """One snapshot file's Entity, and the sha256 of the bytes it was parsed
     from, from one pass over the file. A file that changes during the pass is
-    a LoadError."""
+    a LoadError.
+
+    With `start` or `stop`, only the records in bytes [start, stop) load,
+    the header only when start is 0: each must be 0, the file's size or an
+    offset just after a newline that ends a record (_record_cuts). Rows and
+    errors then count from the range's first record."""
     path = Path(path)
     digest = hashlib.sha256()
     specs = schema.columns
@@ -443,16 +462,19 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
         # binary: no newline translation, a "\r" inside quotes is kept
         with open(path, "rb") as file:
             before = _stat(file)
-            texts = _decoded(file, digest)
+            file.seek(start)
+            texts = _decoded(file, digest, stop)
             try:
                 blocks = _record_blocks(texts)
-                records, quoted = next(blocks)  # the first record is the header
-                header = [_field_text(k) for k in _split(records[0])]
-                expected = schema.column_names()
-                if header != expected:
-                    raise LoadError(f"header {header!r} does not match schema "
-                                    f"columns {expected!r}", row=0)
-                for records, quoted in chain([(records[1:], quoted)], blocks):
+                if not start:
+                    records, quoted = next(blocks)  # the first record is the header
+                    header = [_field_text(k) for k in _split(records[0])]
+                    expected = schema.column_names()
+                    if header != expected:
+                        raise LoadError(f"header {header!r} does not match schema "
+                                        f"columns {expected!r}", row=0)
+                    blocks = chain([(records[1:], quoted)], blocks)
+                for records, quoted in blocks:
                     cols, error = _split_block(records, quoted, len(specs), n_rows)
                     _add_rows(cols, n_rows, specs, caches, columns, quoted)
                     if error is not None:
@@ -461,9 +483,9 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
             except LoadError:
                 for _ in texts:  # a file that is not UTF-8 says so first
                     pass
-                _check_unchanged(file, before, path)  # and one that changed
+                _check_unchanged(file, before, path, stop)  # and one that changed
                 raise
-            _check_unchanged(file, before, path)
+            _check_unchanged(file, before, path, stop)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
@@ -474,6 +496,60 @@ def _load(path: Path, schema: EntitySchema) -> tuple[Entity, str]:
 def load_entity(path: Path, schema: EntitySchema) -> Entity:
     """Load one snapshot file, coercing every cell to its declared datatype."""
     return _load(path, schema)[0]
+
+
+def _record_cuts(path: Path, parts: int) -> tuple[tuple[int, int, int], list[int]]:
+    """The file's (size, mtime, inode) and the offsets 0 = c0 < c1 < ... < ck
+    = size, k <= parts, that cut it into k byte ranges of whole records.
+
+    Each inner cut follows the first newline at or after i * size / parts
+    that ends a record: by RFC 4180, as _record_blocks reads it, one with an
+    even number of quote characters before it in the file. Quotes are
+    counted a chunk at a time; the bytes after the last cut are not read. A
+    cut that would leave the last range empty is not made."""
+    with open(path, "rb") as file:
+        before = _stat(file)
+        size = before[0]
+        cuts = [0]
+        pos = odd = 0  # odd: the parity of the quotes in the file before pos
+        for i in range(1, parts):
+            target = size * i // parts  # the search starts at pos if that is later
+            while pos < target and (chunk := file.read(min(_CHUNK_BYTES,
+                                                           target - pos))):
+                odd ^= chunk.count(b'"') & 1
+                pos += len(chunk)
+            cut = None
+            while cut is None:
+                chunk = file.read(_CHUNK_BYTES)
+                if not chunk:
+                    return before, cuts + [size]
+                at = 0
+                while (end := chunk.find(b"\n", at)) >= 0:
+                    odd ^= chunk.count(b'"', at, end) & 1
+                    at = end + 1
+                    if not odd:
+                        cut = pos + at
+                        break
+                else:
+                    odd ^= chunk.count(b'"', at) & 1
+                    pos += len(chunk)
+            if cut >= size:
+                break
+            cuts.append(cut)
+            pos = cut
+            file.seek(cut)
+    return before, cuts + [size]
+
+
+def _file_digest(path: Path, before: tuple[int, int, int]) -> str | None:
+    """The sha256 of the file's bytes, or None if they cannot be read or the
+    file's size, mtime or inode is no longer `before` once they are."""
+    try:
+        digest = canonical.sha256_file(path)
+        st = os.stat(path)
+    except OSError:
+        return None
+    return digest if (st.st_size, st.st_mtime_ns, st.st_ino) == before else None
 
 
 # --------------------------------------------------------------------------

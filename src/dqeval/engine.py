@@ -15,6 +15,9 @@ evaluated in parallel; the repository is immutable throughout. A process
 pool is started only when the evaluation's estimated serial cost, worked
 out from sizes before anything is evaluated, is large enough to pay for
 the pool; otherwise the rules run serially, with the same results.
+`evaluate_snapshot` loads a snapshot and evaluates it: large files whose
+entities only row-local rules read are loaded and evaluated in row ranges
+by forked workers (ranges.py), the rest through load_snapshot and eval_all.
 
 Row expressions (`where`, predicate, freshness `condition`) are compiled
 once per rule and entity into closures over the entity's columns
@@ -37,8 +40,9 @@ from collections import Counter
 from collections.abc import Callable
 from datetime import timedelta
 from itertools import compress
+from pathlib import Path
 
-from .dataset import Entity, Repository
+from .dataset import Entity, Repository, SchemaCatalog, load_snapshot
 from .errors import EvalError, UnknownColumn
 from .expr import compiled, node_count
 from .host import usable_cpus
@@ -116,10 +120,7 @@ def _domain_check(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     column a domain reference or foreign key names."""
     if rule.reference is not None:
         ref_entity, ref_column = rule.reference
-        target = repo.entities.get(ref_entity)
-        if target is None:
-            raise EvalError(f"referenced entity {ref_entity!r} not loaded", rule.id)
-        allowed = set(target.column(ref_column)) - {None}
+        allowed = set(repo.entities[ref_entity].column(ref_column)) - {None}
     else:
         dtype = entity.schema.column(rule.columns[0]).datatype
         allowed = {_coerced(v, dtype, rule) for v in rule.kind.allowed}
@@ -172,9 +173,7 @@ def _eval_values(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     b = 0
     raw: list[tuple[str, int | None]] = []
     for ent_name, column in rule.targets:
-        target = repo.entities.get(ent_name)
-        if target is None:
-            raise EvalError(f"target entity {ent_name!r} not loaded", rule.id)
+        target = repo.entities[ent_name]
         tb, rows = _scan_column(rule, target, rs, column, check)
         b += tb
         raw.extend((target.name, i) for i in rows)
@@ -188,10 +187,13 @@ def _eval_unique(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
     key_cols = tuple(c for _, c in rule.targets)
     rows = _applicable_rows(rule, entity, rs, key_cols)
     cols = [entity.column(c) for c in key_cols]
-    keys = [tuple(col[i] for col in cols) for i in rows]
-    counts = Counter(keys)
-    return len(rows), [(entity.name, i) for i, key in zip(rows, keys)
-                       if counts[key] > 1]
+    if len(cols) == 1:  # the values themselves are the keys
+        keys = cols[0] if isinstance(rows, range) else [cols[0][i] for i in rows]
+    else:
+        keys = [tuple(col[i] for col in cols) for i in rows]
+    dup = {key for key, n in Counter(keys).items() if n > 1}
+    return len(rows), [(entity.name, i)
+                       for i in compress(rows, map(dup.__contains__, keys))]
 
 
 def _eval_predicate(rule: Rule, entity: Entity, rs: RuleSet, repo: Repository):
@@ -239,11 +241,15 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
     pairs in (entity, ordinal) order, how many failed, and the time it took.
     EvalError signals a pipeline bug only."""
     started = time.perf_counter()
-    entity = repo.entities.get(rule.entity)
-    if entity is None:
-        raise EvalError(f"entity {rule.entity!r} not loaded", rule.id)
+    read = [rule.entity, *(name for name, _ in rule.targets)]
+    if rule.reference is not None:
+        read.append(rule.reference[0])
+    missing = [name for name in read if name not in repo.entities]
+    if missing:
+        raise EvalError(f"entity {missing[0]!r} not loaded", rule.id)
     try:
-        b, failing = _EVALUATORS[type(rule.kind)](rule, entity, rs, repo)
+        b, failing = _EVALUATORS[type(rule.kind)](rule, repo.entities[rule.entity],
+                                                  rs, repo)
     except UnknownColumn as exc:
         raise EvalError(str(exc), rule.id) from None
     if len(rule.targets) > 1:  # one target's pairs come out in ordinal order
@@ -417,3 +423,64 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
         measures = {r.id: eval_rule(r, repo, rs) for r in rs.rules}
     return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint,
                       repo.record_key)
+
+
+# --------------------------------------------------------------------------
+# Loading and evaluation in row ranges
+
+# The snapshot-file size from which loading and evaluating it in two row
+# ranges (ranges.py) saves more than the ranges cost: importing pickle and
+# ranges, finding the cuts, forking, hashing the file apart from the load and
+# shipping the measures back. Fitted on perfbench's scan shape (11 columns,
+# 10 per-value rules; Python 3.11.7, 2 shared vCPUs, no bytecode cache,
+# medians of 15 fresh processes): one range took 30 ms at 1.0 MB and 58 ms
+# at 2.0 MB, two ranges 35 ms and 46 ms, so they cross at about 1.3 MB.
+RANGE_BREAK_EVEN_BYTES = 1_500_000
+
+# The kinds evaluated per row range: each row's verdict depends on that row
+# alone, and the ranges' measures add up. min_count is row-local too, as a
+# count of rows, and runs on the summed count.
+RANGED_KINDS = (*_VALUE_CHECKS, Predicate)
+
+
+def _whole(rs: RuleSet) -> set[str]:
+    """The entities that load whole: those a membership check reads, and those
+    a rule reads that is not row-local or that tests another entity too."""
+    whole = set()
+    for rule in rs.rules:
+        read = {rule.entity, *(entity for entity, _ in rule.targets)}
+        if rule.reference is not None:
+            whole.add(rule.reference[0])
+        if len(read) > 1 or not isinstance(rule.kind, (*RANGED_KINDS, MinCount)):
+            whole |= read
+    return whole
+
+
+def evaluate_snapshot(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
+                      jobs: int = 1) -> tuple[Repository, MeasureSet]:
+    """load_snapshot, then eval_all: the repository and its measures, the one-
+    range case. With more than one worker possible (jobs, usable CPUs,
+    os.fork), the snapshot files of at least RANGE_BREAK_EVEN_BYTES whose
+    entities only row-local rules read are instead cut into row ranges,
+    loaded and evaluated in forked workers (ranges.evaluate_ranges). Both
+    give the same measures, row counts and record keys, so the same report
+    and measures bytes, and the same error where loading fails; a cut
+    entity's repository entry then holds its row count alone."""
+    directory = Path(directory)
+    parts = min(jobs, usable_cpus())
+    if parts > 1 and hasattr(os, "fork"):
+        whole = _whole(rs)
+        paths = [directory / f"{schema.name}.csv" for schema in catalog.entities
+                 if schema.name not in whole]
+        try:
+            large = [path for path in paths
+                     if path.stat().st_size >= RANGE_BREAK_EVEN_BYTES]
+        except OSError:  # the one-range path names the missing file
+            large = []
+        if large:
+            from .ranges import evaluate_ranges  # imports pickle
+            ranged = evaluate_ranges(rs, directory, catalog, jobs, parts, large)
+            if ranged is not None:
+                return ranged
+    repo = load_snapshot(directory, catalog)
+    return repo, eval_all(rs, repo, jobs)

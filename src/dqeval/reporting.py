@@ -397,7 +397,9 @@ def build_improvement(report: dict, ms: MeasureSet) -> list[dict]:
 
 def write_improvement(manifests: list[dict], report: dict,
                       directory: Path) -> list[str]:
-    """Write one manifest file per (entity, property) plus index.json."""
+    """Write one manifest file per (entity, property), then index.json, then
+    remove every other `*.manifest.json` in the directory, an earlier run's:
+    the directory's manifests are then the ones index.json lists."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -417,6 +419,10 @@ def write_improvement(manifests: list[dict], report: dict,
         "manifests": entries,
     }
     write_atomic(directory / "index.json", canonical.dumps(index))
+    written = {e["path"] for e in entries}
+    for path in directory.iterdir():
+        if path.name.endswith(".manifest.json") and path.name not in written:
+            path.unlink()
     return [e["path"] for e in entries]
 
 

@@ -116,8 +116,8 @@ def growing_reader(extra: bytes):
     read once its first chunk has been read."""
     decoded = dataset._decoded
 
-    def read(file, digest):
-        texts = decoded(file, digest)
+    def read(file, digest, stop=None):
+        texts = decoded(file, digest, stop)
         yield next(texts)
         with open(file.name, "ab") as out:
             out.write(extra)

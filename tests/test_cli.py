@@ -203,6 +203,58 @@ def test_evaluate_text_format(workspace, capsys):
     assert "VERDICT" in capsys.readouterr().out
 
 
+def _contents(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def travel(tmp_path_factory):
+    """travel-v1 and travel-v2, each evaluated into its own directory."""
+    root = tmp_path_factory.mktemp("travel")
+    for name in ("travel-v1", "travel-v2"):
+        write_scenario(name, root / name)
+        assert main(["evaluate", "--rules", str(root / name / "rules.json"),
+                     "--schema", str(root / name / "schema.json"),
+                     "--data", str(root / name / "snapshot"),
+                     "--out", str(root / name / "out")]) == 0
+    return root
+
+
+def test_evaluate_into_a_used_directory_leaves_what_a_fresh_run_does(travel, tmp_path):
+    """A json run after a text run, into one --out, leaves no report.txt of
+    the earlier run beside its own report.json."""
+    def evaluate(name: str, out: Path, *extra: str) -> None:
+        s = travel / name
+        assert main(["evaluate", "--rules", str(s / "rules.json"),
+                     "--schema", str(s / "schema.json"), "--data", str(s / "snapshot"),
+                     "--out", str(out), *extra]) == 0
+
+    evaluate("travel-v1", tmp_path / "used", "--format", "text")
+    evaluate("travel-v2", tmp_path / "used")
+    evaluate("travel-v2", tmp_path / "fresh")
+    assert _contents(tmp_path / "used") == _contents(tmp_path / "fresh")
+    assert sorted(_contents(tmp_path / "used")) == ["measures.json", "report.json"]
+
+
+def test_improve_into_a_used_directory_leaves_what_a_fresh_run_does(travel, tmp_path):
+    """travel-v1's manifests, then travel-v2's, into one --out: the directory
+    holds travel-v2's manifests alone, those its index.json lists."""
+    def improve(name: str, out: Path) -> None:
+        s = travel / name / "out"
+        assert main(["improve", "--report", str(s / "report.json"),
+                     "--measures", str(s / "measures.json"), "--out", str(out)]) == 0
+
+    improve("travel-v1", tmp_path / "used")
+    earlier = set(_contents(tmp_path / "used"))
+    improve("travel-v2", tmp_path / "used")
+    improve("travel-v2", tmp_path / "fresh")
+    used = _contents(tmp_path / "used")
+    assert used == _contents(tmp_path / "fresh")
+    assert earlier - set(used)  # travel-v1 had manifests travel-v2 has not
+    listed = json.loads(used["index.json"])["manifests"]
+    assert sorted(m["path"] for m in listed) == sorted(set(used) - {"index.json"})
+
+
 def test_evaluate_write_that_fails_partway_keeps_the_old_outputs(workspace, monkeypatch):
     from dqeval import reporting
     assert _evaluate(workspace) == 0

@@ -264,6 +264,21 @@ def test_eval_error_for_missing_entity(person_snapshot):
         eval_rule(rs.rules[0], person_snapshot, rs)
 
 
+@pytest.mark.parametrize("body", [
+    rule("r", "ghost", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
+    rule("r", "person", ["id"], "CONS_FORM", "format_class",
+         {"class": "c", "extra_targets": [["ghost", "id"]]}),
+    rule("r", "person", ["id"], "INT_REF", "foreign_key", {"referenced": "ghost.id"}),
+    rule("r", "person", ["id"], "EXAC_SEMAN", "domain", {"reference": "ghost.id"}),
+], ids=["entity", "target", "foreign-key", "domain-reference"])
+def test_eval_error_names_the_entity_not_loaded(person_snapshot, body):
+    """Validation refuses a rule that reads an entity the catalog lacks; a
+    repository without one of the entities a rule reads is a pipeline bug."""
+    rs = parse_ruleset(make_ruleset([body], format_classes={"c": "^x$"}))
+    with pytest.raises(EvalError, match="^rule r: entity 'ghost' not loaded$"):
+        eval_rule(rs.rules[0], person_snapshot, rs)
+
+
 def test_eval_error_for_missing_column(person_snapshot):
     rs = parse_ruleset(make_ruleset([
         rule("r", "person", ["ghost"], "EXAC_SINT", "syntax", {"pattern": "x"})]))
@@ -567,6 +582,21 @@ def test_distinct_value_path_matches_per_row_reference(body, pattern, main, ref,
     a, b, failing = reference_counts(r, repo, rs)
     failing.sort(key=lambda pair: (pair[0], -1 if pair[1] is None else pair[1]))
     assert measure == RuleMeasure(r.id, a, b, failing[:cap], len(failing))
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_any_rule("unique"), main=st.lists(_ROW, max_size=30))
+def test_unique_matches_per_row_reference(body, main):
+    """A one-column key counts the column's values, a composite key its
+    tuples: equal values of different forms (1.0 and 1.00, one instant at two
+    offsets) share a group, and `where` and skip_null limit the rows counted."""
+    rs = parse_ruleset(make_ruleset([body]))
+    entities = {"m": _entity("m", main), "r": _entity("r", [])}
+    repo = Repository(SchemaCatalog(tuple(e.schema for e in entities.values())),
+                      entities, "fp")
+    r = rs.rules[0]
+    a, b, failing = reference_counts(r, repo, rs)
+    assert eval_rule(r, repo, rs) == RuleMeasure(r.id, a, b, failing, len(failing))
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,10 @@ each PYTHON named, or by default with every
 $PYENV_ROOT/versions/*/bin/python3 (PYENV_ROOT defaults to ~/.pyenv).
 Interpreters older than 3.10, which dqeval does not support, are skipped
 with a note. Each runs the CLI from this checkout's src/, under its own
-PYTHONHASHSEED: synth of travel-v1, registry-v1 and school-v1, then on each
-evaluate at --jobs 1 and --jobs 2, improve and certify. Every output file
+PYTHONHASHSEED: synth of travel-v1, registry-v1, school-v1 and of a spec
+whose 50,000-row file is above the size from which `--jobs 2` loads and
+evaluates it in row ranges, then on each evaluate at --jobs 1 and --jobs 2,
+improve and certify. Every output file
 and each command's stdout, stderr and exit status is compared with the
 baseline's; each difference is named on a line of its own. Exits 1 if
 there is any difference, else 0. pytest does not collect this file.
@@ -18,6 +20,7 @@ there is any difference, else 0. pytest does not collect this file.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -26,16 +29,54 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SCENARIOS = ("travel-v1", "registry-v1", "school-v1")
+RANGED = "ranged"  # the synthesized snapshot, not a bundled scenario
+SCENARIOS = ("travel-v1", "registry-v1", "school-v1", RANGED)
 OLDEST = (3, 10)
+
+# The documents `dq synth` generates RANGED from: about 2.1 MB in one file,
+# above engine.RANGE_BREAK_EVEN_BYTES, with per-value rules, a predicate and
+# min_count, the kinds that run in ranges, and failures to merge.
+_COLOURS = ["RED", "GREEN", "BLUE"]
+RANGED_DOCS = {
+    "schema.json": {"entities": [{"name": "big", "key": ["pk"], "columns": [
+        {"name": "pk", "datatype": "text"}, {"name": "ip", "datatype": "text"},
+        {"name": "colour", "datatype": "text"}, {"name": "n", "datatype": "integer"},
+        {"name": "note", "datatype": "text", "nullable": True}]}]},
+    "rules.json": {"name": "ranged", "version": "1",
+                   "reference_time": "2024-06-01T00:00:00Z", "rules": [
+        {"id": "ip", "entity": "big", "columns": ["ip"], "property": "EXAC_SINT",
+         "kind": "syntax", "params": {"pattern": "^10\\.[0-9]+\\.[0-9]+$"}},
+        {"id": "colour", "entity": "big", "columns": ["colour"],
+         "property": "EXAC_SEMAN", "kind": "domain", "params": {"allowed": _COLOURS}},
+        {"id": "n", "entity": "big", "columns": ["n"], "property": "RAN_EXAC",
+         "kind": "range", "params": {"min": 0, "max": 999}},
+        {"id": "note", "entity": "big", "columns": ["note"], "property": "COMP_REG",
+         "kind": "not_null", "params": {}},
+        {"id": "rows", "entity": "big", "columns": [], "property": "COMP_FICH",
+         "kind": "min_count", "params": {"threshold": 1000}}]},
+    "spec.json": {"seed": 7, "entities": {"big": {"rows": 50_000, "columns": {
+        "pk": {"generator": "serial", "format": "PK{n:07d}"},
+        "ip": {"generator": "choice",
+               "values": [f"10.{i}.{i * 7 % 256}" for i in range(200)]},
+        "colour": {"generator": "choice", "values": _COLOURS},
+        "n": {"generator": "int_uniform", "min": 0, "max": 999},
+        "note": {"generator": "choice",
+                 "values": ["a, \"quoted\"\nnote", "plain"]}}}},
+        "violations": [{"rule": "ip", "rate": 0.01, "violating": ["10.x"]},
+                       {"rule": "colour", "rate": 0.01},
+                       {"rule": "n", "rate": 0.01}, {"rule": "note", "rate": 0.01}]},
+}
 
 
 def commands(scenario: str) -> list[list[str]]:
     s = scenario
     inputs = ["--rules", f"{s}/rules.json", "--schema", f"{s}/schema.json",
               "--data", f"{s}/snapshot"]
+    synth = (["synth", "--spec", f"{s}/spec.json", "--schema", f"{s}/schema.json",
+              "--rules", f"{s}/rules.json", "--out", f"{s}/snapshot"]
+             if s == RANGED else ["synth", "--scenario", s, "--out", s])
     return [
-        ["synth", "--scenario", s, "--out", s],
+        synth,
         ["evaluate", *inputs, "--out", f"{s}/jobs1", "--jobs", "1"],
         ["evaluate", *inputs, "--out", f"{s}/jobs2", "--jobs", "2"],
         ["improve", "--report", f"{s}/jobs1/report.json",
@@ -56,6 +97,9 @@ def run_all(python: str, seed: int, work: Path) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed),
                PYTHONDONTWRITEBYTECODE="1")
     seen = {}
+    (work / RANGED).mkdir()
+    for name, doc in RANGED_DOCS.items():
+        (work / RANGED / name).write_text(json.dumps(doc), encoding="utf-8")
     for scenario in SCENARIOS:
         for argv in commands(scenario):
             proc = subprocess.run([python, "-m", "dqeval.cli", *argv], cwd=work,
