@@ -443,17 +443,17 @@ def _check_unchanged(file, before: tuple[int, int, int], path: Path,
 
 
 def _load(path: Path, schema: EntitySchema, start: int = 0,
-          stop: int | None = None) -> tuple[Entity, str]:
+          stop: int | None = None, digest=None) -> tuple[Entity, str]:
     """One snapshot file's Entity, and the sha256 of the bytes it was parsed
-    from, from one pass over the file. A file that changes during the pass is
-    a LoadError.
+    from, from one pass over the file, which feeds them to `digest` if one
+    is given. A file that changes during the pass is a LoadError.
 
     With `start` or `stop`, only the records in bytes [start, stop) load,
     the header only when start is 0: each must be 0, the file's size or an
     offset just after a newline that ends a record (_record_cuts). Rows and
     errors then count from the range's first record."""
     path = Path(path)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256() if digest is None else digest
     specs = schema.columns
     columns: list[list] = [[] for _ in specs]
     caches = [dict.fromkeys(_NULLS) if c.nullable else {} for c in specs]
@@ -541,15 +541,21 @@ def _record_cuts(path: Path, parts: int) -> tuple[tuple[int, int, int], list[int
     return before, cuts + [size]
 
 
-def _file_digest(path: Path, before: tuple[int, int, int]) -> str | None:
-    """The sha256 of the file's bytes, or None if they cannot be read or the
+def _file_digest(path: Path, before: tuple[int, int, int], digest,
+                 start: int) -> str | None:
+    """The file's sha256, from `digest`, fed its bytes before `start`
+    already, once the rest feed it; None if they cannot be read or the
     file's size, mtime or inode is no longer `before` once they are."""
     try:
-        digest = canonical.sha256_file(path)
+        with open(path, "rb") as file:
+            file.seek(start)
+            for chunk in iter(partial(file.read, 1 << 20), b""):
+                digest.update(chunk)
         st = os.stat(path)
     except OSError:
         return None
-    return digest if (st.st_size, st.st_mtime_ns, st.st_ino) == before else None
+    moved = (st.st_size, st.st_mtime_ns, st.st_ino) != before
+    return None if moved else digest.hexdigest()
 
 
 # --------------------------------------------------------------------------

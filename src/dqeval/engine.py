@@ -11,10 +11,10 @@ rule with several targets (a format_class over several columns or with
 extra targets, a composite unique key, a predicate over several columns)
 are sorted. B = 0 means the rule is not applicable and the ratio is
 undefined. Results are independent of evaluation order, so rules may be
-evaluated in parallel; the repository is immutable throughout. A process
-pool is started only when the evaluation's estimated serial cost, worked
-out from sizes before anything is evaluated, is large enough to pay for
-the pool; otherwise the rules run serially, with the same results.
+evaluated in parallel; the repository is immutable throughout. Workers
+are forked (ranges.forked) only when the evaluation's estimated serial
+cost, worked out from sizes before anything is evaluated, is large enough
+to pay for them; otherwise the rules run serially, with the same results.
 `evaluate_snapshot` loads a snapshot and evaluates it: large files whose
 entities only row-local rules read are loaded and evaluated in row ranges
 by forked workers (ranges.py), the rest through load_snapshot and eval_all.
@@ -32,7 +32,6 @@ column, including values found only in rows a filter excludes.
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 import time
@@ -261,13 +260,16 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
                        time.perf_counter() - started)
 
 
-# The estimated serial work from which a pool of workers pays for itself.
-# Measured with Python 3.11.7 on 2 shared vCPUs: importing multiprocessing
-# and concurrent.futures takes about 20 ms, forking two workers of a
-# 60k-row process about 25 ms, and two processes run CPU-bound work about
-# 1.4x as fast as one. Serial work T then saves T * (1 - 1/1.4) on two
-# workers, which exceeds those 45 ms from about 150 ms on.
-POOL_BREAK_EVEN_NS = 150_000_000
+# The estimated serial work from which forking workers pays for itself.
+# Measured with Python 3.11.7 on 2 shared vCPUs, in fresh processes without
+# a bytecode cache, on perfbench's scan shape (60k rows, its per-value rules
+# repeated to 39-157 ms of estimated work; medians of 15): jobs=2 took about
+# 20 ms more than the serial time over the two-process speedup (1.6x in
+# those runs), for importing pickle and ranges, forking two workers and
+# pickling the measures back, and crossed jobs=1 at about 55 ms. Where two
+# processes run only 1.4x as fast as one, serial work T saves
+# T * (1 - 1/1.4), which exceeds those 20 ms from about 70 ms on.
+POOL_BREAK_EVEN_NS = 75_000_000
 
 # The cost model of _serial_costs_ns, fitted to the per-rule times of
 # eval_rule (best of 3, same host) on perfbench's inputs: scan (60k rows,
@@ -306,94 +308,42 @@ def _serial_costs_ns(rs: RuleSet, repo: Repository) -> list[int]:
     return [cost(rule) for rule in rs.rules]
 
 
-def _longest_first(costs: list[int], workers: int) -> list[list[int]]:
-    """Rule indices in batches, longest first: rules are dealt in order of
-    falling estimated cost, index breaking ties, and a rule joins the open
-    batch only while the batch stays within a quarter of one worker's share,
-    so a heavy rule travels alone and starts first, while light ones share
-    the last batches. Graham's longest-processing-time-first rule (Bounds on
-    Multiprocessing Timing Anomalies, 1969) keeps the makespan within
+def _bins(costs: list[int], workers: int) -> list[list[int]]:
+    """Rule indices in at most `workers` non-empty bins, one per worker: rules
+    are dealt in order of falling estimated cost, index breaking ties, each
+    to the bin holding the least estimated cost so far, the first such on a
+    tie. Graham's longest-processing-time-first rule (Bounds on
+    Multiprocessing Timing Anomalies, 1969) keeps the largest bin within
     4/3 - 1/(3m) of the optimum on m workers."""
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    share = sum(costs) / (4 * workers)
-    batches: list[list[int]] = []
-    batch: list[int] = []
-    held = 0
-    for i in order:
-        if batch and held + costs[i] > share:
-            batches.append(batch)
-            batch, held = [], 0
-        batch.append(i)
-        held += costs[i]
-    return batches + [batch] if batch else batches
-
-
-# Worker state for fork-based parallel evaluation; set in the parent right
-# before the pool is created so children inherit it copy-on-write.
-_WORKER_STATE: tuple[RuleSet, Repository] | None = None
-
-
-def _eval_batch(indices: list[int]) -> list[tuple[int, RuleMeasure]]:
-    rs, repo = _WORKER_STATE
-    return [(index, eval_rule(rs.rules[index], repo, rs)) for index in indices]
-
-
-def _place_worker(cpus: frozenset, slots) -> None:
-    """Start this worker on the CPU its slot names, then let the scheduler move
-    it: a forked worker starts on its parent's CPU, and the kernel may leave
-    two of them sharing one CPU for a second while another CPU idles."""
-    os.sched_setaffinity(0, {slots.get()})
-    os.sched_setaffinity(0, cpus)
-
-
-def _can_fork() -> bool:
-    # imported here, as in _eval_parallel: multiprocessing and
-    # concurrent.futures add about 20 ms to every start-up that imports them
-    import multiprocessing
-    return "fork" in multiprocessing.get_all_start_methods()
+    bins: list[list[int]] = [[] for _ in range(workers)]
+    held = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        k = held.index(min(held))
+        bins[k].append(i)
+        held[k] += costs[i]
+    return [indices for indices in bins if indices]
 
 
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
                    costs: list[int]) -> dict[int, RuleMeasure]:
-    """Rule index → measure, from batches run in forked workers, submitted
-    longest first by the rules' estimated costs."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-    rules = rs.rules
-    measured: dict[int, RuleMeasure] = {}
-    ctx = multiprocessing.get_context("fork")
-    placement = {}
-    if hasattr(os, "sched_setaffinity"):
-        cpus = frozenset(os.sched_getaffinity(0))
-        slots = ctx.SimpleQueue()
-        for k in range(workers):
-            slots.put(sorted(cpus)[k % len(cpus)])
-        placement = {"initializer": _place_worker, "initargs": (cpus, slots)}
-    global _WORKER_STATE
-    _WORKER_STATE = (rs, repo)
-    gc.freeze()  # the collector would otherwise dirty the shared pages
-    try:
-        with ProcessPoolExecutor(workers, mp_context=ctx, **placement) as pool:
-            futures = [pool.submit(_eval_batch, batch)
-                       for batch in _longest_first(costs, workers)]
-            try:
-                for future in as_completed(futures):
-                    measured.update(future.result())
-            except BrokenProcessPool:
-                unfinished = [r.id for i, r in enumerate(rules) if i not in measured]
-                shown = ", ".join(unfinished[:10])
-                if len(unfinished) > 10:
-                    shown += f" and {len(unfinished) - 10} more"
-                raise EvalError("a worker process died while evaluating "
-                                f"rules {shown}") from None
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    finally:
-        gc.unfreeze()
-        _WORKER_STATE = None
-    return measured
+    """Rule index → measure, each bin of rules run in a forked worker of its
+    own (ranges.forked) while this process waits."""
+    from .ranges import forked  # imports pickle
+    bins = _bins(costs, workers)
+
+    def evaluate(indices: list[int]) -> list[RuleMeasure]:
+        return [eval_rule(rs.rules[i], repo, rs) for i in indices]
+
+    def names(k: int) -> str:  # the rules of worker k's bin and the bins after it
+        unfinished = [rs.rules[i].id for i in sorted(i for b in bins[k:] for i in b)]
+        shown = ", ".join(unfinished[:10])
+        if len(unfinished) > 10:
+            shown += f" and {len(unfinished) - 10} more"
+        return f"rules {shown}"
+
+    measured = forked(evaluate, bins, names)[1]
+    return {i: m for indices, measures in zip(bins, measured)
+            for i, m in zip(indices, measures)}
 
 
 def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
@@ -403,24 +353,28 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     CPU (more only queue for the same CPUs) and one per rule. With more than
     one, each rule's serial cost is estimated from sizes alone (rows,
     targets, kind, expression nodes), and workers are forked only when the
-    total reaches POOL_BREAK_EVEN_NS, the work from which the pool saves more
-    than its start-up costs; below it the rules run serially, and
-    multiprocessing is not imported.
-    Forked workers share the loaded repository copy-on-write, take batches
-    of rules longest first, and ship back counts and failing (entity,
-    ordinal) pairs, the same values a sequential run computes, so the
-    output is identical byte for byte. Key values are read from the
-    repository only when records are written (`MeasureSet.record_key`). A
-    worker that dies raises EvalError naming the rules not yet evaluated.
-    Without fork, evaluation is sequential.
+    total reaches POOL_BREAK_EVEN_NS, the work from which the workers save
+    more than forking them costs; below it the rules run serially, and
+    pickle is not imported.
+    Forked workers share the loaded repository copy-on-write, each runs one
+    bin of rules dealt longest first, and each ships back counts and
+    failing (entity, ordinal) pairs, the same values a sequential run
+    computes, so the output is identical byte for byte. Key values are read
+    from the repository only when records are written
+    (`MeasureSet.record_key`). A worker that dies raises EvalError naming
+    the rules not yet collected. Without fork, or with a fork refused,
+    evaluation is sequential.
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
     costs = _serial_costs_ns(rs, repo) if workers > 1 else []
-    if workers > 1 and sum(costs) >= POOL_BREAK_EVEN_NS and _can_fork():
-        measured = _eval_parallel(rs, repo, workers, costs)
-        measures = {rule.id: measured[i] for i, rule in enumerate(rs.rules)}
-    else:
-        measures = {r.id: eval_rule(r, repo, rs) for r in rs.rules}
+    measured = {}
+    if workers > 1 and sum(costs) >= POOL_BREAK_EVEN_NS and hasattr(os, "fork"):
+        try:
+            measured = _eval_parallel(rs, repo, workers, costs)
+        except OSError:  # a worker could not start (EAGAIN, ENOMEM): run here
+            pass
+    measures = {rule.id: measured[i] if measured else eval_rule(rule, repo, rs)
+                for i, rule in enumerate(rs.rules)}
     return MeasureSet(measures, ruleset_fingerprint(rs), repo.fingerprint,
                       repo.record_key)
 

@@ -1,20 +1,20 @@
 """Loading and evaluating large snapshot files in row ranges, for `--jobs N`.
 
-`engine.evaluate_snapshot` hands `evaluate_ranges` the snapshot files of at
-least `engine.RANGE_BREAK_EVEN_BYTES` whose entities only row-local rules
-read. Each is cut at record boundaries into up to N byte ranges
-(`dataset._record_cuts`). This process forks a worker (os.fork and a pipe)
-for every range but the first of each file, loads and evaluates the first
-itself, then hashes the whole files for the fingerprint. Each range loads
-through `dataset._load` and runs its entity's rules through
-`engine.eval_rule`, and a worker pickles back, per range, its row count,
-each rule's measure over it (ordinals from the range's first row, failing
-pairs capped) and the keys of the rows that fail. The measures merge
-exactly: B and the failing totals sum, and the failing pairs, shifted by
-the rows before their range, concatenate in range order and are capped
-again, which gives the pairs, in the order, that one range gives (range
-partitioning: DeWitt and Gray, CACM 1992; mergeable summaries: Agarwal et
-al., PODS 2012).
+`engine.evaluate_snapshot` hands `evaluate_ranges` the snapshot files of
+at least `engine.RANGE_BREAK_EVEN_BYTES` whose entities only row-local
+rules read. Each is cut at record boundaries into up to N byte ranges
+(`dataset._record_cuts`). This process forks a worker (`forked`) for every
+range but the first of each file, and loads and evaluates the first
+itself, hashing its bytes as they load, then hashes the rest of each file
+for the fingerprint. Each range loads through `dataset._load` and runs its
+entity's rules through `engine.eval_rule`, and a worker pickles back, per
+range, its row count, each rule's measure over it (ordinals from the
+range's first row, failing pairs capped) and the keys of the rows that
+fail. The measures merge exactly: B and the failing totals sum, and the
+failing pairs, shifted by the rows before their range, concatenate in
+range order and are capped again, which gives the pairs, in the order,
+that one range gives (range partitioning: DeWitt and Gray, CACM 1992;
+mergeable summaries: Agarwal et al., PODS 2012).
 
 The entities that are not cut load whole here before the fork, among them
 every entity a foreign key or domain reference reads, which the ranges'
@@ -25,16 +25,23 @@ A range that does not load, a file whose size, mtime or inode moves, or a
 worker that cannot be started sends the caller down the one-range path,
 which loads the snapshot again and so raises the one-range path's error,
 in catalog order. A worker that dies raises EvalError naming its ranges.
-Every forked worker is reaped on every exit path.
+
+`forked` is the program's one way to run work in other processes: besides
+the ranges, `engine.eval_all` runs its bins of rules through it. Every
+worker it forks is reaped on every exit path.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import pickle
 import signal
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
+from typing import Any
 
 from . import canonical, engine
 from .dataset import (Entity, Repository, SchemaCatalog, _file_digest, _load,
@@ -47,14 +54,17 @@ Range = tuple[str, int, int]  # entity name, first byte, byte after the last
 
 
 def _evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
-                     whole: dict[str, Entity], ranges: list[Range]) -> list:
+                     whole: dict[str, Entity], hashes: dict,
+                     ranges: list[Range]) -> list:
     """For each range: the LoadError it raises, or its row count, the measure
     over it of each ranged rule of its entity, in ruleset order, and row →
-    key of the rows failing them."""
+    key of the rows failing them. A range's bytes feed the sha256 object
+    `hashes` holds for its entity, if any."""
     outcomes = []
     for name, start, stop in ranges:
         try:
-            entity = _load(directory / f"{name}.csv", catalog.get(name), start, stop)[0]
+            entity = _load(directory / f"{name}.csv", catalog.get(name), start, stop,
+                           hashes.get(name))[0]
         except LoadError as exc:
             outcomes.append(exc)
             continue
@@ -67,9 +77,9 @@ def _evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
     return outcomes
 
 
-def _fork(cpu: int | None, cpus: list[int], work, *args):
+def _fork(cpu: int | None, cpus: list[int], work, task):
     """(pid, pipe) of a forked worker that writes to the pipe the pickled
-    (True, work(*args)), or (False, the exception it raised), and exits. The
+    (True, work(task)), or (False, the exception it raised), and exits. The
     worker starts on `cpu`, then may run on any of `cpus`."""
     read, write = os.pipe()
     try:
@@ -88,7 +98,7 @@ def _fork(cpu: int | None, cpus: list[int], work, *args):
             os.sched_setaffinity(0, {cpu})
             os.sched_setaffinity(0, cpus)
         try:
-            result = True, work(*args)
+            result = True, work(task)
         except Exception as exc:  # the parent raises it
             result = False, exc
         with open(write, "wb") as pipe:
@@ -98,44 +108,43 @@ def _fork(cpu: int | None, cpus: list[int], work, *args):
         os._exit(status)
 
 
-def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
-         whole: dict[str, Entity], plan: dict) -> tuple[list, dict]:
-    """Every range's `_evaluate_ranges` outcome, as (entity name, outcome) in
-    range order, the first ranges' from this process and the others' from
-    forked workers; and each cut file's sha256 (None if it moved), hashed
-    here while the workers run. An error other than a range's LoadError is
-    raised as it is met."""
-    # task k holds range k of each file cut into more than k ranges
-    tasks = [[(name, cuts[k], cuts[k + 1]) for name, (_, _, cuts) in plan.items()
-              if k + 1 < len(cuts)]
-             for k in range(max(len(cuts) for _, _, cuts in plan.values()) - 1)]
+def forked(work: Callable, tasks: list, names: Callable[[int], str],
+           here: Callable = lambda: None) -> tuple[Any, list]:
+    """here(), run in this process, and [work(task) for task in tasks], each
+    work(task) run in a worker forked for it while here() runs.
+
+    A worker's result, or the exception it raised, which is raised here,
+    comes back pickled through a pipe; the workers are read and reaped in
+    task order. Worker k exiting nonzero raises EvalError "a worker process
+    died while evaluating {names(k)}". A fork refused (EAGAIN, ENOMEM)
+    raises its OSError. On every exit path, each worker not yet reaped is
+    killed and reaped.
+    """
     workers = []  # (pid, pipe) of each forked worker
     reaped = set()
     # A forked worker starts on its parent's CPU, and the kernel may leave the
-    # two sharing it for longer than a range takes while another CPU idles:
-    # this process moves to the first usable CPU, worker k starts on the
-    # (k + 1)-th, and each then lets the scheduler move it.
+    # two sharing it for longer than a task takes while another CPU idles:
+    # this process moves to the first usable CPU while it forks, the worker
+    # of task k starts on the (k + 2)-th, cycling, and each then lets the
+    # scheduler move it.
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     gc.freeze()  # the collector would otherwise dirty the shared pages
     try:
         if cpus:
             os.sched_setaffinity(0, cpus[:1])
-        for k, ranges in enumerate(tasks[1:], 1):
+        for k, task in enumerate(tasks, 1):
             workers.append(_fork(cpus[k % len(cpus)] if cpus else None, cpus,
-                                 _evaluate_ranges, rs, directory, catalog, whole, ranges))
+                                 work, task))
         if cpus:
             os.sched_setaffinity(0, cpus)
-        results = [_evaluate_ranges(rs, directory, catalog, whole, tasks[0])]
-        digests = {name: _file_digest(path, before)
-                   for name, (path, before, _) in plan.items()}
-        for (pid, pipe), ranges in zip(workers, tasks[1:]):
+        mine = here()
+        results = []
+        for k, (pid, pipe) in enumerate(workers):
             data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             reaped.add(pid)
             if status:
-                shown = ", ".join(f"{name}.csv bytes {start}-{stop}"
-                                  for name, start, stop in ranges)
-                raise EvalError(f"a worker process died while evaluating {shown}")
+                raise EvalError(f"a worker process died while evaluating {names(k)}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -149,7 +158,35 @@ def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    outcomes = [(name, outcome) for ranges, result in zip(tasks, results)
+    return mine, results
+
+
+def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
+         whole: dict[str, Entity], plan: dict) -> tuple[list, dict]:
+    """Every range's `_evaluate_ranges` outcome, as (entity name, outcome) in
+    range order, the first ranges' from this process and the others' from
+    forked workers; and each cut file's sha256 (None if it moved), its first
+    range hashed as it loads and the rest here while the workers run. An
+    error other than a range's LoadError is raised as it is met."""
+    # task k holds range k of each file cut into more than k ranges
+    tasks = [[(name, cuts[k], cuts[k + 1]) for name, (_, _, cuts) in plan.items()
+              if k + 1 < len(cuts)]
+             for k in range(max(len(cuts) for _, _, cuts in plan.values()) - 1)]
+    hashes = {name: hashlib.sha256() for name in plan}
+
+    def here():
+        first = _evaluate_ranges(rs, directory, catalog, whole, hashes, tasks[0])
+        return first, {name: _file_digest(path, before, hashes[name], cuts[1])
+                       for name, (path, before, cuts) in plan.items()}
+
+    def names(k: int) -> str:
+        return ", ".join(f"{name}.csv bytes {start}-{stop}"
+                         for name, start, stop in tasks[k + 1])
+
+    (first, digests), rest = forked(
+        partial(_evaluate_ranges, rs, directory, catalog, whole, {}), tasks[1:],
+        names, here)
+    outcomes = [(name, outcome) for ranges, result in zip(tasks, [first, *rest])
                 for (name, _, _), outcome in zip(ranges, result)]
     return outcomes, digests
 

@@ -1605,3 +1605,40 @@ def test_evaluate_below_break_even_forks_nothing(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 0 []"
+
+
+def test_evaluate_above_break_even_forks_a_worker_per_bin(tmp_path):
+    """`--jobs 2` on the versions tool's `pooled` snapshot, whose rules are
+    estimated above the break-even, forks two workers, imports pickle but
+    neither multiprocessing nor concurrent.futures, and writes what
+    `--jobs 1` writes."""
+    from versions import POOLED_DOCS
+    for name, doc in POOLED_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    inputs = ["--rules", str(tmp_path / "rules.json"),
+              "--schema", str(tmp_path / "schema.json"),
+              "--data", str(tmp_path / "snapshot")]
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), *inputs[:4],
+                 "--out", str(tmp_path / "snapshot")]) == 0
+    assert main(["evaluate", *inputs, "--out", str(tmp_path / "jobs1"),
+                 "--jobs", "1"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import os, sys\n"
+        "from dqeval import engine\n"
+        "from dqeval.cli import main\n"
+        "engine.usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        f"code = main(['evaluate', *{inputs!r}, '--out', {str(tmp_path / 'jobs2')!r},"
+        " '--jobs', '2'])\n"
+        "print(code, len(forks), [m for m in ('pickle', 'multiprocessing',"
+        " 'concurrent.futures') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 2 ['pickle']"
+    for name in ("report.json", "measures.json"):
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes()

@@ -625,6 +625,8 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - started < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
@@ -636,6 +638,25 @@ def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
              {"reference": "ghost.id"})]))
     with pytest.raises(EvalError, match="ghost"):
         eval_all(rs, person_snapshot, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_refused_fork_evaluates_serially(person_snapshot, table3_ruleset,
+                                         monkeypatch):
+    """A fork refused (a process limit reached) runs the rules in this process,
+    with the measures of jobs=1, not an error."""
+    serial = eval_all(table3_ruleset, person_snapshot)
+
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
+    monkeypatch.setattr(os, "fork", refuse)
+    refused = eval_all(table3_ruleset, person_snapshot, jobs=2)
+    assert refused == serial
+    assert serialize_measures(refused) == serialize_measures(serial)
 
 
 def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
@@ -661,7 +682,7 @@ def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
 
 
 # --------------------------------------------------------------------------
-# the pool decision and the longest-first schedule
+# the pool decision and the longest-first bins
 
 def _sized_repository(catalog, rows: dict[str, int]) -> Repository:
     """Entities of the given row counts whose cells are all null: the cost
@@ -709,7 +730,7 @@ def test_cost_estimate_independent_of_hash_seed():
         "repo = Repository(b.catalog, {s.name: Entity(s, {c.name: [None] * rows[s.name]"
         " for c in s.columns}) for s in b.catalog.entities}, 'fp')\n"
         "costs = engine._serial_costs_ns(b.ruleset, repo)\n"
-        "print(costs, engine._longest_first(costs, 2))\n")
+        "print(costs, engine._bins(costs, 2))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = set()
     for seed in ("0", "1", "4242"):
@@ -725,21 +746,20 @@ def test_cost_estimate_independent_of_hash_seed():
 @settings(max_examples=200, deadline=None)
 @given(costs=st.lists(st.integers(0, 10**12), min_size=1, max_size=60),
        workers=st.integers(2, 4))
-def test_longest_first_batches_cover_every_rule_once(costs, workers):
-    batches = engine._longest_first(costs, workers)
-    assert all(batches)
-    assert sorted(i for batch in batches for i in batch) == list(range(len(costs)))
-    order = [i for batch in batches for i in batch]
-    assert [costs[i] for i in order] == sorted(costs, reverse=True)
-    share = sum(costs) / (4 * workers)
-    assert all(sum(costs[i] for i in batch) <= share
-               for batch in batches if len(batch) > 1)
+def test_bins_hold_every_rule_once_within_graham_bound(costs, workers):
+    bins = engine._bins(costs, workers)
+    assert all(bins) and len(bins) <= workers
+    assert sorted(i for indices in bins for i in indices) == list(range(len(costs)))
+    assert all(indices == sorted(indices, key=lambda i: (-costs[i], i))
+               for indices in bins)
+    assert max(sum(costs[i] for i in indices) for indices in bins) <= \
+        sum(costs) / workers + max(costs)
 
 
-def test_longest_first_keeps_equal_rules_apart():
-    """Criterion 8's ten equal rules on two workers: one rule per task, so no
-    worker idles while the other runs a last batch of two."""
-    assert engine._longest_first([65] * 10, 2) == [[i] for i in range(10)]
+def test_bins_split_equal_rules_evenly():
+    """Criterion 8's ten equal rules on two workers: five each, so neither
+    worker idles while the other runs a last rule."""
+    assert engine._bins([65] * 10, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
 
 
 @settings(max_examples=8, deadline=None,

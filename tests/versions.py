@@ -9,10 +9,11 @@ each PYTHON named, or by default with every
 $PYENV_ROOT/versions/*/bin/python3 (PYENV_ROOT defaults to ~/.pyenv).
 Interpreters older than 3.10, which dqeval does not support, are skipped
 with a note. Each runs the CLI from this checkout's src/, under its own
-PYTHONHASHSEED: synth of travel-v1, registry-v1, school-v1 and of a spec
-whose 50,000-row file is above the size from which `--jobs 2` loads and
-evaluates it in row ranges, then on each evaluate at --jobs 1 and --jobs 2,
-improve and certify. Every output file
+PYTHONHASHSEED: synth of travel-v1, registry-v1, school-v1 and of two
+specs, one whose 50,000-row file is above the size from which `--jobs 2`
+loads and evaluates it in row ranges, one whose rules are estimated above
+the work from which `--jobs 2` runs them in forked workers, then on each
+evaluate at --jobs 1 and --jobs 2, improve and certify. Every output file
 and each command's stdout, stderr and exit status is compared with the
 baseline's; each difference is named on a line of its own. Exits 1 if
 there is any difference, else 0. pytest does not collect this file.
@@ -29,8 +30,9 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-RANGED = "ranged"  # the synthesized snapshot, not a bundled scenario
-SCENARIOS = ("travel-v1", "registry-v1", "school-v1", RANGED)
+RANGED = "ranged"  # the synthesized snapshots, not bundled scenarios
+POOLED = "pooled"
+SCENARIOS = ("travel-v1", "registry-v1", "school-v1", RANGED, POOLED)
 OLDEST = (3, 10)
 
 # The documents `dq synth` generates RANGED from: about 2.1 MB in one file,
@@ -67,6 +69,34 @@ RANGED_DOCS = {
                        {"rule": "n", "rate": 0.01}, {"rule": "note", "rate": 0.01}]},
 }
 
+# The documents `dq synth` generates POOLED from: 20,000 rows (0.34 MB) kept
+# whole by a unique key, under rules whose estimated serial work
+# (engine._serial_costs_ns, 121 ms) is above engine.POOL_BREAK_EVEN_NS, so
+# that `--jobs 2` runs them in two forked workers, with failures of each rule.
+POOLED_DOCS = {
+    "schema.json": {"entities": [{"name": "keyed", "key": ["pk"], "columns": [
+        {"name": "pk", "datatype": "text"}, {"name": "n", "datatype": "integer"},
+        {"name": "colour", "datatype": "text"}]}]},
+    "rules.json": {"name": "pooled", "version": "1",
+                   "reference_time": "2024-06-01T00:00:00Z", "rules": [
+        {"id": "key", "entity": "keyed", "columns": [], "property": "FAL_COMP_FICH",
+         "kind": "unique", "params": {"key": ["pk"]}},
+        {"id": "band", "entity": "keyed", "columns": [], "property": "CONS_SEMAN",
+         "kind": "predicate",
+         "params": {"expr": "n >= 0 and n <= 999 and abs(n - 500) <= 500"
+                            " and n % 1000 = n"}},
+        {"id": "colour", "entity": "keyed", "columns": ["colour"],
+         "property": "EXAC_SEMAN", "kind": "domain", "params": {"allowed": _COLOURS}}]},
+    "spec.json": {"seed": 11, "entities": {"keyed": {"rows": 20_000, "columns": {
+        "pk": {"generator": "serial", "format": "K{n:06d}"},
+        "n": {"generator": "int_uniform", "min": 0, "max": 999},
+        "colour": {"generator": "choice", "values": _COLOURS}}}},
+        "violations": [{"rule": "key", "rate": 0.01},
+                       {"rule": "band", "rate": 0.01, "violating": {"n": 1500}},
+                       {"rule": "colour", "rate": 0.01}]},
+}
+SYNTHESIZED = {RANGED: RANGED_DOCS, POOLED: POOLED_DOCS}
+
 
 def commands(scenario: str) -> list[list[str]]:
     s = scenario
@@ -74,7 +104,7 @@ def commands(scenario: str) -> list[list[str]]:
               "--data", f"{s}/snapshot"]
     synth = (["synth", "--spec", f"{s}/spec.json", "--schema", f"{s}/schema.json",
               "--rules", f"{s}/rules.json", "--out", f"{s}/snapshot"]
-             if s == RANGED else ["synth", "--scenario", s, "--out", s])
+             if s in SYNTHESIZED else ["synth", "--scenario", s, "--out", s])
     return [
         synth,
         ["evaluate", *inputs, "--out", f"{s}/jobs1", "--jobs", "1"],
@@ -97,9 +127,10 @@ def run_all(python: str, seed: int, work: Path) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed),
                PYTHONDONTWRITEBYTECODE="1")
     seen = {}
-    (work / RANGED).mkdir()
-    for name, doc in RANGED_DOCS.items():
-        (work / RANGED / name).write_text(json.dumps(doc), encoding="utf-8")
+    for scenario, docs in SYNTHESIZED.items():
+        (work / scenario).mkdir()
+        for name, doc in docs.items():
+            (work / scenario / name).write_text(json.dumps(doc), encoding="utf-8")
     for scenario in SCENARIOS:
         for argv in commands(scenario):
             proc = subprocess.run([python, "-m", "dqeval.cli", *argv], cwd=work,
