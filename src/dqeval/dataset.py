@@ -547,15 +547,11 @@ def _file_digest(path: Path, before: tuple[int, int, int], digest,
     already, once the rest feed it; None if they cannot be read or the
     file's size, mtime or inode is no longer `before` once they are."""
     try:
-        with open(path, "rb") as file:
-            file.seek(start)
-            for chunk in iter(partial(file.read, 1 << 20), b""):
-                digest.update(chunk)
+        digest = canonical.sha256_file(path, digest, start)
         st = os.stat(path)
     except OSError:
         return None
-    moved = (st.st_size, st.st_mtime_ns, st.st_ino) != before
-    return None if moved else digest.hexdigest()
+    return digest if (st.st_size, st.st_mtime_ns, st.st_ino) == before else None
 
 
 # --------------------------------------------------------------------------

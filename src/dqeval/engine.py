@@ -261,15 +261,13 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
 
 
 # The estimated serial work from which forking workers pays for itself.
-# Measured with Python 3.11.7 on 2 shared vCPUs, in fresh processes without
-# a bytecode cache, on perfbench's scan shape (60k rows, its per-value rules
-# repeated to 39-157 ms of estimated work; medians of 15): jobs=2 took about
-# 20 ms more than the serial time over the two-process speedup (1.6x in
-# those runs), for importing pickle and ranges, forking two workers and
-# pickling the measures back, and crossed jobs=1 at about 55 ms. Where two
-# processes run only 1.4x as fast as one, serial work T saves
-# T * (1 - 1/1.4), which exceeds those 20 ms from about 70 ms on.
-POOL_BREAK_EVEN_NS = 75_000_000
+# Measured with Python 3.11.7 on 2 shared vCPUs, in fresh processes on
+# perfbench's scan shape with its rules repeated (medians of 15): jobs=2
+# took about 20 ms (imports, forks, results) more than the serial time over
+# the two-process speedup, 1.6x there, and crossed jobs=1 at about 55 ms of
+# estimated work; at 1.4x it would cross at about 70 ms. It stays at 150 ms
+# until jobs=1 and jobs=2 are timed against each other on work in between.
+POOL_BREAK_EVEN_NS = 150_000_000
 
 # The cost model of _serial_costs_ns, fitted to the per-rule times of
 # eval_rule (best of 3, same host) on perfbench's inputs: scan (60k rows,
@@ -308,42 +306,46 @@ def _serial_costs_ns(rs: RuleSet, repo: Repository) -> list[int]:
     return [cost(rule) for rule in rs.rules]
 
 
-def _bins(costs: list[int], workers: int) -> list[list[int]]:
-    """Rule indices in at most `workers` non-empty bins, one per worker: rules
-    are dealt in order of falling estimated cost, index breaking ties, each
-    to the bin holding the least estimated cost so far, the first such on a
-    tie. Graham's longest-processing-time-first rule (Bounds on
-    Multiprocessing Timing Anomalies, 1969) keeps the largest bin within
+def _longest_first(costs: list[int], workers: int) -> list[list[int]]:
+    """Rule indices in batches, longest first: rules are dealt in order of
+    falling estimated cost, index breaking ties, and a rule joins the open
+    batch only while the batch stays within a quarter of one worker's share,
+    so a heavy rule travels alone and starts first, while light ones share
+    the last batches. Graham's longest-processing-time-first rule (Bounds on
+    Multiprocessing Timing Anomalies, 1969) keeps the makespan within
     4/3 - 1/(3m) of the optimum on m workers."""
-    bins: list[list[int]] = [[] for _ in range(workers)]
-    held = [0] * workers
-    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
-        k = held.index(min(held))
-        bins[k].append(i)
-        held[k] += costs[i]
-    return [indices for indices in bins if indices]
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    share = sum(costs) / (4 * workers)
+    batches: list[list[int]] = []
+    batch: list[int] = []
+    held = 0
+    for i in order:
+        if batch and held + costs[i] > share:
+            batches.append(batch)
+            batch, held = [], 0
+        batch.append(i)
+        held += costs[i]
+    return batches + [batch] if batch else batches
 
 
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
                    costs: list[int]) -> dict[int, RuleMeasure]:
-    """Rule index → measure, each bin of rules run in a forked worker of its
-    own (ranges.forked) while this process waits."""
+    """Rule index → measure, from forked workers (ranges.forked) that take
+    the batches of rules in turn, longest first, while this process waits."""
     from .ranges import forked  # imports pickle
-    bins = _bins(costs, workers)
+    batches = _longest_first(costs, workers)
 
-    def evaluate(indices: list[int]) -> list[RuleMeasure]:
-        return [eval_rule(rs.rules[i], repo, rs) for i in indices]
-
-    def names(k: int) -> str:  # the rules of worker k's bin and the bins after it
-        unfinished = [rs.rules[i].id for i in sorted(i for b in bins[k:] for i in b)]
-        shown = ", ".join(unfinished[:10])
-        if len(unfinished) > 10:
-            shown += f" and {len(unfinished) - 10} more"
+    def names(left: list[list[int]]) -> str:
+        ids = [rs.rules[i].id for i in sorted(i for batch in left for i in batch)]
+        shown = ", ".join(ids[:10])
+        if len(ids) > 10:
+            shown += f" and {len(ids) - 10} more"
         return f"rules {shown}"
 
-    measured = forked(evaluate, bins, names)[1]
-    return {i: m for indices, measures in zip(bins, measured)
-            for i, m in zip(indices, measures)}
+    measured = forked(lambda batch: [eval_rule(rs.rules[i], repo, rs) for i in batch],
+                      batches, workers, names)[1]
+    return {i: m for batch, measures in zip(batches, measured)
+            for i, m in zip(batch, measures)}
 
 
 def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
@@ -356,14 +358,13 @@ def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     total reaches POOL_BREAK_EVEN_NS, the work from which the workers save
     more than forking them costs; below it the rules run serially, and
     pickle is not imported.
-    Forked workers share the loaded repository copy-on-write, each runs one
-    bin of rules dealt longest first, and each ships back counts and
-    failing (entity, ordinal) pairs, the same values a sequential run
-    computes, so the output is identical byte for byte. Key values are read
-    from the repository only when records are written
-    (`MeasureSet.record_key`). A worker that dies raises EvalError naming
-    the rules not yet collected. Without fork, or with a fork refused,
-    evaluation is sequential.
+    Forked workers share the loaded repository copy-on-write, take batches
+    of rules longest first, and ship back counts and failing (entity,
+    ordinal) pairs, the same values a sequential run computes, so the
+    output is identical byte for byte. Key values are read from the
+    repository only when records are written (`MeasureSet.record_key`). A
+    worker that dies raises EvalError naming the rules left unmeasured.
+    Without fork, or with a fork refused, evaluation is sequential.
     """
     workers = min(jobs, len(rs.rules), usable_cpus())
     costs = _serial_costs_ns(rs, repo) if workers > 1 else []

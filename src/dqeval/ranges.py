@@ -3,18 +3,18 @@
 `engine.evaluate_snapshot` hands `evaluate_ranges` the snapshot files of
 at least `engine.RANGE_BREAK_EVEN_BYTES` whose entities only row-local
 rules read. Each is cut at record boundaries into up to N byte ranges
-(`dataset._record_cuts`). This process forks a worker (`forked`) for every
-range but the first of each file, and loads and evaluates the first
-itself, hashing its bytes as they load, then hashes the rest of each file
-for the fingerprint. Each range loads through `dataset._load` and runs its
-entity's rules through `engine.eval_rule`, and a worker pickles back, per
-range, its row count, each rule's measure over it (ordinals from the
-range's first row, failing pairs capped) and the keys of the rows that
-fail. The measures merge exactly: B and the failing totals sum, and the
-failing pairs, shifted by the rows before their range, concatenate in
-range order and are capped again, which gives the pairs, in the order,
-that one range gives (range partitioning: DeWitt and Gray, CACM 1992;
-mergeable summaries: Agarwal et al., PODS 2012).
+(`dataset._record_cuts`). This process loads and evaluates the first
+range of each file itself, hashing its bytes as they load, then hashes the
+rest of each file for the fingerprint, while workers it forks (`forked`)
+take the others. Each range loads through `dataset._load`
+and runs its entity's rules through `engine.eval_rule`, and a worker
+pickles back, per range, its row count, each rule's measure over it
+(ordinals from the range's first row, failing pairs capped) and the keys of
+the rows that fail. The measures merge exactly: B and the failing totals
+sum, and the failing pairs, shifted by the rows before their range,
+concatenate in range order and are capped again, which gives the pairs, in
+the order, that one range gives (range partitioning: DeWitt and Gray, CACM
+1992; mergeable summaries: Agarwal et al., PODS 2012).
 
 The entities that are not cut load whole here before the fork, among them
 every entity a foreign key or domain reference reads, which the ranges'
@@ -24,11 +24,9 @@ after the merge through `engine.eval_all`.
 A range that does not load, a file whose size, mtime or inode moves, or a
 worker that cannot be started sends the caller down the one-range path,
 which loads the snapshot again and so raises the one-range path's error,
-in catalog order. A worker that dies raises EvalError naming its ranges.
-
-`forked` is the program's one way to run work in other processes: besides
-the ranges, `engine.eval_all` runs its bins of rules through it. Every
-worker it forks is reaped on every exit path.
+in catalog order. A worker that dies raises EvalError naming the ranges
+left without a result. `forked` is the program's one way to run work in
+other processes; `engine.eval_all` runs its batches of rules through it.
 """
 
 from __future__ import annotations
@@ -38,10 +36,8 @@ import hashlib
 import os
 import pickle
 import signal
-from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import Any
 
 from . import canonical, engine
 from .dataset import (Entity, Repository, SchemaCatalog, _file_digest, _load,
@@ -77,9 +73,9 @@ def _evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
     return outcomes
 
 
-def _fork(cpu: int | None, cpus: list[int], work, task):
+def _fork(cpu: int | None, cpus: list[int], work):
     """(pid, pipe) of a forked worker that writes to the pipe the pickled
-    (True, work(task)), or (False, the exception it raised), and exits. The
+    (True, work()), or (False, the exception it raised), and exits. The
     worker starts on `cpu`, then may run on any of `cpus`."""
     read, write = os.pipe()
     try:
@@ -98,7 +94,7 @@ def _fork(cpu: int | None, cpus: list[int], work, task):
             os.sched_setaffinity(0, {cpu})
             os.sched_setaffinity(0, cpus)
         try:
-            result = True, work(task)
+            result = True, work()
         except Exception as exc:  # the parent raises it
             result = False, exc
         with open(write, "wb") as pipe:
@@ -108,57 +104,87 @@ def _fork(cpu: int | None, cpus: list[int], work, task):
         os._exit(status)
 
 
-def forked(work: Callable, tasks: list, names: Callable[[int], str],
-           here: Callable = lambda: None) -> tuple[Any, list]:
-    """here(), run in this process, and [work(task) for task in tasks], each
-    work(task) run in a worker forked for it while here() runs.
+# Task k is the 4-byte record k in the workers' queue, a pipe: a write of up
+# to PIPE_BUF bytes (512 or more) lands whole, and a read holds the pipe.
+_RECORD = 4
+_PIPE_BUF = 512
 
-    A worker's result, or the exception it raised, which is raised here,
-    comes back pickled through a pipe; the workers are read and reaped in
-    task order. Worker k exiting nonzero raises EvalError "a worker process
-    died while evaluating {names(k)}". A fork refused (EAGAIN, ENOMEM)
-    raises its OSError. On every exit path, each worker not yet reaped is
-    killed and reaped.
-    """
-    workers = []  # (pid, pipe) of each forked worker
+
+def forked(work, tasks: list, workers: int, names, here=lambda: None) -> tuple:
+    """here(), run in this process, and [work(task) for task in tasks], run
+    while it runs by `workers` forked workers that each take the next task
+    from a queue until it is empty, so one on a slower CPU takes fewer.
+
+    A worker's results, or the exception it raised, which is raised here,
+    come back pickled through a pipe. A worker that dies before sending them
+    raises EvalError "a worker process died while evaluating {names(left)}",
+    `left` the tasks without a result; a fork refused (EAGAIN, ENOMEM), its
+    OSError. On every exit path, every worker is reaped, killed first if
+    it has not exited."""
+    records = b"".join(k.to_bytes(_RECORD, "little") for k in range(len(tasks)))
+    read, write = os.pipe()
+    queue = open(write, "wb", buffering=0)
+
+    def pull() -> list:
+        queue.close()  # the queue then ends once this process closes its end
+        done = []
+        while record := os.read(read, _RECORD):
+            k = int.from_bytes(record, "little")
+            done.append((k, work(tasks[k])))
+        return done
+
+    forks = []  # (pid, pipe) of each forked worker
     reaped = set()
     # A forked worker starts on its parent's CPU, and the kernel may leave the
     # two sharing it for longer than a task takes while another CPU idles:
-    # this process moves to the first usable CPU while it forks, the worker
-    # of task k starts on the (k + 2)-th, cycling, and each then lets the
-    # scheduler move it.
+    # this process moves to the first usable CPU while it forks, worker k
+    # starts on the (k + 1)-th, cycling, and each then lets the scheduler move it.
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     gc.freeze()  # the collector would otherwise dirty the shared pages
     try:
+        queue.write(records[:_PIPE_BUF])
         if cpus:
             os.sched_setaffinity(0, cpus[:1])
-        for k, task in enumerate(tasks, 1):
-            workers.append(_fork(cpus[k % len(cpus)] if cpus else None, cpus,
-                                 work, task))
+        for k in range(1, workers + 1):
+            forks.append(_fork(cpus[k % len(cpus)] if cpus else None, cpus, pull))
         if cpus:
             os.sched_setaffinity(0, cpus)
+        with queue:
+            for start in range(_PIPE_BUF, len(records), _PIPE_BUF):
+                queue.write(records[start:start + _PIPE_BUF])
         mine = here()
-        results = []
-        for k, (pid, pipe) in enumerate(workers):
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+        # every result is read and loaded before any worker is reaped: a
+        # worker's pipe ends before its exit has unmapped its view of this
+        # process's memory, which takes milliseconds
+        sent = []
+        for _, pipe in forks:
+            try:
+                sent.append(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError):  # it died before sending all
+                pass
+        for pid, _ in forks:
+            os.waitpid(pid, 0)
             reaped.add(pid)
-            if status:
-                raise EvalError(f"a worker process died while evaluating {names(k)}")
-            ok, value = pickle.loads(data)
+        results = {}
+        for ok, value in sent:
             if not ok:
                 raise value
-            results.append(value)
+            results.update(value)
+        if len(results) < len(tasks):  # a worker died holding a task
+            left = [task for k, task in enumerate(tasks) if k not in results]
+            raise EvalError(f"a worker process died while evaluating {names(left)}")
     finally:
         gc.unfreeze()
+        queue.close()
+        os.close(read)
         if cpus:
             os.sched_setaffinity(0, cpus)
-        for pid, pipe in workers:
+        for pid, pipe in forks:
             pipe.close()
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return mine, results
+    return mine, [results[k] for k in range(len(tasks))]
 
 
 def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
@@ -179,13 +205,13 @@ def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
         return first, {name: _file_digest(path, before, hashes[name], cuts[1])
                        for name, (path, before, cuts) in plan.items()}
 
-    def names(k: int) -> str:
+    def names(left: list) -> str:
         return ", ".join(f"{name}.csv bytes {start}-{stop}"
-                         for name, start, stop in tasks[k + 1])
+                         for ranges in left for name, start, stop in ranges)
 
     (first, digests), rest = forked(
         partial(_evaluate_ranges, rs, directory, catalog, whole, {}), tasks[1:],
-        names, here)
+        len(tasks) - 1, names, here)
     outcomes = [(name, outcome) for ranges, result in zip(tasks, [first, *rest])
                 for (name, _, _), outcome in zip(ranges, result)]
     return outcomes, digests

@@ -1607,7 +1607,7 @@ def test_evaluate_below_break_even_forks_nothing(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
-def test_evaluate_above_break_even_forks_a_worker_per_bin(tmp_path):
+def test_evaluate_above_break_even_forks_two_workers(tmp_path):
     """`--jobs 2` on the versions tool's `pooled` snapshot, whose rules are
     estimated above the break-even, forks two workers, imports pickle but
     neither multiprocessing nor concurrent.futures, and writes what

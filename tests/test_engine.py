@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import make_ruleset, rule
-from dqeval import engine
+from dqeval import engine, ranges
 from dqeval.dataset import (ColumnSchema, Entity, EntitySchema, Repository,
                             SchemaCatalog, load_snapshot)
 from dqeval.engine import eval_all, eval_rule
@@ -629,6 +629,34 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_dead_worker_names_only_the_rules_left(person_snapshot, monkeypatch):
+    """The message names the rules left without a measure: r19, whose worker
+    died on it, but not the rules the other worker measured."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
+    real = engine.eval_rule
+
+    def dies_at_the_last(rule, repo, rs):
+        if rule.id == "r19":
+            os._exit(1)
+        time.sleep(0.01)
+        return real(rule, repo, rs)
+
+    monkeypatch.setattr(engine, "eval_rule", dies_at_the_last)
+    rs = parse_ruleset(make_ruleset(
+        [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"})
+         for i in range(20)]))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(EvalError, match="worker process died .*r19") as died:
+            eval_all(rs, person_snapshot, jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "and 10 more" not in str(died.value)  # not all 20 rules
+
+
 def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
@@ -670,6 +698,47 @@ def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
     assert eval_all(rs, person_snapshot, jobs=2) == eval_all(rs, person_snapshot)
 
 
+def test_batches_written_while_workers_run(person_snapshot, monkeypatch):
+    """With room for one record before the forks, the other batches reach the
+    workers while they run, and every rule is measured once."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
+    monkeypatch.setattr(ranges, "_PIPE_BUF", ranges._RECORD)
+    rs = parse_ruleset(make_ruleset(
+        [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax",
+              {"pattern": "^[0-9]{8}[A-Z]$" if i % 2 else "^1.*$"})
+         for i in range(20)]))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        assert eval_all(rs, person_snapshot, jobs=2) == eval_all(rs, person_snapshot)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _held_up(rule, repo, rs) -> RuleMeasure:
+    """r0 takes half a second; each measure records the worker that took it."""
+    if rule.id == "r0":
+        time.sleep(0.5)
+    return RuleMeasure(rule.id, 0, 0, [], 0, float(os.getpid()))
+
+
+def test_held_up_worker_leaves_the_other_batches(person_snapshot, monkeypatch):
+    """Workers take batches from a pipe as they finish them: the worker held
+    up by the first batch takes no other, so a worker slowed down (say, on
+    a vCPU a neighbour holds) does not hold up the rest."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
+    monkeypatch.setattr(engine, "eval_rule", _held_up)
+    rs = parse_ruleset(make_ruleset(
+        [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"})
+         for i in range(10)]))
+    worker = {m.rule_id: m.elapsed for m in eval_all(rs, person_snapshot, jobs=2)}
+    assert [r for r, pid in worker.items() if pid == worker["r0"]] == ["r0"]
+    assert len(set(worker.values())) == 2
+
+
 def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
                                        monkeypatch):
     def no_fork(*args):
@@ -682,7 +751,7 @@ def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
 
 
 # --------------------------------------------------------------------------
-# the pool decision and the longest-first bins
+# the pool decision and the longest-first schedule
 
 def _sized_repository(catalog, rows: dict[str, int]) -> Repository:
     """Entities of the given row counts whose cells are all null: the cost
@@ -730,7 +799,7 @@ def test_cost_estimate_independent_of_hash_seed():
         "repo = Repository(b.catalog, {s.name: Entity(s, {c.name: [None] * rows[s.name]"
         " for c in s.columns}) for s in b.catalog.entities}, 'fp')\n"
         "costs = engine._serial_costs_ns(b.ruleset, repo)\n"
-        "print(costs, engine._bins(costs, 2))\n")
+        "print(costs, engine._longest_first(costs, 2))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = set()
     for seed in ("0", "1", "4242"):
@@ -746,20 +815,21 @@ def test_cost_estimate_independent_of_hash_seed():
 @settings(max_examples=200, deadline=None)
 @given(costs=st.lists(st.integers(0, 10**12), min_size=1, max_size=60),
        workers=st.integers(2, 4))
-def test_bins_hold_every_rule_once_within_graham_bound(costs, workers):
-    bins = engine._bins(costs, workers)
-    assert all(bins) and len(bins) <= workers
-    assert sorted(i for indices in bins for i in indices) == list(range(len(costs)))
-    assert all(indices == sorted(indices, key=lambda i: (-costs[i], i))
-               for indices in bins)
-    assert max(sum(costs[i] for i in indices) for indices in bins) <= \
-        sum(costs) / workers + max(costs)
+def test_longest_first_batches_cover_every_rule_once(costs, workers):
+    batches = engine._longest_first(costs, workers)
+    assert all(batches)
+    assert sorted(i for batch in batches for i in batch) == list(range(len(costs)))
+    order = [i for batch in batches for i in batch]
+    assert [costs[i] for i in order] == sorted(costs, reverse=True)
+    share = sum(costs) / (4 * workers)
+    assert all(sum(costs[i] for i in batch) <= share
+               for batch in batches if len(batch) > 1)
 
 
-def test_bins_split_equal_rules_evenly():
-    """Criterion 8's ten equal rules on two workers: five each, so neither
-    worker idles while the other runs a last rule."""
-    assert engine._bins([65] * 10, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+def test_longest_first_keeps_equal_rules_apart():
+    """Criterion 8's ten equal rules on two workers: one rule per task, so no
+    worker idles while the other runs a last batch of two."""
+    assert engine._longest_first([65] * 10, 2) == [[i] for i in range(10)]
 
 
 @settings(max_examples=8, deadline=None,

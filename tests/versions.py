@@ -69,9 +69,9 @@ RANGED_DOCS = {
                        {"rule": "n", "rate": 0.01}, {"rule": "note", "rate": 0.01}]},
 }
 
-# The documents `dq synth` generates POOLED from: 20,000 rows (0.34 MB) kept
+# The documents `dq synth` generates POOLED from: 30,000 rows (0.51 MB) kept
 # whole by a unique key, under rules whose estimated serial work
-# (engine._serial_costs_ns, 121 ms) is above engine.POOL_BREAK_EVEN_NS, so
+# (engine._serial_costs_ns, 182 ms) is above engine.POOL_BREAK_EVEN_NS, so
 # that `--jobs 2` runs them in two forked workers, with failures of each rule.
 POOLED_DOCS = {
     "schema.json": {"entities": [{"name": "keyed", "key": ["pk"], "columns": [
@@ -87,7 +87,7 @@ POOLED_DOCS = {
                             " and n % 1000 = n"}},
         {"id": "colour", "entity": "keyed", "columns": ["colour"],
          "property": "EXAC_SEMAN", "kind": "domain", "params": {"allowed": _COLOURS}}]},
-    "spec.json": {"seed": 11, "entities": {"keyed": {"rows": 20_000, "columns": {
+    "spec.json": {"seed": 11, "entities": {"keyed": {"rows": 30_000, "columns": {
         "pk": {"generator": "serial", "format": "K{n:06d}"},
         "n": {"generator": "int_uniform", "min": 0, "max": 999},
         "colour": {"generator": "choice", "values": _COLOURS}}}},
