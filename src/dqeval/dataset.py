@@ -205,8 +205,8 @@ def _field_text(key) -> str:
 
 def _decoded(file, digest, stop=None):
     """The file's text from its position to byte `stop`, or to its end, one
-    chunk at a time, after feeding each chunk's bytes to `digest`. Raises
-    UnicodeDecodeError where the bytes stop being UTF-8."""
+    chunk at a time, after feeding each chunk's bytes to `digest`, if any.
+    Raises UnicodeDecodeError where the bytes stop being UTF-8."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     if stop is None:
         read = partial(file.read, _CHUNK_BYTES)
@@ -214,7 +214,8 @@ def _decoded(file, digest, stop=None):
         def read():
             return file.read(min(_CHUNK_BYTES, stop - file.tell()))
     for chunk in iter(read, b""):
-        digest.update(chunk)
+        if digest is not None:
+            digest.update(chunk)
         yield decoder.decode(chunk)
     yield decoder.decode(b"", final=True)
 
@@ -443,17 +444,17 @@ def _check_unchanged(file, before: tuple[int, int, int], path: Path,
 
 
 def _load(path: Path, schema: EntitySchema, start: int = 0,
-          stop: int | None = None, digest=None) -> tuple[Entity, str]:
-    """One snapshot file's Entity, and the sha256 of the bytes it was parsed
-    from, from one pass over the file, which feeds them to `digest` if one
-    is given. A file that changes during the pass is a LoadError.
+          stop: int | None = None, digest=None) -> tuple[Entity, str | None]:
+    """One snapshot file's Entity, from one pass over the file, which feeds
+    the bytes it parses to `digest` if one is given, and then that digest's
+    hex digest (else None). A file that changes during the pass is a
+    LoadError.
 
     With `start` or `stop`, only the records in bytes [start, stop) load,
     the header only when start is 0: each must be 0, the file's size or an
     offset just after a newline that ends a record (_record_cuts). Rows and
     errors then count from the range's first record."""
     path = Path(path)
-    digest = hashlib.sha256() if digest is None else digest
     specs = schema.columns
     columns: list[list] = [[] for _ in specs]
     caches = [dict.fromkeys(_NULLS) if c.nullable else {} for c in specs]
@@ -490,7 +491,8 @@ def _load(path: Path, schema: EntitySchema, start: int = 0,
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise LoadError(f"{path} is not valid UTF-8") from None
-    return Entity(schema, dict(zip(schema.column_names(), columns))), digest.hexdigest()
+    return (Entity(schema, dict(zip(schema.column_names(), columns))),
+            None if digest is None else digest.hexdigest())
 
 
 def load_entity(path: Path, schema: EntitySchema) -> Entity:
@@ -628,6 +630,7 @@ def load_snapshot(directory: Path, catalog: SchemaCatalog) -> Repository:
         path = directory / f"{schema.name}.csv"
         if not path.is_file():
             raise LoadError(f"snapshot is missing {path.name}")
-        entities[schema.name], digests[path.name] = _load(path, schema)
+        entities[schema.name], digests[path.name] = _load(
+            path, schema, digest=hashlib.sha256())
     return Repository(catalog, entities, canonical.fingerprint_digests(digests))
 

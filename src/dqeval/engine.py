@@ -12,9 +12,10 @@ extra targets, a composite unique key, a predicate over several columns)
 are sorted. B = 0 means the rule is not applicable and the ratio is
 undefined. Results are independent of evaluation order, so rules may be
 evaluated in parallel; the repository is immutable throughout. Workers
-are forked (ranges.forked) only when the evaluation's estimated serial
-cost, worked out from sizes before anything is evaluated, is large enough
-to pay for them; otherwise the rules run serially, with the same results.
+are forked (ranges.forked) to take rules beside this process only when
+the evaluation's estimated serial cost, worked out from sizes before
+anything is evaluated, is large enough to pay for them; otherwise the
+rules run serially, with the same results.
 `evaluate_snapshot` loads a snapshot and evaluates it: large files whose
 entities only row-local rules read are loaded and evaluated in row ranges
 by forked workers (ranges.py), the rest through load_snapshot and eval_all.
@@ -261,12 +262,13 @@ def eval_rule(rule: Rule, repo: Repository, rs: RuleSet) -> RuleMeasure:
 
 
 # The estimated serial work from which forking workers pays for itself.
-# Measured with Python 3.11.7 on 2 shared vCPUs, in fresh processes on
-# perfbench's scan shape with its rules repeated (medians of 15): jobs=2
-# took about 20 ms (imports, forks, results) more than the serial time over
-# the two-process speedup, 1.6x there, and crossed jobs=1 at about 55 ms of
-# estimated work; at 1.4x it would cross at about 70 ms. It stays at 150 ms
-# until jobs=1 and jobs=2 are timed against each other on work in between.
+# Measured with Python 3.11.7 on 2 shared vCPUs, in fresh processes without
+# a bytecode cache on perfbench's scan shape with its rules repeated
+# (39-157 ms estimated, medians of 15): jobs=2, one forked worker beside
+# this process, took about 32 ms (imports, the fork, results) more than the
+# serial time over the two-process speedup, 2.0 there, and crossed jobs=1 at
+# about 70 ms of estimated work. It stays at 150 ms until jobs=1 and jobs=2
+# are timed against each other on work in between.
 POOL_BREAK_EVEN_NS = 150_000_000
 
 # The cost model of _serial_costs_ns, fitted to the per-rule times of
@@ -306,61 +308,49 @@ def _serial_costs_ns(rs: RuleSet, repo: Repository) -> list[int]:
     return [cost(rule) for rule in rs.rules]
 
 
-def _longest_first(costs: list[int], workers: int) -> list[list[int]]:
-    """Rule indices in batches, longest first: rules are dealt in order of
-    falling estimated cost, index breaking ties, and a rule joins the open
-    batch only while the batch stays within a quarter of one worker's share,
-    so a heavy rule travels alone and starts first, while light ones share
-    the last batches. Graham's longest-processing-time-first rule (Bounds on
-    Multiprocessing Timing Anomalies, 1969) keeps the makespan within
-    4/3 - 1/(3m) of the optimum on m workers."""
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    share = sum(costs) / (4 * workers)
-    batches: list[list[int]] = []
-    batch: list[int] = []
-    held = 0
-    for i in order:
-        if batch and held + costs[i] > share:
-            batches.append(batch)
-            batch, held = [], 0
-        batch.append(i)
-        held += costs[i]
-    return batches + [batch] if batch else batches
+def _longest_first(costs: list[int]) -> list[int]:
+    """Rule indices in order of falling estimated cost, index breaking ties:
+    the order in which the pool hands out rules, one per task."""
+    return sorted(range(len(costs)), key=lambda i: (-costs[i], i))
 
 
 def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
                    costs: list[int]) -> dict[int, RuleMeasure]:
-    """Rule index → measure, from forked workers (ranges.forked) that take
-    the batches of rules in turn, longest first, while this process waits."""
+    """Rule index → measure, from this process and workers - 1 forked workers
+    (ranges.forked) that each take the next rule, in order of falling
+    estimated cost, index breaking ties, until none is left: a heavy rule
+    starts first, and light ones fill in at the end. Graham's longest-
+    processing-time-first rule (Bounds on Multiprocessing Timing Anomalies,
+    1969) keeps the makespan within 4/3 - 1/(3m) of the optimum on m
+    processes."""
     from .ranges import forked  # imports pickle
-    batches = _longest_first(costs, workers)
+    order = _longest_first(costs)
 
-    def names(left: list[list[int]]) -> str:
-        ids = [rs.rules[i].id for i in sorted(i for batch in left for i in batch)]
+    def names(left: list[int]) -> str:
+        ids = [rs.rules[i].id for i in sorted(left)]
         shown = ", ".join(ids[:10])
         if len(ids) > 10:
             shown += f" and {len(ids) - 10} more"
         return f"rules {shown}"
 
-    measured = forked(lambda batch: [eval_rule(rs.rules[i], repo, rs) for i in batch],
-                      batches, workers, names)[1]
-    return {i: m for batch, measures in zip(batches, measured)
-            for i, m in zip(batch, measures)}
+    measured = forked(lambda i: eval_rule(rs.rules[i], repo, rs), order,
+                      workers - 1, names)[1]
+    return dict(zip(order, measured))
 
 
 def eval_all(rs: RuleSet, repo: Repository, jobs: int = 1) -> MeasureSet:
     """Evaluate every rule; the result does not depend on schedule or jobs.
 
-    jobs is an upper bound on the worker processes: at most one per usable
-    CPU (more only queue for the same CPUs) and one per rule. With more than
-    one, each rule's serial cost is estimated from sizes alone (rows,
-    targets, kind, expression nodes), and workers are forked only when the
-    total reaches POOL_BREAK_EVEN_NS, the work from which the workers save
-    more than forking them costs; below it the rules run serially, and
-    pickle is not imported.
-    Forked workers share the loaded repository copy-on-write, take batches
-    of rules longest first, and ship back counts and failing (entity,
-    ordinal) pairs, the same values a sequential run computes, so the
+    jobs is an upper bound on the processes that evaluate rules, this one
+    included: at most one per usable CPU (more only queue for the same CPUs)
+    and one per rule. With more than one, each rule's serial cost is
+    estimated from sizes alone (rows, targets, kind, expression nodes), and
+    workers are forked only when the total reaches POOL_BREAK_EVEN_NS, the
+    work from which the workers save more than forking them costs; below it
+    the rules run serially, and pickle is not imported.
+    Forked workers share the loaded repository copy-on-write, take rules
+    longest first beside this process, and ship back counts and failing
+    (entity, ordinal) pairs, the same values a sequential run computes, so the
     output is identical byte for byte. Key values are read from the
     repository only when records are written (`MeasureSet.record_key`). A
     worker that dies raises EvalError naming the rules left unmeasured.
@@ -424,14 +414,14 @@ def evaluate_snapshot(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
     directory = Path(directory)
     parts = min(jobs, usable_cpus())
     if parts > 1 and hasattr(os, "fork"):
-        whole = _whole(rs)
-        paths = [directory / f"{schema.name}.csv" for schema in catalog.entities
-                 if schema.name not in whole]
+        paths = [directory / f"{schema.name}.csv" for schema in catalog.entities]
         try:
             large = [path for path in paths
                      if path.stat().st_size >= RANGE_BREAK_EVEN_BYTES]
         except OSError:  # the one-range path names the missing file
             large = []
+        whole = _whole(rs) if large else set()
+        large = [path for path in large if path.stem not in whole]
         if large:
             from .ranges import evaluate_ranges  # imports pickle
             ranged = evaluate_ranges(rs, directory, catalog, jobs, parts, large)

@@ -26,7 +26,8 @@ worker that cannot be started sends the caller down the one-range path,
 which loads the snapshot again and so raises the one-range path's error,
 in catalog order. A worker that dies raises EvalError naming the ranges
 left without a result. `forked` is the program's one way to run work in
-other processes; `engine.eval_all` runs its batches of rules through it.
+other processes; `engine.eval_all` runs its rules through it, this process
+taking them beside the workers.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ _RECORD = 4
 _PIPE_BUF = 512
 
 
-def forked(work, tasks: list, workers: int, names, here=lambda: None) -> tuple:
+def forked(work, tasks: list, workers: int, names, here=None) -> tuple:
     """here(), run in this process, and [work(task) for task in tasks], run
     while it runs by `workers` forked workers that each take the next task
     from a queue until it is empty, so one on a slower CPU takes fewer.
+    Without `here`, this process takes tasks from the queue beside them.
 
     A worker's results, or the exception it raised, which is raised here,
     come back pickled through a pipe. A worker that dies before sending them
@@ -126,7 +128,7 @@ def forked(work, tasks: list, workers: int, names, here=lambda: None) -> tuple:
     queue = open(write, "wb", buffering=0)
 
     def pull() -> list:
-        queue.close()  # the queue then ends once this process closes its end
+        queue.close()  # the queue then ends once the parent has closed its end
         done = []
         while record := os.read(read, _RECORD):
             k = int.from_bytes(record, "little")
@@ -152,7 +154,8 @@ def forked(work, tasks: list, workers: int, names, here=lambda: None) -> tuple:
         with queue:
             for start in range(_PIPE_BUF, len(records), _PIPE_BUF):
                 queue.write(records[start:start + _PIPE_BUF])
-        mine = here()
+        mine = here() if here else None
+        results = {} if here else dict(pull())
         # every result is read and loaded before any worker is reaped: a
         # worker's pipe ends before its exit has unmapped its view of this
         # process's memory, which takes milliseconds
@@ -165,7 +168,6 @@ def forked(work, tasks: list, workers: int, names, here=lambda: None) -> tuple:
         for pid, _ in forks:
             os.waitpid(pid, 0)
             reaped.add(pid)
-        results = {}
         for ok, value in sent:
             if not ok:
                 raise value
@@ -256,7 +258,7 @@ def evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
         if schema.name not in plan:
             try:
                 entities[schema.name], digests[schema.name] = _load(
-                    directory / f"{schema.name}.csv", schema)
+                    directory / f"{schema.name}.csv", schema, digest=hashlib.sha256())
             except LoadError:
                 return None
     try:

@@ -1607,11 +1607,11 @@ def test_evaluate_below_break_even_forks_nothing(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
-def test_evaluate_above_break_even_forks_two_workers(tmp_path):
+def test_evaluate_above_break_even_forks_one_worker(tmp_path):
     """`--jobs 2` on the versions tool's `pooled` snapshot, whose rules are
-    estimated above the break-even, forks two workers, imports pickle but
-    neither multiprocessing nor concurrent.futures, and writes what
-    `--jobs 1` writes."""
+    estimated above the break-even, forks one worker, which takes rules
+    beside the parent, imports pickle but neither multiprocessing nor
+    concurrent.futures, and writes what `--jobs 1` writes."""
     from versions import POOLED_DOCS
     for name, doc in POOLED_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
@@ -1638,7 +1638,7 @@ def test_evaluate_above_break_even_forks_two_workers(tmp_path):
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 2 ['pickle']"
+    assert proc.stdout.splitlines()[-1] == "0 1 ['pickle']"
     for name in ("report.json", "measures.json"):
         assert (tmp_path / "jobs1" / name).read_bytes() == \
             (tmp_path / "jobs2" / name).read_bytes()

@@ -491,7 +491,9 @@ def test_streamed_load_matches_reference_at_every_chunk_size(file, cap):
                 with mock.patch.object(dataset, "_CHUNK_BYTES", size):
                     assert _outcome(load_entity, path, schema) == expected, size
         if expected[0] != "LoadError":
-            assert dataset._load(path, schema)[1] == hashlib.sha256(data).hexdigest()
+            assert dataset._load(path, schema, digest=hashlib.sha256())[1] == \
+                hashlib.sha256(data).hexdigest()
+            assert dataset._load(path, schema)[1] is None
 
 
 def test_dedup_cap_bounds_a_columns_cache(tmp_path: Path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -602,8 +603,22 @@ def test_unique_matches_per_row_reference(body, main):
 # --------------------------------------------------------------------------
 # parallel failure modes
 
-def _die(*args):
-    os._exit(1)
+def _dies_in_the_worker(monkeypatch, died: Path) -> None:
+    """eval_rule patched so that the forked worker exits on the first rule it
+    takes, leaving a file at `died`, while this process holds the first rule
+    it takes until that file is there: the worker thus always takes one."""
+    parent = os.getpid()
+    real = engine.eval_rule
+
+    def body(rule, repo, rs):
+        if os.getpid() != parent:
+            died.touch()
+            os._exit(1)
+        while not died.exists():
+            time.sleep(0.001)
+        return real(rule, repo, rs)
+
+    monkeypatch.setattr(engine, "eval_rule", body)
 
 
 def _timed_out(signum, frame):
@@ -611,15 +626,15 @@ def _timed_out(signum, frame):
 
 
 def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
-                                       monkeypatch):
+                                       monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
-    monkeypatch.setattr(engine, "eval_rule", _die)
+    _dies_in_the_worker(monkeypatch, tmp_path / "died")
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, 10)
     started = time.monotonic()
     try:
-        with pytest.raises(EvalError, match="worker process died .*r1"):
+        with pytest.raises(EvalError, match="worker process died .*r[13]$"):
             eval_all(table3_ruleset, person_snapshot, jobs=2)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -629,32 +644,28 @@ def test_dead_worker_raises_eval_error(person_snapshot, table3_ruleset,
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_dead_worker_names_only_the_rules_left(person_snapshot, monkeypatch):
-    """The message names the rules left without a measure: r19, whose worker
-    died on it, but not the rules the other worker measured."""
+def test_dead_worker_names_only_the_rules_left(person_snapshot, monkeypatch,
+                                              tmp_path):
+    """The message names the rules left without a measure: the one the worker
+    died on, but not the 19 this process measured."""
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
-    real = engine.eval_rule
-
-    def dies_at_the_last(rule, repo, rs):
-        if rule.id == "r19":
-            os._exit(1)
-        time.sleep(0.01)
-        return real(rule, repo, rs)
-
-    monkeypatch.setattr(engine, "eval_rule", dies_at_the_last)
+    _dies_in_the_worker(monkeypatch, tmp_path / "died")
     rs = parse_ruleset(make_ruleset(
         [rule(f"r{i}", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"})
          for i in range(20)]))
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
-        with pytest.raises(EvalError, match="worker process died .*r19") as died:
+        with pytest.raises(EvalError) as died:
             eval_all(rs, person_snapshot, jobs=2)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert "and 10 more" not in str(died.value)  # not all 20 rules
+    assert re.fullmatch(r"a worker process died while evaluating rules r\d+",
+                        str(died.value))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_eval_error_propagates(person_snapshot, monkeypatch):
@@ -688,7 +699,6 @@ def test_refused_fork_evaluates_serially(person_snapshot, table3_ruleset,
 
 
 def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
-    # more rules than 4 x workers, so each task carries several rules
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     rs = parse_ruleset(make_ruleset(
@@ -699,8 +709,8 @@ def test_parallel_batches_equal_sequential(person_snapshot, monkeypatch):
 
 
 def test_batches_written_while_workers_run(person_snapshot, monkeypatch):
-    """With room for one record before the forks, the other batches reach the
-    workers while they run, and every rule is measured once."""
+    """With room for one record before the forks, the other rules reach the
+    worker while it runs, and every rule is measured once."""
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     monkeypatch.setattr(ranges, "_PIPE_BUF", ranges._RECORD)
@@ -718,16 +728,16 @@ def test_batches_written_while_workers_run(person_snapshot, monkeypatch):
 
 
 def _held_up(rule, repo, rs) -> RuleMeasure:
-    """r0 takes half a second; each measure records the worker that took it."""
+    """r0 takes half a second; each measure records the process that took it."""
     if rule.id == "r0":
         time.sleep(0.5)
     return RuleMeasure(rule.id, 0, 0, [], 0, float(os.getpid()))
 
 
 def test_held_up_worker_leaves_the_other_batches(person_snapshot, monkeypatch):
-    """Workers take batches from a pipe as they finish them: the worker held
-    up by the first batch takes no other, so a worker slowed down (say, on
-    a vCPU a neighbour holds) does not hold up the rest."""
+    """This process and the worker take rules from a pipe as they finish them:
+    the one held up by the first rule takes no other, so a process slowed
+    down (say, on a vCPU a neighbour holds) does not hold up the rest."""
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
     monkeypatch.setattr(engine, "eval_rule", _held_up)
@@ -751,7 +761,7 @@ def test_workers_capped_at_usable_cpus(person_snapshot, table3_ruleset,
 
 
 # --------------------------------------------------------------------------
-# the pool decision and the longest-first schedule
+# the pool decision and the longest-first order
 
 def _sized_repository(catalog, rows: dict[str, int]) -> Repository:
     """Entities of the given row counts whose cells are all null: the cost
@@ -799,7 +809,7 @@ def test_cost_estimate_independent_of_hash_seed():
         "repo = Repository(b.catalog, {s.name: Entity(s, {c.name: [None] * rows[s.name]"
         " for c in s.columns}) for s in b.catalog.entities}, 'fp')\n"
         "costs = engine._serial_costs_ns(b.ruleset, repo)\n"
-        "print(costs, engine._longest_first(costs, 2))\n")
+        "print(costs, engine._longest_first(costs))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = set()
     for seed in ("0", "1", "4242"):
@@ -813,23 +823,42 @@ def test_cost_estimate_independent_of_hash_seed():
 
 
 @settings(max_examples=200, deadline=None)
-@given(costs=st.lists(st.integers(0, 10**12), min_size=1, max_size=60),
-       workers=st.integers(2, 4))
-def test_longest_first_batches_cover_every_rule_once(costs, workers):
-    batches = engine._longest_first(costs, workers)
-    assert all(batches)
-    assert sorted(i for batch in batches for i in batch) == list(range(len(costs)))
-    order = [i for batch in batches for i in batch]
+@given(costs=st.lists(st.integers(0, 10**12), min_size=1, max_size=60))
+def test_longest_first_batches_cover_every_rule_once(costs):
+    order = engine._longest_first(costs)
+    assert sorted(order) == list(range(len(costs)))
     assert [costs[i] for i in order] == sorted(costs, reverse=True)
-    share = sum(costs) / (4 * workers)
-    assert all(sum(costs[i] for i in batch) <= share
-               for batch in batches if len(batch) > 1)
+    assert all(a < b for a, b in zip(order, order[1:]) if costs[a] == costs[b])
 
 
 def test_longest_first_keeps_equal_rules_apart():
-    """Criterion 8's ten equal rules on two workers: one rule per task, so no
-    worker idles while the other runs a last batch of two."""
-    assert engine._longest_first([65] * 10, 2) == [[i] for i in range(10)]
+    """Criterion 8's ten equal rules: one rule per task, in index order, so no
+    process idles while another runs a last batch of two."""
+    assert engine._longest_first([65] * 10) == list(range(10))
+
+
+def test_pool_tasks_are_single_rules_longest_first(person_snapshot, monkeypatch):
+    """The pool's tasks are single rules in order of falling estimated cost,
+    index breaking ties: a heavy rule starts first, and equal rules go one per
+    task, so no process idles while another runs a last pair. jobs=2 forks
+    one worker."""
+    tasks = []
+
+    def serially(work, order, workers, names):
+        tasks.append((order, workers))
+        return None, [work(task) for task in order]
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)
+    monkeypatch.setattr(ranges, "forked", serially)
+    rs = parse_ruleset(make_ruleset(
+        [rule("s0", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
+         rule("w", "warning", ["type"], "EXAC_SINT", "syntax", {"pattern": "x"}),
+         rule("s1", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"}),
+         rule("u", "person", [], "FAL_COMP_FICH", "unique", {"key": ["id"]}),
+         rule("s2", "person", ["id"], "EXAC_SINT", "syntax", {"pattern": "x"})]))
+    assert eval_all(rs, person_snapshot, jobs=2) == eval_all(rs, person_snapshot)
+    assert tasks == [([3, 1, 0, 2, 4], 1)]  # u, w (5 rows), then s0-s2 (4 rows)
 
 
 @settings(max_examples=8, deadline=None,

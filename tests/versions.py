@@ -72,7 +72,8 @@ RANGED_DOCS = {
 # The documents `dq synth` generates POOLED from: 30,000 rows (0.51 MB) kept
 # whole by a unique key, under rules whose estimated serial work
 # (engine._serial_costs_ns, 182 ms) is above engine.POOL_BREAK_EVEN_NS, so
-# that `--jobs 2` runs them in two forked workers, with failures of each rule.
+# that `--jobs 2` runs them in a forked worker and the parent, with failures
+# of each rule.
 POOLED_DOCS = {
     "schema.json": {"entities": [{"name": "keyed", "key": ["pk"], "columns": [
         {"name": "pk", "datatype": "text"}, {"name": "n", "datatype": "integer"},
