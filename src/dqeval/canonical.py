@@ -216,11 +216,9 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_file(path: Path, digest=None, start: int = 0) -> str:
-    """The hex digest of `digest` (a new sha256) fed the file from `start`."""
-    h = hashlib.sha256() if digest is None else digest
+def sha256_file(path: Path) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as f:
-        f.seek(start)
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()

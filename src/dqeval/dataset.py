@@ -453,7 +453,8 @@ def _load(path: Path, schema: EntitySchema, start: int = 0,
     With `start` or `stop`, only the records in bytes [start, stop) load,
     the header only when start is 0: each must be 0, the file's size or an
     offset just after a newline that ends a record (_record_cuts). Rows and
-    errors then count from the range's first record."""
+    errors then count from the range's first record. Ranges load without a
+    digest: the ranged path hashes each cut file whole (_file_digest)."""
     path = Path(path)
     specs = schema.columns
     columns: list[list] = [[] for _ in specs]
@@ -543,13 +544,11 @@ def _record_cuts(path: Path, parts: int) -> tuple[tuple[int, int, int], list[int
     return before, cuts + [size]
 
 
-def _file_digest(path: Path, before: tuple[int, int, int], digest,
-                 start: int) -> str | None:
-    """The file's sha256, from `digest`, fed its bytes before `start`
-    already, once the rest feed it; None if they cannot be read or the
-    file's size, mtime or inode is no longer `before` once they are."""
+def _file_digest(path: Path, before: tuple[int, int, int]) -> str | None:
+    """The file's sha256; None if it cannot be read or its size, mtime or
+    inode is no longer `before` once it is."""
     try:
-        digest = canonical.sha256_file(path, digest, start)
+        digest = canonical.sha256_file(path)
         st = os.stat(path)
     except OSError:
         return None

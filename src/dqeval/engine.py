@@ -17,8 +17,9 @@ the evaluation's estimated serial cost, worked out from sizes before
 anything is evaluated, is large enough to pay for them; otherwise the
 rules run serially, with the same results.
 `evaluate_snapshot` loads a snapshot and evaluates it: large files whose
-entities only row-local rules read are loaded and evaluated in row ranges
-by forked workers (ranges.py), the rest through load_snapshot and eval_all.
+entities only row-local rules read are loaded and evaluated in row ranges,
+which this process and forked workers take alike (ranges.py), the rest
+through load_snapshot and eval_all.
 
 Row expressions (`where`, predicate, freshness `condition`) are compiled
 once per rule and entity into closures over the entity's columns
@@ -334,7 +335,7 @@ def _eval_parallel(rs: RuleSet, repo: Repository, workers: int,
         return f"rules {shown}"
 
     measured = forked(lambda i: eval_rule(rs.rules[i], repo, rs), order,
-                      workers - 1, names)[1]
+                      workers - 1, names)
     return dict(zip(order, measured))
 
 
@@ -407,7 +408,8 @@ def evaluate_snapshot(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
     range case. With more than one worker possible (jobs, usable CPUs,
     os.fork), the snapshot files of at least RANGE_BREAK_EVEN_BYTES whose
     entities only row-local rules read are instead cut into row ranges,
-    loaded and evaluated in forked workers (ranges.evaluate_ranges). Both
+    loaded and evaluated by this process and forked workers, and hashed
+    whole after them (ranges.evaluate_ranges). Both
     give the same measures, row counts and record keys, so the same report
     and measures bytes, and the same error where loading fails; a cut
     entity's repository entry then holds its row count alone."""

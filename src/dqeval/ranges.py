@@ -3,18 +3,17 @@
 `engine.evaluate_snapshot` hands `evaluate_ranges` the snapshot files of
 at least `engine.RANGE_BREAK_EVEN_BYTES` whose entities only row-local
 rules read. Each is cut at record boundaries into up to N byte ranges
-(`dataset._record_cuts`). This process loads and evaluates the first
-range of each file itself, hashing its bytes as they load, then hashes the
-rest of each file for the fingerprint, while workers it forks (`forked`)
-take the others. Each range loads through `dataset._load`
-and runs its entity's rules through `engine.eval_rule`, and a worker
-pickles back, per range, its row count, each rule's measure over it
-(ordinals from the range's first row, failing pairs capped) and the keys of
-the rows that fail. The measures merge exactly: B and the failing totals
-sum, and the failing pairs, shifted by the rows before their range,
-concatenate in range order and are capped again, which gives the pairs, in
-the order, that one range gives (range partitioning: DeWitt and Gray, CACM
-1992; mergeable summaries: Agarwal et al., PODS 2012).
+(`dataset._record_cuts`), and each range is one task that this process and
+the workers it forks (`forked`) take from one queue alike. Each range loads
+through `dataset._load` and runs its entity's rules through
+`engine.eval_rule`, and a worker pickles back, per range, its row count,
+each rule's measure over it (ordinals from the range's first row, failing
+pairs capped) and the keys of the rows that fail. This process then hashes
+each cut file whole for the fingerprint. The measures merge exactly: B and
+the failing totals sum, and the failing pairs, shifted by the rows before
+their range, concatenate in range order and are capped again, which gives
+the pairs, in the order, that one range gives (range partitioning: DeWitt
+and Gray, CACM 1992; mergeable summaries: Agarwal et al., PODS 2012).
 
 The entities that are not cut load whole here before the fork, among them
 every entity a foreign key or domain reference reads, which the ranges'
@@ -26,8 +25,7 @@ worker that cannot be started sends the caller down the one-range path,
 which loads the snapshot again and so raises the one-range path's error,
 in catalog order. A worker that dies raises EvalError naming the ranges
 left without a result. `forked` is the program's one way to run work in
-other processes; `engine.eval_all` runs its rules through it, this process
-taking them beside the workers.
+other processes; `engine.eval_all` runs its rules through it too.
 """
 
 from __future__ import annotations
@@ -51,27 +49,20 @@ Range = tuple[str, int, int]  # entity name, first byte, byte after the last
 
 
 def _evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
-                     whole: dict[str, Entity], hashes: dict,
-                     ranges: list[Range]) -> list:
-    """For each range: the LoadError it raises, or its row count, the measure
-    over it of each ranged rule of its entity, in ruleset order, and row →
-    key of the rows failing them. A range's bytes feed the sha256 object
-    `hashes` holds for its entity, if any."""
-    outcomes = []
-    for name, start, stop in ranges:
-        try:
-            entity = _load(directory / f"{name}.csv", catalog.get(name), start, stop,
-                           hashes.get(name))[0]
-        except LoadError as exc:
-            outcomes.append(exc)
-            continue
-        repo = Repository(catalog, {**whole, name: entity}, "")
-        measures = [engine.eval_rule(rule, repo, rs) for rule in rs.rules
-                    if rule.entity == name and isinstance(rule.kind, engine.RANGED_KINDS)]
-        rows = {row for m in measures for _, row in m.failing}
-        outcomes.append((entity.n_rows, measures,
-                         {row: repo.record_key(name, row) for row in rows}))
-    return outcomes
+                     whole: dict[str, Entity], task: Range):
+    """The LoadError the range raises, or its row count, the measure over it
+    of each ranged rule of its entity, in ruleset order, and row → key of the
+    rows failing them."""
+    name, start, stop = task
+    try:
+        entity = _load(directory / f"{name}.csv", catalog.get(name), start, stop)[0]
+    except LoadError as exc:
+        return exc
+    repo = Repository(catalog, {**whole, name: entity}, "")
+    measures = [engine.eval_rule(rule, repo, rs) for rule in rs.rules
+                if rule.entity == name and isinstance(rule.kind, engine.RANGED_KINDS)]
+    rows = {row for m in measures for _, row in m.failing}
+    return entity.n_rows, measures, {row: repo.record_key(name, row) for row in rows}
 
 
 def _fork(cpu: int | None, cpus: list[int], work):
@@ -111,11 +102,10 @@ _RECORD = 4
 _PIPE_BUF = 512
 
 
-def forked(work, tasks: list, workers: int, names, here=None) -> tuple:
-    """here(), run in this process, and [work(task) for task in tasks], run
-    while it runs by `workers` forked workers that each take the next task
-    from a queue until it is empty, so one on a slower CPU takes fewer.
-    Without `here`, this process takes tasks from the queue beside them.
+def forked(work, tasks: list, workers: int, names) -> list:
+    """[work(task) for task in tasks], run by this process and `workers`
+    forked workers, each taking the next task from one queue until it is
+    empty, so one on a slower CPU takes fewer.
 
     A worker's results, or the exception it raised, which is raised here,
     come back pickled through a pipe. A worker that dies before sending them
@@ -154,8 +144,7 @@ def forked(work, tasks: list, workers: int, names, here=None) -> tuple:
         with queue:
             for start in range(_PIPE_BUF, len(records), _PIPE_BUF):
                 queue.write(records[start:start + _PIPE_BUF])
-        mine = here() if here else None
-        results = {} if here else dict(pull())
+        results = dict(pull())
         # every result is read and loaded before any worker is reaped: a
         # worker's pipe ends before its exit has unmapped its view of this
         # process's memory, which takes milliseconds
@@ -186,37 +175,7 @@ def forked(work, tasks: list, workers: int, names, here=None) -> tuple:
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return mine, [results[k] for k in range(len(tasks))]
-
-
-def _run(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
-         whole: dict[str, Entity], plan: dict) -> tuple[list, dict]:
-    """Every range's `_evaluate_ranges` outcome, as (entity name, outcome) in
-    range order, the first ranges' from this process and the others' from
-    forked workers; and each cut file's sha256 (None if it moved), its first
-    range hashed as it loads and the rest here while the workers run. An
-    error other than a range's LoadError is raised as it is met."""
-    # task k holds range k of each file cut into more than k ranges
-    tasks = [[(name, cuts[k], cuts[k + 1]) for name, (_, _, cuts) in plan.items()
-              if k + 1 < len(cuts)]
-             for k in range(max(len(cuts) for _, _, cuts in plan.values()) - 1)]
-    hashes = {name: hashlib.sha256() for name in plan}
-
-    def here():
-        first = _evaluate_ranges(rs, directory, catalog, whole, hashes, tasks[0])
-        return first, {name: _file_digest(path, before, hashes[name], cuts[1])
-                       for name, (path, before, cuts) in plan.items()}
-
-    def names(left: list) -> str:
-        return ", ".join(f"{name}.csv bytes {start}-{stop}"
-                         for ranges in left for name, start, stop in ranges)
-
-    (first, digests), rest = forked(
-        partial(_evaluate_ranges, rs, directory, catalog, whole, {}), tasks[1:],
-        len(tasks) - 1, names, here)
-    outcomes = [(name, outcome) for ranges, result in zip(tasks, [first, *rest])
-                for (name, _, _), outcome in zip(ranges, result)]
-    return outcomes, digests
+    return [results[k] for k in range(len(tasks))]
 
 
 def _merged(rule_id: str, parts: list[tuple[int, RuleMeasure]]) -> RuleMeasure:
@@ -261,18 +220,26 @@ def evaluate_ranges(rs: RuleSet, directory: Path, catalog: SchemaCatalog,
                     directory / f"{schema.name}.csv", schema, digest=hashlib.sha256())
             except LoadError:
                 return None
-    try:
-        outcomes, cut_digests = _run(rs, directory, catalog, dict(entities), plan)
+    tasks = [(name, start, stop) for name, (_, _, cuts) in plan.items()
+             for start, stop in zip(cuts, cuts[1:])]
+
+    def names(left: list[Range]) -> str:
+        return ", ".join(f"{name}.csv bytes {start}-{stop}" for name, start, stop in left)
+
+    try:  # this process, and one worker fewer than the most ranges of a file
+        outcomes = forked(partial(_evaluate_ranges, rs, directory, catalog, entities),
+                          tasks, max(len(cuts) for _, _, cuts in plan.values()) - 2, names)
     except OSError:  # no worker could start (EAGAIN, ENOMEM): one range does
         return None
-    digests.update(cut_digests)
-    if None in digests.values() or any(isinstance(o, LoadError) for _, o in outcomes):
+    digests.update((name, _file_digest(path, before))
+                   for name, (path, before, _) in plan.items())
+    if None in digests.values() or any(isinstance(o, LoadError) for o in outcomes):
         return None
 
     ranged: dict[str, list[tuple[int, RuleMeasure]]] = {}
     keys: dict[tuple[str, int], dict] = {}
     rows = dict.fromkeys(plan, 0)
-    for name, (n_rows, measures, failing_keys) in outcomes:
+    for (name, _, _), (n_rows, measures, failing_keys) in zip(tasks, outcomes):
         for m in measures:
             ranged.setdefault(m.rule_id, []).append((rows[name], m))
         keys.update(((name, rows[name] + row), key) for row, key in failing_keys.items())

@@ -295,6 +295,18 @@ def _valid_record(entity, row, key) -> bool:
                     or type(v) is Decimal and v.is_finite() for v in key.values()))
 
 
+def _written_alike(known: dict, key) -> bool:
+    """Whether `key` is written as `known`, a key of JSON scalars, is: equal,
+    with the same members in the same order, each of the same type, and each
+    decimal of the same text (1.0 == 1.00 and -0.0 == 0.0 are not alike)."""
+    if key != known:
+        return False
+    for (name, v), (same, w) in zip(key.items(), known.items()):
+        if name != same or type(v) is not type(w) or type(v) is Decimal and str(v) != str(w):
+            return False
+    return True
+
+
 def parse_measures(text: str) -> MeasureSet:
     """The measures document in the evaluated form: failing (entity, row)
     pairs, with keys looked up in a table built from the records.
@@ -305,7 +317,6 @@ def parse_measures(text: str) -> MeasureSet:
     empty key) and a key of JSON scalars; one (entity, row) with two keys that
     are not written alike is a ParseError."""
     keys: dict[tuple[str, int | None], dict] = {}
-    texts: dict[tuple[str, int | None], str] = {}  # first key's repr, once repeated
     try:
         data = canonical.loads(text)
         measures = {}
@@ -319,11 +330,9 @@ def parse_measures(text: str) -> MeasureSet:
                 if known is key:
                     if not _valid_record(*pair, key):
                         raise ValueError(f"invalid failing record {r!r}")
-                else:
-                    first = texts.get(pair) or texts.setdefault(pair, repr(known))
-                    if repr(key) != first:
-                        raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
-                                         f"{known!r} and {key!r}")
+                elif not _written_alike(known, key):
+                    raise ValueError(f"{pair[0]} row {pair[1]} has two keys, "
+                                     f"{known!r} and {key!r}")
                 failing.append(pair)
             if len(failing) > failing_total:
                 raise ValueError(f"rule {m['rule_id']}: {len(failing)} failing records "

@@ -500,8 +500,8 @@ def test_criterion_8_performance_and_speedup(tmp_path: Path):
     speedup = single / parallel
     ceiling = _host_cpu_scaling()
     assert speedup >= 1.5, (
-        f"jobs=4 speedup {speedup:.2f}x (best of 3: {single:.1f}s -> "
-        f"{parallel:.1f}s); note: this host's raw two-process CPU scaling "
+        f"jobs=4 speedup {speedup:.3f}x (best of 3: {single * 1000:.1f} ms -> "
+        f"{parallel * 1000:.1f} ms); note: this host's raw two-process CPU scaling "
         f"measured {ceiling:.2f}x just now - when that ceiling sits below "
         f"1.5x (shared/SMT vCPUs), no parallel evaluator can reach it")
     elapsed = time.perf_counter() - started

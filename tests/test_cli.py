@@ -268,6 +268,52 @@ def test_evaluate_write_that_fails_partway_keeps_the_old_outputs(workspace, monk
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("command", ["evaluate", "improve"])
+def test_output_write_out_of_space_names_the_file(registry_outputs, tmp_path,
+                                                  monkeypatch, capsys, command, at):
+    """The k-th os.replace of registry-v1's outputs raising ENOSPC (evaluate
+    --format text: measures.json, report.txt, report.json; improve: the
+    manifests, then index.json): exit 1, `error: cannot write PATH: reason`
+    naming that file, and no temporary file left; a rerun then leaves the
+    names and bytes of a fresh run."""
+    s = registry_outputs
+
+    def argv(out: Path) -> list[str]:
+        if command == "evaluate":
+            return ["evaluate", "--rules", str(s / "rules.json"), "--schema",
+                    str(s / "schema.json"), "--data", str(s / "snapshot"),
+                    "--out", str(out), "--format", "text", "--jobs", "1"]
+        return ["improve", "--report", str(s / "out" / "report.json"),
+                "--measures", str(s / "out" / "measures.json"), "--out", str(out)]
+
+    real = os.replace
+    targets: list[Path] = []
+    fail_at = None
+
+    def replace(source, target):
+        targets.append(Path(target))
+        if len(targets) == fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(source, target)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv(tmp_path / "fresh")) == 0
+    written = [t.name for t in targets]
+    assert written[-1] == ("report.json" if command == "evaluate" else "index.json")
+    fail_at = {"first": 1, "middle": (len(written) + 1) // 2, "last": len(written)}[at]
+    targets.clear()
+    used = tmp_path / "used"
+    capsys.readouterr()
+    assert main(argv(used)) == 1
+    assert capsys.readouterr().err == (f"error: cannot write {used / written[fail_at - 1]}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert not list(used.glob("*.tmp"))
+    fail_at = None
+    assert main(argv(used)) == 0
+    assert _contents(used) == _contents(tmp_path / "fresh")
+
+
 def test_evaluate_validation_error_exits_3(workspace, capsys):
     (workspace / "rules.json").write_text(make_ruleset([
         rule("r", "person", ["ghost"], "EXAC_SINT", "syntax", {"pattern": "x"})]))

@@ -846,7 +846,7 @@ def test_pool_tasks_are_single_rules_longest_first(person_snapshot, monkeypatch)
 
     def serially(work, order, workers, names):
         tasks.append((order, workers))
-        return None, [work(task) for task in order]
+        return [work(task) for task in order]
 
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "POOL_BREAK_EVEN_NS", 0)

@@ -272,25 +272,44 @@ def test_ranges_equal_one_range_through_the_cli(large):
     assert ranged == _contents(large / "out")
 
 
-def test_dead_worker_is_a_named_error(large, monkeypatch, capsys):
-    """A worker that dies gives EvalError, exit 4, naming its range; nothing
-    is written, and no worker is left running or unreaped."""
+def _worker_takes_a_range(monkeypatch, died: Path, fault) -> list:
+    """_evaluate_ranges patched so that the forked worker, on the first range
+    it takes, leaves a file at `died` and then calls fault(), while this
+    process holds the first range it takes until that file is there: the
+    worker thus always takes one. Returns the ranges this process takes."""
     parent = os.getpid()
     real = ranges._evaluate_ranges
+    taken = []
 
     def body(*args):
         if os.getpid() != parent:
-            os._exit(1)
+            died.touch()
+            fault()
+        while not died.exists():
+            time.sleep(0.001)
+        taken.append(args[-1])
         return real(*args)
 
     monkeypatch.setattr(ranges, "_evaluate_ranges", body)
+    return taken
+
+
+def _person_ranges(workspace: Path) -> list:
+    cuts = dataset._record_cuts(workspace / "snapshot" / "person.csv", 2)[1]
+    return [("person", start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def test_dead_worker_is_a_named_error(large, monkeypatch, capsys):
+    """A worker that dies gives EvalError, exit 4, naming the range it held
+    and none that this process measured; nothing is written, and no worker
+    is left running or unreaped."""
+    taken = _worker_takes_a_range(monkeypatch, large / "died", lambda: os._exit(1))
     started = time.monotonic()
     assert _run_bounded(_argv(large)) == 4
     assert time.monotonic() - started < 10
-    size = (large / "snapshot" / "person.csv").stat().st_size
-    err = capsys.readouterr().err
-    assert err.startswith("error: a worker process died while evaluating person.csv bytes ")
-    assert err.endswith(f"-{size}\n")
+    [(_, start, stop)] = [r for r in _person_ranges(large) if r not in taken]
+    assert capsys.readouterr().err == ("error: a worker process died while evaluating "
+                                       f"person.csv bytes {start}-{stop}\n")
     assert not (large / "out").exists()
     assert _no_children()
 
@@ -331,17 +350,49 @@ def test_worker_that_cannot_start_leaves_one_range(large, monkeypatch):
 
 
 def test_worker_error_is_raised_in_the_parent(large, monkeypatch, capsys):
-    parent = os.getpid()
-    real = ranges._evaluate_ranges
+    def fail():
+        raise EvalError("a worker's range failed")
 
-    def body(*args):
-        if os.getpid() != parent:
-            raise EvalError("a worker's range failed")
-        return real(*args)
-
-    monkeypatch.setattr(ranges, "_evaluate_ranges", body)
+    _worker_takes_a_range(monkeypatch, large / "failed", fail)
     assert _run_bounded(_argv(large)) == 4
     assert capsys.readouterr().err == "error: a worker's range failed\n"
+    assert not (large / "out").exists()
+    assert _no_children()
+
+
+def test_parent_takes_every_range_a_late_worker_leaves(large, monkeypatch):
+    """A worker that starts pulling only once this process has taken every
+    range gets none: the outputs are the one-range path's, and the one
+    worker forked is reaped."""
+    assert main(_argv(large)[:-1] + ["1"]) == 0
+    one_range = _contents(large / "out")
+    every = _person_ranges(large)
+    assert len(every) == 2
+    done = large / "done"
+    real_evaluate, real_fork = ranges._evaluate_ranges, ranges._fork
+    taken, forks = [], []
+
+    def body(*args):
+        taken.append(args[-1])
+        if len(taken) == len(every):
+            done.touch()
+        return real_evaluate(*args)
+
+    def late(cpu, cpus, work):
+        def pull():
+            while not done.exists():
+                time.sleep(0.001)
+            return work()
+
+        forks.append(cpu)
+        return real_fork(cpu, cpus, pull)
+
+    monkeypatch.setattr(ranges, "_evaluate_ranges", body)
+    monkeypatch.setattr(ranges, "_fork", late)
+    assert _run_bounded(_argv(large)) == 0
+    assert taken == every
+    assert len(forks) == 1
+    assert _contents(large / "out") == one_range
     assert _no_children()
 
 

@@ -293,6 +293,8 @@ def _record(row: str, key: str, entity: str = '"e"') -> str:
      "e row 1 has two keys, {'id': 1} and {'id': Decimal('1.0')}"),
     ([_record("1", '{"id": 1.0}'), _record("1", '{"id": 1.00}')],
      "e row 1 has two keys, {'id': Decimal('1.0')} and {'id': Decimal('1.00')}"),
+    ([_record("1", '{"id": 0.0}'), _record("1", '{"id": -0.0}')],
+     "e row 1 has two keys, {'id': Decimal('0.0')} and {'id': Decimal('-0.0')}"),
     ([_record("1", '{"i": 1, "j": 2}'), _record("1", '{"j": 2, "i": 1}')],
      "e row 1 has two keys, {'i': 1, 'j': 2} and {'j': 2, 'i': 1}"),
     ([_record("null", "{}"), _record("null", '{"id": "a"}')],
@@ -314,7 +316,8 @@ def _record(row: str, key: str, entity: str = '"e"') -> str:
      "entity name 'a\\\\b' is not a plain file name"),
     ([_record("1", '{"id": "a"}', entity='"a\\u0000b"')],
      "entity name 'a\\x00b' is not a plain file name"),
-], ids=["text", "int-bool", "int-decimal", "decimal-exponent", "member-order",
+], ids=["text", "int-bool", "int-decimal", "decimal-exponent", "decimal-sign",
+        "member-order",
         "entity-level", "entity-level-key", "text-row", "decimal-row", "bool-row",
         "array-value", "object-value", "nan-value", "array-key", "numeric-entity",
         "array-row", "parent-entity", "dot-dot-entity", "backslash-entity",
